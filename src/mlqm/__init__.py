@@ -48,6 +48,7 @@ from .jacobi import JacobiOrder, jacobi_batch, jacobi_eval
 from .models import (
     DerivedSpectralParams,
     DisplacedOscillatorParams,
+    GupFamily,
     MetricFunction,
     SwansonParams,
     Wavefunction,

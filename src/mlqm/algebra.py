@@ -29,6 +29,9 @@ class DeformationParams:
     gamma: float = 0.0
 
     def __post_init__(self):
+        for name in ("hbar", "beta", "gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if self.beta < 0:
@@ -127,24 +130,24 @@ def differentiate(values: np.ndarray, spacing: float) -> np.ndarray:
     return out / spacing
 
 
-def first_derivative_matrix(n: int, spacing: float) -> np.ndarray:
-    """Dense 4th-order d/dp with Dirichlet closure (out-of-range samples dropped)."""
+def _banded(n: int, stencil: np.ndarray) -> np.ndarray:
+    """Dense n x n matrix of a 5-point central stencil, out-of-range samples dropped."""
     m = np.zeros((n, n))
     idx = np.arange(n)
-    for k, c in zip((-2, -1, 1, 2), (1 / 12, -8 / 12, 8 / 12, -1 / 12)):
+    for k, c in zip(range(-2, 3), stencil):
         mask = (idx + k >= 0) & (idx + k < n)
         m[idx[mask], idx[mask] + k] = c
-    return m / spacing
+    return m
+
+
+def first_derivative_matrix(n: int, spacing: float) -> np.ndarray:
+    """Dense 4th-order d/dp with Dirichlet closure (out-of-range samples dropped)."""
+    return _banded(n, _D1_CENTRAL) / spacing
 
 
 def second_derivative_matrix(n: int, spacing: float) -> np.ndarray:
     """Dense 4th-order d^2/dp^2 with Dirichlet closure."""
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    for k, c in zip((-2, -1, 0, 1, 2), (-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12)):
-        mask = (idx + k >= 0) & (idx + k < n)
-        m[idx[mask], idx[mask] + k] = c
-    return m / spacing**2
+    return _banded(n, _D2_CENTRAL) / spacing**2
 
 
 def position_kernel(params: DeformationParams, grid: MomentumGrid) -> np.ndarray:

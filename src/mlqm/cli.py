@@ -25,22 +25,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .inner import QuadratureSpec
-from .models import (
-    DisplacedOscillatorParams,
-    SwansonParams,
-    displaced_coefficients,
-    displaced_energy,
-    displaced_metric,
-    displaced_transform,
-    displaced_wavefunction,
-    swanson_beta_c,
-    swanson_coefficients,
-    swanson_energy,
-    swanson_metric,
-    swanson_spectral,
-    swanson_transform,
-    swanson_wavefunction,
-)
+from .models import DisplacedOscillatorParams, SwansonParams, wavefunction
 from . import eigensolver, verify
 
 EXIT_OK = 0
@@ -182,17 +167,11 @@ def _emit(lines_or_obj, cfg: RunConfig):
         sys.stdout.write(text)
 
 
-def _closed_energy(n: int, params) -> complex:
-    if isinstance(params, DisplacedOscillatorParams):
-        return complex(displaced_energy(n, params))
-    return complex(swanson_energy(n, params))
-
-
 def _model_pieces(cfg: RunConfig):
+    """Params, their family, its coefficients and its metric (self-checked on construction)."""
     params = cfg.model_params()
-    if isinstance(params, DisplacedOscillatorParams):
-        return params, displaced_coefficients(params), displaced_transform(params), displaced_metric(params)
-    return params, swanson_coefficients(params), swanson_transform(params), swanson_metric(params)
+    family = params.family()
+    return params, family, family.coefficients(), family.metric()
 
 
 # --------------------------------------------------------------------------
@@ -203,24 +182,22 @@ _SPECTRUM_HEADER = "n,E_closed,E_q,E_p_re,E_p_im,err_q,err_p"
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    params, coeffs, problem, _ = _model_pieces(cfg)
+    params, family, coeffs, _ = _model_pieces(cfg)
     rows = []
     if cfg.levels > 0:
-        q_result = eigensolver.solve_q_space(problem, cfg.grid, cfg.levels)
+        q_result = eigensolver.solve_q_space(family.transform(), cfg.grid, cfg.levels)
         e_q = coeffs.energy_map.energy(q_result.real_parts)
         p_grid = MomentumGrid.symmetric(cfg.p_max, cfg.p_grid)
         # Swanson bound states decay only polynomially in p, so the spurious
-        # filter needs the measure-weighted norm and a looser threshold.
-        edge_ratio = 1e-6 if cfg.model == "displaced" else 1e-4
+        # filter needs the measure-weighted norm.
         p_result = eigensolver.solve_p_space(
             eigensolver.build_p_space_matrix(coeffs, p_grid),
             cfg.levels,
             weight=cfg.deformation.measure_weight(p_grid.points),
-            edge_ratio=edge_ratio,
         )
         e_p = coeffs.energy_map.energy(np.array([complex(e) for e in p_result.eigenvalues]))
         for n in range(cfg.levels):
-            e_closed = _closed_energy(n, params).real
+            e_closed = complex(params.energy(n)).real
             scale = max(1.0, abs(e_closed))
             rows.append(
                 {
@@ -261,29 +238,24 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool):
     local = _replace_param(cfg, name, value)
     params = local.model_params()
     if numeric:
+        family = params.family()
+        problem = family.transform()
+        # past beta_c the Swanson levels are complex, which only the branch solver follows
         if isinstance(params, SwansonParams):
-            sp = swanson_spectral(params)
-            problem = swanson_transform(params)
             result = eigensolver.solve_q_space_branch(
                 problem,
-                wall_exponent=sp.a_const / np.sqrt(local.beta),
+                wall_exponent=family.spectral().a_const / np.sqrt(local.beta),
                 n_grid=min(local.grid, 700),
                 n_levels=local.levels,
             )
-            coeffs = swanson_coefficients(params)
         else:
-            problem = displaced_transform(params)
             result = eigensolver.solve_q_space(problem, local.grid, local.levels)
-            coeffs = displaced_coefficients(params)
-        energies = [coeffs.energy_map.energy(complex(e)) for e in result.eigenvalues]
+        energies = [family.energy_map.energy(complex(e)) for e in result.eigenvalues]
     else:
-        energies = [_closed_energy(n, params) for n in range(local.levels)]
-    if isinstance(params, SwansonParams):
-        try:
-            bc = swanson_beta_c(params)
-        except ConstraintViolatedError:
-            bc = None
-    else:
+        energies = [complex(params.energy(n)) for n in range(local.levels)]
+    try:
+        bc = params.beta_c()
+    except ConstraintViolatedError:
         bc = None
     return value, energies, bc
 
@@ -330,15 +302,8 @@ def cmd_wavefunction(cfg: RunConfig, n: int, samples: int) -> int:
     if samples < 2:
         raise DomainError(f"need samples >= 2, got {samples}")
     params = cfg.model_params()
-    spec = QuadratureSpec(node_count=cfg.nodes)
-    if isinstance(params, DisplacedOscillatorParams):
-        psi = displaced_wavefunction(n, params, spec)
-        eta = displaced_metric(params)
-    else:
-        psi = swanson_wavefunction(n, params, spec)
-        eta = swanson_metric(params)
-    if cfg.beta <= 0:
-        raise DomainError("wavefunction export requires beta > 0")
+    psi = wavefunction(n, params, QuadratureSpec(node_count=cfg.nodes))
+    eta = params.family().metric()
     sqb = np.sqrt(cfg.beta)
     q_half = np.pi / (2.0 * sqb)
     q = np.linspace(-0.995 * q_half, 0.995 * q_half, samples)
@@ -378,7 +343,7 @@ _CHECK_NAMES = (
 
 def _battery(cfg: RunConfig, metric_override: str | None):
     """Run the full verification battery; yields (report, grid-descriptor)."""
-    params, coeffs, _, metric = _model_pieces(cfg)
+    params, family, coeffs, metric = _model_pieces(cfg)
     deformation = cfg.deformation
     spec = QuadratureSpec(node_count=cfg.nodes)
 
@@ -389,8 +354,8 @@ def _battery(cfg: RunConfig, metric_override: str | None):
     p_grid = MomentumGrid.symmetric(cfg.p_max, cfg.p_grid)
     grid_desc = {"n_points": cfg.p_grid, "p_max": cfg.p_max}
     hmat = eigensolver.build_p_space_matrix(coeffs, p_grid)
-    non_hermitian = (cfg.lam != 0) if cfg.model == "displaced" else (cfg.lam != cfg.delta)
-    if non_hermitian:
+    # sigma and ell are the two parts of the metric; both vanish exactly when H is Hermitian
+    if family.sigma != 0 or family.ell != 0:
         yield verify.hermiticity_defect_report(hmat, deformation, p_grid), grid_desc
 
     if metric_override is not None:
@@ -399,10 +364,7 @@ def _battery(cfg: RunConfig, metric_override: str | None):
     yield verify.pseudo_hermiticity_residual(hmat, metric, deformation, p_grid), grid_desc
 
     n_states = min(cfg.levels, 4) or 4
-    if cfg.model == "displaced":
-        states = [displaced_wavefunction(k, params, spec) for k in range(n_states)]
-    else:
-        states = [swanson_wavefunction(k, params, spec) for k in range(n_states)]
+    states = [wavefunction(k, params, spec) for k in range(n_states)]
     _, gram_report = verify.gram_matrix(states, metric, deformation, spec)
     yield gram_report, {"nodes": cfg.nodes}
 

@@ -31,8 +31,10 @@ CONJUGATE_PAIR = "member-of-conjugate-pair"
 UNCLASSIFIED = "unclassified"
 
 #: Eigenvector edge amplitude (relative to its max) above which a p-space
-#: mode is discarded as a boundary artifact.
-_SPURIOUS_EDGE_RATIO = 1e-6
+#: mode is discarded as a boundary artifact.  In the measure-weighted norm,
+#: bound states with slow polynomial decay (the Swanson family) sit around
+#: 1e-5 on desk-scale boxes, while Dirichlet artifacts sit at O(1).
+_SPURIOUS_EDGE_RATIO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ def solve_p_space(
     """Dense non-Hermitian eigensolve with a boundary-artifact filter.
 
     Eigenvectors whose amplitude at the outermost grid points exceeds
-    _SPURIOUS_EDGE_RATIO of their maximum are discarded (Dirichlet
+    ``edge_ratio`` of their maximum are discarded (Dirichlet
     truncation artifacts); the n_levels survivors of smallest real part are
     classified and returned.  ``weight`` (the measure weights at the nodes,
     if given) converts amplitudes to the physical norm before filtering —

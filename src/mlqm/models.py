@@ -1,18 +1,24 @@
 """The two concrete models: displaced harmonic oscillator and Swanson model.
 
 Both Hamiltonians reduce in momentum space to -f psi'' + g psi' + h psi =
-eps psi with f = (1+beta*p^2)^2, so the point canonical transformation
-sends them to a sec^2 potential on a finite box and the spectra follow from
-the (A + n sqrt(beta))^2 ladder.  This module supplies the coefficient
-sets, the closed-form energies and eigenfunctions, the metric operators
-that restore Hermiticity, and the reality threshold of the Swanson model.
+eps psi with f = w^2, g = -2w(kappa p + ell) and
+h = a p^2 - 2 ell (gamma + sigma) p + c w, where w = 1 + beta p^2 and
+kappa = beta + gamma + sigma.  One GupFamily
+holds those numbers and derives everything else once: the point canonical
+transformation to a sec^2 potential on a finite box, the (A + n sqrt(beta))^2
+ladder, the metric that restores Hermiticity, and the Jacobi
+eigenfunctions.  Each params class maps itself onto the family and keeps
+its published closed-form energies and reality threshold, the oracles every
+derived quantity and solver is checked against.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import pct
 from .algebra import DeformationParams
 from .errors import (
     ComplexSpectrumError,
@@ -24,14 +30,7 @@ from .errors import (
 )
 from .inner import QuadratureSpec, eta_inner
 from .jacobi import jacobi_eval
-from .pct import (
-    CoefficientSet,
-    EnergyMap,
-    QMapHint,
-    TransformedProblem,
-    secant_squared_levels,
-    transform,
-)
+from .pct import CoefficientSet, EnergyMap, QMap, TransformedProblem, secant_squared_levels
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,35 @@ class DisplacedOscillatorParams:
         """Reduced coupling lam/(mu*hbar*omega^2) appearing throughout."""
         d = self.deformation
         return self.lam / (self.mu * d.hbar * self.omega**2)
+
+    def family(self) -> "GupFamily":
+        """sigma = 0 and ell = lam_tilde: the linear term only tilts g and h."""
+        d = self.deformation
+        hbar, gamma = d.hbar, d.gamma
+        return GupFamily(
+            deformation=d,
+            sigma=0.0,
+            ell=self.lam_tilde,
+            a=1.0 / (hbar**2 * self.mu**2 * self.omega**2) - gamma * (d.beta + gamma),
+            c=0.0,
+            energy_map=EnergyMap(scale=2.0 / (hbar**2 * self.mu * self.omega**2), offset=gamma),
+        )
+
+    def energy(self, n: int) -> float:
+        """Closed-form E_n; real for every n, beta >= 0 and lam."""
+        if n < 0:
+            raise DomainError(f"level index must be non-negative, got {n}")
+        d = self.deformation
+        hbar, beta = d.hbar, d.beta
+        mu, omega, lam = self.mu, self.omega, self.lam
+        t = beta * hbar * omega * mu / 2.0
+        return hbar * omega * (t * (n * n + n + 0.5) + (n + 0.5) * np.sqrt(1.0 + t * t)) + lam**2 / (
+            2.0 * mu * omega**2
+        )
+
+    def beta_c(self) -> None:
+        """No reality threshold: the displaced spectrum is real for every beta."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -88,20 +116,76 @@ class SwansonParams:
         """Asymmetry coefficient (delta-lam)/(hbar*omega*(omega-lam-delta))."""
         return (self.delta - self.lam) / (self.deformation.hbar * self.omega * self.drive)
 
+    def family(self) -> "GupFamily":
+        """sigma = c1 and ell = 0.
+
+        The mass enters only through the affine eps<->E map; f, g, h are
+        m-free because the ladder operators carry the whole 1/(2m) prefactor.
+        """
+        d = self.deformation
+        hbar, gamma = d.hbar, d.gamma
+        omega, drive, c1 = self.omega, self.drive, self.c1
+        return GupFamily(
+            deformation=d,
+            sigma=c1,
+            ell=0.0,
+            a=(omega + self.lam + self.delta) / (hbar**2 * omega**2 * drive) - 2.0 * gamma * c1 - gamma**2,
+            c=-(c1 + 1.0 / (hbar * drive) + gamma),
+            energy_map=EnergyMap(scale=2.0 / (hbar * self.m * omega * drive), offset=-1.0 / (hbar * self.m * drive)),
+        )
+
+    def energy(self, n: int) -> complex:
+        """Closed-form E_n; complex (conjugate-pair member) past the reality threshold.
+
+        Returns a real float when the square-root argument is non-negative and a
+        complex value (principal branch, positive imaginary part) otherwise.
+        """
+        if n < 0:
+            raise DomainError(f"level index must be non-negative, got {n}")
+        d = self.deformation
+        t = d.hbar * self.m * self.omega * d.beta * self.drive / 2.0
+        arg = (self.omega - t) ** 2 - 4.0 * self.lam * self.delta
+        quad = t * (n * n + n + 0.5)
+        if arg >= 0:
+            return quad + (n + 0.5) * np.sqrt(arg)
+        return quad + (n + 0.5) * 1j * np.sqrt(-arg)
+
+    def beta_c(self) -> Optional[float]:
+        """Critical deformation beta_c = 2(omega - 2 sqrt(lam*delta))/(m*hbar*omega*(omega-lam-delta)).
+
+        Returns None when lam*delta < 0 (the spectrum stays real for every beta,
+        so there is no transition).  Raises when omega - 2 sqrt(lam*delta) <= 0,
+        where the constraint cannot be met at any beta >= 0.
+        """
+        prod = self.lam * self.delta
+        if prod < 0:
+            return None
+        head = self.omega - 2.0 * np.sqrt(prod)
+        if head <= 0:
+            raise ConstraintViolatedError(
+                f"omega - 2*sqrt(lam*delta) = {head} <= 0: reality fails for every beta"
+            )
+        return 2.0 * head / (self.m * self.deformation.hbar * self.omega * self.drive)
+
+
+def swanson_reality_margin(params: SwansonParams) -> float:
+    """Left side of the reality constraint; >= 0 iff the spectrum is real."""
+    d = params.deformation
+    t = d.hbar * params.m * params.omega * d.beta * params.drive / 2.0
+    return (params.omega - t) ** 2 - 4.0 * params.lam * params.delta
+
 
 @dataclass(frozen=True)
 class DerivedSpectralParams:
-    """Ladder constant A, sec^2 strength nu, additive offset, and (Swanson) s, kappa.
+    """Ladder constant A, sec^2 strength nu and additive offset.
 
-    For parameters past the reality threshold ``s`` and ``a_const`` are
-    complex (principal branch); below it they are real.
+    For parameters past the reality threshold ``a_const`` is complex
+    (principal branch); below it it is real.
     """
 
     a_const: complex
     nu: float
     offset: float
-    s: Optional[complex] = None
-    kappa: Optional[float] = None
 
     @property
     def is_real(self) -> bool:
@@ -119,262 +203,19 @@ class MetricFunction:
         return self.evaluator(np.asarray(p, dtype=float))
 
 
-def gup_q_map_hint(deformation: DeformationParams) -> QMapHint:
+def gup_q_map_hint(deformation: DeformationParams) -> QMap:
     """Closed-form q-map for f = (1+beta*p^2)^2: q = arctan(sqrt(beta) p)/sqrt(beta)."""
     beta = deformation.beta
     if beta == 0:
-        return QMapHint(q_of_p=lambda p: np.asarray(p, float), p_of_q=lambda q: np.asarray(q, float),
-                        q_min=-np.inf, q_max=np.inf)
+        return QMap(q_of_p=lambda p: np.asarray(p, float), p_of_q=lambda q: np.asarray(q, float),
+                    q_min=-np.inf, q_max=np.inf)
     sqb = np.sqrt(beta)
-    return QMapHint(
+    return QMap(
         q_of_p=lambda p: np.arctan(sqb * np.asarray(p, float)) / sqb,
         p_of_q=lambda q: np.tan(sqb * np.asarray(q, float)) / sqb,
         q_min=-np.pi / (2 * sqb),
         q_max=np.pi / (2 * sqb),
     )
-
-
-# --------------------------------------------------------------------------
-# displaced oscillator
-# --------------------------------------------------------------------------
-
-def displaced_coefficients(params: DisplacedOscillatorParams) -> CoefficientSet:
-    """Momentum-space ODE coefficients of the displaced oscillator."""
-    d = params.deformation
-    beta, gamma, hbar = d.beta, d.gamma, d.hbar
-    mu, omega = params.mu, params.omega
-    lt = params.lam_tilde
-    h_quad = 1.0 / (hbar**2 * mu**2 * omega**2) - gamma * (beta + gamma)
-    h_lin = -2.0 * gamma * lt
-
-    def f(p):
-        return (1.0 + beta * p**2) ** 2
-
-    def df(p):
-        return 4.0 * beta * p * (1.0 + beta * p**2)
-
-    def d2f(p):
-        return 4.0 * beta * (1.0 + 3.0 * beta * p**2)
-
-    def g(p):
-        return -2.0 * (1.0 + beta * p**2) * ((gamma + beta) * p + lt)
-
-    def dg(p):
-        return -2.0 * (gamma + beta) * (1.0 + 3.0 * beta * p**2) - 4.0 * beta * lt * p
-
-    def h(p):
-        return h_quad * p**2 + h_lin * p
-
-    emap = EnergyMap(scale=2.0 / (hbar**2 * mu * omega**2), offset=gamma)
-    return CoefficientSet(f=f, df=df, d2f=d2f, g=g, dg=dg, h=h, energy_map=emap)
-
-
-def displaced_log_rho(params: DisplacedOscillatorParams) -> Callable:
-    """log of the similarity factor: rho = (1+beta*p^2)^(-gamma/2beta) * exp(-lt*arctan(...)/sqrt(beta))."""
-    d = params.deformation
-    beta, gamma = d.beta, d.gamma
-    lt = params.lam_tilde
-    if beta == 0:
-        return lambda p: -lt * np.asarray(p, float)
-    sqb = np.sqrt(beta)
-
-    def log_rho(p):
-        p = np.asarray(p, dtype=float)
-        return -(gamma / (2.0 * beta)) * np.log1p(beta * p**2) - lt * np.arctan(sqb * p) / sqb
-
-    return log_rho
-
-
-def displaced_spectral(params: DisplacedOscillatorParams) -> DerivedSpectralParams:
-    """A, sec^2 strength nu, and the additive potential offset of the displaced model."""
-    d = params.deformation
-    beta = d.beta
-    if beta <= 0:
-        raise DomainError("spectral ladder parameters require beta > 0")
-    nu = 1.0 / (beta * d.hbar**2 * params.mu**2 * params.omega**2)
-    offset = params.lam_tilde**2 - nu + d.gamma
-    a_const = 0.5 * (np.sqrt(beta) + np.sqrt(beta + 4.0 * nu))
-    return DerivedSpectralParams(a_const=a_const, nu=nu, offset=offset)
-
-
-def displaced_transform(params: DisplacedOscillatorParams) -> TransformedProblem:
-    """Schrodinger form of the displaced model using the closed-form hints."""
-    return transform(
-        displaced_coefficients(params),
-        q_hint=gup_q_map_hint(params.deformation),
-        log_rho_hint=displaced_log_rho(params),
-    )
-
-
-def displaced_energy(n: int, params: DisplacedOscillatorParams) -> float:
-    """Closed-form E_n; real for every n, beta >= 0 and lam."""
-    if n < 0:
-        raise DomainError(f"level index must be non-negative, got {n}")
-    d = params.deformation
-    hbar, beta = d.hbar, d.beta
-    mu, omega, lam = params.mu, params.omega, params.lam
-    t = beta * hbar * omega * mu / 2.0
-    return hbar * omega * (t * (n * n + n + 0.5) + (n + 0.5) * np.sqrt(1.0 + t * t)) + lam**2 / (
-        2.0 * mu * omega**2
-    )
-
-
-def displaced_epsilon_levels(params: DisplacedOscillatorParams) -> Callable:
-    """n -> eps_n of the transformed problem (ladder plus the potential offset)."""
-    sp = displaced_spectral(params)
-    ladder = secant_squared_levels(sp.nu, params.deformation.beta)
-    return lambda n: ladder(n) + sp.offset
-
-
-def displaced_metric(params: DisplacedOscillatorParams) -> MetricFunction:
-    """Metric eta(p) = exp[2*lam*arctan(sqrt(beta) p)/(hbar*mu*omega^2*sqrt(beta))]."""
-    d = params.deformation
-    beta = d.beta
-    if beta <= 0:
-        raise DomainError("the closed-form metric requires beta > 0")
-    sqb = np.sqrt(beta)
-    lt = params.lam_tilde
-
-    def eta(p):
-        return np.exp(2.0 * lt * np.arctan(sqb * p) / sqb)
-
-    metric = MetricFunction(evaluator=eta, closed_form_tag="displaced")
-    _assert_generic_agreement(metric, params.deformation, displaced_log_rho(params))
-    return metric
-
-
-# --------------------------------------------------------------------------
-# Swanson model
-# --------------------------------------------------------------------------
-
-def swanson_coefficients(params: SwansonParams) -> CoefficientSet:
-    """Momentum-space ODE coefficients of the Swanson model.
-
-    The mass enters only through the affine eps<->E map; f, g, h are m-free
-    because the ladder operators carry the whole 1/(2m) prefactor.
-    """
-    d = params.deformation
-    beta, gamma, hbar = d.beta, d.gamma, d.hbar
-    omega, lam, delta = params.omega, params.lam, params.delta
-    drive = params.drive
-    c1 = params.c1
-    h_quad = (omega + lam + delta) / (hbar**2 * omega**2 * drive) - 2.0 * gamma * c1 - gamma**2
-    h_w = c1 + 1.0 / (hbar * drive) + gamma
-
-    def f(p):
-        return (1.0 + beta * p**2) ** 2
-
-    def df(p):
-        return 4.0 * beta * p * (1.0 + beta * p**2)
-
-    def d2f(p):
-        return 4.0 * beta * (1.0 + 3.0 * beta * p**2)
-
-    def g(p):
-        return -2.0 * (beta + gamma + c1) * (1.0 + beta * p**2) * p
-
-    def dg(p):
-        return -2.0 * (beta + gamma + c1) * (1.0 + 3.0 * beta * p**2)
-
-    def h(p):
-        return h_quad * p**2 - h_w * (1.0 + beta * p**2)
-
-    emap = EnergyMap(scale=2.0 / (hbar * params.m * omega * drive), offset=-1.0 / (hbar * params.m * drive))
-    return CoefficientSet(f=f, df=df, d2f=d2f, g=g, dg=dg, h=h, energy_map=emap)
-
-
-def swanson_log_rho(params: SwansonParams) -> Callable:
-    """log rho = -(gamma + c1)/(2 beta) * log(1 + beta p^2)."""
-    d = params.deformation
-    beta, gamma = d.beta, d.gamma
-    c1 = params.c1
-    if beta == 0:
-        return lambda p: np.zeros_like(np.asarray(p, float))
-
-    def log_rho(p):
-        p = np.asarray(p, dtype=float)
-        return -((gamma + c1) / (2.0 * beta)) * np.log1p(beta * p**2)
-
-    return log_rho
-
-
-def swanson_spectral(params: SwansonParams) -> DerivedSpectralParams:
-    """nu, offset, ladder constant A, Jacobi parameter s, and exponent kappa.
-
-    Past the reality threshold 1 + 4 nu/beta turns negative and A, s become
-    complex (principal branch); callers that need real bound states must
-    check ``is_real``.
-    """
-    d = params.deformation
-    beta = d.beta
-    if beta <= 0:
-        raise DomainError("spectral ladder parameters require beta > 0")
-    hbar = d.hbar
-    omega, lam, delta = params.omega, params.lam, params.delta
-    drive = params.drive
-    denom = beta * hbar**2 * omega**2 * drive**2
-    nu = (omega**2 - 4.0 * lam * delta - hbar * omega**2 * beta * drive) / denom
-    offset = (4.0 * lam * delta - omega**2) / denom
-    root = np.sqrt(complex(beta + 4.0 * nu))
-    a_const = 0.5 * (np.sqrt(beta) + root)
-    if root.imag == 0:
-        a_const = a_const.real
-    s = a_const / np.sqrt(beta) - 0.5
-    big_b = a_const / np.sqrt(beta)
-    kappa = -((d.gamma + params.c1) / (2.0 * beta)) - (big_b.real if np.imag(big_b) == 0 else np.nan) / 2.0
-    return DerivedSpectralParams(a_const=a_const, nu=nu, offset=offset, s=s, kappa=kappa)
-
-
-def swanson_transform(params: SwansonParams) -> TransformedProblem:
-    """Schrodinger form of the Swanson model using the closed-form hints."""
-    return transform(
-        swanson_coefficients(params),
-        q_hint=gup_q_map_hint(params.deformation),
-        log_rho_hint=swanson_log_rho(params),
-    )
-
-
-def swanson_energy(n: int, params: SwansonParams) -> complex:
-    """Closed-form E_n; complex (conjugate-pair member) past the reality threshold.
-
-    Returns a real float when the square-root argument is non-negative and a
-    complex value (principal branch, positive imaginary part) otherwise.
-    """
-    if n < 0:
-        raise DomainError(f"level index must be non-negative, got {n}")
-    d = params.deformation
-    t = d.hbar * params.m * params.omega * d.beta * params.drive / 2.0
-    arg = (params.omega - t) ** 2 - 4.0 * params.lam * params.delta
-    quad = t * (n * n + n + 0.5)
-    if arg >= 0:
-        return quad + (n + 0.5) * np.sqrt(arg)
-    return quad + (n + 0.5) * 1j * np.sqrt(-arg)
-
-
-def swanson_reality_margin(params: SwansonParams) -> float:
-    """Left side of the reality constraint; >= 0 iff the spectrum is real."""
-    d = params.deformation
-    t = d.hbar * params.m * params.omega * d.beta * params.drive / 2.0
-    return (params.omega - t) ** 2 - 4.0 * params.lam * params.delta
-
-
-def swanson_beta_c(params: SwansonParams) -> Optional[float]:
-    """Critical deformation beta_c = 2(omega - 2 sqrt(lam*delta))/(m*hbar*omega*(omega-lam-delta)).
-
-    Returns None when lam*delta < 0 (the spectrum stays real for every beta,
-    so there is no transition).  Raises when omega - 2 sqrt(lam*delta) <= 0,
-    where the constraint cannot be met at any beta >= 0.
-    """
-    d = params.deformation
-    prod = params.lam * params.delta
-    if prod < 0:
-        return None
-    head = params.omega - 2.0 * np.sqrt(prod)
-    if head <= 0:
-        raise ConstraintViolatedError(
-            f"omega - 2*sqrt(lam*delta) = {head} <= 0: reality fails for every beta"
-        )
-    return 2.0 * head / (params.m * d.hbar * params.omega * params.drive)
 
 
 # --------------------------------------------------------------------------
@@ -454,126 +295,225 @@ class Wavefunction:
         return env * ((dlog**2 + d2log) * pn + (2.0 * dlog * dz + d2z) * dpn + dz**2 * d2pn)
 
 
-def _normalize(wave: Wavefunction, eta: MetricFunction, deformation: DeformationParams,
-               spec: QuadratureSpec) -> Wavefunction:
-    norm2 = eta_inner(wave, wave, eta, deformation, spec).real
-    if not np.isfinite(norm2) or norm2 <= 0:
-        raise DivergenceError(f"eigenfunction has no finite positive metric norm (got {norm2})")
-    return Wavefunction(
-        n=wave.n, beta=wave.beta, a1=wave.a1, a2=wave.a2, alpha=wave.alpha,
-        energy=wave.energy, epsilon=wave.epsilon,
-        norm=wave.norm / np.sqrt(norm2), printed_argument=wave.printed_argument,
-    )
+# --------------------------------------------------------------------------
+# the shared quadratic-GUP family
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GupFamily:
+    """-f psi'' + g psi' + h psi = eps psi with f = w^2, g = -2w(kappa p + ell), h = a p^2 + b p + c w.
+
+    Here w = 1 + beta p^2, kappa = beta + gamma + sigma and
+    b = -2 ell (kappa - beta), the one linear term that keeps the potential
+    a pure sec^2.  sigma is the power-law part of the metric and ell its
+    arctan part; both vanish exactly when the model is Hermitian.
+    """
+
+    deformation: DeformationParams
+    sigma: float
+    ell: float
+    a: float
+    c: float
+    energy_map: EnergyMap
+
+    @property
+    def kappa(self) -> float:
+        d = self.deformation
+        return d.beta + d.gamma + self.sigma
+
+    def coefficients(self) -> CoefficientSet:
+        """Momentum-space ODE coefficients with analytic derivatives."""
+        beta, kappa, ell = self.deformation.beta, self.kappa, self.ell
+        a, c = self.a, self.c
+        b = -2.0 * ell * (self.deformation.gamma + self.sigma)  # kappa - beta, without the rounding
+
+        def f(p):
+            return (1.0 + beta * p**2) ** 2
+
+        def df(p):
+            return 4.0 * beta * p * (1.0 + beta * p**2)
+
+        def d2f(p):
+            return 4.0 * beta * (1.0 + 3.0 * beta * p**2)
+
+        def g(p):
+            return -2.0 * (1.0 + beta * p**2) * (kappa * p + ell)
+
+        def dg(p):
+            return -2.0 * kappa * (1.0 + 3.0 * beta * p**2) - 4.0 * beta * ell * p
+
+        def h(p):
+            return a * p**2 + b * p + c * (1.0 + beta * p**2)
+
+        return CoefficientSet(f=f, df=df, d2f=d2f, g=g, dg=dg, h=h, energy_map=self.energy_map)
+
+    def log_rho(self) -> Callable:
+        """log rho = -(gamma + sigma)/(2 beta) * log(1 + beta p^2) - ell * arctan(sqrt(beta) p)/sqrt(beta)."""
+        d = self.deformation
+        beta, gamma = d.beta, d.gamma
+        sigma, ell = self.sigma, self.ell
+        if beta == 0:  # gamma = 0 here; the limit of the formula above
+            return lambda p: -0.5 * sigma * np.asarray(p, float) ** 2 - ell * np.asarray(p, float)
+        sqb = np.sqrt(beta)
+
+        def log_rho(p):
+            p = np.asarray(p, dtype=float)
+            return -((gamma + sigma) / (2.0 * beta)) * np.log1p(beta * p**2) - ell * np.arctan(sqb * p) / sqb
+
+        return log_rho
+
+    def spectral(self) -> DerivedSpectralParams:
+        """nu = (kappa (kappa - beta) + a + beta c)/beta, offset = ell^2 + kappa - beta + c - nu, and A.
+
+        Past the reality threshold 1 + 4 nu/beta turns negative and A becomes
+        complex (principal branch); callers that need real bound states must
+        check ``is_real``.
+        """
+        d = self.deformation
+        beta = d.beta
+        if beta <= 0:
+            raise DomainError("spectral ladder parameters require beta > 0")
+        tilt = d.gamma + self.sigma  # kappa - beta
+        nu = (tilt * self.kappa + self.a + beta * self.c) / beta
+        offset = self.ell**2 - nu + (tilt + self.c)
+        root = np.sqrt(complex(beta + 4.0 * nu))
+        a_const = 0.5 * (np.sqrt(beta) + root)
+        if root.imag == 0:
+            a_const = a_const.real
+        return DerivedSpectralParams(a_const=a_const, nu=nu, offset=offset)
+
+    def transform(self) -> TransformedProblem:
+        """Schrodinger form using the closed-form q-map and similarity factor."""
+        return pct.transform(
+            self.coefficients(), q_hint=gup_q_map_hint(self.deformation), log_rho_hint=self.log_rho()
+        )
+
+    def epsilon_levels(self) -> Callable:
+        """n -> eps_n of the transformed problem (ladder plus the potential offset)."""
+        sp = self.spectral()
+        ladder = secant_squared_levels(sp.nu, self.deformation.beta)
+        return lambda n: ladder(n) + sp.offset
+
+    def metric(self) -> MetricFunction:
+        """Metric eta(p) = (1+beta*p^2)^(sigma/beta) * exp(2*ell*arctan(sqrt(beta) p)/sqrt(beta)).
+
+        Checked against the generic formula before it is returned.
+        """
+        beta = self.deformation.beta
+        if beta <= 0:
+            raise DomainError("the closed-form metric requires beta > 0")
+        sqb = np.sqrt(beta)
+        exponent, ell = self.sigma / beta, self.ell
+
+        def eta(p):
+            return (1.0 + beta * p**2) ** exponent * np.exp(2.0 * ell * np.arctan(sqb * p) / sqb)
+
+        metric = MetricFunction(evaluator=eta, closed_form_tag="gup-family")
+        _assert_generic_agreement(metric, self.deformation, self.log_rho())
+        return metric
+
+    def wavefunction(self, n: int, energy: complex, printed: bool = False) -> Wavefunction:
+        """Unnormalized eigenfunction with a1 = -ell and alpha = B - 1/2, B = A/sqrt(beta).
+
+        The canonical form rho(p) * phi_n(q(p)) has a2 = -(gamma + sigma)/(2 beta) - B/2.
+        The published (``printed``) form carries the full -B and the Jacobi
+        argument sqrt(beta) p/(1+beta*p^2); it is kept for cross-checks only,
+        and the ODE-residual check quantifies its discrepancy.  Only defined
+        below the reality threshold.
+        """
+        beta = self.deformation.beta
+        if beta <= 0:
+            raise DomainError("closed-form eigenfunctions require beta > 0")
+        sp = self.spectral()
+        if not sp.is_real:
+            raise ComplexSpectrumError(
+                "beta is at or past the reality threshold; bound-state eigenfunctions are not real-parameter Jacobi forms"
+            )
+        big_b = float(np.real(sp.a_const)) / np.sqrt(beta)
+        return Wavefunction(
+            n=n,
+            beta=beta,
+            a1=-self.ell,
+            a2=-(self.deformation.gamma + self.sigma) / (2.0 * beta) - (big_b if printed else big_b / 2.0),
+            alpha=big_b - 0.5,
+            energy=energy,
+            epsilon=float(self.epsilon_levels()(n)),
+            printed_argument=printed,
+        )
 
 
-def displaced_wavefunction(
-    n: int, params: DisplacedOscillatorParams, spec: QuadratureSpec = QuadratureSpec(), normalize: bool = True
+# --------------------------------------------------------------------------
+# model-level functions; each takes either params class
+# --------------------------------------------------------------------------
+
+def coefficients(params) -> CoefficientSet:
+    """Momentum-space ODE coefficients of the model."""
+    return params.family().coefficients()
+
+
+def log_rho(params) -> Callable:
+    """log of the similarity factor rho of the model."""
+    return params.family().log_rho()
+
+
+def spectral(params) -> DerivedSpectralParams:
+    """A, sec^2 strength nu and potential offset of the model."""
+    return params.family().spectral()
+
+
+def transform(params) -> TransformedProblem:
+    """Schrodinger form of the model using the closed-form hints."""
+    return params.family().transform()
+
+
+def metric(params) -> MetricFunction:
+    """Closed-form metric of the model."""
+    return params.family().metric()
+
+
+def energy(n: int, params) -> complex:
+    """Published closed-form E_n of the model."""
+    return params.energy(n)
+
+
+def wavefunction(
+    n: int, params, spec: QuadratureSpec = QuadratureSpec(), normalize: bool = True
 ) -> Wavefunction:
     """Canonical eigenfunction rho(p) * phi_n(q(p)), metric-normalized by default."""
-    d = params.deformation
-    if d.beta <= 0:
-        raise DomainError("closed-form eigenfunctions require beta > 0")
-    sp = displaced_spectral(params)
-    big_b = sp.a_const / np.sqrt(d.beta)
-    wave = Wavefunction(
-        n=n,
-        beta=d.beta,
-        a1=-params.lam_tilde,
-        a2=-d.gamma / (2.0 * d.beta) - big_b / 2.0,
-        alpha=big_b - 0.5,
-        energy=displaced_energy(n, params),
-        epsilon=displaced_epsilon_levels(params)(n),
-    )
+    family = params.family()
+    wave = family.wavefunction(n, params.energy(n))
     if not normalize:
         return wave
-    return _normalize(wave, displaced_metric(params), d, spec)
+    norm2 = eta_inner(wave, wave, family.metric(), params.deformation, spec).real
+    if not np.isfinite(norm2) or norm2 <= 0:
+        raise DivergenceError(f"eigenfunction has no finite positive metric norm (got {norm2})")
+    return dataclasses.replace(wave, norm=wave.norm / np.sqrt(norm2))
 
 
-def displaced_printed_wavefunction(n: int, params: DisplacedOscillatorParams) -> Wavefunction:
-    """The published p-space closed form (unnormalized), kept for cross-checks only.
-
-    Its envelope exponent carries the full A/sqrt(beta) (twice the canonical
-    value) and its Jacobi argument is sqrt(beta) p/(1+beta*p^2); the
-    ODE-residual check quantifies the discrepancy with the canonical form.
-    """
-    d = params.deformation
-    sp = displaced_spectral(params)
-    big_b = sp.a_const / np.sqrt(d.beta)
-    return Wavefunction(
-        n=n,
-        beta=d.beta,
-        a1=-params.lam_tilde,
-        a2=-d.gamma / (2.0 * d.beta) - big_b,
-        alpha=big_b - 0.5,
-        energy=displaced_energy(n, params),
-        epsilon=displaced_epsilon_levels(params)(n),
-        printed_argument=True,
-    )
+def printed_wavefunction(n: int, params) -> Wavefunction:
+    """The published p-space closed form (unnormalized), kept for cross-checks only."""
+    return params.family().wavefunction(n, params.energy(n), printed=True)
 
 
-def swanson_wavefunction(
-    n: int, params: SwansonParams, spec: QuadratureSpec = QuadratureSpec(), normalize: bool = True
-) -> Wavefunction:
-    """Canonical Swanson eigenfunction; only defined below the reality threshold."""
-    d = params.deformation
-    if d.beta <= 0:
-        raise DomainError("closed-form eigenfunctions require beta > 0")
-    sp = swanson_spectral(params)
-    if not sp.is_real:
-        raise ComplexSpectrumError(
-            "beta is at or past the reality threshold; bound-state eigenfunctions are not real-parameter Jacobi forms"
-        )
-    big_b = float(np.real(sp.a_const)) / np.sqrt(d.beta)
-    ladder = secant_squared_levels(sp.nu, d.beta)
-    eps = float(ladder(n) + sp.offset)
-    wave = Wavefunction(
-        n=n,
-        beta=d.beta,
-        a1=0.0,
-        a2=-(d.gamma + params.c1) / (2.0 * d.beta) - big_b / 2.0,
-        alpha=big_b - 0.5,
-        energy=swanson_energy(n, params),
-        epsilon=eps,
-    )
-    if not normalize:
-        return wave
-    return _normalize(wave, swanson_metric(params), d, spec)
+def displaced_epsilon_levels(params: DisplacedOscillatorParams) -> Callable:
+    """n -> eps_n of the transformed problem (ladder plus the potential offset)."""
+    return params.family().epsilon_levels()
 
 
-def swanson_printed_wavefunction(n: int, params: SwansonParams) -> Wavefunction:
-    """Published p-space closed form of the Swanson eigenfunction (cross-check only)."""
-    d = params.deformation
-    sp = swanson_spectral(params)
-    if not sp.is_real:
-        raise ComplexSpectrumError("no real closed form past the reality threshold")
-    big_b = float(np.real(sp.a_const)) / np.sqrt(d.beta)
-    ladder = secant_squared_levels(sp.nu, d.beta)
-    return Wavefunction(
-        n=n,
-        beta=d.beta,
-        a1=0.0,
-        a2=-(d.gamma + params.c1) / (2.0 * d.beta) - big_b,
-        alpha=big_b - 0.5,
-        energy=swanson_energy(n, params),
-        epsilon=float(ladder(n) + sp.offset),
-        printed_argument=True,
-    )
+def swanson_beta_c(params: SwansonParams) -> Optional[float]:
+    """Critical deformation of the Swanson model; see ``SwansonParams.beta_c``."""
+    return params.beta_c()
 
 
-def swanson_metric(params: SwansonParams) -> MetricFunction:
-    """Metric eta(p) = (1+beta*p^2)^[(delta-lam)/(hbar*omega*beta*(omega-lam-delta))]."""
-    d = params.deformation
-    beta = d.beta
-    if beta <= 0:
-        raise DomainError("the closed-form metric requires beta > 0")
-    exponent = params.c1 / beta
-
-    def eta(p):
-        return (1.0 + beta * p**2) ** exponent
-
-    metric = MetricFunction(evaluator=eta, closed_form_tag="swanson")
-    _assert_generic_agreement(metric, params.deformation, swanson_log_rho(params))
-    return metric
+# Per-model names, kept for callers; both models share one implementation.
+displaced_coefficients = swanson_coefficients = coefficients
+displaced_log_rho = swanson_log_rho = log_rho
+displaced_spectral = swanson_spectral = spectral
+displaced_transform = swanson_transform = transform
+displaced_metric = swanson_metric = metric
+displaced_energy = swanson_energy = energy
+displaced_wavefunction = swanson_wavefunction = wavefunction
+displaced_printed_wavefunction = swanson_printed_wavefunction = printed_wavefunction
 
 
 # --------------------------------------------------------------------------
@@ -603,5 +543,5 @@ def _assert_generic_agreement(metric: MetricFunction, deformation: DeformationPa
     p = np.linspace(-7.0, 7.0, 11)
     a, b = metric(p), generic(p)
     rel = np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300))
-    if rel > 1e-10:
+    if not rel <= 1e-10:  # also refuses NaN, which compares False
         raise ConstraintViolatedError(f"closed-form metric disagrees with the generic formula (rel {rel:.2e})")

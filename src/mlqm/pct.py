@@ -83,31 +83,27 @@ class CoefficientSet:
 
 
 @dataclass(frozen=True)
-class QMapHint:
-    """Closed-form q(p), its inverse, and the q-domain endpoints."""
-
-    q_of_p: Callable
-    p_of_q: Callable
-    q_min: float
-    q_max: float
-
-
-@dataclass(frozen=True)
 class QMap:
+    """q(p), its inverse, and the q-domain endpoints."""
+
     q_of_p: Callable
     p_of_q: Callable
     q_min: float
     q_max: float
 
 
-def build_q_map(coeffs: CoefficientSet, hint: Optional[QMapHint] = None) -> QMap:
+#: A closed-form q-map passed to ``build_q_map`` in place of the quadrature.
+QMapHint = QMap
+
+
+def build_q_map(coeffs: CoefficientSet, hint: Optional[QMap] = None) -> QMap:
     """Monotone map q(p) = int_0^p dt/sqrt(f(t)) and its inverse.
 
-    A closed-form hint short-circuits the quadrature; without one, q is
-    computed by adaptive quadrature and inverted by bracketing.
+    A closed-form hint is returned as given; without one, q is computed by
+    adaptive quadrature and inverted by bracketing.
     """
     if hint is not None:
-        return QMap(hint.q_of_p, hint.p_of_q, hint.q_min, hint.q_max)
+        return hint
 
     def integrand(t):
         ft = coeffs.f(t)
@@ -190,7 +186,7 @@ def build_potential(coeffs: CoefficientSet, q_map: QMap) -> Callable:
 
 def transform(
     coeffs: CoefficientSet,
-    q_hint: Optional[QMapHint] = None,
+    q_hint: Optional[QMap] = None,
     log_rho_hint: Optional[Callable] = None,
 ) -> TransformedProblem:
     """Full PCT pipeline: q-map, similarity factor, and potential evaluator."""

@@ -13,14 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DeformationParams, GridFunction, MomentumGrid
+from .eigensolver import _SPURIOUS_EDGE_RATIO, build_p_space_matrix, solve_p_space
 from .errors import DegenerateMeasureError, ResolutionError
 from .inner import QuadratureSpec, eta_inner
-from .models import (
-    DisplacedOscillatorParams,
-    SwansonParams,
-    displaced_coefficients,
-    swanson_coefficients,
-)
+from .models import DisplacedOscillatorParams, SwansonParams
 from .pct import CoefficientSet
 
 #: Single source of truth for every residual budget in the suite.
@@ -94,9 +90,8 @@ def hermiticity_defect(hmat: np.ndarray, params: DeformationParams, grid: Moment
 def _low_mode_basis(hmat: np.ndarray, n_modes: int, w: np.ndarray) -> np.ndarray:
     """Lowest non-spurious eigenvectors, filtered in the measure-weighted norm.
 
-    The filter threshold is looser than the solver's 1e-6: bound states with
-    slow polynomial decay (the Swanson family) sit around 1e-5 weighted edge
-    amplitude on desk-scale boxes, while Dirichlet artifacts sit at O(1).
+    Uses the solver's edge threshold over the five outermost points on each
+    side, without its roughness test.
     """
     eigvals, eigvecs = np.linalg.eig(hmat)
     order = np.argsort(eigvals.real)
@@ -104,7 +99,7 @@ def _low_mode_basis(hmat: np.ndarray, n_modes: int, w: np.ndarray) -> np.ndarray
     cols = []
     for i in order:
         v = sqw * np.abs(eigvecs[:, i])
-        if max(v[:5].max(), v[-5:].max()) < 1e-4 * v.max():
+        if max(v[:5].max(), v[-5:].max()) < _SPURIOUS_EDGE_RATIO * v.max():
             cols.append(i)
         if len(cols) == n_modes:
             break
@@ -244,25 +239,14 @@ def gamma_independence(
     through g, h, and the measure, so agreement across gamma values is a
     genuine check, not a tautology.
     """
-    from .eigensolver import build_p_space_matrix, solve_p_space  # local: avoid import cycle
-
-    if isinstance(params, DisplacedOscillatorParams):
-        builder = displaced_coefficients
-    elif isinstance(params, SwansonParams):
-        builder = swanson_coefficients
-    else:
+    if not isinstance(params, (DisplacedOscillatorParams, SwansonParams)):
         raise TypeError(f"unsupported model type {type(params).__name__}")
     energies = []
     for gamma in gamma_values:
         deformation = dataclasses.replace(params.deformation, gamma=gamma)
-        model = dataclasses.replace(params, deformation=deformation)
-        coeffs = builder(model)
+        coeffs = dataclasses.replace(params, deformation=deformation).family().coefficients()
         weight = deformation.measure_weight(grid.points)
-        # same loosened threshold as _low_mode_basis: slowly decaying bound
-        # states sit above the solver's 1e-6 default on desk-scale boxes
-        result = solve_p_space(
-            build_p_space_matrix(coeffs, grid), n_levels, weight=weight, edge_ratio=1e-4
-        )
+        result = solve_p_space(build_p_space_matrix(coeffs, grid), n_levels, weight=weight)
         energies.append(coeffs.energy_map.energy(result.real_parts))
     energies = np.array(energies)  # shape (n_gamma, n_levels)
     spread = energies.max(axis=0) - energies.min(axis=0)

@@ -59,6 +59,12 @@ class TestDeformationParams:
         with pytest.raises(ValueError):
             DeformationParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["hbar", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_parameters(self, name, value):
+        with pytest.raises(ValueError):
+            DeformationParams(**{name: value})
+
 
 class TestMomentumGrid:
     def test_symmetric_constructor(self):

@@ -192,3 +192,8 @@ class TestConfigResolution:
     def test_usage_error_exits_two(self, capsys):
         assert main(["sweep"]) == 2  # missing required sweep arguments
         capsys.readouterr()
+
+    def test_non_finite_metric_self_check_refuses(self, capsys):
+        # omega = 1e-8 overflows the metric; its self-check must refuse the NaN, not pass it
+        assert main(["spectrum", "--omega", "1e-8", "--levels", "2"]) == EXIT_CONFIG
+        assert "closed-form metric disagrees" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlqm import (
     ComplexSpectrumError,
@@ -34,6 +36,7 @@ from mlqm.models import (
     swanson_coefficients,
     swanson_log_rho,
     swanson_printed_wavefunction,
+    wavefunction,
 )
 from mlqm.verify import ode_residual
 
@@ -203,6 +206,17 @@ class TestTransforms:
         expected = sp.nu / np.cos(np.sqrt(0.5) * q) ** 2 + sp.offset
         assert np.allclose(problem.potential(q), expected, rtol=1e-10)
 
+    @pytest.mark.parametrize("params", [
+        DisplacedOscillatorParams(deformation=DeformationParams(), lam=0.3),
+        SwansonParams(deformation=DeformationParams(), lam=0.3, delta=0.1),
+    ])
+    def test_beta_zero_similarity_factor_matches_quadrature(self, params):
+        from mlqm import build_rho
+
+        _, rho = build_rho(params.family().coefficients())
+        p = np.linspace(-2.0, 2.0, 5)
+        assert np.allclose(np.exp(params.family().log_rho()(p)), rho(p), rtol=1e-10)
+
     def test_swanson_potential_is_gamma_free(self):
         base = swanson_default(lam=0.3, delta=0.1, gamma=0.0)
         tilted = swanson_default(lam=0.3, delta=0.1, gamma=0.2)
@@ -268,3 +282,38 @@ class TestWavefunctions:
         psi = displaced_wavefunction(1, displaced_default())
         vals = np.real(psi(np.linspace(-8, 8, 400)))
         assert np.sum(np.abs(np.diff(np.sign(vals))) > 0) == 1
+
+
+@st.composite
+def family_points(draw):
+    """Either model, drawn from the box where its closed forms hold."""
+    if draw(st.booleans()):
+        beta = draw(st.floats(0.02, 0.5))
+        lam = draw(st.floats(-1.0, 1.0))
+        gamma = draw(st.floats(0.0, beta))
+        return DisplacedOscillatorParams(DeformationParams(1.0, beta, gamma), lam=lam)
+    lam, delta = draw(st.floats(0.0, 0.35)), draw(st.floats(0.0, 0.35))
+    beta = draw(st.floats(0.05, 0.9)) * swanson_beta_c(swanson_default(lam=lam, delta=delta))
+    gamma = draw(st.floats(0.0, beta))
+    return SwansonParams(DeformationParams(1.0, beta, gamma), lam=lam, delta=delta)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(family_points())
+def test_family_derivation_matches_published_closed_forms(params):
+    # ties the published E_n to the derived nu and offset, the derived
+    # potential to nu sec^2 + offset, and the eigenfunctions to the ODE
+    family = params.family()
+    sp = family.spectral()
+    levels = family.epsilon_levels()
+    coeffs = family.coefficients()
+    problem = family.transform()
+    sqb = np.sqrt(params.deformation.beta)
+    q = np.linspace(-0.9, 0.9, 13) * problem.q_max
+    expected = sp.nu / np.cos(sqb * q) ** 2 + sp.offset
+    assert np.max(np.abs(problem.potential(q) - expected)) <= 1e-9 * max(1.0, abs(sp.nu))
+    for n in range(4):
+        eps = float(levels(n))
+        assert abs(family.energy_map.epsilon(params.energy(n)) - eps) <= 1e-10 * max(1.0, abs(eps))
+        psi = wavefunction(n, params, normalize=False)
+        assert ode_residual(psi, coeffs, psi.epsilon).value < 1e-8
