@@ -2,19 +2,22 @@
 
 Two independent discretizations cross-check the closed forms: a symmetric
 tridiagonal Schrodinger solver on the finite q-box (the precision oracle)
-and dense non-Hermitian momentum-space solvers that see the operator as it
+and a non-Hermitian momentum-space solver that sees the operator as it
 really is — either assembled from the ODE coefficients or composed
-literally from the position/momentum matrices.  A third, complex-boundary
-variant of the q-solver follows the analytic continuation of the spectrum
-past the reality threshold, where a Dirichlet wall would pin every
-eigenvalue on the real axis.
+literally from the position/momentum matrices.  The momentum-space matrix
+is banded, so its few low modes come from ARPACK shift-invert around
+sigma = 0 rather than from a full dense eigensolve.  A third,
+complex-boundary variant of the q-solver follows the analytic continuation
+of the spectrum past the reality threshold, where a Dirichlet wall would
+pin every eigenvalue on the real axis.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import csc_array, linalg as sparse_linalg
 
 from .algebra import (
     MomentumGrid,
@@ -35,6 +38,10 @@ UNCLASSIFIED = "unclassified"
 #: bound states with slow polynomial decay (the Swanson family) sit around
 #: 1e-5 on desk-scale boxes, while Dirichlet artifacts sit at O(1).
 _SPURIOUS_EDGE_RATIO = 1e-4
+
+#: Largest number of shift-invert modes requested while widening past
+#: spurious ones; a filter that starves here raises ResolutionError.
+_MAX_LOW_MODES = 128
 
 
 @dataclass(frozen=True)
@@ -171,6 +178,45 @@ def build_operator_hamiltonian(
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+def _low_modes(
+    matrix: np.ndarray,
+    n_modes: int,
+    keep: Callable[[np.ndarray], np.ndarray],
+    what: str,
+):
+    """The n_modes kept eigenpairs of smallest real part, from shift-invert at zero.
+
+    ARPACK shift-invert at sigma = 0 on the CSC form of ``matrix`` returns
+    the k = n_modes + 8 eigenpairs nearest zero; ``keep`` maps their
+    eigenvector columns to a boolean mask of the physical ones.  While fewer
+    than n_modes survive, k doubles up to _MAX_LOW_MODES (or N - 2); a
+    filter still starved there raises ResolutionError, which counts the
+    survivors as ``what``.  A singular shift or an unconverged Arnoldi run
+    raises NumericError.
+    """
+    n = matrix.shape[0]
+    k_max = min(_MAX_LOW_MODES, n - 2)
+    k = min(n_modes + 8, k_max)
+    sparse = csc_array(matrix)
+    # a fixed start vector makes every run give the same digits; a generic
+    # (not constant) one keeps both parity sectors in the Krylov space
+    v0 = np.random.default_rng(0).standard_normal(n)
+    while True:
+        try:
+            vals, vecs = sparse_linalg.eigs(sparse, k=k, sigma=0.0, v0=v0)
+        except RuntimeError as exc:  # includes ArpackNoConvergence and a singular LU factor
+            raise NumericError(f"shift-invert eigensolve failed on a {n}x{n} matrix: {exc}")
+        order = np.argsort(vals.real)
+        vals, vecs = vals[order], vecs[:, order]
+        mask = keep(vecs)
+        found = int(np.count_nonzero(mask))
+        if found >= n_modes:
+            return vals[mask][:n_modes], vecs[:, mask][:, :n_modes]
+        if k >= k_max:
+            raise ResolutionError(f"only {found} {what} found, {n_modes} requested; enlarge the grid")
+        k = min(2 * k, k_max)
+
+
 def solve_p_space(
     matrix: np.ndarray,
     n_levels: int,
@@ -178,8 +224,9 @@ def solve_p_space(
     weight: np.ndarray | None = None,
     edge_ratio: float = _SPURIOUS_EDGE_RATIO,
 ) -> SpectrumResult:
-    """Dense non-Hermitian eigensolve with a boundary-artifact filter.
+    """Low-mode non-Hermitian eigensolve with a boundary-artifact filter.
 
+    The modes come from ``_low_modes`` (shift-invert around zero).
     Eigenvectors whose amplitude at the outermost grid points exceeds
     ``edge_ratio`` of their maximum are discarded (Dirichlet
     truncation artifacts); the n_levels survivors of smallest real part are
@@ -196,24 +243,17 @@ def solve_p_space(
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidGridError(f"expected a square matrix, got shape {matrix.shape}")
-    try:
-        eigvals, eigvecs = np.linalg.eig(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"dense eigensolve failed on a {matrix.shape[0]}x{matrix.shape[0]} matrix: {exc}")
-    amp = np.abs(eigvecs)
-    if weight is not None:
-        amp = np.sqrt(np.asarray(weight, dtype=float))[:, None] * amp
-    peak = np.max(amp, axis=0)
-    edge = np.max(amp[[0, 1, -2, -1], :], axis=0)
-    rough = np.linalg.norm(np.diff(eigvecs, axis=0), axis=0)
-    smooth = np.linalg.norm(eigvecs[1:] + eigvecs[:-1], axis=0)
-    keep = (edge <= edge_ratio * peak) & (rough <= smooth)
-    eigs = eigvals[keep]
-    if len(eigs) < n_levels:
-        raise ResolutionError(
-            f"only {len(eigs)} non-spurious modes found, {n_levels} requested; enlarge the grid"
-        )
-    eigs = eigs[np.argsort(eigs.real)][:n_levels]
+    sqw = 1.0 if weight is None else np.sqrt(np.asarray(weight, dtype=float))[:, None]
+
+    def physical(vecs):
+        amp = sqw * np.abs(vecs)
+        peak = np.max(amp, axis=0)
+        edge = np.max(amp[[0, 1, -2, -1], :], axis=0)
+        rough = np.linalg.norm(np.diff(vecs, axis=0), axis=0)
+        smooth = np.linalg.norm(vecs[1:] + vecs[:-1], axis=0)
+        return (edge <= edge_ratio * peak) & (rough <= smooth)
+
+    eigs, _ = _low_modes(matrix, n_levels, physical, "non-spurious modes")
     if tol is None:
         tol = 1e-7 * max(1.0, float(np.max(np.abs(eigs.real))))
     return SpectrumResult(

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DeformationParams, GridFunction, MomentumGrid
-from .eigensolver import _SPURIOUS_EDGE_RATIO, build_p_space_matrix, solve_p_space
-from .errors import DegenerateMeasureError, ResolutionError
+from .eigensolver import _SPURIOUS_EDGE_RATIO, _low_modes, build_p_space_matrix, solve_p_space
+from .errors import DegenerateMeasureError
 from .inner import QuadratureSpec, eta_inner
 from .models import DisplacedOscillatorParams, SwansonParams
 from .pct import CoefficientSet
@@ -90,24 +90,18 @@ def hermiticity_defect(hmat: np.ndarray, params: DeformationParams, grid: Moment
 def _low_mode_basis(hmat: np.ndarray, n_modes: int, w: np.ndarray) -> np.ndarray:
     """Lowest non-spurious eigenvectors, filtered in the measure-weighted norm.
 
-    Uses the solver's edge threshold over the five outermost points on each
-    side, without its roughness test.
+    The modes come from the solver's shift-invert routine; the filter uses
+    its edge threshold over the five outermost points on each side, without
+    its roughness test.
     """
-    eigvals, eigvecs = np.linalg.eig(hmat)
-    order = np.argsort(eigvals.real)
-    sqw = np.sqrt(w)
-    cols = []
-    for i in order:
-        v = sqw * np.abs(eigvecs[:, i])
-        if max(v[:5].max(), v[-5:].max()) < _SPURIOUS_EDGE_RATIO * v.max():
-            cols.append(i)
-        if len(cols) == n_modes:
-            break
-    if len(cols) < n_modes:
-        raise ResolutionError(
-            f"only {len(cols)} non-spurious low modes found, {n_modes} requested; enlarge the grid"
-        )
-    return eigvecs[:, cols]
+    sqw = np.sqrt(w)[:, None]
+
+    def physical(vecs):
+        amp = sqw * np.abs(vecs)
+        edge = np.maximum(amp[:5].max(axis=0), amp[-5:].max(axis=0))
+        return edge < _SPURIOUS_EDGE_RATIO * amp.max(axis=0)
+
+    return _low_modes(hmat, n_modes, physical, "non-spurious low modes")[1]
 
 
 def _project(op: np.ndarray, basis: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from mlqm.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAIL, main
+from mlqm import eigensolver
+from mlqm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAIL, main
 
 
 def run(capsys, *argv):
@@ -154,6 +155,40 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--output", str(target))
         assert code == EXIT_OK and out == ""
         assert all(json.loads(l)["pass"] for l in target.read_text().strip().split("\n"))
+
+    def test_list_names_the_checks_the_battery_emits(self, capsys):
+        _, out, _ = run(capsys, "verify", "--list")
+        assert out.split() == [
+            "commutator-residual", "hermiticity-defect", "pseudo-hermiticity",
+            "gram-identity", "ode-residual", "gamma-independence",
+        ]
+        # lambda = delta makes the Swanson operator Hermitian, so the defect check is skipped
+        hermitian = ("--model", "swanson", "--lambda", "0.2", "--delta", "0.2")
+        code, listed, _ = run(capsys, "verify", "--list", *hermitian)
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, "verify", *hermitian)
+        assert code == EXIT_OK
+        assert listed.split() == [json.loads(l)["name"] for l in out.strip().split("\n")]
+        assert "hermiticity-defect" not in listed.split()
+
+    def test_unresolved_low_modes_refuse(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--model", "swanson", "--beta", "0.6",
+            "--lambda", "0.35", "--delta", "0.05", "--levels", "4",
+        )
+        assert code == EXIT_NUMERIC and out == ""
+        assert err == "numeric failure: only 5 non-spurious low modes found, 8 requested; enlarge the grid\n"
+
+
+class TestNumericFailure:
+    def test_singular_shift_exits_numeric(self, capsys, monkeypatch):
+        # sigma = 0 is an exact eigenvalue of this stand-in matrix
+        monkeypatch.setattr(
+            eigensolver, "build_p_space_matrix", lambda coeffs, grid: np.diag(np.arange(float(grid.n_points)))
+        )
+        code, out, err = run(capsys, "spectrum", "--levels", "2", "--grid", "800")
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("numeric failure: shift-invert eigensolve failed on a 1200x1200 matrix")
 
 
 class TestConfigResolution:

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from mlqm import (
     DeformationParams,
     DisplacedOscillatorParams,
     InvalidGridError,
     MomentumGrid,
+    NumericError,
     ResolutionError,
     SwansonParams,
     build_operator_hamiltonian,
@@ -22,8 +25,11 @@ from mlqm import (
     swanson_spectral,
     swanson_transform,
 )
+from mlqm import eigensolver
 from mlqm.eigensolver import CONJUGATE_PAIR, REAL, UNCLASSIFIED
 from mlqm.models import displaced_coefficients, swanson_coefficients
+from mlqm.verify import _low_mode_basis
+from test_models import family_points
 
 
 def displaced_default(beta=0.1, gamma=0.0, lam=0.5):
@@ -174,3 +180,112 @@ class TestBranchSolver:
         problem = swanson_transform(swanson_default())
         with pytest.raises(InvalidGridError):
             solve_q_space_branch(problem, 1.0, wall_fraction=0.7)
+
+
+# Dense oracle for the shift-invert low-mode solves: every eigenpair from
+# np.linalg.eig, sorted by real part, and the two callers' spurious-mode
+# filters restated here.
+
+def _dense_modes(hmat):
+    vals, vecs = np.linalg.eig(hmat)
+    order = np.argsort(vals.real)
+    return vals[order], vecs[:, order]
+
+
+def _solver_keeps(vecs, weight=None):
+    """solve_p_space: 4 edge points in the weighted norm plus the roughness test."""
+    amp = np.abs(vecs) if weight is None else np.sqrt(weight)[:, None] * np.abs(vecs)
+    edge = np.max(amp[[0, 1, -2, -1]], axis=0) <= 1e-4 * np.max(amp, axis=0)
+    rough = np.linalg.norm(np.diff(vecs, axis=0), axis=0)
+    smooth = np.linalg.norm(vecs[1:] + vecs[:-1], axis=0)
+    return edge & (rough <= smooth)
+
+
+def _basis_keeps(vecs, weight):
+    """verify._low_mode_basis: 5 edge points on each side in the weighted norm."""
+    amp = np.sqrt(weight)[:, None] * np.abs(vecs)
+    edge = np.maximum(amp[:5].max(axis=0), amp[-5:].max(axis=0))
+    return edge < 1e-4 * amp.max(axis=0)
+
+
+def _rayleigh(hmat, basis):
+    return np.sum(basis.conj() * (hmat @ basis), axis=0) / np.sum(np.abs(basis) ** 2, axis=0)
+
+
+def _assert_matches_dense(got, vals, kept, n):
+    want = vals[kept][:n]
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(family_points())
+def test_shift_invert_matches_dense_oracle(params):
+    # both low-mode callers keep exactly the dense survivors, or both refuse;
+    # the grid is small so the dense oracle is cheap and its own rounding
+    # (about 1e-16 * ||H||) stays well below the 1e-8 gate
+    grid = MomentumGrid.symmetric(30.0, 150)
+    hmat = build_p_space_matrix(params.family().coefficients(), grid)
+    weight = params.deformation.measure_weight(grid.points)
+    vals, vecs = _dense_modes(hmat)
+    cases = (
+        (4, _solver_keeps(vecs, weight), lambda: solve_p_space(hmat, 4, weight=weight).eigenvalues),
+        (8, _basis_keeps(vecs, weight), lambda: _rayleigh(hmat, _low_mode_basis(hmat, 8, weight))),
+    )
+    for n, kept, solve in cases:
+        if np.count_nonzero(kept) < n:
+            with pytest.raises(ResolutionError):
+                solve()
+        else:
+            _assert_matches_dense(solve(), vals, kept, n)
+
+
+@pytest.fixture
+def requested_k(monkeypatch):
+    """The k of every shift-invert call made during the test."""
+    requested = []
+    eigs = eigensolver.sparse_linalg.eigs
+
+    def spy(a, k, **kwargs):
+        requested.append(k)
+        return eigs(a, k=k, **kwargs)
+
+    monkeypatch.setattr(eigensolver.sparse_linalg, "eigs", spy)
+    return requested
+
+
+class TestLowModes:
+    def test_widening_past_interleaved_parasites(self, requested_k):
+        # the operator-composed matrix interleaves checkerboard parasites with
+        # the bound states, so 14 levels are not among the first 22 modes
+        grid = MomentumGrid.symmetric(30.0, 300)
+        hmat = build_operator_hamiltonian(displaced_default(), grid)
+        result = solve_p_space(hmat, 14)
+        assert requested_k == [22, 44]
+        vals, vecs = _dense_modes(hmat)
+        _assert_matches_dense(result.eigenvalues, vals, _solver_keeps(vecs), 14)
+
+    def test_starved_filter_stops_at_the_cap(self, requested_k):
+        params = swanson_default()
+        grid = MomentumGrid.symmetric(30.0, 160)
+        with pytest.raises(ResolutionError, match="only 3 non-spurious modes found, 50 requested"):
+            solve_p_space(build_p_space_matrix(swanson_coefficients(params), grid), 50)
+        assert requested_k == [58, 116, 128]
+
+    def test_same_matrix_gives_the_same_digits(self):
+        grid = MomentumGrid.symmetric(30.0, 400)
+        hmat = build_p_space_matrix(displaced_coefficients(displaced_default()), grid)
+        assert solve_p_space(hmat, 4).eigenvalues == solve_p_space(hmat, 4).eigenvalues
+
+    def test_singular_shift_is_a_numeric_error(self):
+        # sigma = 0 is an exact eigenvalue, so the shifted LU factor is singular
+        with pytest.raises(NumericError, match="shift-invert eigensolve failed"):
+            solve_p_space(np.diag(np.arange(64.0)), 4)
+
+    def test_arpack_non_convergence_is_a_numeric_error(self, monkeypatch):
+        def stall(a, k, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(eigensolver.sparse_linalg, "eigs", stall)
+        grid = MomentumGrid.symmetric(30.0, 400)
+        with pytest.raises(NumericError, match="No convergence"):
+            solve_p_space(build_p_space_matrix(displaced_coefficients(displaced_default()), grid), 4)
