@@ -203,20 +203,14 @@ class UncertaintyReport:
     mean_p: float
 
 
-def uncertainty_check(
-    params: DeformationParams,
-    phi: GridFunction,
-    measure_params: DeformationParams | None = None,
-) -> UncertaintyReport:
+def uncertainty_check(params: DeformationParams, phi: GridFunction) -> UncertaintyReport:
     """Evaluate <x>, <x^2>, <p>, <p^2> under the deformed measure and report.
 
     Intended for states with finite norm under the Eq.-(4)-type weight; the
     grid must be wide enough that phi has decayed at the edges.
     """
-    if measure_params is None:
-        measure_params = params
     p = phi.grid.points
-    w = measure_params.measure_weight(p) * phi.grid.spacing
+    w = params.measure_weight(p) * phi.grid.spacing
     # trapezoid endpoint halving
     w = w.copy()
     w[0] *= 0.5

@@ -9,8 +9,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,51 +41,31 @@ _CONFIG_ERRORS = (
     ConstraintViolatedError,
 )
 
-_CONFIG_KEYS = {
-    "model", "hbar", "beta", "gamma", "mass", "omega", "lambda", "delta",
-    "levels", "grid", "nodes", "p_grid", "p_max", "format", "output", "jobs",
-}
-
-_DEFAULTS = {
-    "model": "displaced",
-    "hbar": 1.0,
-    "beta": 0.1,
-    "gamma": 0.0,
-    "mass": 1.0,
-    "omega": 1.0,
-    "lambda": 0.5,
-    "delta": 0.0,
-    "levels": 4,
-    "grid": 2000,
-    "nodes": 512,
-    "p_grid": 1200,
-    "p_max": 30.0,
-    "format": "csv",
-    "output": None,
-    "jobs": 1,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration (defaults < config file < flags)."""
+    """Fully resolved run configuration (defaults < config file < flags).
 
-    model: str
-    hbar: float
-    beta: float
-    gamma: float
-    mass: float
-    omega: float
-    lam: float
-    delta: float
-    levels: int
-    grid: int
-    nodes: int
-    p_grid: int
-    p_max: float
-    format: str
-    output: str | None
-    jobs: int
+    Each field is one setting: its default is the default, its annotation
+    picks the check and cast of a config-file value, and its name is the
+    config key (``lam`` is spelled ``lambda``).
+    """
+
+    model: str = "displaced"
+    hbar: float = 1.0
+    beta: float = 0.1
+    gamma: float = 0.0
+    mass: float = 1.0
+    omega: float = 1.0
+    lam: float = field(default=0.5, metadata={"key": "lambda"})
+    delta: float = 0.0
+    levels: int = 4
+    grid: int = 2000
+    nodes: int = 512
+    p_grid: int = 1200
+    p_max: float = 30.0
+    format: str = "csv"
+    output: str | None = None
 
     def __post_init__(self):
         if self.model not in ("displaced", "swanson"):
@@ -95,8 +74,6 @@ class RunConfig:
             raise DomainError(f"unknown format {self.format!r}")
         if self.levels < 0:
             raise DomainError(f"levels must be non-negative, got {self.levels}")
-        if self.jobs < 1:
-            raise DomainError(f"jobs must be >= 1, got {self.jobs}")
 
     @property
     def deformation(self) -> DeformationParams:
@@ -112,10 +89,29 @@ class RunConfig:
         )
 
     def params_dict(self) -> dict:
-        return {
-            "model": self.model, "hbar": self.hbar, "beta": self.beta, "gamma": self.gamma,
-            "mass": self.mass, "omega": self.omega, "lambda": self.lam, "delta": self.delta,
-        }
+        return {key: getattr(self, _SETTINGS[key].name) for key in _MODEL_KEYS}
+
+
+#: config key -> RunConfig field
+_SETTINGS = {f.metadata.get("key", f.name): f for f in dataclasses.fields(RunConfig)}
+#: the settings that define the model, echoed in every verify record
+_MODEL_KEYS = ("model", "hbar", "beta", "gamma", "mass", "omega", "lambda", "delta")
+
+
+def _integral(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise TypeError(f"expected an integral number, got {value!r}")
+    return int(value)
+
+
+def _str_or_none(value):
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a string or null, got {value!r}")
+    return value
+
+
+#: field annotation -> cast of a setting's resolved value
+_CASTS = {str: str, float: float, int: _integral, str | None: _str_or_none}
 
 
 def _fmt(x) -> str:
@@ -123,48 +119,42 @@ def _fmt(x) -> str:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    merged = {key: f.default for key, f in _SETTINGS.items()}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        unknown = set(file_cfg) - _CONFIG_KEYS
+        unknown = set(file_cfg) - set(_SETTINGS)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
-    for key in _CONFIG_KEYS:
-        flag_val = getattr(args, key if key != "lambda" else "lam", None)
-        if flag_val is not None:
-            merged[key] = flag_val
-    return RunConfig(
-        model=str(merged["model"]),
-        hbar=float(merged["hbar"]),
-        beta=float(merged["beta"]),
-        gamma=float(merged["gamma"]),
-        mass=float(merged["mass"]),
-        omega=float(merged["omega"]),
-        lam=float(merged["lambda"]),
-        delta=float(merged["delta"]),
-        levels=int(merged["levels"]),
-        grid=int(merged["grid"]),
-        nodes=int(merged["nodes"]),
-        p_grid=int(merged["p_grid"]),
-        p_max=float(merged["p_max"]),
-        format=str(merged["format"]),
-        output=merged["output"],
-        jobs=int(merged["jobs"]),
-    )
+    values = {}
+    for key, f in _SETTINGS.items():
+        flag_val = getattr(args, f.name)
+        value = merged[key] if flag_val is None else flag_val
+        try:
+            values[f.name] = _CASTS[f.type](value)
+        except TypeError as exc:
+            raise DomainError(f"config key {key!r}: {exc}") from None
+    return RunConfig(**values)
 
 
-def _emit(lines_or_obj, cfg: RunConfig):
-    if cfg.format == "csv":
-        text = "\n".join(lines_or_obj) + "\n"
-    else:
-        text = json.dumps(lines_or_obj, indent=2) + "\n"
+def _write(text: str, cfg: RunConfig):
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(header, rows, cfg: RunConfig):
+    """Write dict rows as CSV in header order (None is a blank cell) or as a JSON array."""
+    if cfg.format == "json":
+        text = json.dumps(rows, indent=2)
+    else:
+        lines = [",".join(header)]
+        lines += [",".join("" if row[k] is None else _fmt(row[k]) for k in header) for row in rows]
+        text = "\n".join(lines)
+    _write(text + "\n", cfg)
 
 
 def _model_pieces(cfg: RunConfig):
@@ -178,7 +168,7 @@ def _model_pieces(cfg: RunConfig):
 # spectrum
 # --------------------------------------------------------------------------
 
-_SPECTRUM_HEADER = "n,E_closed,E_q,E_p_re,E_p_im,err_q,err_p"
+_SPECTRUM_HEADER = ("n", "E_closed", "E_q", "E_p_re", "E_p_im", "err_q", "err_p")
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -210,15 +200,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                     "err_p": abs(e_p[n] - e_closed) / scale,
                 }
             )
-    if cfg.format == "csv":
-        lines = [_SPECTRUM_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join([str(r["n"])] + [_fmt(r[k]) for k in ("E_closed", "E_q", "E_p_re", "E_p_im", "err_q", "err_p")])
-            )
-        _emit(lines, cfg)
-    else:
-        _emit(rows, cfg)
+    _emit(_SPECTRUM_HEADER, rows, cfg)
     return EXIT_OK
 
 
@@ -229,13 +211,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 _SWEEP_PARAMS = ("beta", "lambda", "delta", "omega")
 
 
-def _replace_param(cfg: RunConfig, name: str, value: float) -> RunConfig:
-    key = "lam" if name == "lambda" else name
-    return dataclasses.replace(cfg, **{key: value})
-
-
-def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool):
-    local = _replace_param(cfg, name, value)
+def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> dict:
+    local = dataclasses.replace(cfg, **{_SETTINGS[name].name: value})
     params = local.model_params()
     if numeric:
         family = params.family()
@@ -257,7 +234,10 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool):
         bc = params.beta_c()
     except ConstraintViolatedError:
         bc = None
-    return value, energies, bc
+    row = {name: value, "beta_c": bc}
+    for n, e in enumerate(energies):
+        row[f"E{n}_re"], row[f"E{n}_im"] = e.real, e.imag
+    return row
 
 
 def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, steps: int, numeric: bool) -> int:
@@ -267,34 +247,18 @@ def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, steps: int,
         raise DomainError(f"need steps >= 2, got {steps}")
     if start == stop:
         raise DomainError("constant sweep (from == to) rejected")
-    values = np.linspace(start, stop, steps)
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        results = list(pool.map(lambda v: _sweep_row(cfg, param, float(v), numeric), values))
+    rows = [_sweep_row(cfg, param, float(v), numeric) for v in np.linspace(start, stop, steps)]
     header = [param] + [f"E{n}_{part}" for n in range(cfg.levels) for part in ("re", "im")] + ["beta_c"]
-    if cfg.format == "csv":
-        lines = [",".join(header)]
-        for value, energies, bc in results:
-            cells = [_fmt(value)]
-            for e in energies:
-                cells.extend([_fmt(e.real), _fmt(e.imag)])
-            cells.append("" if bc is None else _fmt(bc))
-            lines.append(",".join(cells))
-        _emit(lines, cfg)
-    else:
-        records = []
-        for value, energies, bc in results:
-            rec = {param: value, "beta_c": bc}
-            for n, e in enumerate(energies):
-                rec[f"E{n}_re"] = e.real
-                rec[f"E{n}_im"] = e.imag
-            records.append(rec)
-        _emit(records, cfg)
+    _emit(header, rows, cfg)
     return EXIT_OK
 
 
 # --------------------------------------------------------------------------
 # wavefunction
 # --------------------------------------------------------------------------
+
+_WAVEFUNCTION_HEADER = ("p", "re_psi", "im_psi", "eta", "q")
+
 
 def cmd_wavefunction(cfg: RunConfig, n: int, samples: int) -> int:
     if n < 0:
@@ -309,21 +273,9 @@ def cmd_wavefunction(cfg: RunConfig, n: int, samples: int) -> int:
     q = np.linspace(-0.995 * q_half, 0.995 * q_half, samples)
     p = np.tan(sqb * q) / sqb
     vals = psi(p)
-    eta_vals = eta(p)
-    if cfg.format == "csv":
-        lines = ["p,re_psi,im_psi,eta,q"]
-        for k in range(samples):
-            lines.append(",".join(_fmt(x) for x in (p[k], vals[k].real, vals[k].imag, eta_vals[k], q[k])))
-        _emit(lines, cfg)
-    else:
-        _emit(
-            [
-                {"p": p[k], "re_psi": float(vals[k].real), "im_psi": float(vals[k].imag),
-                 "eta": float(eta_vals[k]), "q": float(q[k])}
-                for k in range(samples)
-            ],
-            cfg,
-        )
+    columns = (p, vals.real, vals.imag, eta(p), q)
+    rows = [{key: float(col[k]) for key, col in zip(_WAVEFUNCTION_HEADER, columns)} for k in range(samples)]
+    _emit(_WAVEFUNCTION_HEADER, rows, cfg)
     return EXIT_OK
 
 
@@ -372,12 +324,9 @@ def _battery(cfg: RunConfig, metric_override: str | None):
     _, gram_report = verify.gram_matrix(states, metric, deformation, spec)
     yield gram_report, {"nodes": cfg.nodes}
 
-    worst = max(
-        verify.ode_residual(psi, coeffs, psi.epsilon).value for psi in states
-    )
-    yield verify.ResidualReport(
-        name="ode-residual", value=worst, tolerance=verify.TOLERANCES["ode-residual"]
-    ), {"samples": 1000}
+    # a failing report, NaN included, outranks every passing one
+    residuals = [verify.ode_residual(psi, coeffs, psi.epsilon) for psi in states]
+    yield max(residuals, key=lambda r: (not r.passed, r.value)), {"samples": verify.ODE_SAMPLES}
 
     # the gamma spread is O(h^4) in the p-spacing, so cap h at 0.025 to land
     # safely below the 1e-6 tolerance at the strongest supported deformations
@@ -405,12 +354,7 @@ def cmd_verify(cfg: RunConfig, list_only: bool, metric_override: str | None) -> 
         record = report.to_record(params=cfg.params_dict(), grid=grid_desc)
         lines.append(json.dumps(record, sort_keys=True))
         all_pass = all_pass and report.passed
-    text = "\n".join(lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", cfg)
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
@@ -434,7 +378,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--p-max", dest="p_max", type=float, help="p-space half-width")
     parser.add_argument("--format", choices=("csv", "json"))
     parser.add_argument("--output")
-    parser.add_argument("--jobs", type=int)
     parser.add_argument("--config", help="JSON config file; flags override its values")
 
 

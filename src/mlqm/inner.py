@@ -108,7 +108,7 @@ def eta_inner(phi, psi, eta, params: DeformationParams, spec: QuadratureSpec = Q
     # floor the scale at 1 so that exactly-orthogonal pairs (both estimates
     # at round-off level) are not misread as divergence
     scale = max(abs(fine), abs(coarse), 1.0)
-    if abs(fine - coarse) > _DIVERGENCE_THRESHOLD * scale:
+    if not abs(fine - coarse) <= _DIVERGENCE_THRESHOLD * scale:  # also refuses NaN
         raise NonConvergenceError(
             f"inner product failed node doubling: |I(2N)-I(N)|/|I| = {abs(fine - coarse) / scale:.3e}"
         )

@@ -197,7 +197,6 @@ class MetricFunction:
     """Positive metric weight eta(p) with eta(0) = 1."""
 
     evaluator: Callable
-    closed_form_tag: str = "generic"
 
     def __call__(self, p):
         return self.evaluator(np.asarray(p, dtype=float))
@@ -408,7 +407,7 @@ class GupFamily:
         def eta(p):
             return (1.0 + beta * p**2) ** exponent * np.exp(2.0 * ell * np.arctan(sqb * p) / sqb)
 
-        metric = MetricFunction(evaluator=eta, closed_form_tag="gup-family")
+        metric = MetricFunction(evaluator=eta)
         _assert_generic_agreement(metric, self.deformation, self.log_rho())
         return metric
 
@@ -535,7 +534,7 @@ def generic_metric(deformation: DeformationParams, log_rho: Callable) -> MetricF
         p = np.asarray(p, dtype=float)
         return (1.0 + beta * p**2) ** (-gamma / beta) * np.exp(-2.0 * np.real(log_rho(p)))
 
-    return MetricFunction(evaluator=eta, closed_form_tag="generic")
+    return MetricFunction(evaluator=eta)
 
 
 def _assert_generic_agreement(metric: MetricFunction, deformation: DeformationParams, log_rho: Callable):

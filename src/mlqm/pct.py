@@ -21,6 +21,8 @@ from scipy.optimize import brentq
 from .errors import DomainError, EllipticityError, UnsupportedRegimeError
 
 _QUAD_ABS_TOL = 1e-12
+#: Interval of the random points at which CoefficientSet validates itself.
+_VALIDATION_RANGE = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -58,14 +60,12 @@ class CoefficientSet:
     dg: Callable
     h: Callable
     energy_map: EnergyMap
-    validation_range: tuple = (-10.0, 10.0)
 
     def __post_init__(self):
         rng = np.random.default_rng(12345)
-        lo, hi = self.validation_range
-        p = rng.uniform(lo, hi, size=100)
+        p = rng.uniform(*_VALIDATION_RANGE, size=100)
         fvals = np.asarray(self.f(p), dtype=float)
-        if np.any(fvals <= 0):
+        if not np.all(fvals > 0):  # also refuses NaN
             raise EllipticityError("f(p) must be strictly positive on the working domain")
         step = 1e-5 * (1.0 + np.abs(p))
         for base, deriv, label in ((self.f, self.df, "f'"), (self.g, self.dg, "g'"), (self.df, self.d2f, "f''")):
@@ -73,7 +73,7 @@ class CoefficientSet:
             an = np.asarray(deriv(p), dtype=float)
             scale = np.maximum(np.abs(an), 1e-3 * (np.abs(an).max() + 1e-30))
             rel = np.abs(fd - an) / scale
-            if rel.max() > 1e-6:
+            if not rel.max() <= 1e-6:
                 raise ValueError(f"supplied {label} disagrees with finite differences (max rel {rel.max():.2e})")
 
     def chi(self, p):

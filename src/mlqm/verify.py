@@ -37,6 +37,11 @@ METRIC_DISCRIMINATION_FLOOR = 1e-2
 GRAM_WITHOUT_METRIC_FLOOR = 1e-3
 ODE_FAULT_FLOOR = 1e-3
 
+#: Low-lying modes spanning the subspace of the projected exceed-checks.
+PROJECTION_MODES = 8
+#: q-uniform sample count of the ODE residual.
+ODE_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -63,10 +68,12 @@ class ResidualReport:
 
 
 def _exceed_report(name: str, measured: float, floor: float, context: dict) -> ResidualReport:
-    """Phrase 'measured must exceed floor' as shortfall <= 0."""
+    """Phrase 'measured must exceed floor' as shortfall <= 0; a NaN measurement stays NaN and fails."""
     ctx = dict(context)
     ctx.update({"measured": float(measured), "floor": float(floor)})
-    return ResidualReport(name=name, value=max(0.0, floor - float(measured)), tolerance=TOLERANCES[name], context=ctx)
+    shortfall = floor - float(measured)
+    value = 0.0 if shortfall <= 0 else shortfall
+    return ResidualReport(name=name, value=value, tolerance=TOLERANCES[name], context=ctx)
 
 
 def adjoint_under_weight(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> np.ndarray:
@@ -109,9 +116,7 @@ def _project(op: np.ndarray, basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, basis.conj().T @ (w[:, None] * (op @ basis)))
 
 
-def projected_hermiticity_defect(
-    hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid, n_modes: int = 8
-) -> float:
+def projected_hermiticity_defect(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> float:
     """Hermiticity defect restricted to the low-lying bound-state subspace.
 
     The raw Frobenius defect is dominated by the huge high-|p| entries of
@@ -123,33 +128,29 @@ def projected_hermiticity_defect(
     if np.any(w == 0):
         raise DegenerateMeasureError("measure weight vanishes at a grid node")
     hadj = adjoint_under_weight(hmat, params, grid)
-    basis = _low_mode_basis(hmat, n_modes, w)
+    basis = _low_mode_basis(hmat, PROJECTION_MODES, w)
     hk = _project(hmat, basis, w)
     hk_adj = _project(hadj, basis, w)
     return float(np.linalg.norm(hk - hk_adj) / np.linalg.norm(hk))
 
 
-def hermiticity_defect_report(
-    hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid, n_modes: int = 8
-) -> ResidualReport:
+def hermiticity_defect_report(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
     """Exceed-check: the operator must be genuinely non-Hermitian (defect > 1e-2)."""
-    measured = projected_hermiticity_defect(hmat, params, grid, n_modes)
+    measured = projected_hermiticity_defect(hmat, params, grid)
     return _exceed_report("hermiticity-defect", measured, HERMITICITY_DEFECT_FLOOR, {})
 
 
-def pseudo_hermiticity_residual(
-    hmat: np.ndarray, eta, params: DeformationParams, grid: MomentumGrid, name: str = "pseudo-hermiticity"
-) -> ResidualReport:
+def pseudo_hermiticity_residual(hmat: np.ndarray, eta, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
     """Relative Frobenius residual of  E H E^-1 - H_adj  with E = diag(eta)."""
     e = np.asarray(eta(grid.points), dtype=float)
     hadj = adjoint_under_weight(hmat, params, grid)
     lhs = (e[:, None] * hmat) / e[None, :]
     value = float(np.linalg.norm(lhs - hadj) / np.linalg.norm(hmat))
-    return ResidualReport(name=name, value=value, tolerance=TOLERANCES["pseudo-hermiticity"])
+    return ResidualReport(name="pseudo-hermiticity", value=value, tolerance=TOLERANCES["pseudo-hermiticity"])
 
 
 def metric_discrimination_report(
-    hmat: np.ndarray, wrong_eta, params: DeformationParams, grid: MomentumGrid, n_modes: int = 8
+    hmat: np.ndarray, wrong_eta, params: DeformationParams, grid: MomentumGrid
 ) -> ResidualReport:
     """Exceed-check: a wrong metric must leave a visible residual (> 1e-2).
 
@@ -161,7 +162,7 @@ def metric_discrimination_report(
     e = np.asarray(wrong_eta(grid.points), dtype=float)
     hadj = adjoint_under_weight(hmat, params, grid)
     lhs = (e[:, None] * hmat) / e[None, :]
-    basis = _low_mode_basis(hmat, n_modes, w)
+    basis = _low_mode_basis(hmat, PROJECTION_MODES, w)
     lk = _project(lhs, basis, w)
     hk_adj = _project(hadj, basis, w)
     measured = float(np.linalg.norm(lk - hk_adj) / np.linalg.norm(hk_adj))
@@ -193,9 +194,7 @@ def gram_without_metric_report(states, params: DeformationParams,
     return _exceed_report("gram-without-metric", worst, GRAM_WITHOUT_METRIC_FLOOR, {})
 
 
-def ode_residual(
-    psi, coeffs: CoefficientSet, epsilon: float, n_samples: int = 1000, name: str = "ode-residual"
-) -> ResidualReport:
+def ode_residual(psi, coeffs: CoefficientSet, epsilon: float) -> ResidualReport:
     """Max-norm residual of -f psi'' + g psi' + h psi - eps psi on a q-uniform sample.
 
     ``psi`` must expose analytic ``derivative`` and ``second_derivative``
@@ -205,7 +204,7 @@ def ode_residual(
     beta = psi.beta
     sqb = np.sqrt(beta)
     q_half = np.pi / (2.0 * sqb)
-    q = np.linspace(-0.999 * q_half, 0.999 * q_half, n_samples)
+    q = np.linspace(-0.999 * q_half, 0.999 * q_half, ODE_SAMPLES)
     p = np.tan(sqb * q) / sqb
     vals = psi(p)
     resid = (
@@ -215,7 +214,7 @@ def ode_residual(
         - epsilon * vals
     )
     value = float(np.max(np.abs(resid)) / np.max(np.abs(vals)))
-    return ResidualReport(name=name, value=value, tolerance=TOLERANCES["ode-residual"])
+    return ResidualReport(name="ode-residual", value=value, tolerance=TOLERANCES["ode-residual"])
 
 
 def ode_fault_detection_report(psi, coeffs: CoefficientSet, epsilon: float) -> ResidualReport:

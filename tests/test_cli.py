@@ -1,12 +1,13 @@
 """CLI contract: subcommands, formats, config resolution, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mlqm import eigensolver
-from mlqm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAIL, main
+from mlqm import eigensolver, verify
+from mlqm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig, _battery, main
 
 
 def run(capsys, *argv):
@@ -75,7 +76,7 @@ class TestSweep:
 
     def test_parallel_jobs_preserve_order(self, capsys):
         code, out, _ = run(
-            capsys, "sweep", "--levels", "2", "--jobs", "4",
+            capsys, "sweep", "--levels", "2",
             "--param", "lambda", "--from", "0.0", "--to", "0.6", "--steps", "7",
         )
         assert code == EXIT_OK
@@ -126,6 +127,34 @@ class TestWavefunction:
         assert code == EXIT_CONFIG and "reality threshold" in err
 
 
+class TestFormats:
+    """CSV and JSON are two spellings of the same rows."""
+
+    @pytest.mark.parametrize(
+        "argv, blank",
+        [
+            (("spectrum", "--levels", "2", "--grid", "800"), set()),
+            # lambda * delta < 0 has no reality threshold: a blank CSV cell, a JSON null
+            (("sweep", "--model", "swanson", "--lambda", "0.2", "--delta", "-0.1", "--levels", "2",
+              "--param", "beta", "--from", "0.3", "--to", "0.6", "--steps", "3"), {"beta_c"}),
+            (("wavefunction", "--n", "1", "--samples", "9"), set()),
+        ],
+    )
+    def test_csv_and_json_agree(self, capsys, argv, blank):
+        code_csv, csv_text, _ = run(capsys, *argv)
+        code_json, json_text, _ = run(capsys, *argv, "--format", "json")
+        assert code_csv == code_json == EXIT_OK
+        header, *lines = csv_text.strip().split("\n")
+        keys = header.split(",")
+        records = json.loads(json_text)
+        assert len(lines) == len(records) > 0
+        for line, record in zip(lines, records):
+            assert set(record) == set(keys)
+            assert {k for k in keys if record[k] is None} == blank
+            for key, cell in zip(keys, line.split(",")):
+                assert (None if cell == "" else float(cell)) == record[key]
+
+
 class TestVerify:
     def test_list(self, capsys):
         code, out, _ = run(capsys, "verify", "--list")
@@ -170,6 +199,16 @@ class TestVerify:
         assert code == EXIT_OK
         assert listed.split() == [json.loads(l)["name"] for l in out.strip().split("\n")]
         assert "hermiticity-defect" not in listed.split()
+
+    def test_nan_ode_residual_is_the_worst(self, monkeypatch):
+        # one NaN residual among passing ones must fail the check, not be outranked
+        values = iter([1e-12, float("nan"), 1e-12, 1e-12])
+        ode_residual = verify.ode_residual
+        monkeypatch.setattr(
+            verify, "ode_residual", lambda *args: dataclasses.replace(ode_residual(*args), value=next(values))
+        )
+        report = next(r for r, _ in _battery(RunConfig(), None) if r.name == "ode-residual")
+        assert np.isnan(report.value) and not report.passed
 
     def test_unresolved_low_modes_refuse(self, capsys):
         code, out, err = run(
@@ -223,6 +262,31 @@ class TestConfigResolution:
             capsys, "spectrum", "--model", "swanson", "--lambda", "0.5", "--delta", "0.5"
         )
         assert code == EXIT_CONFIG and "singular" in err
+
+    @pytest.mark.parametrize(
+        "bad", [{"levels": 2.9}, {"levels": True}, {"grid": "800"}, {"output": 2}, {"output": ["x.csv"]}]
+    )
+    def test_config_value_types_checked(self, capsys, tmp_path, bad):
+        # a fractional or boolean count is not truncated, and an integer output is not a file descriptor
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "verify", "--list", "--config", str(cfg))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith(f"configuration error: config key {next(iter(bad))!r}: expected")
+
+    def test_integral_config_values_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"levels": 2.0, "grid": 800, "output": None}))
+        code, out, _ = run(capsys, "verify", "--list", "--config", str(cfg))
+        assert code == EXIT_OK and "gamma-independence" in out.split()
+
+    def test_jobs_setting_removed(self, capsys, tmp_path):
+        cfg = tmp_path / "jobs.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        code, _, err = run(capsys, "verify", "--list", "--config", str(cfg))
+        assert code == EXIT_CONFIG and "unknown config keys: ['jobs']" in err
+        assert main(["verify", "--list", "--jobs", "2"]) == EXIT_CONFIG
+        capsys.readouterr()
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["sweep"]) == 2  # missing required sweep arguments

@@ -84,6 +84,12 @@ class TestInnerProducts:
         with pytest.raises(NonConvergenceError):
             deformed_inner(growing, growing, d)
 
+    def test_nan_integrand_is_nonconvergence(self):
+        d = DeformationParams(1.0, 0.3, 0.0)
+        nan = lambda p: np.full_like(np.asarray(p, dtype=float), np.nan)
+        with pytest.raises(NonConvergenceError):
+            eta_inner(nan, nan, None, d)
+
     def test_q_scheme_requires_positive_beta(self):
         d = DeformationParams()
         phi = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)

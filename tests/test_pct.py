@@ -68,6 +68,15 @@ class TestCoefficientSet:
                 energy_map=EnergyMap(scale=1.0, offset=0.0),
             )
 
+    @pytest.mark.parametrize("nan_fields", [("f", "df", "d2f", "g", "dg", "h"), ("df",)])
+    def test_nan_coefficients_rejected(self, nan_fields):
+        good = quartic_coeffs()
+        nan = lambda p: np.full_like(np.asarray(p, dtype=float), np.nan)
+        fields = {name: nan if name in nan_fields else getattr(good, name)
+                  for name in ("f", "df", "d2f", "g", "dg", "h")}
+        with pytest.raises(ValueError):
+            CoefficientSet(energy_map=good.energy_map, **fields)
+
     def test_chi_formula(self):
         coeffs = quartic_coeffs(beta=0.25)
         p = np.linspace(-2, 2, 9)

@@ -23,7 +23,9 @@ from mlqm import (
 )
 from mlqm.models import displaced_coefficients, swanson_coefficients
 from mlqm.verify import (
+    HERMITICITY_DEFECT_FLOOR,
     ResidualReport,
+    _exceed_report,
     gram_without_metric_report,
     hermiticity_defect_report,
     metric_discrimination_report,
@@ -50,6 +52,11 @@ class TestResidualReport:
             "name": "x", "value": 0.5, "tolerance": 1.0, "pass": True,
             "params": {"beta": 0.1}, "grid": {"n": 10},
         }
+
+    def test_nan_measurement_fails_exceed_check(self):
+        # max(0, floor - nan) is 0, which would pass; the shortfall must stay NaN
+        report = _exceed_report("hermiticity-defect", float("nan"), HERMITICITY_DEFECT_FLOOR, {})
+        assert np.isnan(report.value) and not report.passed
 
     def test_tolerance_table_is_complete(self):
         for key in (
