@@ -173,6 +173,12 @@ _SPECTRUM_HEADER = ("n", "E_closed", "E_q", "E_p_re", "E_p_im", "err_q", "err_p"
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     params, family, coeffs, _ = _model_pieces(cfg)
+    # E_closed and the Dirichlet E_q are real columns, so complex levels would lose their imaginary part
+    if complex(params.energy(0)).imag != 0:
+        raise ComplexSpectrumError(
+            f"beta = {cfg.beta:g} is past the reality threshold beta_c = {params.beta_c():.6g}: the levels are "
+            "complex-conjugate pairs; follow them with `sweep --numeric`"
+        )
     rows = []
     if cfg.levels > 0:
         q_result = eigensolver.solve_q_space(family.transform(), cfg.grid, cfg.levels)
@@ -209,6 +215,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # --------------------------------------------------------------------------
 
 _SWEEP_PARAMS = ("beta", "lambda", "delta", "omega")
+#: Most rows one sweep may ask for; the table is built in memory before it is written.
+_MAX_SWEEP_STEPS = 100_000
 
 
 def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> dict:
@@ -243,8 +251,8 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> dict:
 def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, steps: int, numeric: bool) -> int:
     if param not in _SWEEP_PARAMS:
         raise DomainError(f"sweep parameter must be one of {_SWEEP_PARAMS}, got {param!r}")
-    if steps < 2:
-        raise DomainError(f"need steps >= 2, got {steps}")
+    if not 2 <= steps <= _MAX_SWEEP_STEPS:
+        raise DomainError(f"need 2 <= steps <= {_MAX_SWEEP_STEPS}, got {steps}")
     if start == stop:
         raise DomainError("constant sweep (from == to) rejected")
     rows = [_sweep_row(cfg, param, float(v), numeric) for v in np.linspace(start, stop, steps)]

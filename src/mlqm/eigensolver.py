@@ -9,7 +9,10 @@ is banded, so its few low modes come from ARPACK shift-invert around
 sigma = 0 rather than from a full dense eigensolve.  A third,
 complex-boundary variant of the q-solver follows the analytic continuation
 of the spectrum past the reality threshold, where a Dirichlet wall would
-pin every eigenvalue on the real axis.
+pin every eigenvalue on the real axis.  Its matrix is tridiagonal too: real
+symmetric below the threshold (solved like the Dirichlet box), complex
+symmetric past it (ARPACK shift-invert below a Gershgorin bound).  No
+solver here forms a dense eigenproblem.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import csc_array, linalg as sparse_linalg
+from scipy.sparse import csc_array, diags_array, linalg as sparse_linalg
 
 from .algebra import (
     MomentumGrid,
@@ -179,23 +182,25 @@ def build_operator_hamiltonian(
 
 
 def _low_modes(
-    matrix: np.ndarray,
+    matrix,
     n_modes: int,
     keep: Callable[[np.ndarray], np.ndarray],
     what: str,
+    sigma: float = 0.0,
 ):
-    """The n_modes kept eigenpairs of smallest real part, from shift-invert at zero.
+    """The n_modes kept eigenpairs of smallest real part, from shift-invert at sigma.
 
-    ARPACK shift-invert at sigma = 0 on the CSC form of ``matrix`` returns
-    the k = n_modes + 8 eigenpairs nearest zero; ``keep`` maps their
-    eigenvector columns to a boolean mask of the physical ones.  While fewer
-    than n_modes survive, k doubles up to _MAX_LOW_MODES (or N - 2); a
-    filter still starved there raises ResolutionError, which counts the
-    survivors as ``what``.  A singular shift or an unconverged Arnoldi run
-    raises NumericError.
+    ARPACK shift-invert at ``sigma`` on the CSC form of ``matrix`` (dense or
+    sparse) returns the k = n_modes + 8 eigenpairs nearest sigma; ``keep``
+    maps their eigenvector columns to a boolean mask of the physical ones.
+    While fewer than n_modes survive, k doubles up to _MAX_LOW_MODES (or
+    n_modes + 8 if that is larger, and never past N - 2); a filter still
+    starved there raises ResolutionError, which counts the survivors as
+    ``what``.  A singular shift or an unconverged Arnoldi run raises
+    NumericError.
     """
     n = matrix.shape[0]
-    k_max = min(_MAX_LOW_MODES, n - 2)
+    k_max = min(max(_MAX_LOW_MODES, n_modes + 8), n - 2)
     k = min(n_modes + 8, k_max)
     sparse = csc_array(matrix)
     # a fixed start vector makes every run give the same digits; a generic
@@ -203,7 +208,7 @@ def _low_modes(
     v0 = np.random.default_rng(0).standard_normal(n)
     while True:
         try:
-            vals, vecs = sparse_linalg.eigs(sparse, k=k, sigma=0.0, v0=v0)
+            vals, vecs = sparse_linalg.eigs(sparse, k=k, sigma=sigma, v0=v0)
         except RuntimeError as exc:  # includes ArpackNoConvergence and a singular LU factor
             raise NumericError(f"shift-invert eigensolve failed on a {n}x{n} matrix: {exc}")
         order = np.argsort(vals.real)
@@ -282,6 +287,16 @@ def solve_q_space_branch(
     ((d0-h)/d0)^B, which is complex when B is — the boundary condition that
     continues the bound-state branch past the reality threshold.
 
+    Only the three bands of the matrix are assembled: 2/h^2 + v on the
+    diagonal, with the ghost-point ratio folded into its first and last
+    entries, and -1/h^2 off it.  A real ratio leaves the matrix real
+    symmetric, and eigh_tridiagonal returns its n_levels lowest levels.  A
+    complex ratio makes it complex symmetric; its n_levels modes of smallest
+    real part come from ARPACK shift-invert at sigma = (Gershgorin lower
+    bound on the real part) - 1.  That sigma lies strictly left of every
+    eigenvalue, so M - sigma is never singular and the modes nearest sigma
+    are those of lowest real part.
+
     A complex wall exponent is solved together with its conjugate (the
     conjugate boundary condition yields the exactly conjugate spectrum) and
     the two branches are merged, so conjugate pairs appear as actual pairs.
@@ -292,26 +307,35 @@ def solve_q_space_branch(
         raise InvalidGridError(f"need n_grid >= 64, got {n_grid}")
     if not 0 < wall_fraction < 0.5:
         raise InvalidGridError(f"wall_fraction must lie in (0, 0.5), got {wall_fraction}")
+    if n_levels < 1 or n_levels > n_grid // 4:
+        raise ResolutionError(f"cannot resolve {n_levels} levels on a {n_grid}-point grid")
     span = problem.q_max - problem.q_min
     d0 = wall_fraction * span / 2.0
     q = np.linspace(problem.q_min + d0, problem.q_max - d0, n_grid)
     h = q[1] - q[0]
     v = np.asarray(problem.potential(q), dtype=float)
-    m = np.zeros((n_grid, n_grid), dtype=complex)
-    idx = np.arange(n_grid)
-    m[idx, idx] = 2.0 / h**2 + v
-    m[idx[:-1], idx[:-1] + 1] = -1.0 / h**2
-    m[idx[1:], idx[1:] - 1] = -1.0 / h**2
-    ratio = ((d0 - h) / d0) ** complex(wall_exponent) if d0 > h else 0.0
-    m[0, 0] -= ratio / h**2
-    m[-1, -1] -= ratio / h**2
-    try:
-        eigs = np.linalg.eigvals(m)
-        if ratio.imag != 0:
-            # second branch: conj(M) has exactly the conjugate spectrum
-            eigs = np.concatenate([eigs, np.conj(eigs)])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"branch-boundary eigensolve failed: {exc}")
+    ratio = ((d0 - h) / d0) ** complex(wall_exponent) if d0 > h else 0j
+    diag = (2.0 / h**2 + v).astype(complex)
+    diag[[0, -1]] -= ratio / h**2
+    off = np.full(n_grid - 1, -1.0 / h**2)
+    if ratio.imag == 0:
+        try:
+            eigs = eigh_tridiagonal(
+                diag.real, off, select="i", select_range=(0, n_levels - 1), eigvals_only=True
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"branch-boundary eigensolve failed: {exc}")
+    else:
+        # row i's Gershgorin disc reaches down to Re d_i - sum_j |M_ij| (1/h^2 per neighbour)
+        radius = np.full(n_grid, 2.0 / h**2)
+        radius[[0, -1]] = 1.0 / h**2
+        sigma = float(np.min(diag.real - radius)) - 1.0
+        matrix = diags_array([off, diag, off], offsets=[-1, 0, 1], format="csc")
+        eigs, _ = _low_modes(
+            matrix, n_levels, lambda vecs: np.ones(vecs.shape[1], dtype=bool), "branch modes", sigma
+        )
+        # second branch: conj(M) has exactly the conjugate spectrum
+        eigs = np.concatenate([eigs, np.conj(eigs)])
     order = np.lexsort((eigs.imag, eigs.real))
     eigs = eigs[order][:n_levels]
     return SpectrumResult(

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mlqm import eigensolver, verify
+from mlqm import cli, eigensolver, verify
 from mlqm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig, _battery, main
 
 
@@ -95,6 +95,26 @@ class TestSweep:
         )
         assert code == EXIT_CONFIG
 
+    def test_rejects_huge_step_count_before_any_work(self, capsys, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a sweep row was computed")
+
+        monkeypatch.setattr(cli, "_sweep_row", no_rows)
+        code, out, err = run(
+            capsys, "sweep", "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "1000000000"
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "configuration error: need 2 <= steps <= 100000, got 1000000000\n"
+
+    def test_branch_solver_refuses_unresolvable_level_count(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--model", "swanson", "--numeric", "--param", "beta",
+            "--from", "1.5", "--to", "1.7", "--steps", "2",
+            "--lambda", "0.2", "--delta", "0.2", "--levels", "800",
+        )
+        assert code == EXIT_NUMERIC and out == ""
+        assert err == "numeric failure: cannot resolve 800 levels on a 700-point grid\n"
+
     def test_numeric_sweep_matches_closed_form(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--levels", "2", "--grid", "600", "--numeric",
@@ -103,6 +123,28 @@ class TestSweep:
         assert code == EXIT_OK
         row = out.strip().split("\n")[1].split(",")
         assert float(row[1]) == pytest.approx(0.6506246098625197, rel=1e-6)
+
+
+class TestSpectrumPastThreshold:
+    def test_swanson_complex_levels_refused(self, capsys):
+        # the closed form is 0.345 -/+ 0.126i here; its real part alone is not a level
+        code, out, err = run(
+            capsys, "spectrum", "--model", "swanson", "--beta", "2.3", "--lambda", "0.2", "--delta", "0.2",
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert err == (
+            "configuration error: beta = 2.3 is past the reality threshold beta_c = 2: the levels are "
+            "complex-conjugate pairs; follow them with `sweep --numeric`\n"
+        )
+
+    def test_real_again_above_the_complex_window(self, capsys):
+        # (omega - t)^2 >= 4 lam delta again once t >= omega + 2 sqrt(lam delta): beta >= 14/3 here
+        code, out, _ = run(
+            capsys, "spectrum", "--model", "swanson", "--beta", "6", "--lambda", "0.2", "--delta", "0.2",
+            "--levels", "2",
+        )
+        assert code == EXIT_OK
+        assert float(out.split("\n")[1].split(",")[1]) == pytest.approx(1.2464101615137757, rel=1e-12)
 
 
 class TestWavefunction:

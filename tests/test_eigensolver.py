@@ -1,8 +1,10 @@
 """Numerical eigensolvers against the closed-form spectra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from mlqm import (
@@ -21,6 +23,7 @@ from mlqm import (
     solve_p_space,
     solve_q_space,
     solve_q_space_branch,
+    swanson_beta_c,
     swanson_energy,
     swanson_spectral,
     swanson_transform,
@@ -237,6 +240,88 @@ def test_shift_invert_matches_dense_oracle(params):
                 solve()
         else:
             _assert_matches_dense(solve(), vals, kept, n)
+
+
+def _dense_branch(problem, wall_exponent, n_grid, n_levels, wall_fraction):
+    """The branch solve as a dense eigenproblem: the full matrix, every eigenvalue, the same merge."""
+    span = problem.q_max - problem.q_min
+    d0 = wall_fraction * span / 2.0
+    q = np.linspace(problem.q_min + d0, problem.q_max - d0, n_grid)
+    h = q[1] - q[0]
+    m = np.diag(2.0 / h**2 + problem.potential(q)).astype(complex)
+    m -= (np.eye(n_grid, k=1) + np.eye(n_grid, k=-1)) / h**2
+    ratio = ((d0 - h) / d0) ** complex(wall_exponent) if d0 > h else 0j
+    m[0, 0] -= ratio / h**2
+    m[-1, -1] -= ratio / h**2
+    eigs = np.linalg.eigvals(m)
+    if ratio.imag != 0:
+        eigs = np.concatenate([eigs, np.conj(eigs)])
+    return eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels]
+
+
+def branch_problem(params):
+    """The transformed problem of Swanson ``params`` and its wall exponent B = A/sqrt(beta)."""
+    beta = params.deformation.beta
+    return swanson_transform(params), swanson_spectral(params).a_const / np.sqrt(beta)
+
+
+@st.composite
+def branch_points(draw):
+    lam, delta = draw(st.floats(0.1, 0.35)), draw(st.floats(0.1, 0.35))
+    beta = draw(st.floats(0.6, 1.4)) * swanson_beta_c(swanson_default(lam=lam, delta=delta))
+    return swanson_default(beta=beta, lam=lam, delta=delta)
+
+
+# one example set per wall fraction, so each gets its share of complex wall exponents
+@pytest.mark.parametrize("wall_fraction", [0.005, 0.02])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(params=branch_points(), n_grid=st.integers(160, 240))
+def test_branch_solver_matches_dense_oracle(params, n_grid, wall_fraction):
+    # both sides of beta_c: the tridiagonal solve below it, shift-invert past it (when d0 > h)
+    problem, wall_b = branch_problem(params)
+    got = np.array(solve_q_space_branch(problem, wall_b, n_grid, 4, wall_fraction).eigenvalues)
+    want = _dense_branch(problem, wall_b, n_grid, 4, wall_fraction)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+class TestBranchSolverBands:
+    @pytest.mark.parametrize("beta", [1.9, 2.3])
+    def test_same_problem_gives_the_same_digits(self, beta):
+        problem, wall_b = branch_problem(swanson_default(beta=beta))
+        first = solve_q_space_branch(problem, wall_b, n_grid=400, n_levels=4)
+        assert first.eigenvalues == solve_q_space_branch(problem, wall_b, n_grid=400, n_levels=4).eigenvalues
+
+    @pytest.mark.parametrize("beta", [1.9, 2.3])
+    def test_levels_follow_a_shift_of_the_potential(self, beta):
+        # pushing every level far below zero must not change which levels come back
+        problem, wall_b = branch_problem(swanson_default(beta=beta))
+        lowered = dataclasses.replace(problem, potential=lambda q: problem.potential(q) - 1e3)
+        eigs = np.array(solve_q_space_branch(problem, wall_b, n_grid=400, n_levels=4).eigenvalues)
+        low = np.array(solve_q_space_branch(lowered, wall_b, n_grid=400, n_levels=4).eigenvalues)
+        assert np.allclose(low, eigs - 1e3, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("n_levels", [0, 101])
+    def test_refuses_unresolvable_level_counts(self, n_levels):
+        problem = swanson_transform(swanson_default())
+        with pytest.raises(ResolutionError, match=f"cannot resolve {n_levels} levels on a 400-point grid"):
+            solve_q_space_branch(problem, 1.0, n_grid=400, n_levels=n_levels)
+
+    def test_more_levels_than_the_widening_cap(self, requested_k):
+        # past beta_c every ARPACK mode is kept, so k = n_levels + 8 may exceed the 128 cap
+        problem, wall_b = branch_problem(swanson_default(beta=2.3))
+        got = np.array(solve_q_space_branch(problem, wall_b, n_grid=520, n_levels=125).eigenvalues)
+        assert requested_k == [133]
+        want = _dense_branch(problem, wall_b, 520, 125, 0.02)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+    def test_arpack_failure_is_a_numeric_error(self, monkeypatch):
+        def stall(a, k, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(eigensolver.sparse_linalg, "eigs", stall)
+        problem, wall_b = branch_problem(swanson_default(beta=2.3))
+        with pytest.raises(NumericError, match="No convergence"):
+            solve_q_space_branch(problem, wall_b, n_grid=400, n_levels=4)
 
 
 @pytest.fixture
