@@ -22,12 +22,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csc_array, diags_array, linalg as sparse_linalg
 
-from .algebra import (
-    MomentumGrid,
-    first_derivative_matrix,
-    position_kernel,
-    second_derivative_matrix,
-)
+from .algebra import _D1_CENTRAL, _D2_CENTRAL, MomentumGrid, position_kernel
 from .errors import InvalidGridError, NumericError, ResolutionError
 from .models import DisplacedOscillatorParams, SwansonParams
 from .pct import CoefficientSet, TransformedProblem
@@ -138,16 +133,20 @@ def solve_q_space(problem: TransformedProblem, n_grid: int, n_levels: int) -> Sp
 
 
 def build_p_space_matrix(coeffs: CoefficientSet, grid: MomentumGrid) -> np.ndarray:
-    """Dense assembly of -f d^2/dp^2 + g d/dp + h with 4th-order stencils."""
+    """Dense -f d^2/dp^2 + g d/dp + h with 4th-order stencils, written band by band:
+    the digits of the stencil-matrix products without their N x N temporaries."""
     if not grid.is_symmetric:
         raise InvalidGridError("p-space assembly requires a symmetric grid")
-    p = grid.points
-    d1 = first_derivative_matrix(grid.n_points, grid.spacing)
-    d2 = second_derivative_matrix(grid.n_points, grid.spacing)
+    p, n, step = grid.points, grid.n_points, grid.spacing
     f = np.asarray(coeffs.f(p), dtype=float)
     g = np.asarray(coeffs.g(p), dtype=float)
     h = np.asarray(coeffs.h(p), dtype=float)
-    return -f[:, None] * d2 + g[:, None] * d1 + np.diag(h)
+    m = np.zeros((n, n))
+    for k, c1, c2 in zip(range(-2, 3), _D1_CENTRAL, _D2_CENTRAL):
+        i = np.arange(max(0, -k), n - max(0, k))  # row i holds column i + k
+        m.flat[i * (n + 1) + k] = -f[i] * (c2 / step**2) + g[i] * (c1 / step)
+    m.flat[:: n + 1] += h
+    return m
 
 
 def build_operator_hamiltonian(

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, EllipticityError, UnsupportedRegimeError
 
@@ -104,6 +102,9 @@ def build_q_map(coeffs: CoefficientSet, hint: Optional[QMap] = None) -> QMap:
     """
     if hint is not None:
         return hint
+    # imported here: every model passes a hint, and scipy.optimize adds ~0.25 s of import
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
 
     def integrand(t):
         ft = coeffs.f(t)
@@ -147,6 +148,7 @@ def build_rho(coeffs: CoefficientSet, log_rho_hint: Optional[Callable] = None):
     if log_rho_hint is not None:
         rho = lambda p: np.exp(log_rho_hint(np.asarray(p, dtype=float)))
         return chi, rho
+    from scipy.integrate import quad
 
     def log_rho_scalar(p):
         val, _ = quad(lambda t: float(chi(t)), 0.0, p, epsabs=_QUAD_ABS_TOL, limit=200)

@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mlqm
 from mlqm import cli, eigensolver, verify
 from mlqm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig, _battery, main
 
@@ -338,3 +342,13 @@ class TestConfigResolution:
         # omega = 1e-8 overflows the metric; its self-check must refuse the NaN, not pass it
         assert main(["spectrum", "--omega", "1e-8", "--levels", "2"]) == EXIT_CONFIG
         assert "closed-form metric disagrees" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_quadrature_modules_unloaded():
+    # scipy.integrate and scipy.optimize serve only the hint-free quadrature
+    # fallbacks of pct; loading them would add ~0.25 s to every CLI process
+    src = os.path.dirname(os.path.dirname(mlqm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mlqm.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

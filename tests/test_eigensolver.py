@@ -29,6 +29,7 @@ from mlqm import (
     swanson_transform,
 )
 from mlqm import eigensolver
+from mlqm.algebra import first_derivative_matrix, second_derivative_matrix
 from mlqm.eigensolver import CONJUGATE_PAIR, REAL, UNCLASSIFIED
 from mlqm.models import displaced_coefficients, swanson_coefficients
 from mlqm.verify import _low_mode_basis
@@ -143,6 +144,27 @@ class TestPSpace:
         coeffs = displaced_coefficients(displaced_default())
         with pytest.raises(InvalidGridError):
             build_p_space_matrix(coeffs, MomentumGrid(-1.0, 2.0, 64))
+
+    @pytest.mark.parametrize(
+        "params",
+        [displaced_default(gamma=0.05), SwansonParams(DeformationParams(1.0, 0.5, 0.1), lam=0.3, delta=0.1)],
+        ids=["displaced", "swanson"],
+    )
+    def test_band_assembly_equals_stencil_products(self, params):
+        # the bands are written directly; they must reproduce the dense
+        # stencil products digit for digit, edge rows included
+        coeffs = params.family().coefficients()
+        grid = MomentumGrid.symmetric(20.0, 301)
+        p, n, step = grid.points, grid.n_points, grid.spacing
+        f, g, h = coeffs.f(p), coeffs.g(p), coeffs.h(p)
+        dense = (
+            -f[:, None] * second_derivative_matrix(n, step)
+            + g[:, None] * first_derivative_matrix(n, step)
+            + np.diag(h)
+        )
+        hmat = build_p_space_matrix(coeffs, grid)
+        assert type(hmat) is np.ndarray and hmat.shape == (n, n)
+        assert np.array_equal(hmat, dense)
 
 
 class TestBranchSolver:

@@ -15,7 +15,7 @@ from mlqm import (
     eta_norm,
     measure_jacobian,
 )
-from mlqm.inner import GAUSS_LEGENDRE_Q, UNIFORM_TRAPEZOID_P
+from mlqm.inner import GAUSS_LEGENDRE_Q, UNIFORM_TRAPEZOID_P, _leggauss
 
 
 class TestQuadratureSpec:
@@ -34,6 +34,16 @@ class TestQuadratureSpec:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             QuadratureSpec(**kwargs)
+
+
+@pytest.mark.parametrize("n", [16, 512, 1024])
+def test_gauss_legendre_nodes_match_numpy(n):
+    x, w = _leggauss(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - x_ref).max() <= 1e-14
+    assert np.abs(w - w_ref).max() <= 1e-14
+    assert abs(w.sum() - 2.0) <= 1e-14
+    assert np.array_equal(x, -x[::-1])
 
 
 class TestMeasureJacobian:
