@@ -24,6 +24,7 @@ from .eigensolver import (
     build_operator_hamiltonian,
     build_p_space_matrix,
     classify_spectrum,
+    p_space_operator,
     solve_p_space,
     solve_q_space,
     solve_q_space_branch,

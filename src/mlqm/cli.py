@@ -187,7 +187,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         # Swanson bound states decay only polynomially in p, so the spurious
         # filter needs the measure-weighted norm.
         p_result = eigensolver.solve_p_space(
-            eigensolver.build_p_space_matrix(coeffs, p_grid),
+            eigensolver.p_space_operator(coeffs, p_grid),
             cfg.levels,
             weight=cfg.deformation.measure_weight(p_grid.points),
         )
@@ -318,7 +318,7 @@ def _battery(cfg: RunConfig, metric_override: str | None):
 
     p_grid = MomentumGrid.symmetric(cfg.p_max, cfg.p_grid)
     grid_desc = {"n_points": cfg.p_grid, "p_max": cfg.p_max}
-    hmat = eigensolver.build_p_space_matrix(coeffs, p_grid)
+    hmat = eigensolver.p_space_operator(coeffs, p_grid)
     if not _is_hermitian(family):
         yield verify.hermiticity_defect_report(hmat, deformation, p_grid), grid_desc
 

@@ -5,14 +5,14 @@ tridiagonal Schrodinger solver on the finite q-box (the precision oracle)
 and a non-Hermitian momentum-space solver that sees the operator as it
 really is — either assembled from the ODE coefficients or composed
 literally from the position/momentum matrices.  The momentum-space matrix
-is banded, so its few low modes come from ARPACK shift-invert around
-sigma = 0 rather than from a full dense eigensolve.  A third,
-complex-boundary variant of the q-solver follows the analytic continuation
-of the spectrum past the reality threshold, where a Dirichlet wall would
-pin every eigenvalue on the real axis.  Its matrix is tridiagonal too: real
-symmetric below the threshold (solved like the Dirichlet box), complex
-symmetric past it (ARPACK shift-invert below a Gershgorin bound).  No
-solver here forms a dense eigenproblem.
+is banded and assembled straight into CSC, so its few low modes come from
+ARPACK shift-invert around sigma = 0 rather than from a full dense
+eigensolve.  A third, complex-boundary variant of the q-solver follows
+the analytic continuation of the spectrum past the reality threshold,
+where a Dirichlet wall would pin every eigenvalue on the real axis.  Its
+matrix is tridiagonal too: real symmetric below the threshold (solved like
+the Dirichlet box), complex symmetric past it (ARPACK shift-invert below a
+Gershgorin bound).  No solver here forms a dense eigenproblem.
 """
 
 from dataclasses import dataclass
@@ -132,21 +132,26 @@ def solve_q_space(problem: TransformedProblem, n_grid: int, n_levels: int) -> Sp
     )
 
 
-def build_p_space_matrix(coeffs: CoefficientSet, grid: MomentumGrid) -> np.ndarray:
-    """Dense -f d^2/dp^2 + g d/dp + h with 4th-order stencils, written band by band:
-    the digits of the stencil-matrix products without their N x N temporaries."""
+def p_space_operator(coeffs: CoefficientSet, grid: MomentumGrid) -> csc_array:
+    """CSC -f d^2/dp^2 + g d/dp + h with 4th-order stencils, assembled from its five bands;
+    explicit zeros are dropped, so it stores exactly the entries of ``csc_array(dense)``."""
     if not grid.is_symmetric:
         raise InvalidGridError("p-space assembly requires a symmetric grid")
     p, n, step = grid.points, grid.n_points, grid.spacing
     f = np.asarray(coeffs.f(p), dtype=float)
     g = np.asarray(coeffs.g(p), dtype=float)
     h = np.asarray(coeffs.h(p), dtype=float)
-    m = np.zeros((n, n))
-    for k, c1, c2 in zip(range(-2, 3), _D1_CENTRAL, _D2_CENTRAL):
-        i = np.arange(max(0, -k), n - max(0, k))  # row i holds column i + k
-        m.flat[i * (n + 1) + k] = -f[i] * (c2 / step**2) + g[i] * (c1 / step)
-    m.flat[:: n + 1] += h
-    return m
+    rows = [slice(max(0, -k), n - max(0, k)) for k in range(-2, 3)]  # band k: row i holds column i + k
+    bands = [-f[i] * (c2 / step**2) + g[i] * (c1 / step) for i, c1, c2 in zip(rows, _D1_CENTRAL, _D2_CENTRAL)]
+    bands[2] += h
+    op = diags_array(bands, offsets=range(-2, 3), shape=(n, n), format="csc")
+    op.eliminate_zeros()
+    return op
+
+
+def build_p_space_matrix(coeffs: CoefficientSet, grid: MomentumGrid) -> np.ndarray:
+    """Dense view of ``p_space_operator``: the digits of the stencil-matrix products."""
+    return p_space_operator(coeffs, grid).toarray()
 
 
 def build_operator_hamiltonian(
@@ -189,9 +194,9 @@ def _low_modes(
 ):
     """The n_modes kept eigenpairs of smallest real part, from shift-invert at sigma.
 
-    ARPACK shift-invert at ``sigma`` on the CSC form of ``matrix`` (dense or
-    sparse) returns the k = n_modes + 8 eigenpairs nearest sigma; ``keep``
-    maps their eigenvector columns to a boolean mask of the physical ones.
+    ARPACK shift-invert at ``sigma`` on ``matrix`` (CSC as given, any other
+    form converted) returns the k = n_modes + 8 eigenpairs nearest sigma;
+    ``keep`` maps their eigenvector columns to a mask of the physical ones.
     While fewer than n_modes survive, k doubles up to _MAX_LOW_MODES (or
     n_modes + 8 if that is larger, and never past N - 2); a filter still
     starved there raises ResolutionError, which counts the survivors as
@@ -222,7 +227,7 @@ def _low_modes(
 
 
 def solve_p_space(
-    matrix: np.ndarray,
+    matrix,
     n_levels: int,
     tol: float | None = None,
     weight: np.ndarray | None = None,
@@ -230,7 +235,8 @@ def solve_p_space(
 ) -> SpectrumResult:
     """Low-mode non-Hermitian eigensolve with a boundary-artifact filter.
 
-    The modes come from ``_low_modes`` (shift-invert around zero).
+    The modes of ``matrix`` (the CSC ``p_space_operator``, or any square
+    matrix) come from ``_low_modes`` (shift-invert around zero).
     Eigenvectors whose amplitude at the outermost grid points exceeds
     ``edge_ratio`` of their maximum are discarded (Dirichlet
     truncation artifacts); the n_levels survivors of smallest real part are
@@ -244,9 +250,9 @@ def solve_p_space(
     nearest-neighbor difference dwarfs the nearest-neighbor sum, for a
     resolved bound state it is the other way around by orders of magnitude.
     """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise InvalidGridError(f"expected a square matrix, got shape {matrix.shape}")
+    shape = np.shape(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidGridError(f"expected a square matrix, got shape {shape}")
     sqw = 1.0 if weight is None else np.sqrt(np.asarray(weight, dtype=float))[:, None]
 
     def physical(vecs):
@@ -264,7 +270,7 @@ def solve_p_space(
         eigenvalues=tuple(complex(e) for e in eigs),
         classification=classify_spectrum(eigs, tol),
         source="p-space-numeric",
-        resolution=matrix.shape[0],
+        resolution=shape[0],
     )
 
 

@@ -11,9 +11,10 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import diags_array, issparse, linalg as sparse_linalg
 
 from .algebra import DeformationParams, GridFunction, MomentumGrid
-from .eigensolver import _SPURIOUS_EDGE_RATIO, _low_modes, build_p_space_matrix, solve_p_space
+from .eigensolver import _SPURIOUS_EDGE_RATIO, _low_modes, p_space_operator, solve_p_space
 from .errors import DegenerateMeasureError
 from .inner import QuadratureSpec, eta_inner
 from .models import DisplacedOscillatorParams, SwansonParams
@@ -76,25 +77,31 @@ def _exceed_report(name: str, measured: float, floor: float, context: dict) -> R
     return ResidualReport(name=name, value=value, tolerance=TOLERANCES[name], context=ctx)
 
 
-def adjoint_under_weight(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> np.ndarray:
+def _frobenius(m) -> float:
+    """Frobenius norm of a dense or sparse matrix."""
+    return float(sparse_linalg.norm(m) if issparse(m) else np.linalg.norm(m))
+
+
+def adjoint_under_weight(hmat, params: DeformationParams, grid: MomentumGrid):
     """Adjoint with respect to the deformed measure: W^-1 (conj H)^T W.
 
     W is the diagonal of measure weights at the nodes; the uniform trapezoid
-    spacing factor cancels between W and its inverse.
+    spacing factor cancels between W and its inverse.  A dense H gives a
+    dense adjoint, a sparse H a sparse one with the same band structure.
     """
     w = params.measure_weight(grid.points)
     if np.any(w == 0):
         raise DegenerateMeasureError("measure weight vanishes at a grid node")
-    return (np.conj(hmat).T * w[None, :]) / w[:, None]
+    return diags_array(1.0 / w) @ hmat.conj().T @ diags_array(w)
 
 
-def hermiticity_defect(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> float:
+def hermiticity_defect(hmat, params: DeformationParams, grid: MomentumGrid) -> float:
     """Raw relative Frobenius defect ||H_adj - H|| / ||H||."""
     hadj = adjoint_under_weight(hmat, params, grid)
-    return float(np.linalg.norm(hadj - hmat) / np.linalg.norm(hmat))
+    return _frobenius(hadj - hmat) / _frobenius(hmat)
 
 
-def _low_mode_basis(hmat: np.ndarray, n_modes: int, w: np.ndarray) -> np.ndarray:
+def _low_mode_basis(hmat, n_modes: int, w: np.ndarray) -> np.ndarray:
     """Lowest non-spurious eigenvectors, filtered in the measure-weighted norm.
 
     The modes come from the solver's shift-invert routine; the filter uses
@@ -111,12 +118,12 @@ def _low_mode_basis(hmat: np.ndarray, n_modes: int, w: np.ndarray) -> np.ndarray
     return _low_modes(hmat, n_modes, physical, "non-spurious low modes")[1]
 
 
-def _project(op: np.ndarray, basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _project(op, basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     gram = basis.conj().T @ (w[:, None] * basis)
     return np.linalg.solve(gram, basis.conj().T @ (w[:, None] * (op @ basis)))
 
 
-def projected_hermiticity_defect(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> float:
+def projected_hermiticity_defect(hmat, params: DeformationParams, grid: MomentumGrid) -> float:
     """Hermiticity defect restricted to the low-lying bound-state subspace.
 
     The raw Frobenius defect is dominated by the huge high-|p| entries of
@@ -131,26 +138,25 @@ def projected_hermiticity_defect(hmat: np.ndarray, params: DeformationParams, gr
     basis = _low_mode_basis(hmat, PROJECTION_MODES, w)
     hk = _project(hmat, basis, w)
     hk_adj = _project(hadj, basis, w)
-    return float(np.linalg.norm(hk - hk_adj) / np.linalg.norm(hk))
+    return _frobenius(hk - hk_adj) / _frobenius(hk)
 
 
-def hermiticity_defect_report(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
+def hermiticity_defect_report(hmat, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
     """Exceed-check: the operator must be genuinely non-Hermitian (defect > 1e-2)."""
     measured = projected_hermiticity_defect(hmat, params, grid)
     return _exceed_report("hermiticity-defect", measured, HERMITICITY_DEFECT_FLOOR, {})
 
 
-def pseudo_hermiticity_residual(hmat: np.ndarray, eta, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
+def pseudo_hermiticity_residual(hmat, eta, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
     """Relative Frobenius residual of  E H E^-1 - H_adj  with E = diag(eta)."""
     e = np.asarray(eta(grid.points), dtype=float)
     hadj = adjoint_under_weight(hmat, params, grid)
-    lhs = (e[:, None] * hmat) / e[None, :]
-    value = float(np.linalg.norm(lhs - hadj) / np.linalg.norm(hmat))
+    value = _frobenius(diags_array(e) @ hmat @ diags_array(1.0 / e) - hadj) / _frobenius(hmat)
     return ResidualReport(name="pseudo-hermiticity", value=value, tolerance=TOLERANCES["pseudo-hermiticity"])
 
 
 def metric_discrimination_report(
-    hmat: np.ndarray, wrong_eta, params: DeformationParams, grid: MomentumGrid
+    hmat, wrong_eta, params: DeformationParams, grid: MomentumGrid
 ) -> ResidualReport:
     """Exceed-check: a wrong metric must leave a visible residual (> 1e-2).
 
@@ -161,11 +167,10 @@ def metric_discrimination_report(
     w = params.measure_weight(grid.points)
     e = np.asarray(wrong_eta(grid.points), dtype=float)
     hadj = adjoint_under_weight(hmat, params, grid)
-    lhs = (e[:, None] * hmat) / e[None, :]
     basis = _low_mode_basis(hmat, PROJECTION_MODES, w)
-    lk = _project(lhs, basis, w)
+    lk = _project(diags_array(e) @ hmat @ diags_array(1.0 / e), basis, w)
     hk_adj = _project(hadj, basis, w)
-    measured = float(np.linalg.norm(lk - hk_adj) / np.linalg.norm(hk_adj))
+    measured = _frobenius(lk - hk_adj) / _frobenius(hk_adj)
     return _exceed_report("metric-discrimination", measured, METRIC_DISCRIMINATION_FLOOR, {})
 
 
@@ -239,7 +244,7 @@ def gamma_independence(
         deformation = dataclasses.replace(params.deformation, gamma=gamma)
         coeffs = dataclasses.replace(params, deformation=deformation).family().coefficients()
         weight = deformation.measure_weight(grid.points)
-        result = solve_p_space(build_p_space_matrix(coeffs, grid), n_levels, weight=weight)
+        result = solve_p_space(p_space_operator(coeffs, grid), n_levels, weight=weight)
         energies.append(coeffs.energy_map.energy(result.real_parts))
     energies = np.array(energies)  # shape (n_gamma, n_levels)
     spread = energies.max(axis=0) - energies.min(axis=0)

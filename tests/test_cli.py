@@ -5,9 +5,11 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 import mlqm
 from mlqm import cli, eigensolver, verify
@@ -269,7 +271,7 @@ class TestNumericFailure:
     def test_singular_shift_exits_numeric(self, capsys, monkeypatch):
         # sigma = 0 is an exact eigenvalue of this stand-in matrix
         monkeypatch.setattr(
-            eigensolver, "build_p_space_matrix", lambda coeffs, grid: np.diag(np.arange(float(grid.n_points)))
+            eigensolver, "p_space_operator", lambda coeffs, grid: csc_array(np.diag(np.arange(float(grid.n_points))))
         )
         code, out, err = run(capsys, "spectrum", "--levels", "2", "--grid", "800")
         assert code == EXIT_NUMERIC and out == ""
@@ -352,3 +354,26 @@ def test_cli_import_leaves_quadrature_modules_unloaded():
     code = "import sys, mlqm.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, limit_mb",
+    [
+        (("verify",), 4.0),
+        (("verify", "--model", "swanson", "--beta", "0.4", "--lambda", "0.28", "--delta", "0.12"), 4.0),
+        (("spectrum",), 3.0),
+    ],
+    ids=["verify", "verify-swanson", "spectrum"],
+)
+def test_cli_path_builds_no_dense_operator(capsys, argv, limit_mb):
+    # one dense 1200 x 1200 p-space matrix is 11.5 MB; the banded path peaks near 1.4 MB
+    assert main(list(argv)) == EXIT_OK  # first call fills the quadrature-node cache
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert peak < limit_mb * 1e6, f"traced allocation peak {peak / 1e6:.1f} MB"

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from mlqm import (
@@ -20,6 +21,7 @@ from mlqm import (
     classify_spectrum,
     displaced_energy,
     displaced_transform,
+    p_space_operator,
     solve_p_space,
     solve_q_space,
     solve_q_space_branch,
@@ -165,6 +167,21 @@ class TestPSpace:
         hmat = build_p_space_matrix(coeffs, grid)
         assert type(hmat) is np.ndarray and hmat.shape == (n, n)
         assert np.array_equal(hmat, dense)
+
+    @pytest.mark.parametrize(
+        "params",
+        [displaced_default(gamma=0.05), SwansonParams(DeformationParams(1.0, 0.5, 0.1), lam=0.3, delta=0.1)],
+        ids=["displaced", "swanson"],
+    )
+    def test_csc_operator_is_the_csc_of_the_dense_matrix(self, params):
+        # the same stored entries in the same order, so ARPACK factors the same matrix
+        coeffs = params.family().coefficients()
+        grid = MomentumGrid.symmetric(20.0, 301)
+        op = p_space_operator(coeffs, grid)
+        ref = csc_array(build_p_space_matrix(coeffs, grid))
+        assert op.format == "csc" and op.shape == ref.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op, part), getattr(ref, part)), part
 
 
 class TestBranchSolver:

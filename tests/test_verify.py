@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 from mlqm import (
     DeformationParams,
@@ -17,6 +18,7 @@ from mlqm import (
     gram_matrix,
     hermiticity_defect,
     ode_residual,
+    p_space_operator,
     projected_hermiticity_defect,
     pseudo_hermiticity_residual,
     swanson_metric,
@@ -167,3 +169,39 @@ class TestGammaIndependence:
     def test_rejects_unknown_model(self):
         with pytest.raises(TypeError):
             gamma_independence(object(), (0.0,), 2, MomentumGrid.symmetric(10.0, 200))
+
+
+@pytest.mark.parametrize(
+    "params, coefficients, metric",
+    [
+        (displaced_default(), displaced_coefficients, displaced_metric),
+        (swanson_default(beta=0.4, lam=0.28, delta=0.12), swanson_coefficients, swanson_metric),
+    ],
+    ids=["displaced", "swanson"],
+)
+def test_dense_and_csc_operators_give_the_same_checks(params, coefficients, metric):
+    # the verify algebra runs on whichever form it is given; both forms must
+    # report the same values and verdicts
+    grid = MomentumGrid.symmetric(30.0, 1200)
+    d = params.deformation
+    op = p_space_operator(coefficients(params), grid)
+    dense = op.toarray()
+    assert type(adjoint_under_weight(dense, d, grid)) is np.ndarray
+    adj = adjoint_under_weight(op, d, grid)
+    assert issparse(adj)
+    assert np.allclose(adj.toarray(), adjoint_under_weight(dense, d, grid), rtol=1e-12, atol=0.0)
+
+    wrong = lambda p: (1.0 + 0.1 * np.asarray(p, dtype=float) ** 2) ** (-1.0)
+
+    def checks(h):
+        reports = [
+            pseudo_hermiticity_residual(h, metric(params), d, grid),
+            metric_discrimination_report(h, wrong, d, grid),
+            hermiticity_defect_report(h, d, grid),
+        ]
+        values = [hermiticity_defect(h, d, grid), projected_hermiticity_defect(h, d, grid)]
+        return [r.value for r in reports] + values, [r.passed for r in reports]
+
+    (sparse_values, sparse_flags), (dense_values, dense_flags) = checks(op), checks(dense)
+    assert sparse_flags == dense_flags
+    assert np.allclose(sparse_values, dense_values, rtol=1e-9, atol=1e-12)
