@@ -73,7 +73,6 @@ from .models import (
 from .pct import (
     CoefficientSet,
     EnergyMap,
-    QMapHint,
     TransformedProblem,
     build_potential,
     build_q_map,

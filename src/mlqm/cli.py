@@ -99,13 +99,13 @@ _MODEL_KEYS = ("model", "hbar", "beta", "gamma", "mass", "omega", "lambda", "del
 
 
 def _integral(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+    if type(value) not in (int, float) or not float(value).is_integer():  # exact types: True is refused
         raise TypeError(f"expected an integral number, got {value!r}")
     return int(value)
 
 
 def _str_or_none(value):
-    if value is not None and not isinstance(value, str):
+    if value is not None and type(value) is not str:
         raise TypeError(f"expected a string or null, got {value!r}")
     return value
 
@@ -173,7 +173,7 @@ _SPECTRUM_HEADER = ("n", "E_closed", "E_q", "E_p_re", "E_p_im", "err_q", "err_p"
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     params, family, coeffs, _ = _model_pieces(cfg)
-    # E_closed and the Dirichlet E_q are real columns, so complex levels would lose their imaginary part
+    # E_closed and E_q are real columns, so complex levels would lose their imaginary part
     if complex(params.energy(0)).imag != 0:
         raise ComplexSpectrumError(
             f"beta = {cfg.beta:g} is past the reality threshold beta_c = {params.beta_c():.6g}: the levels are "
@@ -217,6 +217,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 _SWEEP_PARAMS = ("beta", "lambda", "delta", "omega")
 #: Most rows one sweep may ask for; the table is built in memory before it is written.
 _MAX_SWEEP_STEPS = 100_000
+#: q-grid of a numeric sweep row (``--grid`` if smaller), for both models: past beta_c
+#: every row costs two ARPACK solves, on this grid and on twice it.
+_SWEEP_GRID = 700
 
 
 def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> dict:
@@ -224,17 +227,7 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> dict:
     params = local.model_params()
     if numeric:
         family = params.family()
-        problem = family.transform()
-        # past beta_c the Swanson levels are complex, which only the branch solver follows
-        if isinstance(params, SwansonParams):
-            result = eigensolver.solve_q_space_branch(
-                problem,
-                wall_exponent=family.spectral().a_const / np.sqrt(local.beta),
-                n_grid=min(local.grid, 700),
-                n_levels=local.levels,
-            )
-        else:
-            result = eigensolver.solve_q_space(problem, local.grid, local.levels)
+        result = eigensolver.solve_q_space(family.transform(), min(local.grid, _SWEEP_GRID), local.levels)
         energies = [family.energy_map.energy(complex(e)) for e in result.eigenvalues]
     else:
         energies = [complex(params.energy(n)) for n in range(local.levels)]

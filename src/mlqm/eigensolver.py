@@ -1,18 +1,19 @@
 """Numerical spectral oracles.
 
-Two independent discretizations cross-check the closed forms: a symmetric
+Two independent discretizations cross-check the closed forms: a
 tridiagonal Schrodinger solver on the finite q-box (the precision oracle)
 and a non-Hermitian momentum-space solver that sees the operator as it
 really is — either assembled from the ODE coefficients or composed
 literally from the position/momentum matrices.  The momentum-space matrix
 is banded and assembled straight into CSC, so its few low modes come from
 ARPACK shift-invert around sigma = 0 rather than from a full dense
-eigensolve.  A third, complex-boundary variant of the q-solver follows
-the analytic continuation of the spectrum past the reality threshold,
-where a Dirichlet wall would pin every eigenvalue on the real axis.  Its
-matrix is tridiagonal too: real symmetric below the threshold (solved like
-the Dirichlet box), complex symmetric past it (ARPACK shift-invert below a
-Gershgorin bound).  No solver here forms a dense eigenproblem.
+eigensolve.  The q-box solver closes each wall with the analytic wall
+behaviour phi ~ d^B, its exponent B read from the potential, so one
+solver follows the spectrum on both sides of the reality threshold, where
+a Dirichlet wall would pin every eigenvalue on the real axis.  Its matrix
+is real symmetric below the threshold (solved by eigh_tridiagonal) and
+complex symmetric past it (ARPACK shift-invert left of the Bendixson
+bound).  No solver here forms a dense eigenproblem.
 """
 
 from dataclasses import dataclass
@@ -40,6 +41,9 @@ _SPURIOUS_EDGE_RATIO = 1e-4
 #: Largest number of shift-invert modes requested while widening past
 #: spurious ones; a filter that starves here raises ResolutionError.
 _MAX_LOW_MODES = 128
+
+#: Distance from each wall to the outermost q-grid point, as a fraction of the box.
+_WALL_GAP = 0.01
 
 
 @dataclass(frozen=True)
@@ -97,23 +101,64 @@ def classify_spectrum(eigs: Sequence[complex], tol: float):
     return tuple(tags)
 
 
-def _q_grid_eigs(problem: TransformedProblem, n_grid: int, n_levels: int) -> np.ndarray:
+def _indicial_root(problem: TransformedProblem) -> complex:
+    """Wall exponent B of phi ~ d^B (the indicial root), read from the potential alone.
+
+    The box spans pi/sqrt(beta), and near a wall V = nu sec^2(sqrt(beta) q)
+    + const, so V sin^2(sqrt(beta) d) at wall distances d = gap and 2 gap
+    gives nu and the constant; B is the root of B(B-1) = nu/beta with
+    Re B >= 1/2 (complex past the reality threshold).
+    """
     span = problem.q_max - problem.q_min
-    h = span / (n_grid + 1)
-    q = problem.q_min + h * np.arange(1, n_grid + 1)
-    v = np.asarray(problem.potential(q), dtype=float)
-    diag = 2.0 / h**2 + v
+    sqb = np.pi / span
+    d = np.array([1.0, 2.0]) * _WALL_GAP * span
+    s2 = np.sin(sqb * d) ** 2
+    u = np.asarray(problem.potential(problem.q_min + d), dtype=float) * s2
+    nu = (u[0] * s2[1] - u[1] * s2[0]) / (s2[1] - s2[0])
+    return complex(0.5 * (1.0 + np.sqrt(complex(1.0 + 4.0 * nu / sqb**2))))
+
+
+def _q_box_levels(problem: TransformedProblem, wall_b: complex, n_grid: int, n_levels: int) -> np.ndarray:
+    """The n_levels lowest levels on the n_grid-point wall-closure grid."""
+    span = problem.q_max - problem.q_min
+    d0 = _WALL_GAP * span
+    q = np.linspace(problem.q_min + d0, problem.q_max - d0, n_grid)
+    h = q[1] - q[0]
+    diag = (2.0 / h**2 + np.asarray(problem.potential(q), dtype=float)).astype(complex)
+    diag[[0, -1]] -= ((d0 - h) / d0) ** wall_b / h**2
     off = np.full(n_grid - 1, -1.0 / h**2)
-    return eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, n_levels - 1), eigvals_only=True
+    try:
+        levels = eigh_tridiagonal(
+            diag.real, off, select="i", select_range=(0, n_levels - 1), eigvals_only=True
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"q-box eigensolve failed: {exc}")
+    if wall_b.imag == 0:
+        return levels
+    # Bendixson: every Re(eigenvalue) lies at or above the lowest level of the Hermitian part
+    matrix = diags_array([off, diag, off], offsets=[-1, 0, 1], format="csc")
+    eigs, _ = _low_modes(
+        matrix, n_levels, lambda vecs: np.ones(vecs.shape[1], dtype=bool), "q-box modes", levels[0] - 1.0
     )
+    # conj(M) has exactly the conjugate spectrum: merge the two branches
+    eigs = np.concatenate([eigs, np.conj(eigs)])
+    return eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels]
 
 
 def solve_q_space(problem: TransformedProblem, n_grid: int, n_levels: int) -> SpectrumResult:
-    """Dirichlet second-order solve on (q_min, q_max), Richardson-extrapolated.
+    """Second-order q-box solve with a wall closure, Richardson-combined over n_grid and 2*n_grid points.
 
-    Solves at n_grid and 2*n_grid interior points and combines the two as
-    (4*eps_2N - eps_N)/3 to cancel the leading O(h^2) error.
+    The regular solution behaves like d^B at distance d from a wall, with B
+    read from the potential (``_indicial_root``).  The grid stops
+    d0 = _WALL_GAP * span short of each wall, and its ghost point is folded
+    back with the ratio ((d0-h)/d0)^B, complex when B is: this continues the
+    bound states past the reality threshold, where a Dirichlet wall would pin
+    them on the real axis.  Only the three bands are assembled, and
+    eigh_tridiagonal solves the Hermitian part, the whole matrix for a real
+    B.  For a complex B, ARPACK shift-invert runs at the lowest level of the
+    Hermitian part minus 1, strictly left of every eigenvalue (Bendixson's
+    theorem), and the modes are merged with their conjugates, the spectrum
+    of the conjugate closure, so that pairs appear as pairs.
     """
     if not (np.isfinite(problem.q_min) and np.isfinite(problem.q_max)):
         raise InvalidGridError("solve_q_space needs a finite q-box")
@@ -121,15 +166,24 @@ def solve_q_space(problem: TransformedProblem, n_grid: int, n_levels: int) -> Sp
         raise InvalidGridError(f"need n_grid >= 64, got {n_grid}")
     if n_levels < 1 or n_levels > n_grid // 4:
         raise ResolutionError(f"cannot resolve {n_levels} levels on a {n_grid}-point grid")
-    coarse = _q_grid_eigs(problem, n_grid, n_levels)
-    fine = _q_grid_eigs(problem, 2 * n_grid, n_levels)
-    eps = (4.0 * fine - coarse) / 3.0
+    min_grid = round(1.0 / _WALL_GAP)  # the spacing (1 - 2 gap) span/(n_grid - 1) must stay below the gap
+    if n_grid < min_grid:
+        raise ResolutionError(f"q-grid of {n_grid} points is not finer than the wall gap; need n_grid >= {min_grid}")
+    wall_b = _indicial_root(problem)
+    coarse = _q_box_levels(problem, wall_b, n_grid, n_levels)
+    fine = _q_box_levels(problem, wall_b, 2 * n_grid, n_levels)
+    r2 = ((2 * n_grid - 1) / (n_grid - 1)) ** 2  # (h_coarse / h_fine)^2
+    eps = (r2 * fine - coarse) / (r2 - 1.0)
     return SpectrumResult(
         eigenvalues=tuple(complex(e) for e in eps),
-        classification=tuple(REAL for _ in eps),
+        classification=classify_spectrum(eps, 1e-6),
         source="q-space-numeric",
         resolution=2 * n_grid,
     )
+
+
+#: Alias of ``solve_q_space``, the name under which callers follow the complex branch.
+solve_q_space_branch = solve_q_space
 
 
 def p_space_operator(coeffs: CoefficientSet, grid: MomentumGrid) -> csc_array:
@@ -226,19 +280,13 @@ def _low_modes(
         k = min(2 * k, k_max)
 
 
-def solve_p_space(
-    matrix,
-    n_levels: int,
-    tol: float | None = None,
-    weight: np.ndarray | None = None,
-    edge_ratio: float = _SPURIOUS_EDGE_RATIO,
-) -> SpectrumResult:
+def solve_p_space(matrix, n_levels: int, weight: np.ndarray | None = None) -> SpectrumResult:
     """Low-mode non-Hermitian eigensolve with a boundary-artifact filter.
 
     The modes of ``matrix`` (the CSC ``p_space_operator``, or any square
     matrix) come from ``_low_modes`` (shift-invert around zero).
     Eigenvectors whose amplitude at the outermost grid points exceeds
-    ``edge_ratio`` of their maximum are discarded (Dirichlet
+    _SPURIOUS_EDGE_RATIO of their maximum are discarded (Dirichlet
     truncation artifacts); the n_levels survivors of smallest real part are
     classified and returned.  ``weight`` (the measure weights at the nodes,
     if given) converts amplitudes to the physical norm before filtering —
@@ -261,91 +309,13 @@ def solve_p_space(
         edge = np.max(amp[[0, 1, -2, -1], :], axis=0)
         rough = np.linalg.norm(np.diff(vecs, axis=0), axis=0)
         smooth = np.linalg.norm(vecs[1:] + vecs[:-1], axis=0)
-        return (edge <= edge_ratio * peak) & (rough <= smooth)
+        return (edge <= _SPURIOUS_EDGE_RATIO * peak) & (rough <= smooth)
 
     eigs, _ = _low_modes(matrix, n_levels, physical, "non-spurious modes")
-    if tol is None:
-        tol = 1e-7 * max(1.0, float(np.max(np.abs(eigs.real))))
+    tol = 1e-7 * max(1.0, float(np.max(np.abs(eigs.real))))
     return SpectrumResult(
         eigenvalues=tuple(complex(e) for e in eigs),
         classification=classify_spectrum(eigs, tol),
         source="p-space-numeric",
         resolution=shape[0],
-    )
-
-
-def solve_q_space_branch(
-    problem: TransformedProblem,
-    wall_exponent: complex,
-    n_grid: int = 900,
-    n_levels: int = 6,
-    wall_fraction: float = 0.02,
-    tol: float = 1e-6,
-) -> SpectrumResult:
-    """q-space solve with the analytic wall behavior phi ~ (distance)^B folded in.
-
-    Near a wall of the box the regular solution behaves like d^B with
-    B = A/sqrt(beta) (the wall exponent); Dirichlet conditions select the
-    real branch only and therefore cannot reproduce conjugate-pair
-    eigenvalues.  Here the grid stops a distance d0 = wall_fraction * span/2
-    short of each wall and the ghost point is folded back with the ratio
-    ((d0-h)/d0)^B, which is complex when B is — the boundary condition that
-    continues the bound-state branch past the reality threshold.
-
-    Only the three bands of the matrix are assembled: 2/h^2 + v on the
-    diagonal, with the ghost-point ratio folded into its first and last
-    entries, and -1/h^2 off it.  A real ratio leaves the matrix real
-    symmetric, and eigh_tridiagonal returns its n_levels lowest levels.  A
-    complex ratio makes it complex symmetric; its n_levels modes of smallest
-    real part come from ARPACK shift-invert at sigma = (Gershgorin lower
-    bound on the real part) - 1.  That sigma lies strictly left of every
-    eigenvalue, so M - sigma is never singular and the modes nearest sigma
-    are those of lowest real part.
-
-    A complex wall exponent is solved together with its conjugate (the
-    conjugate boundary condition yields the exactly conjugate spectrum) and
-    the two branches are merged, so conjugate pairs appear as actual pairs.
-    """
-    if not (np.isfinite(problem.q_min) and np.isfinite(problem.q_max)):
-        raise InvalidGridError("solve_q_space_branch needs a finite q-box")
-    if n_grid < 64:
-        raise InvalidGridError(f"need n_grid >= 64, got {n_grid}")
-    if not 0 < wall_fraction < 0.5:
-        raise InvalidGridError(f"wall_fraction must lie in (0, 0.5), got {wall_fraction}")
-    if n_levels < 1 or n_levels > n_grid // 4:
-        raise ResolutionError(f"cannot resolve {n_levels} levels on a {n_grid}-point grid")
-    span = problem.q_max - problem.q_min
-    d0 = wall_fraction * span / 2.0
-    q = np.linspace(problem.q_min + d0, problem.q_max - d0, n_grid)
-    h = q[1] - q[0]
-    v = np.asarray(problem.potential(q), dtype=float)
-    ratio = ((d0 - h) / d0) ** complex(wall_exponent) if d0 > h else 0j
-    diag = (2.0 / h**2 + v).astype(complex)
-    diag[[0, -1]] -= ratio / h**2
-    off = np.full(n_grid - 1, -1.0 / h**2)
-    if ratio.imag == 0:
-        try:
-            eigs = eigh_tridiagonal(
-                diag.real, off, select="i", select_range=(0, n_levels - 1), eigvals_only=True
-            )
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"branch-boundary eigensolve failed: {exc}")
-    else:
-        # row i's Gershgorin disc reaches down to Re d_i - sum_j |M_ij| (1/h^2 per neighbour)
-        radius = np.full(n_grid, 2.0 / h**2)
-        radius[[0, -1]] = 1.0 / h**2
-        sigma = float(np.min(diag.real - radius)) - 1.0
-        matrix = diags_array([off, diag, off], offsets=[-1, 0, 1], format="csc")
-        eigs, _ = _low_modes(
-            matrix, n_levels, lambda vecs: np.ones(vecs.shape[1], dtype=bool), "branch modes", sigma
-        )
-        # second branch: conj(M) has exactly the conjugate spectrum
-        eigs = np.concatenate([eigs, np.conj(eigs)])
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order][:n_levels]
-    return SpectrumResult(
-        eigenvalues=tuple(complex(e) for e in eigs),
-        classification=classify_spectrum(eigs, tol),
-        source="q-space-branch",
-        resolution=n_grid,
     )

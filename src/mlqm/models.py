@@ -134,6 +134,12 @@ class SwansonParams:
             energy_map=EnergyMap(scale=2.0 / (hbar * self.m * omega * drive), offset=-1.0 / (hbar * self.m * drive)),
         )
 
+    @property
+    def _t(self) -> float:
+        """t = hbar m omega beta (omega - lam - delta)/2, the coefficient of n^2 in E_n."""
+        d = self.deformation
+        return d.hbar * self.m * self.omega * d.beta * self.drive / 2.0
+
     def energy(self, n: int) -> complex:
         """Closed-form E_n; complex (conjugate-pair member) past the reality threshold.
 
@@ -142,10 +148,8 @@ class SwansonParams:
         """
         if n < 0:
             raise DomainError(f"level index must be non-negative, got {n}")
-        d = self.deformation
-        t = d.hbar * self.m * self.omega * d.beta * self.drive / 2.0
-        arg = (self.omega - t) ** 2 - 4.0 * self.lam * self.delta
-        quad = t * (n * n + n + 0.5)
+        arg = swanson_reality_margin(self)
+        quad = self._t * (n * n + n + 0.5)
         if arg >= 0:
             return quad + (n + 0.5) * np.sqrt(arg)
         return quad + (n + 0.5) * 1j * np.sqrt(-arg)
@@ -169,10 +173,8 @@ class SwansonParams:
 
 
 def swanson_reality_margin(params: SwansonParams) -> float:
-    """Left side of the reality constraint; >= 0 iff the spectrum is real."""
-    d = params.deformation
-    t = d.hbar * params.m * params.omega * d.beta * params.drive / 2.0
-    return (params.omega - t) ** 2 - 4.0 * params.lam * params.delta
+    """Left side of the reality constraint (omega - t)^2 - 4 lam delta; >= 0 iff the spectrum is real."""
+    return (params.omega - params._t) ** 2 - 4.0 * params.lam * params.delta
 
 
 @dataclass(frozen=True)

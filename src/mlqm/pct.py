@@ -90,10 +90,6 @@ class QMap:
     q_max: float
 
 
-#: A closed-form q-map passed to ``build_q_map`` in place of the quadrature.
-QMapHint = QMap
-
-
 def build_q_map(coeffs: CoefficientSet, hint: Optional[QMap] = None) -> QMap:
     """Monotone map q(p) = int_0^p dt/sqrt(f(t)) and its inverse.
 

@@ -29,7 +29,6 @@ from mlqm import (
     swanson_beta_c,
     swanson_energy,
     swanson_metric,
-    swanson_spectral,
     swanson_transform,
     swanson_wavefunction,
     uncertainty_check,
@@ -108,11 +107,7 @@ def test_criterion_3_reality_transition():
     assert beta_c == pytest.approx(2.0, rel=1e-12)
 
     def branch(beta, n_grid=700):
-        p = swanson_params(beta=beta)
-        sp = swanson_spectral(p)
-        return solve_q_space_branch(
-            swanson_transform(p), sp.a_const / np.sqrt(beta), n_grid=n_grid, n_levels=4
-        )
+        return solve_q_space_branch(swanson_transform(swanson_params(beta=beta)), n_grid=n_grid, n_levels=4)
 
     below = branch(1.9)
     scale = max(1.0, float(np.max(np.abs(below.real_parts))))

@@ -121,6 +121,16 @@ class TestSweep:
         assert code == EXIT_NUMERIC and out == ""
         assert err == "numeric failure: cannot resolve 800 levels on a 700-point grid\n"
 
+    def test_numeric_sweep_refuses_a_grid_coarser_than_the_wall_gap(self, capsys):
+        # on this grid the wall closure would degenerate into a Dirichlet wall, which prints
+        # E0 = 0.3354 + 0i at beta = 2.5, where the closed form is 0.375 -/+ 0.156i
+        code, out, err = run(
+            capsys, "sweep", "--model", "swanson", "--numeric", "--grid", "80", "--param", "beta",
+            "--from", "1.5", "--to", "2.5", "--steps", "3", "--lambda", "0.2", "--delta", "0.2", "--levels", "2",
+        )
+        assert code == EXIT_NUMERIC and out == ""
+        assert err == "numeric failure: q-grid of 80 points is not finer than the wall gap; need n_grid >= 100\n"
+
     def test_numeric_sweep_matches_closed_form(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--levels", "2", "--grid", "600", "--numeric",

@@ -116,8 +116,8 @@ class TestPSpace:
         assert np.isrealobj(build_operator_hamiltonian(swanson_default(), grid))
 
     def test_swanson_weighted_filter(self):
-        # Swanson bound states decay polynomially; the weighted filter with a
-        # loosened threshold must still find the levels
+        # Swanson bound states decay polynomially; the weighted filter with its
+        # 1e-4 threshold must still find the levels
         params = swanson_default()
         coeffs = swanson_coefficients(params)
         grid = MomentumGrid.symmetric(30.0, 1200)
@@ -125,7 +125,6 @@ class TestPSpace:
             build_p_space_matrix(coeffs, grid),
             3,
             weight=params.deformation.measure_weight(grid.points),
-            edge_ratio=1e-4,
         )
         e_num = coeffs.energy_map.energy(result.real_parts)
         e_ref = [float(np.real(swanson_energy(n, params))) for n in range(3)]
@@ -186,19 +185,13 @@ class TestPSpace:
 
 class TestBranchSolver:
     def test_real_side_of_transition(self):
-        params = swanson_default(beta=1.9)
-        sp = swanson_spectral(params)
-        problem = swanson_transform(params)
-        wall_b = sp.a_const / np.sqrt(1.9)
-        result = solve_q_space_branch(problem, wall_b, n_grid=600, n_levels=4)
+        problem = swanson_transform(swanson_default(beta=1.9))
+        result = solve_q_space_branch(problem, n_grid=600, n_levels=4)
         assert result.all_real
 
     def test_complex_side_has_conjugate_pairs(self):
-        params = swanson_default(beta=2.1)
-        sp = swanson_spectral(params)
-        problem = swanson_transform(params)
-        wall_b = sp.a_const / np.sqrt(2.1)
-        result = solve_q_space_branch(problem, wall_b, n_grid=600, n_levels=4)
+        problem = swanson_transform(swanson_default(beta=2.1))
+        result = solve_q_space_branch(problem, n_grid=600, n_levels=4)
         assert result.has_conjugate_pair
         # merged branches: pairs are exactly conjugate
         eigs = np.array(result.eigenvalues)
@@ -208,20 +201,23 @@ class TestBranchSolver:
 
     def test_complex_side_matches_closed_form(self):
         params = swanson_default(beta=2.1)
-        sp = swanson_spectral(params)
         coeffs = swanson_coefficients(params)
         problem = swanson_transform(params)
-        wall_b = sp.a_const / np.sqrt(2.1)
-        result = solve_q_space_branch(problem, wall_b, n_grid=900, n_levels=2)
+        result = solve_q_space_branch(problem, n_grid=900, n_levels=2)
         e_num = coeffs.energy_map.energy(np.array(result.eigenvalues))
         e_ref = swanson_energy(0, params)
         match = min(abs(e_num - e_ref).min(), abs(e_num - np.conj(e_ref)).min())
         assert match / abs(e_ref) < 1e-2
 
-    def test_wall_fraction_validation(self):
-        problem = swanson_transform(swanson_default())
-        with pytest.raises(InvalidGridError):
-            solve_q_space_branch(problem, 1.0, wall_fraction=0.7)
+    def test_grid_coarser_than_the_wall_gap_is_refused(self):
+        # the outermost point sits 0.01 of the box from each wall, so 99 points space it too widely
+        problem = swanson_transform(swanson_default(beta=2.1))
+        with pytest.raises(ResolutionError, match="q-grid of 99 points is not finer than the wall gap; need n_grid >= 100"):
+            solve_q_space(problem, n_grid=99, n_levels=2)
+        assert solve_q_space(problem, n_grid=100, n_levels=2).has_conjugate_pair
+
+    def test_one_solver(self):
+        assert solve_q_space_branch is solve_q_space
 
 
 # Dense oracle for the shift-invert low-mode solves: every eigenpair from
@@ -281,76 +277,98 @@ def test_shift_invert_matches_dense_oracle(params):
             _assert_matches_dense(solve(), vals, kept, n)
 
 
-def _dense_branch(problem, wall_exponent, n_grid, n_levels, wall_fraction):
-    """The branch solve as a dense eigenproblem: the full matrix, every eigenvalue, the same merge."""
+def _dense_q_box(problem, wall_b, n_grid, n_levels):
+    """One grid of the q-box solve as a dense eigenproblem: the full matrix, every eigenvalue, the same merge."""
     span = problem.q_max - problem.q_min
-    d0 = wall_fraction * span / 2.0
+    d0 = 0.01 * span
     q = np.linspace(problem.q_min + d0, problem.q_max - d0, n_grid)
     h = q[1] - q[0]
     m = np.diag(2.0 / h**2 + problem.potential(q)).astype(complex)
     m -= (np.eye(n_grid, k=1) + np.eye(n_grid, k=-1)) / h**2
-    ratio = ((d0 - h) / d0) ** complex(wall_exponent) if d0 > h else 0j
+    ratio = ((d0 - h) / d0) ** complex(wall_b)
     m[0, 0] -= ratio / h**2
     m[-1, -1] -= ratio / h**2
+    if ratio.imag == 0:
+        return np.linalg.eigvalsh(m.real)[:n_levels], h
     eigs = np.linalg.eigvals(m)
-    if ratio.imag != 0:
-        eigs = np.concatenate([eigs, np.conj(eigs)])
-    return eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels]
+    eigs = np.concatenate([eigs, np.conj(eigs)])
+    return eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels], h
+
+
+def _dense_branch(problem, wall_b, n_grid, n_levels):
+    """The q-box solve with the closed-form wall exponent and dense eigensolves, Richardson-combined alike."""
+    coarse, h_coarse = _dense_q_box(problem, wall_b, n_grid, n_levels)
+    fine, h_fine = _dense_q_box(problem, wall_b, 2 * n_grid, n_levels)
+    r2 = (h_coarse / h_fine) ** 2
+    return (r2 * fine - coarse) / (r2 - 1.0)
 
 
 def branch_problem(params):
-    """The transformed problem of Swanson ``params`` and its wall exponent B = A/sqrt(beta)."""
+    """The transformed problem of Swanson ``params`` and its closed-form wall exponent B = A/sqrt(beta)."""
     beta = params.deformation.beta
     return swanson_transform(params), swanson_spectral(params).a_const / np.sqrt(beta)
 
 
 @st.composite
-def branch_points(draw):
+def branch_points(draw, lo=0.6, hi=1.4):
+    """Swanson parameters with gamma >= 0 and beta in [lo, hi] * beta_c."""
     lam, delta = draw(st.floats(0.1, 0.35)), draw(st.floats(0.1, 0.35))
-    beta = draw(st.floats(0.6, 1.4)) * swanson_beta_c(swanson_default(lam=lam, delta=delta))
-    return swanson_default(beta=beta, lam=lam, delta=delta)
+    beta = draw(st.floats(lo, hi)) * swanson_beta_c(swanson_default(lam=lam, delta=delta))
+    gamma = draw(st.floats(0.0, beta))
+    return SwansonParams(DeformationParams(1.0, beta, gamma), lam=lam, delta=delta)
 
 
-# one example set per wall fraction, so each gets its share of complex wall exponents
-@pytest.mark.parametrize("wall_fraction", [0.005, 0.02])
+# one example set per side of beta_c: eigh_tridiagonal below it, shift-invert at the Bendixson shift past it
+@pytest.mark.parametrize("lo, hi", [(0.6, 0.99), (1.01, 1.4)], ids=["below", "past"])
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(params=branch_points(), n_grid=st.integers(160, 240))
-def test_branch_solver_matches_dense_oracle(params, n_grid, wall_fraction):
-    # both sides of beta_c: the tridiagonal solve below it, shift-invert past it (when d0 > h)
+@given(data=st.data(), n_grid=st.integers(100, 120))
+def test_branch_solver_matches_dense_oracle(lo, hi, data, n_grid):
+    params = data.draw(branch_points(lo, hi))
     problem, wall_b = branch_problem(params)
-    got = np.array(solve_q_space_branch(problem, wall_b, n_grid, 4, wall_fraction).eigenvalues)
-    want = _dense_branch(problem, wall_b, n_grid, 4, wall_fraction)
+    got = np.array(solve_q_space_branch(problem, n_grid, 4).eigenvalues)
+    want = _dense_branch(problem, wall_b, n_grid, 4)
     assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    assert np.any(got.imag != 0) == (hi > 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(family_points(), branch_points()))
+def test_wall_exponent_read_from_the_potential(params):
+    # both models, gamma >= 0, both sides of the Swanson beta_c; the closed form is only the oracle here
+    problem = params.family().transform()
+    want = params.family().spectral().a_const / np.sqrt(params.deformation.beta)
+    assert abs(eigensolver._indicial_root(problem) - want) <= 1e-9 * abs(want)
 
 
 class TestBranchSolverBands:
     @pytest.mark.parametrize("beta", [1.9, 2.3])
     def test_same_problem_gives_the_same_digits(self, beta):
-        problem, wall_b = branch_problem(swanson_default(beta=beta))
-        first = solve_q_space_branch(problem, wall_b, n_grid=400, n_levels=4)
-        assert first.eigenvalues == solve_q_space_branch(problem, wall_b, n_grid=400, n_levels=4).eigenvalues
+        problem = swanson_transform(swanson_default(beta=beta))
+        first = solve_q_space_branch(problem, n_grid=400, n_levels=4)
+        assert first.eigenvalues == solve_q_space_branch(problem, n_grid=400, n_levels=4).eigenvalues
 
     @pytest.mark.parametrize("beta", [1.9, 2.3])
     def test_levels_follow_a_shift_of_the_potential(self, beta):
         # pushing every level far below zero must not change which levels come back
-        problem, wall_b = branch_problem(swanson_default(beta=beta))
+        problem = swanson_transform(swanson_default(beta=beta))
         lowered = dataclasses.replace(problem, potential=lambda q: problem.potential(q) - 1e3)
-        eigs = np.array(solve_q_space_branch(problem, wall_b, n_grid=400, n_levels=4).eigenvalues)
-        low = np.array(solve_q_space_branch(lowered, wall_b, n_grid=400, n_levels=4).eigenvalues)
+        eigs = np.array(solve_q_space_branch(problem, n_grid=400, n_levels=4).eigenvalues)
+        low = np.array(solve_q_space_branch(lowered, n_grid=400, n_levels=4).eigenvalues)
         assert np.allclose(low, eigs - 1e3, rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("n_levels", [0, 101])
     def test_refuses_unresolvable_level_counts(self, n_levels):
         problem = swanson_transform(swanson_default())
         with pytest.raises(ResolutionError, match=f"cannot resolve {n_levels} levels on a 400-point grid"):
-            solve_q_space_branch(problem, 1.0, n_grid=400, n_levels=n_levels)
+            solve_q_space_branch(problem, n_grid=400, n_levels=n_levels)
 
     def test_more_levels_than_the_widening_cap(self, requested_k):
-        # past beta_c every ARPACK mode is kept, so k = n_levels + 8 may exceed the 128 cap
+        # past beta_c every ARPACK mode is kept, so k = n_levels + 8 may exceed the 128 cap;
+        # one grid of the solve, against its dense oracle
         problem, wall_b = branch_problem(swanson_default(beta=2.3))
-        got = np.array(solve_q_space_branch(problem, wall_b, n_grid=520, n_levels=125).eigenvalues)
+        got = eigensolver._q_box_levels(problem, eigensolver._indicial_root(problem), 520, 125)
         assert requested_k == [133]
-        want = _dense_branch(problem, wall_b, 520, 125, 0.02)
+        want, _ = _dense_q_box(problem, wall_b, 520, 125)
         assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
     def test_arpack_failure_is_a_numeric_error(self, monkeypatch):
@@ -358,9 +376,9 @@ class TestBranchSolverBands:
             raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.array([]))
 
         monkeypatch.setattr(eigensolver.sparse_linalg, "eigs", stall)
-        problem, wall_b = branch_problem(swanson_default(beta=2.3))
+        problem = swanson_transform(swanson_default(beta=2.3))
         with pytest.raises(NumericError, match="No convergence"):
-            solve_q_space_branch(problem, wall_b, n_grid=400, n_levels=4)
+            solve_q_space_branch(problem, n_grid=400, n_levels=4)
 
 
 @pytest.fixture
