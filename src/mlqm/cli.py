@@ -345,9 +345,8 @@ def cmd_verify(cfg: RunConfig, list_only: bool, metric_override: str | None) -> 
     if list_only:
         # the names _battery will emit; only the family is built, not the metric or a grid
         hermitian = _is_hermitian(cfg.model_params().family())
-        for name in _CHECK_NAMES:
-            if not (hermitian and name == "hermiticity-defect"):
-                sys.stdout.write(name + "\n")
+        names = [name for name in _CHECK_NAMES if not (hermitian and name == "hermiticity-defect")]
+        _write("".join(name + "\n" for name in names), cfg)
         return EXIT_OK
     all_pass = True
     lines = []

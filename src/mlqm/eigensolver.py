@@ -13,15 +13,15 @@ solver follows the spectrum on both sides of the reality threshold, where
 a Dirichlet wall would pin every eigenvalue on the real axis.  Its matrix
 is real symmetric below the threshold (solved by eigh_tridiagonal) and
 complex symmetric past it (ARPACK shift-invert left of the Bendixson
-bound).  No solver here forms a dense eigenproblem.
+bound).  No solver here forms a dense eigenproblem.  SciPy is imported in
+the functions that call it, at the first solve: its ~0.3 s import would
+otherwise slow every CLI process, even those that solve nothing.
 """
 
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import csc_array, diags_array, linalg as sparse_linalg
 
 from .algebra import _D1_CENTRAL, _D2_CENTRAL, MomentumGrid, position_kernel
 from .errors import InvalidGridError, NumericError, ResolutionError
@@ -120,6 +120,8 @@ def _indicial_root(problem: TransformedProblem) -> complex:
 
 def _q_box_levels(problem: TransformedProblem, wall_b: complex, n_grid: int, n_levels: int) -> np.ndarray:
     """The n_levels lowest levels on the n_grid-point wall-closure grid."""
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.sparse import diags_array
     span = problem.q_max - problem.q_min
     d0 = _WALL_GAP * span
     q = np.linspace(problem.q_min + d0, problem.q_max - d0, n_grid)
@@ -186,9 +188,10 @@ def solve_q_space(problem: TransformedProblem, n_grid: int, n_levels: int) -> Sp
 solve_q_space_branch = solve_q_space
 
 
-def p_space_operator(coeffs: CoefficientSet, grid: MomentumGrid) -> csc_array:
+def p_space_operator(coeffs: CoefficientSet, grid: MomentumGrid) -> "csc_array":
     """CSC -f d^2/dp^2 + g d/dp + h with 4th-order stencils, assembled from its five bands;
     explicit zeros are dropped, so it stores exactly the entries of ``csc_array(dense)``."""
+    from scipy.sparse import diags_array
     if not grid.is_symmetric:
         raise InvalidGridError("p-space assembly requires a symmetric grid")
     p, n, step = grid.points, grid.n_points, grid.spacing
@@ -257,6 +260,7 @@ def _low_modes(
     ``what``.  A singular shift or an unconverged Arnoldi run raises
     NumericError.
     """
+    from scipy.sparse import csc_array, linalg as sparse_linalg
     n = matrix.shape[0]
     k_max = min(max(_MAX_LOW_MODES, n_modes + 8), n - 2)
     k = min(n_modes + 8, k_max)

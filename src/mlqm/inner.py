@@ -10,14 +10,15 @@ beta = 0 and for grid-sampled data.
 
 The Gauss-Legendre nodes are the eigenvalues of the tridiagonal Jacobi
 matrix of the Legendre recurrence (Golub & Welsch, Math. Comp. 23, 221
-(1969)): an O(n^2) solve, where numpy's dense one costs O(n^3).
+(1969)): an O(n^2) solve, where numpy's dense one costs O(n^3).  Its
+``scipy.linalg`` import runs at the first quadrature, not at import time,
+so the CLI commands that solve nothing never load SciPy.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .algebra import DeformationParams, GridFunction
 from .errors import DomainError, NonConvergenceError
@@ -63,6 +64,7 @@ def _leggauss(n: int):
     """numpy's ``leggauss`` with Golub-Welsch nodes: the eigenvalues of the Jacobi
     matrix (zero diagonal, off-diagonal k/sqrt(4k^2 - 1)), then numpy's Newton
     step on P_n, weights 1/(P_{n-1} P_n') and symmetrisation."""
+    from scipy.linalg import eigvalsh_tridiagonal
     leg = np.polynomial.legendre
     k = np.arange(1.0, n)
     x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k**2 - 1.0))

@@ -4,14 +4,14 @@ Every check returns a ResidualReport whose pass flag is exactly
 ``value <= tolerance``; all tolerances live in one table.  Checks that must
 EXCEED a floor (a genuinely non-Hermitian operator, a discriminating wrong
 metric) are phrased as shortfall-below-floor with tolerance 0, so the same
-invariant applies.
+invariant applies.  ``scipy.sparse`` is imported in the checks that use it,
+so ``verify --list``, which runs none, never loads SciPy.
 """
 
 import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import diags_array, issparse, linalg as sparse_linalg
 
 from .algebra import DeformationParams, GridFunction, MomentumGrid
 from .eigensolver import _SPURIOUS_EDGE_RATIO, _low_modes, p_space_operator, solve_p_space
@@ -79,6 +79,7 @@ def _exceed_report(name: str, measured: float, floor: float, context: dict) -> R
 
 def _frobenius(m) -> float:
     """Frobenius norm of a dense or sparse matrix."""
+    from scipy.sparse import issparse, linalg as sparse_linalg
     return float(sparse_linalg.norm(m) if issparse(m) else np.linalg.norm(m))
 
 
@@ -89,6 +90,7 @@ def adjoint_under_weight(hmat, params: DeformationParams, grid: MomentumGrid):
     spacing factor cancels between W and its inverse.  A dense H gives a
     dense adjoint, a sparse H a sparse one with the same band structure.
     """
+    from scipy.sparse import diags_array
     w = params.measure_weight(grid.points)
     if np.any(w == 0):
         raise DegenerateMeasureError("measure weight vanishes at a grid node")
@@ -149,6 +151,7 @@ def hermiticity_defect_report(hmat, params: DeformationParams, grid: MomentumGri
 
 def pseudo_hermiticity_residual(hmat, eta, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
     """Relative Frobenius residual of  E H E^-1 - H_adj  with E = diag(eta)."""
+    from scipy.sparse import diags_array
     e = np.asarray(eta(grid.points), dtype=float)
     hadj = adjoint_under_weight(hmat, params, grid)
     value = _frobenius(diags_array(e) @ hmat @ diags_array(1.0 / e) - hadj) / _frobenius(hmat)
@@ -164,6 +167,7 @@ def metric_discrimination_report(
     metric is diluted by discretization, so the comparison happens on the
     low-lying mode subspace.
     """
+    from scipy.sparse import diags_array
     w = params.measure_weight(grid.points)
     e = np.asarray(wrong_eta(grid.points), dtype=float)
     hadj = adjoint_under_weight(hmat, params, grid)

@@ -243,6 +243,13 @@ class TestVerify:
         assert code == EXIT_OK and out == ""
         assert all(json.loads(l)["pass"] for l in target.read_text().strip().split("\n"))
 
+    def test_list_honours_output_file(self, capsys, tmp_path):
+        target = tmp_path / "checks.txt"
+        code, out, _ = run(capsys, "verify", "--list", "--output", str(target))
+        assert code == EXIT_OK and out == ""
+        _, listed, _ = run(capsys, "verify", "--list")
+        assert target.read_text() == listed and "gamma-independence" in listed.split()
+
     def test_list_names_the_checks_the_battery_emits(self, capsys):
         _, out, _ = run(capsys, "verify", "--list")
         assert out.split() == [
@@ -364,6 +371,39 @@ def test_cli_import_leaves_quadrature_modules_unloaded():
     code = "import sys, mlqm.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "code, scipy_loaded",
+    [
+        ("import mlqm", False),
+        ("import mlqm.cli", False),
+        ("assert main(['verify', '--list']) == 0", False),
+        ("assert main(['sweep', '--param', 'beta', '--from', '0.05', '--to', '0.2', '--steps', '4']) == 0", False),
+        ("assert main(['spectrum', '--beta', '0']) == 2", False),
+        ("assert main(['spectrum', '--levels', '2']) == 0", True),
+    ],
+    ids=["import-mlqm", "import-cli", "verify-list", "closed-form-sweep", "config-error", "spectrum"],
+)
+def test_scipy_is_imported_at_the_first_solve(code, scipy_loaded):
+    # SciPy's import costs ~0.3 s per process, so a command that solves nothing must not pay it
+    src = os.path.dirname(os.path.dirname(mlqm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "def main(argv):",
+        "    from mlqm.cli import main",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        return main(argv)",
+        code,
+        "print(' '.join(m for m in sys.modules if m.startswith('scipy')))",
+    ])
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded = out.stdout.split()
+    if scipy_loaded:
+        assert "scipy.sparse.linalg" in loaded
+    else:
+        assert loaded == []
 
 
 @pytest.mark.parametrize(

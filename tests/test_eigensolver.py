@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sparse_linalg
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csc_array
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -375,7 +376,7 @@ class TestBranchSolverBands:
         def stall(a, k, **kwargs):
             raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.array([]))
 
-        monkeypatch.setattr(eigensolver.sparse_linalg, "eigs", stall)
+        monkeypatch.setattr(sparse_linalg, "eigs", stall)
         problem = swanson_transform(swanson_default(beta=2.3))
         with pytest.raises(NumericError, match="No convergence"):
             solve_q_space_branch(problem, n_grid=400, n_levels=4)
@@ -385,13 +386,13 @@ class TestBranchSolverBands:
 def requested_k(monkeypatch):
     """The k of every shift-invert call made during the test."""
     requested = []
-    eigs = eigensolver.sparse_linalg.eigs
+    eigs = sparse_linalg.eigs
 
     def spy(a, k, **kwargs):
         requested.append(k)
         return eigs(a, k=k, **kwargs)
 
-    monkeypatch.setattr(eigensolver.sparse_linalg, "eigs", spy)
+    monkeypatch.setattr(sparse_linalg, "eigs", spy)
     return requested
 
 
@@ -427,7 +428,7 @@ class TestLowModes:
         def stall(a, k, **kwargs):
             raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.array([]))
 
-        monkeypatch.setattr(eigensolver.sparse_linalg, "eigs", stall)
+        monkeypatch.setattr(sparse_linalg, "eigs", stall)
         grid = MomentumGrid.symmetric(30.0, 400)
         with pytest.raises(NumericError, match="No convergence"):
             solve_p_space(build_p_space_matrix(displaced_coefficients(displaced_default()), grid), 4)
