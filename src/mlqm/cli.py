@@ -32,6 +32,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+MODELS = ("displaced", "swanson")
+
 _CONFIG_ERRORS = (
     DomainError,
     InvalidGridError,
@@ -46,12 +48,15 @@ _CONFIG_ERRORS = (
 class RunConfig:
     """Fully resolved run configuration (defaults < config file < flags).
 
-    Each field is one setting: its default is the default, its annotation
-    picks the check and cast of a config-file value, and its name is the
-    config key (``lam`` is spelled ``lambda``).
+    Each field is one setting and declares both its flag and its config key:
+    its default is the default, its annotation types the flag and casts a
+    config-file value, and its name is the config key and, with ``-`` for
+    ``_``, the flag.  Field metadata may add a ``key`` (``lam`` is spelled
+    ``lambda``), the flag's ``help``, and the ``choices`` that flags and
+    config files are both checked against.
     """
 
-    model: str = "displaced"
+    model: str = field(default="displaced", metadata={"choices": MODELS})
     hbar: float = 1.0
     beta: float = 0.1
     gamma: float = 0.0
@@ -60,18 +65,17 @@ class RunConfig:
     lam: float = field(default=0.5, metadata={"key": "lambda"})
     delta: float = 0.0
     levels: int = 4
-    grid: int = 2000
-    nodes: int = 512
-    p_grid: int = 1200
-    p_max: float = 30.0
-    format: str = "csv"
+    grid: int = field(default=2000, metadata={"help": "q-space grid size"})
+    nodes: int = field(default=512, metadata={"help": "quadrature node count"})
+    p_grid: int = field(default=1200, metadata={"help": "p-space grid size"})
+    p_max: float = field(default=30.0, metadata={"help": "p-space half-width"})
+    format: str = field(default="csv", metadata={"choices": ("csv", "json")})
     output: str | None = None
 
     def __post_init__(self):
-        if self.model not in ("displaced", "swanson"):
-            raise DomainError(f"unknown model {self.model!r}")
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"unknown format {self.format!r}")
+        for f in _SETTINGS.values():
+            if "choices" in f.metadata and getattr(self, f.name) not in f.metadata["choices"]:
+                raise DomainError(f"unknown {f.name} {getattr(self, f.name)!r}")
         if self.levels < 0:
             raise DomainError(f"levels must be non-negative, got {self.levels}")
 
@@ -363,21 +367,12 @@ def cmd_verify(cfg: RunConfig, list_only: bool, metric_override: str | None) -> 
 # --------------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--model", choices=("displaced", "swanson"))
-    parser.add_argument("--hbar", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--mass", type=float)
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--levels", type=int)
-    parser.add_argument("--grid", type=int, help="q-space grid size")
-    parser.add_argument("--nodes", type=int, help="quadrature node count")
-    parser.add_argument("--p-grid", dest="p_grid", type=int, help="p-space grid size")
-    parser.add_argument("--p-max", dest="p_max", type=float, help="p-space half-width")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--output")
+    for key, f in _SETTINGS.items():
+        flag_type = str if f.type == str | None else f.type
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=f.name, type=flag_type,
+            choices=f.metadata.get("choices"), help=f.metadata.get("help"),
+        )
     parser.add_argument("--config", help="JSON config file; flags override its values")
 
 
@@ -393,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="parameter sweep of the low-lying spectrum")
     _add_common(sw)
-    sw.add_argument("--param", required=True, help="one of beta, lambda, delta, omega")
+    sw.add_argument("--param", required=True, help="one of " + ", ".join(_SWEEP_PARAMS))
     sw.add_argument("--from", dest="start", type=float, required=True)
     sw.add_argument("--to", dest="stop", type=float, required=True)
     sw.add_argument("--steps", type=int, required=True)
@@ -407,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the verification battery (JSON records)")
     _add_common(vf)
     vf.add_argument("--list", action="store_true", help="print check names and exit")
-    vf.add_argument("--metric-override", choices=("displaced", "swanson"))
+    vf.add_argument("--metric-override", choices=MODELS)
     return parser
 
 

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, formats, config resolution, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -80,7 +81,7 @@ class TestSweep:
         assert float(rows[0][2]) == 0.0
         assert float(rows[2][2]) != 0.0
 
-    def test_parallel_jobs_preserve_order(self, capsys):
+    def test_rows_follow_the_swept_values_in_order(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--levels", "2",
             "--param", "lambda", "--from", "0.0", "--to", "0.6", "--steps", "7",
@@ -362,15 +363,39 @@ class TestConfigResolution:
         assert main(["spectrum", "--omega", "1e-8", "--levels", "2"]) == EXIT_CONFIG
         assert "closed-form metric disagrees" in capsys.readouterr().err
 
+    #: the flags each subcommand adds to the common settings
+    OWN_FLAGS = {
+        "spectrum": set(),
+        "sweep": {"--param", "--from", "--to", "--steps", "--numeric"},
+        "wavefunction": {"--n", "--samples"},
+        "verify": {"--list", "--metric-override"},
+    }
 
-def test_cli_import_leaves_quadrature_modules_unloaded():
-    # scipy.integrate and scipy.optimize serve only the hint-free quadrature
-    # fallbacks of pct; loading them would add ~0.25 s to every CLI process
-    src = os.path.dirname(os.path.dirname(mlqm.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, mlqm.cli; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    @pytest.mark.parametrize("command", OWN_FLAGS)
+    def test_flags_are_the_config_keys(self, command):
+        # a config key is its flag's name with `_` for `-`, for every setting and no other flag
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {s: a for a in sub.choices[command]._actions for s in a.option_strings}
+        flags = {"--" + key.replace("_", "-"): f.name for key, f in cli._SETTINGS.items()}
+        assert set(actions) == set(flags) | {"--config", "-h", "--help"} | self.OWN_FLAGS[command]
+        assert {flag: actions[flag].dest for flag in flags} == flags
+
+    #: one setting per field annotation, with a value other than its default
+    REPRESENTATIVES = {"model": "swanson", "lambda": 0.25, "p_grid": 800, "output": "out.csv"}
+
+    def test_representatives_cover_every_annotation(self):
+        assert {cli._SETTINGS[key].type for key in self.REPRESENTATIVES} == {
+            f.type for f in cli._SETTINGS.values()
+        }
+
+    @pytest.mark.parametrize("key, value", REPRESENTATIVES.items())
+    def test_flag_and_config_key_resolve_alike(self, tmp_path, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        parser = cli.build_parser()
+        via_flag = cli._resolve_config(parser.parse_args(["spectrum", "--" + key.replace("_", "-"), str(value)]))
+        via_file = cli._resolve_config(parser.parse_args(["spectrum", "--config", str(cfg)]))
+        assert via_flag == via_file != RunConfig()
 
 
 @pytest.mark.parametrize(
