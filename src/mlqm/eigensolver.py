@@ -3,12 +3,14 @@
 Two independent discretizations cross-check the closed forms: a
 tridiagonal Schrodinger solver on the finite q-box (the precision oracle)
 and a non-Hermitian momentum-space solver that sees the operator as it
-really is — either assembled from the ODE coefficients or composed
-literally from the position/momentum matrices.  The momentum-space matrix
-is banded and assembled straight into CSC, so its few low modes come from
-ARPACK shift-invert around sigma = 0 rather than from a full dense
-eigensolve.  The q-box solver closes each wall with the analytic wall
-behaviour phi ~ d^B, its exponent B read from the potential, so one
+really is, assembled from the ODE coefficients.  (The operator composed
+literally from the position/momentum matrices is kept as a dense test
+oracle.)  The momentum-space matrix is banded and assembled straight into
+CSC, so its few low modes come from one ARPACK shift-invert call around
+sigma = 0 rather than from a full dense eigensolve.  Its grid is a
+truncated box, so the solve is refused when one of the requested modes
+reaches the box edge.  The q-box solver closes each wall with the analytic
+wall behaviour phi ~ d^B, its exponent B read from the potential, so one
 solver follows the spectrum on both sides of the reality threshold, where
 a Dirichlet wall would pin every eigenvalue on the real axis.  Its matrix
 is real symmetric below the threshold (solved by eigh_tridiagonal) and
@@ -19,7 +21,7 @@ otherwise slow every CLI process, even those that solve nothing.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -32,15 +34,12 @@ REAL = "real"
 CONJUGATE_PAIR = "member-of-conjugate-pair"
 UNCLASSIFIED = "unclassified"
 
-#: Eigenvector edge amplitude (relative to its max) above which a p-space
-#: mode is discarded as a boundary artifact.  In the measure-weighted norm,
-#: bound states with slow polynomial decay (the Swanson family) sit around
-#: 1e-5 on desk-scale boxes, while Dirichlet artifacts sit at O(1).
+#: Measure-weighted amplitude at the two outermost p-grid points on either
+#: side, relative to the mode's peak, above which a mode reaches the box edge
+#: and the solve is refused.  Bound states with slow polynomial decay (the
+#: Swanson family) sit around 1e-5 on desk-scale boxes, while Dirichlet
+#: artifacts of a box that is too small sit at O(1).
 _SPURIOUS_EDGE_RATIO = 1e-4
-
-#: Largest number of shift-invert modes requested while widening past
-#: spurious ones; a filter that starves here raises ResolutionError.
-_MAX_LOW_MODES = 128
 
 #: Distance from each wall to the outermost q-grid point, as a fraction of the box.
 _WALL_GAP = 0.01
@@ -139,9 +138,7 @@ def _q_box_levels(problem: TransformedProblem, wall_b: complex, n_grid: int, n_l
         return levels
     # Bendixson: every Re(eigenvalue) lies at or above the lowest level of the Hermitian part
     matrix = diags_array([off, diag, off], offsets=[-1, 0, 1], format="csc")
-    eigs, _ = _low_modes(
-        matrix, n_levels, lambda vecs: np.ones(vecs.shape[1], dtype=bool), "q-box modes", levels[0] - 1.0
-    )
+    eigs, _ = _low_modes(matrix, n_levels, levels[0] - 1.0)
     # conj(M) has exactly the conjugate spectrum: merge the two branches
     eigs = np.concatenate([eigs, np.conj(eigs)])
     return eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels]
@@ -242,80 +239,63 @@ def build_operator_hamiltonian(
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _low_modes(
-    matrix,
-    n_modes: int,
-    keep: Callable[[np.ndarray], np.ndarray],
-    what: str,
-    sigma: float = 0.0,
-):
-    """The n_modes kept eigenpairs of smallest real part, from shift-invert at sigma.
+def _low_modes(matrix, n_modes: int, sigma: float = 0.0):
+    """The n_modes eigenpairs of smallest real part, from one shift-invert call at sigma.
 
     ARPACK shift-invert at ``sigma`` on ``matrix`` (CSC as given, any other
-    form converted) returns the k = n_modes + 8 eigenpairs nearest sigma;
-    ``keep`` maps their eigenvector columns to a mask of the physical ones.
-    While fewer than n_modes survive, k doubles up to _MAX_LOW_MODES (or
-    n_modes + 8 if that is larger, and never past N - 2); a filter still
-    starved there raises ResolutionError, which counts the survivors as
-    ``what``.  A singular shift or an unconverged Arnoldi run raises
-    NumericError.
+    form converted) returns the k = min(n_modes + 8, N - 2) eigenpairs
+    nearest sigma, of which the n_modes of smallest real part are returned.
+    k below n_modes raises ResolutionError; a singular shift or an
+    unconverged Arnoldi run raises NumericError.
     """
     from scipy.sparse import csc_array, linalg as sparse_linalg
     n = matrix.shape[0]
-    k_max = min(max(_MAX_LOW_MODES, n_modes + 8), n - 2)
-    k = min(n_modes + 8, k_max)
-    sparse = csc_array(matrix)
+    k = min(n_modes + 8, n - 2)
+    if k < n_modes:
+        raise ResolutionError(f"cannot resolve {n_modes} modes of a {n}x{n} matrix")
     # a fixed start vector makes every run give the same digits; a generic
     # (not constant) one keeps both parity sectors in the Krylov space
     v0 = np.random.default_rng(0).standard_normal(n)
-    while True:
-        try:
-            vals, vecs = sparse_linalg.eigs(sparse, k=k, sigma=sigma, v0=v0)
-        except RuntimeError as exc:  # includes ArpackNoConvergence and a singular LU factor
-            raise NumericError(f"shift-invert eigensolve failed on a {n}x{n} matrix: {exc}")
-        order = np.argsort(vals.real)
-        vals, vecs = vals[order], vecs[:, order]
-        mask = keep(vecs)
-        found = int(np.count_nonzero(mask))
-        if found >= n_modes:
-            return vals[mask][:n_modes], vecs[:, mask][:, :n_modes]
-        if k >= k_max:
-            raise ResolutionError(f"only {found} {what} found, {n_modes} requested; enlarge the grid")
-        k = min(2 * k, k_max)
+    try:
+        vals, vecs = sparse_linalg.eigs(csc_array(matrix), k=k, sigma=sigma, v0=v0)
+    except RuntimeError as exc:  # includes ArpackNoConvergence and a singular LU factor
+        raise NumericError(f"shift-invert eigensolve failed on a {n}x{n} matrix: {exc}")
+    order = np.argsort(vals.real)[:n_modes]
+    return vals[order], vecs[:, order]
+
+
+def _edge_guarded_modes(matrix, n_modes: int, weight: np.ndarray | None = None):
+    """``_low_modes`` of a p-space matrix, refused when one of them reaches the box edge.
+
+    A mode reaches the edge when its amplitude at the two outermost grid
+    points on either side exceeds _SPURIOUS_EDGE_RATIO of its peak, both in
+    the norm of the measure ``weight`` at the nodes, if given (Swanson bound
+    states decay only polynomially in p).  Such a mode is a truncation
+    artifact, or a bound state the box cuts off, so ResolutionError asks for
+    a larger grid instead of returning it.
+    """
+    vals, vecs = _low_modes(matrix, n_modes)
+    sqw = 1.0 if weight is None else np.sqrt(np.asarray(weight, dtype=float))[:, None]
+    amp = sqw * np.abs(vecs)
+    inside = np.max(amp[[0, 1, -2, -1]], axis=0) <= _SPURIOUS_EDGE_RATIO * np.max(amp, axis=0)
+    if not inside.all():  # a NaN amplitude compares False, so it is refused too
+        at_edge = n_modes - int(np.count_nonzero(inside))
+        raise ResolutionError(f"the box edge holds {at_edge} of the {n_modes} lowest p-space modes; enlarge the grid")
+    return vals, vecs
 
 
 def solve_p_space(matrix, n_levels: int, weight: np.ndarray | None = None) -> SpectrumResult:
-    """Low-mode non-Hermitian eigensolve with a boundary-artifact filter.
+    """The n_levels lowest levels of a p-space matrix, classified.
 
     The modes of ``matrix`` (the CSC ``p_space_operator``, or any square
-    matrix) come from ``_low_modes`` (shift-invert around zero).
-    Eigenvectors whose amplitude at the outermost grid points exceeds
-    _SPURIOUS_EDGE_RATIO of their maximum are discarded (Dirichlet
-    truncation artifacts); the n_levels survivors of smallest real part are
-    classified and returned.  ``weight`` (the measure weights at the nodes,
-    if given) converts amplitudes to the physical norm before filtering —
-    needed for states that decay only polynomially in p.
-
-    Operator-composed matrices (squared first-derivative stencils) also
-    admit grid-scale checkerboard parasites that live in the interior;
-    these are rejected by a roughness test — for a checkerboard mode the
-    nearest-neighbor difference dwarfs the nearest-neighbor sum, for a
-    resolved bound state it is the other way around by orders of magnitude.
+    matrix) come from ``_edge_guarded_modes``: shift-invert around zero, and
+    ResolutionError when one of them reaches the box edge in the norm of the
+    measure ``weight``, if given.
     """
     shape = np.shape(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidGridError(f"expected a square matrix, got shape {shape}")
-    sqw = 1.0 if weight is None else np.sqrt(np.asarray(weight, dtype=float))[:, None]
-
-    def physical(vecs):
-        amp = sqw * np.abs(vecs)
-        peak = np.max(amp, axis=0)
-        edge = np.max(amp[[0, 1, -2, -1], :], axis=0)
-        rough = np.linalg.norm(np.diff(vecs, axis=0), axis=0)
-        smooth = np.linalg.norm(vecs[1:] + vecs[:-1], axis=0)
-        return (edge <= _SPURIOUS_EDGE_RATIO * peak) & (rough <= smooth)
-
-    eigs, _ = _low_modes(matrix, n_levels, physical, "non-spurious modes")
+    eigs, _ = _edge_guarded_modes(matrix, n_levels, weight)
     tol = 1e-7 * max(1.0, float(np.max(np.abs(eigs.real))))
     return SpectrumResult(
         eigenvalues=tuple(complex(e) for e in eigs),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DeformationParams, GridFunction, MomentumGrid
-from .eigensolver import _SPURIOUS_EDGE_RATIO, _low_modes, p_space_operator, solve_p_space
+from .eigensolver import _edge_guarded_modes, p_space_operator, solve_p_space
 from .errors import DegenerateMeasureError
 from .inner import QuadratureSpec, eta_inner
 from .models import DisplacedOscillatorParams, SwansonParams
@@ -104,20 +104,8 @@ def hermiticity_defect(hmat, params: DeformationParams, grid: MomentumGrid) -> f
 
 
 def _low_mode_basis(hmat, n_modes: int, w: np.ndarray) -> np.ndarray:
-    """Lowest non-spurious eigenvectors, filtered in the measure-weighted norm.
-
-    The modes come from the solver's shift-invert routine; the filter uses
-    its edge threshold over the five outermost points on each side, without
-    its roughness test.
-    """
-    sqw = np.sqrt(w)[:, None]
-
-    def physical(vecs):
-        amp = sqw * np.abs(vecs)
-        edge = np.maximum(amp[:5].max(axis=0), amp[-5:].max(axis=0))
-        return edge < _SPURIOUS_EDGE_RATIO * amp.max(axis=0)
-
-    return _low_modes(hmat, n_modes, physical, "non-spurious low modes")[1]
+    """The n_modes lowest eigenvectors, refused when one reaches the box edge in the w-weighted norm."""
+    return _edge_guarded_modes(hmat, n_modes, w)[1]
 
 
 def _project(op, basis: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -62,6 +62,11 @@ class TestSpectrum:
         text = target.read_text()
         assert text.startswith("n,E_closed") and "\r" not in text
 
+    def test_box_too_small_refuses(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--p-max", "3")
+        assert code == EXIT_NUMERIC and out == ""
+        assert err == "numeric failure: the box edge holds 4 of the 4 lowest p-space modes; enlarge the grid\n"
+
 
 class TestSweep:
     def test_closed_form_sweep(self, capsys):
@@ -282,7 +287,12 @@ class TestVerify:
             "--lambda", "0.35", "--delta", "0.05", "--levels", "4",
         )
         assert code == EXIT_NUMERIC and out == ""
-        assert err == "numeric failure: only 5 non-spurious low modes found, 8 requested; enlarge the grid\n"
+        assert err == "numeric failure: the box edge holds 1 of the 4 lowest p-space modes; enlarge the grid\n"
+
+    def test_displaced_modes_past_the_box_refuse(self, capsys):
+        code, out, err = run(capsys, "verify", "--lambda", "5")
+        assert code == EXIT_NUMERIC and out == ""
+        assert err == "numeric failure: the box edge holds 4 of the 4 lowest p-space modes; enlarge the grid\n"
 
 
 class TestNumericFailure:

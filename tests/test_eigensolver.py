@@ -105,11 +105,13 @@ class TestPSpace:
         params = displaced_default()
         grid = MomentumGrid.symmetric(30.0, 1200)
         coeffs = displaced_coefficients(params)
-        h_op = build_operator_hamiltonian(params, grid)
-        r_op = solve_p_space(h_op, 3)
+        # the composition interleaves checkerboard parasites with the bound
+        # states, so its levels are the smooth ones among the 11 lowest modes
+        vals, vecs = eigensolver._low_modes(build_operator_hamiltonian(params, grid), 11)
+        e_op = vals[_smooth(vecs)][:3].real
         r_ode = solve_p_space(build_p_space_matrix(coeffs, grid), 3)
         e_ode = coeffs.energy_map.energy(r_ode.real_parts)
-        assert np.allclose(r_op.real_parts, e_ode, atol=1e-5)
+        assert np.allclose(e_op, e_ode, atol=1e-5)
 
     def test_operator_hamiltonians_are_real(self):
         grid = MomentumGrid.symmetric(10.0, 200)
@@ -222,8 +224,7 @@ class TestBranchSolver:
 
 
 # Dense oracle for the shift-invert low-mode solves: every eigenpair from
-# np.linalg.eig, sorted by real part, and the two callers' spurious-mode
-# filters restated here.
+# np.linalg.eig, sorted by real part, and the box-edge guard restated here.
 
 def _dense_modes(hmat):
     vals, vecs = np.linalg.eig(hmat)
@@ -231,51 +232,48 @@ def _dense_modes(hmat):
     return vals[order], vecs[:, order]
 
 
-def _solver_keeps(vecs, weight=None):
-    """solve_p_space: 4 edge points in the weighted norm plus the roughness test."""
-    amp = np.abs(vecs) if weight is None else np.sqrt(weight)[:, None] * np.abs(vecs)
-    edge = np.max(amp[[0, 1, -2, -1]], axis=0) <= 1e-4 * np.max(amp, axis=0)
+def _reaches_edge(vecs, weight):
+    """The guard: weighted amplitude at the 2 outermost points on either side above 1e-4 of the peak."""
+    amp = np.sqrt(weight)[:, None] * np.abs(vecs)
+    return ~(np.max(amp[[0, 1, -2, -1]], axis=0) <= 1e-4 * np.max(amp, axis=0))
+
+
+def _smooth(vecs):
+    """Not a grid-scale checkerboard: the nearest-neighbour difference does not exceed the sum."""
     rough = np.linalg.norm(np.diff(vecs, axis=0), axis=0)
     smooth = np.linalg.norm(vecs[1:] + vecs[:-1], axis=0)
-    return edge & (rough <= smooth)
-
-
-def _basis_keeps(vecs, weight):
-    """verify._low_mode_basis: 5 edge points on each side in the weighted norm."""
-    amp = np.sqrt(weight)[:, None] * np.abs(vecs)
-    edge = np.maximum(amp[:5].max(axis=0), amp[-5:].max(axis=0))
-    return edge < 1e-4 * amp.max(axis=0)
+    return rough <= smooth
 
 
 def _rayleigh(hmat, basis):
     return np.sum(basis.conj() * (hmat @ basis), axis=0) / np.sum(np.abs(basis) ** 2, axis=0)
 
 
-def _assert_matches_dense(got, vals, kept, n):
-    want = vals[kept][:n]
+def _assert_matches_dense(got, want):
     assert np.all(np.abs(np.asarray(got) - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(family_points())
 def test_shift_invert_matches_dense_oracle(params):
-    # both low-mode callers keep exactly the dense survivors, or both refuse;
-    # the grid is small so the dense oracle is cheap and its own rounding
-    # (about 1e-16 * ||H||) stays well below the 1e-8 gate
+    # both guarded callers return the n lowest dense modes, or refuse exactly
+    # when one of them reaches the box edge; the grid is small so the dense
+    # oracle is cheap and its own rounding (about 1e-16 * ||H||) stays well
+    # below the 1e-8 gate
     grid = MomentumGrid.symmetric(30.0, 150)
     hmat = build_p_space_matrix(params.family().coefficients(), grid)
     weight = params.deformation.measure_weight(grid.points)
     vals, vecs = _dense_modes(hmat)
     cases = (
-        (4, _solver_keeps(vecs, weight), lambda: solve_p_space(hmat, 4, weight=weight).eigenvalues),
-        (8, _basis_keeps(vecs, weight), lambda: _rayleigh(hmat, _low_mode_basis(hmat, 8, weight))),
+        (4, lambda: solve_p_space(hmat, 4, weight=weight).eigenvalues),
+        (8, lambda: _rayleigh(hmat, _low_mode_basis(hmat, 8, weight))),
     )
-    for n, kept, solve in cases:
-        if np.count_nonzero(kept) < n:
+    for n, solve in cases:
+        if _reaches_edge(vecs[:, :n], weight).any():
             with pytest.raises(ResolutionError):
                 solve()
         else:
-            _assert_matches_dense(solve(), vals, kept, n)
+            _assert_matches_dense(solve(), vals[:n])
 
 
 def _dense_q_box(problem, wall_b, n_grid, n_levels):
@@ -363,8 +361,8 @@ class TestBranchSolverBands:
         with pytest.raises(ResolutionError, match=f"cannot resolve {n_levels} levels on a 400-point grid"):
             solve_q_space_branch(problem, n_grid=400, n_levels=n_levels)
 
-    def test_more_levels_than_the_widening_cap(self, requested_k):
-        # past beta_c every ARPACK mode is kept, so k = n_levels + 8 may exceed the 128 cap;
+    def test_many_levels_in_one_shift_invert_call(self, requested_k):
+        # past beta_c, 125 levels take one ARPACK call with k = n_levels + 8;
         # one grid of the solve, against its dense oracle
         problem, wall_b = branch_problem(swanson_default(beta=2.3))
         got = eigensolver._q_box_levels(problem, eigensolver._indicial_root(problem), 520, 125)
@@ -397,22 +395,18 @@ def requested_k(monkeypatch):
 
 
 class TestLowModes:
-    def test_widening_past_interleaved_parasites(self, requested_k):
-        # the operator-composed matrix interleaves checkerboard parasites with
-        # the bound states, so 14 levels are not among the first 22 modes
-        grid = MomentumGrid.symmetric(30.0, 300)
-        hmat = build_operator_hamiltonian(displaced_default(), grid)
-        result = solve_p_space(hmat, 14)
-        assert requested_k == [22, 44]
-        vals, vecs = _dense_modes(hmat)
-        _assert_matches_dense(result.eigenvalues, vals, _solver_keeps(vecs), 14)
-
-    def test_starved_filter_stops_at_the_cap(self, requested_k):
+    def test_edge_refusal_takes_one_call(self, requested_k):
+        # the guard checks the n lowest modes of one ARPACK call with k = n + 8
         params = swanson_default()
         grid = MomentumGrid.symmetric(30.0, 160)
-        with pytest.raises(ResolutionError, match="only 3 non-spurious modes found, 50 requested"):
+        with pytest.raises(ResolutionError, match="the box edge holds 47 of the 50 lowest p-space modes"):
             solve_p_space(build_p_space_matrix(swanson_coefficients(params), grid), 50)
-        assert requested_k == [58, 116, 128]
+        assert requested_k == [58]
+
+    def test_more_modes_than_arpack_returns_are_refused(self):
+        # ARPACK returns at most N - 2 modes
+        with pytest.raises(ResolutionError, match="cannot resolve 9 modes of a 10x10 matrix"):
+            solve_p_space(np.diag(np.arange(1.0, 11.0)), 9)
 
     def test_same_matrix_gives_the_same_digits(self):
         grid = MomentumGrid.symmetric(30.0, 400)
