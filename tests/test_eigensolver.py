@@ -395,8 +395,20 @@ def requested_k(monkeypatch):
 
 
 class TestLowModes:
-    def test_edge_refusal_takes_one_call(self, requested_k):
-        # the guard checks the n lowest modes of one ARPACK call with k = n + 8
+    def test_interleaved_parasites_are_returned_in_one_call(self, requested_k):
+        # the operator-composed matrix interleaves checkerboard parasites with
+        # the bound states; none reaches the box edge, so the guard passes and
+        # the 14 lowest modes, parasites included, come from one call
+        grid = MomentumGrid.symmetric(30.0, 300)
+        hmat = build_operator_hamiltonian(displaced_default(), grid)
+        result = solve_p_space(hmat, 14)
+        assert requested_k == [22]
+        vals, _ = _dense_modes(hmat)
+        _assert_matches_dense(result.eigenvalues, vals[:14])
+
+    def test_starved_filter_stops_at_the_cap(self, requested_k):
+        # the edge guard checks the n lowest modes of one ARPACK call with
+        # k = n + 8 and refuses there, without asking for more modes
         params = swanson_default()
         grid = MomentumGrid.symmetric(30.0, 160)
         with pytest.raises(ResolutionError, match="the box edge holds 47 of the 50 lowest p-space modes"):
