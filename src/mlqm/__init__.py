@@ -21,7 +21,6 @@ from .algebra import (
 )
 from .eigensolver import (
     SpectrumResult,
-    build_operator_hamiltonian,
     build_p_space_matrix,
     classify_spectrum,
     p_space_operator,
@@ -44,7 +43,7 @@ from .errors import (
     ResolutionError,
     UnsupportedRegimeError,
 )
-from .inner import QuadratureSpec, deformed_inner, eta_inner, eta_norm, measure_jacobian
+from .inner import QuadratureSpec, eta_inner, measure_jacobian
 from .jacobi import JacobiOrder, jacobi_batch, jacobi_eval
 from .models import (
     DerivedSpectralParams,
@@ -55,9 +54,7 @@ from .models import (
     Wavefunction,
     displaced_coefficients,
     displaced_energy,
-    displaced_epsilon_levels,
     displaced_metric,
-    displaced_spectral,
     displaced_transform,
     displaced_wavefunction,
     generic_metric,
@@ -66,7 +63,6 @@ from .models import (
     swanson_energy,
     swanson_metric,
     swanson_reality_margin,
-    swanson_spectral,
     swanson_transform,
     swanson_wavefunction,
 )
@@ -75,8 +71,6 @@ from .pct import (
     EnergyMap,
     TransformedProblem,
     build_potential,
-    build_q_map,
-    build_rho,
     secant_squared_levels,
     transform,
 )

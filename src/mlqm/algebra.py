@@ -150,13 +150,6 @@ def second_derivative_matrix(n: int, spacing: float) -> np.ndarray:
     return _banded(n, _D2_CENTRAL) / spacing**2
 
 
-def position_kernel(params: DeformationParams, grid: MomentumGrid) -> np.ndarray:
-    """Real matrix Y with x = i*Y, i.e. Y = hbar*[(1+beta*p^2) D1 + gamma*p]."""
-    p = grid.points
-    d1 = first_derivative_matrix(grid.n_points, grid.spacing)
-    return params.hbar * ((1.0 + params.beta * p**2)[:, None] * d1 + np.diag(params.gamma * p))
-
-
 def apply_position(params: DeformationParams, phi: GridFunction) -> GridFunction:
     """Apply x = i*hbar*[(1+beta*p^2) d/dp + gamma*p] to grid samples."""
     if phi.grid.n_points < 5:

@@ -188,8 +188,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         q_result = eigensolver.solve_q_space(family.transform(), cfg.grid, cfg.levels)
         e_q = coeffs.energy_map.energy(q_result.real_parts)
         p_grid = MomentumGrid.symmetric(cfg.p_max, cfg.p_grid)
-        # Swanson bound states decay only polynomially in p, so the spurious
-        # filter needs the measure-weighted norm.
+        # Swanson bound states decay only polynomially in p, so the box-edge
+        # guard needs the measure-weighted norm.
         p_result = eigensolver.solve_p_space(
             eigensolver.p_space_operator(coeffs, p_grid),
             cfg.levels,

@@ -3,13 +3,11 @@
 Two independent discretizations cross-check the closed forms: a
 tridiagonal Schrodinger solver on the finite q-box (the precision oracle)
 and a non-Hermitian momentum-space solver that sees the operator as it
-really is, assembled from the ODE coefficients.  (The operator composed
-literally from the position/momentum matrices is kept as a dense test
-oracle.)  The momentum-space matrix is banded and assembled straight into
-CSC, so its few low modes come from one ARPACK shift-invert call around
-sigma = 0 rather than from a full dense eigensolve.  Its grid is a
-truncated box, so the solve is refused when one of the requested modes
-reaches the box edge.  The q-box solver closes each wall with the analytic
+really is, assembled from the ODE coefficients.  The momentum-space matrix
+is banded and assembled straight into CSC, so its few low modes come from
+one ARPACK shift-invert call around sigma = 0 rather than from a full dense
+eigensolve.  Its grid is a truncated box, so the solve is refused when one
+of the requested modes reaches the box edge.  The q-box solver closes each wall with the analytic
 wall behaviour phi ~ d^B, its exponent B read from the potential, so one
 solver follows the spectrum on both sides of the reality threshold, where
 a Dirichlet wall would pin every eigenvalue on the real axis.  Its matrix
@@ -21,13 +19,12 @@ otherwise slow every CLI process, even those that solve nothing.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import _D1_CENTRAL, _D2_CENTRAL, MomentumGrid, position_kernel
+from .algebra import _D1_CENTRAL, _D2_CENTRAL, MomentumGrid
 from .errors import InvalidGridError, NumericError, ResolutionError
-from .models import DisplacedOscillatorParams, SwansonParams
 from .pct import CoefficientSet, TransformedProblem
 
 REAL = "real"
@@ -206,37 +203,6 @@ def p_space_operator(coeffs: CoefficientSet, grid: MomentumGrid) -> "csc_array":
 def build_p_space_matrix(coeffs: CoefficientSet, grid: MomentumGrid) -> np.ndarray:
     """Dense view of ``p_space_operator``: the digits of the stencil-matrix products."""
     return p_space_operator(coeffs, grid).toarray()
-
-
-def build_operator_hamiltonian(
-    model: Union[DisplacedOscillatorParams, SwansonParams], grid: MomentumGrid
-) -> np.ndarray:
-    """Compose H literally from the position/momentum matrices.
-
-    With x = i*Y and Y real, both model Hamiltonians assemble to real
-    matrices: the displaced oscillator because i*lam*x = -lam*Y, the Swanson
-    model because a and its adjoint become (P + omega*Y)/c and
-    (P - omega*Y)/c.
-    """
-    if not grid.is_symmetric:
-        raise InvalidGridError("operator assembly requires a symmetric grid")
-    p = grid.points
-    y = position_kernel(model.deformation, grid)
-    if isinstance(model, DisplacedOscillatorParams):
-        return (
-            np.diag(p**2 / (2.0 * model.mu))
-            - 0.5 * model.mu * model.omega**2 * (y @ y)
-            - model.lam * y
-        )
-    if isinstance(model, SwansonParams):
-        c = np.sqrt(2.0 * model.m * model.deformation.hbar * model.omega)
-        a = (np.diag(p) + model.omega * y) / c
-        ad = (np.diag(p) - model.omega * y) / c
-        n = grid.n_points
-        return model.omega * (ad @ a) + model.lam * (a @ a) + model.delta * (ad @ ad) + (
-            model.omega / 2.0
-        ) * np.eye(n)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def _low_modes(matrix, n_modes: int, sigma: float = 0.0):

@@ -4,9 +4,8 @@ The measure of the deformed algebra is dp/(1+beta*p^2)^(1-gamma/beta).
 Under p = tan(sqrt(beta) q)/sqrt(beta) it transforms exactly into
 (1+beta*p^2)^(gamma/beta) dq on the finite box |q| < pi/(2*sqrt(beta)),
 where the model eigenfunctions are smooth cos-powers times polynomials and
-Gauss-Legendre quadrature converges spectrally.  That q-scheme is the
-default; a plain trapezoid rule on a truncated p-interval is kept for
-beta = 0 and for grid-sampled data.
+Gauss-Legendre quadrature converges spectrally.  That q-scheme is the only
+one: it needs beta > 0, as the closed-form metric and eigenfunctions do.
 
 The Gauss-Legendre nodes are the eigenvalues of the tridiagonal Jacobi
 matrix of the Legendre recurrence (Golub & Welsch, Math. Comp. 23, 221
@@ -20,11 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DeformationParams, GridFunction
+from .algebra import DeformationParams
 from .errors import DomainError, NonConvergenceError
-
-GAUSS_LEGENDRE_Q = "gauss-legendre-on-q"
-UNIFORM_TRAPEZOID_P = "uniform-trapezoid-on-p"
 
 #: Relative node-doubling change above which the integral is declared divergent.
 _DIVERGENCE_THRESHOLD = 1e-3
@@ -32,19 +28,13 @@ _DIVERGENCE_THRESHOLD = 1e-3
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature scheme, node count, and p-truncation for the p-scheme."""
+    """Gauss-Legendre node count on q; the node-doubling check also runs at twice it."""
 
-    scheme: str = GAUSS_LEGENDRE_Q
     node_count: int = 512
-    p_truncation: float = 50.0
 
     def __post_init__(self):
-        if self.scheme not in (GAUSS_LEGENDRE_Q, UNIFORM_TRAPEZOID_P):
-            raise DomainError(f"unknown quadrature scheme {self.scheme!r}")
         if self.node_count < 16:
             raise DomainError(f"need node_count >= 16, got {self.node_count}")
-        if self.p_truncation <= 0:
-            raise DomainError(f"need p_truncation > 0, got {self.p_truncation}")
 
 
 def measure_jacobian(params: DeformationParams, p):
@@ -78,53 +68,29 @@ def _leggauss(n: int):
     return (x - x[::-1]) / 2.0, w * (2.0 / w.sum())
 
 
-def _quad_once(phi, psi, eta, params: DeformationParams, spec: QuadratureSpec, n_nodes: int) -> complex:
-    if spec.scheme == GAUSS_LEGENDRE_Q:
-        if params.beta <= 0:
-            raise DomainError("the q-substitution scheme needs beta > 0; use the trapezoid-on-p scheme")
-        sqb = np.sqrt(params.beta)
-        q_half = np.pi / (2.0 * sqb)
-        x, w = _leggauss(n_nodes)
-        q = q_half * x
-        p = np.tan(sqb * q) / sqb
-        vals = np.conj(phi(p)) * psi(p) * measure_jacobian(params, p)
-        if eta is not None:
-            vals = vals * eta(p)
-        return complex(np.sum(q_half * w * vals))
-    # trapezoid on a truncated symmetric p-interval
-    p = np.linspace(-spec.p_truncation, spec.p_truncation, n_nodes)
-    vals = np.conj(phi(p)) * psi(p) * params.measure_weight(p)
+def _quad_once(phi, psi, eta, params: DeformationParams, n_nodes: int) -> complex:
+    if params.beta <= 0:
+        raise DomainError("Gauss-Legendre quadrature on q needs beta > 0")
+    sqb = np.sqrt(params.beta)
+    q_half = np.pi / (2.0 * sqb)
+    x, w = _leggauss(n_nodes)
+    q = q_half * x
+    p = np.tan(sqb * q) / sqb
+    vals = np.conj(phi(p)) * psi(p) * measure_jacobian(params, p)
     if eta is not None:
         vals = vals * eta(p)
-    return complex(np.trapezoid(vals, p))
-
-
-def _as_callable(obj):
-    if isinstance(obj, GridFunction):
-        grid = obj.grid
-        values = obj.values
-
-        def sample(p):
-            p = np.asarray(p, dtype=float)
-            re = np.interp(p, grid.points, values.real)
-            im = np.interp(p, grid.points, values.imag)
-            return re + 1j * im
-
-        return sample
-    return obj
+    return complex(np.sum(q_half * w * vals))
 
 
 def eta_inner(phi, psi, eta, params: DeformationParams, spec: QuadratureSpec = QuadratureSpec()) -> complex:
     """Metric scalar product  integral of eta * conj(phi) * psi  under the deformed measure.
 
-    ``phi``/``psi`` may be callables of p or GridFunctions (interpolated);
-    ``eta`` is a positive weight callable or None for the plain product.
-    A node-doubling check guards against divergent integrands.
+    ``phi``/``psi`` are callables of p; ``eta`` is a positive weight
+    callable or None for the plain product.  A node-doubling check guards
+    against divergent integrands.
     """
-    phi = _as_callable(phi)
-    psi = _as_callable(psi)
-    coarse = _quad_once(phi, psi, eta, params, spec, spec.node_count)
-    fine = _quad_once(phi, psi, eta, params, spec, 2 * spec.node_count)
+    coarse = _quad_once(phi, psi, eta, params, spec.node_count)
+    fine = _quad_once(phi, psi, eta, params, 2 * spec.node_count)
     # floor the scale at 1 so that exactly-orthogonal pairs (both estimates
     # at round-off level) are not misread as divergence
     scale = max(abs(fine), abs(coarse), 1.0)
@@ -133,14 +99,3 @@ def eta_inner(phi, psi, eta, params: DeformationParams, spec: QuadratureSpec = Q
             f"inner product failed node doubling: |I(2N)-I(N)|/|I| = {abs(fine - coarse) / scale:.3e}"
         )
     return fine
-
-
-def deformed_inner(phi, psi, params: DeformationParams, spec: QuadratureSpec = QuadratureSpec()) -> complex:
-    """Plain deformed-measure scalar product (eta identically 1, same nodes)."""
-    return eta_inner(phi, psi, None, params, spec)
-
-
-def eta_norm(phi, eta, params: DeformationParams, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """sqrt of the metric norm-squared; the imaginary part is discarded (it is round-off)."""
-    val = eta_inner(phi, phi, eta, params, spec)
-    return float(np.sqrt(val.real))

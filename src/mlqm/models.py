@@ -384,10 +384,8 @@ class GupFamily:
         return DerivedSpectralParams(a_const=a_const, nu=nu, offset=offset)
 
     def transform(self) -> TransformedProblem:
-        """Schrodinger form using the closed-form q-map and similarity factor."""
-        return pct.transform(
-            self.coefficients(), q_hint=gup_q_map_hint(self.deformation), log_rho_hint=self.log_rho()
-        )
+        """Schrodinger form using the closed-form q-map."""
+        return pct.transform(self.coefficients(), gup_q_map_hint(self.deformation))
 
     def epsilon_levels(self) -> Callable:
         """n -> eps_n of the transformed problem (ladder plus the potential offset)."""
@@ -452,18 +450,8 @@ def coefficients(params) -> CoefficientSet:
     return params.family().coefficients()
 
 
-def log_rho(params) -> Callable:
-    """log of the similarity factor rho of the model."""
-    return params.family().log_rho()
-
-
-def spectral(params) -> DerivedSpectralParams:
-    """A, sec^2 strength nu and potential offset of the model."""
-    return params.family().spectral()
-
-
 def transform(params) -> TransformedProblem:
-    """Schrodinger form of the model using the closed-form hints."""
+    """Schrodinger form of the model using the closed-form q-map."""
     return params.family().transform()
 
 
@@ -491,16 +479,6 @@ def wavefunction(
     return dataclasses.replace(wave, norm=wave.norm / np.sqrt(norm2))
 
 
-def printed_wavefunction(n: int, params) -> Wavefunction:
-    """The published p-space closed form (unnormalized), kept for cross-checks only."""
-    return params.family().wavefunction(n, params.energy(n), printed=True)
-
-
-def displaced_epsilon_levels(params: DisplacedOscillatorParams) -> Callable:
-    """n -> eps_n of the transformed problem (ladder plus the potential offset)."""
-    return params.family().epsilon_levels()
-
-
 def swanson_beta_c(params: SwansonParams) -> Optional[float]:
     """Critical deformation of the Swanson model; see ``SwansonParams.beta_c``."""
     return params.beta_c()
@@ -508,13 +486,10 @@ def swanson_beta_c(params: SwansonParams) -> Optional[float]:
 
 # Per-model names, kept for callers; both models share one implementation.
 displaced_coefficients = swanson_coefficients = coefficients
-displaced_log_rho = swanson_log_rho = log_rho
-displaced_spectral = swanson_spectral = spectral
 displaced_transform = swanson_transform = transform
 displaced_metric = swanson_metric = metric
 displaced_energy = swanson_energy = energy
 displaced_wavefunction = swanson_wavefunction = wavefunction
-displaced_printed_wavefunction = swanson_printed_wavefunction = printed_wavefunction
 
 
 # --------------------------------------------------------------------------

@@ -7,18 +7,17 @@ a standard Schrodinger form -d^2/dq^2 + V(q) with
     V = (4 g^2 + 3 f'^2 + 8 g f') / (16 f) - f''/4 - g'/2 + h
 
 evaluated at p(q).  Model builders supply analytic derivatives (validated on
-construction); quadrature covers the generic case, closed-form hints
-override it for the models in this package.
+construction) and the closed-form q-map; the similarity factor rho enters
+only the metric, which the models build from their closed-form log rho.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, EllipticityError, UnsupportedRegimeError
 
-_QUAD_ABS_TOL = 1e-12
 #: Interval of the random points at which CoefficientSet validates itself.
 _VALIDATION_RANGE = (-10.0, 10.0)
 
@@ -90,81 +89,14 @@ class QMap:
     q_max: float
 
 
-def build_q_map(coeffs: CoefficientSet, hint: Optional[QMap] = None) -> QMap:
-    """Monotone map q(p) = int_0^p dt/sqrt(f(t)) and its inverse.
-
-    A closed-form hint is returned as given; without one, q is computed by
-    adaptive quadrature and inverted by bracketing.
-    """
-    if hint is not None:
-        return hint
-    # imported here: every model passes a hint, and scipy.optimize adds ~0.25 s of import
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
-    def integrand(t):
-        ft = coeffs.f(t)
-        if ft <= 0:
-            raise EllipticityError(f"f({t}) <= 0")
-        return 1.0 / np.sqrt(ft)
-
-    def q_scalar(p):
-        val, _ = quad(integrand, 0.0, p, epsabs=_QUAD_ABS_TOL, limit=200)
-        return val
-
-    q_of_p = np.vectorize(q_scalar, otypes=[float])
-
-    def endpoint(sign):
-        val, _ = quad(integrand, 0.0, sign * np.inf, epsabs=_QUAD_ABS_TOL, limit=200)
-        return val
-
-    try:
-        q_max = endpoint(+1)
-        q_min = endpoint(-1)
-    except Exception:  # integral diverges: half-line maps to the full line
-        q_min, q_max = -np.inf, np.inf
-
-    def p_scalar(qval):
-        if not (q_min < qval < q_max):
-            raise DomainError(f"q={qval} outside ({q_min}, {q_max})")
-        lo, hi = -1.0, 1.0
-        while q_scalar(lo) > qval:
-            lo *= 2.0
-        while q_scalar(hi) < qval:
-            hi *= 2.0
-        return brentq(lambda p: q_scalar(p) - qval, lo, hi, xtol=1e-13)
-
-    p_of_q = np.vectorize(p_scalar, otypes=[float])
-    return QMap(q_of_p, p_of_q, q_min, q_max)
-
-
-def build_rho(coeffs: CoefficientSet, log_rho_hint: Optional[Callable] = None):
-    """Similarity pair (chi, rho) with rho(p) = exp(int_0^p chi)."""
-    chi = coeffs.chi
-    if log_rho_hint is not None:
-        rho = lambda p: np.exp(log_rho_hint(np.asarray(p, dtype=float)))
-        return chi, rho
-    from scipy.integrate import quad
-
-    def log_rho_scalar(p):
-        val, _ = quad(lambda t: float(chi(t)), 0.0, p, epsabs=_QUAD_ABS_TOL, limit=200)
-        return val
-
-    log_rho = np.vectorize(log_rho_scalar, otypes=[float])
-    return chi, lambda p: np.exp(log_rho(p))
-
-
 @dataclass(frozen=True)
 class TransformedProblem:
-    """Schrodinger form of a coefficient set: domain, potential, maps, similarity."""
+    """Schrodinger form of a coefficient set: the q-domain, the potential and p(q)."""
 
     q_min: float
     q_max: float
     potential: Callable
-    q_of_p: Callable
     p_of_q: Callable
-    rho: Callable
-    chi: Callable
 
 
 def build_potential(coeffs: CoefficientSet, q_map: QMap) -> Callable:
@@ -182,23 +114,13 @@ def build_potential(coeffs: CoefficientSet, q_map: QMap) -> Callable:
     return V
 
 
-def transform(
-    coeffs: CoefficientSet,
-    q_hint: Optional[QMap] = None,
-    log_rho_hint: Optional[Callable] = None,
-) -> TransformedProblem:
-    """Full PCT pipeline: q-map, similarity factor, and potential evaluator."""
-    q_map = build_q_map(coeffs, q_hint)
-    chi, rho = build_rho(coeffs, log_rho_hint)
-    potential = build_potential(coeffs, q_map)
+def transform(coeffs: CoefficientSet, q_map: QMap) -> TransformedProblem:
+    """PCT pipeline: the domain and p(q) of the closed-form ``q_map`` and the potential evaluator."""
     return TransformedProblem(
         q_min=q_map.q_min,
         q_max=q_map.q_max,
-        potential=potential,
-        q_of_p=q_map.q_of_p,
+        potential=build_potential(coeffs, q_map),
         p_of_q=q_map.p_of_q,
-        rho=rho,
-        chi=chi,
     )
 
 

@@ -4,7 +4,8 @@ Every check returns a ResidualReport whose pass flag is exactly
 ``value <= tolerance``; all tolerances live in one table.  Checks that must
 EXCEED a floor (a genuinely non-Hermitian operator, a discriminating wrong
 metric) are phrased as shortfall-below-floor with tolerance 0, so the same
-invariant applies.  ``scipy.sparse`` is imported in the checks that use it,
+invariant applies; their records also carry the measured value and the
+floor.  ``scipy.sparse`` is imported in the checks that use it,
 so ``verify --list``, which runs none, never loads SciPy.
 """
 
@@ -58,7 +59,8 @@ class ResidualReport:
         return self.value <= self.tolerance
 
     def to_record(self, params: dict | None = None, grid: dict | None = None) -> dict:
-        return {
+        """JSON record; an exceed-check also carries the measured value and its floor."""
+        record = {
             "name": self.name,
             "value": self.value,
             "tolerance": self.tolerance,
@@ -66,6 +68,9 @@ class ResidualReport:
             "params": dict(params or self.context.get("params", {})),
             "grid": dict(grid or self.context.get("grid", {})),
         }
+        if "floor" in self.context:
+            record.update(measured=self.context["measured"], floor=self.context["floor"])
+        return record
 
 
 def _exceed_report(name: str, measured: float, floor: float, context: dict) -> ResidualReport:

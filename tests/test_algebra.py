@@ -17,9 +17,9 @@ from mlqm import (
 from mlqm.algebra import (
     differentiate,
     first_derivative_matrix,
-    position_kernel,
     second_derivative_matrix,
 )
+from oracles import position_kernel
 
 
 def gaussian_grid(p_max=10.0, n=801):

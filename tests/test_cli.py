@@ -235,7 +235,17 @@ class TestVerify:
         assert {"commutator-residual", "hermiticity-defect", "pseudo-hermiticity",
                 "gram-identity", "ode-residual", "gamma-independence"} <= names
         for r in records:
-            assert set(r) == {"name", "value", "tolerance", "pass", "params", "grid"}
+            # an exceed-check record also carries what it measured and its floor
+            exceed = {"measured", "floor"} if r["name"] == "hermiticity-defect" else set()
+            assert set(r) == {"name", "value", "tolerance", "pass", "params", "grid"} | exceed
+
+    def test_exceed_record_shows_the_measured_defect(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == EXIT_OK
+        records = {r["name"]: r for r in map(json.loads, out.strip().split("\n"))}
+        defect = records["hermiticity-defect"]
+        assert defect["floor"] == verify.HERMITICITY_DEFECT_FLOOR
+        assert defect["measured"] > defect["floor"] and defect["value"] == 0.0
 
     def test_wrong_metric_fails_battery(self, capsys):
         code, out, _ = run(capsys, "verify", "--metric-override", "swanson")

@@ -17,7 +17,6 @@ from mlqm import (
     NumericError,
     ResolutionError,
     SwansonParams,
-    build_operator_hamiltonian,
     build_p_space_matrix,
     classify_spectrum,
     displaced_energy,
@@ -28,7 +27,6 @@ from mlqm import (
     solve_q_space_branch,
     swanson_beta_c,
     swanson_energy,
-    swanson_spectral,
     swanson_transform,
 )
 from mlqm import eigensolver
@@ -36,6 +34,7 @@ from mlqm.algebra import first_derivative_matrix, second_derivative_matrix
 from mlqm.eigensolver import CONJUGATE_PAIR, REAL, UNCLASSIFIED
 from mlqm.models import displaced_coefficients, swanson_coefficients
 from mlqm.verify import _low_mode_basis
+from oracles import operator_hamiltonian
 from test_models import family_points
 
 
@@ -107,7 +106,7 @@ class TestPSpace:
         coeffs = displaced_coefficients(params)
         # the composition interleaves checkerboard parasites with the bound
         # states, so its levels are the smooth ones among the 11 lowest modes
-        vals, vecs = eigensolver._low_modes(build_operator_hamiltonian(params, grid), 11)
+        vals, vecs = eigensolver._low_modes(operator_hamiltonian(params, grid), 11)
         e_op = vals[_smooth(vecs)][:3].real
         r_ode = solve_p_space(build_p_space_matrix(coeffs, grid), 3)
         e_ode = coeffs.energy_map.energy(r_ode.real_parts)
@@ -115,8 +114,8 @@ class TestPSpace:
 
     def test_operator_hamiltonians_are_real(self):
         grid = MomentumGrid.symmetric(10.0, 200)
-        assert np.isrealobj(build_operator_hamiltonian(displaced_default(), grid))
-        assert np.isrealobj(build_operator_hamiltonian(swanson_default(), grid))
+        assert np.isrealobj(operator_hamiltonian(displaced_default(), grid))
+        assert np.isrealobj(operator_hamiltonian(swanson_default(), grid))
 
     def test_swanson_weighted_filter(self):
         # Swanson bound states decay polynomially; the weighted filter with its
@@ -305,7 +304,7 @@ def _dense_branch(problem, wall_b, n_grid, n_levels):
 def branch_problem(params):
     """The transformed problem of Swanson ``params`` and its closed-form wall exponent B = A/sqrt(beta)."""
     beta = params.deformation.beta
-    return swanson_transform(params), swanson_spectral(params).a_const / np.sqrt(beta)
+    return swanson_transform(params), params.family().spectral().a_const / np.sqrt(beta)
 
 
 @st.composite
@@ -400,7 +399,7 @@ class TestLowModes:
         # the bound states; none reaches the box edge, so the guard passes and
         # the 14 lowest modes, parasites included, come from one call
         grid = MomentumGrid.symmetric(30.0, 300)
-        hmat = build_operator_hamiltonian(displaced_default(), grid)
+        hmat = operator_hamiltonian(displaced_default(), grid)
         result = solve_p_space(hmat, 14)
         assert requested_k == [22]
         vals, _ = _dense_modes(hmat)

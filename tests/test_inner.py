@@ -1,4 +1,6 @@
-"""Deformed-measure quadrature schemes."""
+"""Deformed-measure Gauss-Legendre quadrature."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,29 +8,30 @@ import pytest
 from mlqm import (
     DeformationParams,
     DomainError,
-    GridFunction,
-    MomentumGrid,
     NonConvergenceError,
     QuadratureSpec,
-    deformed_inner,
     eta_inner,
-    eta_norm,
     measure_jacobian,
 )
-from mlqm.inner import GAUSS_LEGENDRE_Q, UNIFORM_TRAPEZOID_P, _leggauss
+from mlqm.inner import _leggauss
+
+
+def deformed_inner(phi, psi, params, spec=QuadratureSpec()):
+    """The plain deformed-measure product: the metric product with eta identically 1."""
+    return eta_inner(phi, psi, None, params, spec)
 
 
 class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
-        assert spec.scheme == GAUSS_LEGENDRE_Q and spec.node_count == 512
+        assert spec.node_count == 512
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"scheme": "monte-carlo"},
+            {"node_count": 15},
             {"node_count": 8},
-            {"p_truncation": 0.0},
+            {"node_count": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -67,11 +70,12 @@ class TestInnerProducts:
         assert abs(val.imag) < 1e-14
 
     def test_schemes_agree_on_decaying_state(self):
-        d = DeformationParams(1.0, 0.3, 0.0)
+        # integral of exp(-p^2)/(1+beta p^2) dp = (pi/sqrt(beta)) exp(1/beta) erfc(1/sqrt(beta))
+        beta = 0.3
+        d = DeformationParams(1.0, beta, 0.0)
         phi = lambda p: np.exp(-0.5 * np.asarray(p, dtype=float) ** 2)
-        a = deformed_inner(phi, phi, d, QuadratureSpec())
-        b = deformed_inner(phi, phi, d, QuadratureSpec(scheme=UNIFORM_TRAPEZOID_P, node_count=4096))
-        assert a.real == pytest.approx(b.real, rel=1e-9)
+        exact = np.pi / math.sqrt(beta) * math.exp(1.0 / beta) * math.erfc(1.0 / math.sqrt(beta))
+        assert deformed_inner(phi, phi, d).real == pytest.approx(exact, rel=1e-12)
 
     def test_metric_weight_applied(self):
         d = DeformationParams(1.0, 0.5, 0.0)
@@ -105,29 +109,3 @@ class TestInnerProducts:
         phi = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
         with pytest.raises(DomainError):
             deformed_inner(phi, phi, d)
-
-    def test_trapezoid_scheme_handles_beta_zero(self):
-        d = DeformationParams()
-        phi = lambda p: np.exp(-0.5 * np.asarray(p, dtype=float) ** 2)
-        spec = QuadratureSpec(scheme=UNIFORM_TRAPEZOID_P, node_count=4096, p_truncation=12.0)
-        val = deformed_inner(phi, phi, d, spec)
-        assert val.real == pytest.approx(np.sqrt(np.pi), rel=1e-10)
-
-    def test_grid_function_input(self):
-        d = DeformationParams(1.0, 0.3, 0.0)
-        grid = MomentumGrid.symmetric(20.0, 4001)
-        phi = GridFunction.from_callable(grid, lambda p: np.exp(-0.5 * p**2))
-        sampled = deformed_inner(phi, phi, d)
-        exact = deformed_inner(
-            lambda p: np.exp(-0.5 * np.asarray(p, dtype=float) ** 2),
-            lambda p: np.exp(-0.5 * np.asarray(p, dtype=float) ** 2),
-            d,
-        )
-        # linear interpolation of the samples limits the attainable accuracy
-        assert sampled.real == pytest.approx(exact.real, rel=1e-4)
-
-    def test_eta_norm(self):
-        d = DeformationParams(1.0, 0.3, 0.0)
-        phi = lambda p: np.exp(-0.5 * np.asarray(p, dtype=float) ** 2)
-        n = eta_norm(phi, None, d)
-        assert n == pytest.approx(np.sqrt(deformed_inner(phi, phi, d).real), rel=1e-13)

@@ -14,9 +14,7 @@ from mlqm import (
     SwansonParams,
     UnsupportedRegimeError,
     displaced_energy,
-    displaced_epsilon_levels,
     displaced_metric,
-    displaced_spectral,
     displaced_transform,
     displaced_wavefunction,
     eta_inner,
@@ -25,20 +23,12 @@ from mlqm import (
     swanson_energy,
     swanson_metric,
     swanson_reality_margin,
-    swanson_spectral,
     swanson_transform,
     swanson_wavefunction,
 )
-from mlqm.models import (
-    displaced_coefficients,
-    displaced_log_rho,
-    displaced_printed_wavefunction,
-    swanson_coefficients,
-    swanson_log_rho,
-    swanson_printed_wavefunction,
-    wavefunction,
-)
+from mlqm.models import displaced_coefficients, swanson_coefficients, wavefunction
 from mlqm.verify import ode_residual
+from oracles import quadrature_log_rho
 
 
 def displaced_default(beta=0.1, gamma=0.0, lam=0.5):
@@ -96,7 +86,7 @@ class TestDisplacedSpectrum:
     def test_energy_map_links_epsilon_and_energy(self):
         params = displaced_default()
         coeffs = displaced_coefficients(params)
-        eps = displaced_epsilon_levels(params)
+        eps = params.family().epsilon_levels()
         for n in range(6):
             e = displaced_energy(n, params)
             assert coeffs.energy_map.epsilon(e) == pytest.approx(float(eps(n)), rel=1e-12)
@@ -107,7 +97,7 @@ class TestDisplacedSpectrum:
         b = displaced_default(gamma=0.05)
         for n in range(4):
             assert displaced_energy(n, a) == displaced_energy(n, b)
-            assert float(displaced_epsilon_levels(b)(n) - displaced_epsilon_levels(a)(n)) == pytest.approx(
+            assert float(b.family().epsilon_levels()(n) - a.family().epsilon_levels()(n)) == pytest.approx(
                 0.05, abs=1e-12
             )
 
@@ -128,7 +118,7 @@ class TestSwansonSpectrum:
     def test_energy_map_links_epsilon_and_energy(self):
         params = swanson_default()
         coeffs = swanson_coefficients(params)
-        sp = swanson_spectral(params)
+        sp = params.family().spectral()
         from mlqm import secant_squared_levels
 
         ladder = secant_squared_levels(sp.nu, 0.5)
@@ -154,8 +144,8 @@ class TestSwansonSpectrum:
         assert swanson_beta_c(swanson_default(lam=0.2, delta=-0.1)) is None
 
     def test_spectral_is_real_flag(self):
-        assert swanson_spectral(swanson_default(beta=1.9)).is_real
-        assert not swanson_spectral(swanson_default(beta=2.1)).is_real
+        assert swanson_default(beta=1.9).family().spectral().is_real
+        assert not swanson_default(beta=2.1).family().spectral().is_real
 
 
 class TestMetrics:
@@ -173,10 +163,10 @@ class TestMetrics:
     def test_generic_path_agrees_with_closed_forms(self):
         p = np.linspace(-5, 5, 11)
         d_params = displaced_default(gamma=0.05)
-        g1 = generic_metric(d_params.deformation, displaced_log_rho(d_params))
+        g1 = generic_metric(d_params.deformation, d_params.family().log_rho())
         assert np.allclose(displaced_metric(d_params)(p), g1(p), rtol=1e-12)
         s_params = swanson_default(lam=0.3, delta=0.1, gamma=0.1)
-        g2 = generic_metric(s_params.deformation, swanson_log_rho(s_params))
+        g2 = generic_metric(s_params.deformation, s_params.family().log_rho())
         assert np.allclose(swanson_metric(s_params)(p), g2(p), rtol=1e-12)
 
     def test_hermitian_limits_have_trivial_metric(self):
@@ -192,7 +182,7 @@ class TestTransforms:
 
     def test_displaced_potential_is_sec_squared_plus_offset(self):
         params = displaced_default()
-        sp = displaced_spectral(params)
+        sp = params.family().spectral()
         problem = displaced_transform(params)
         q = np.linspace(-0.9, 0.9, 13) * problem.q_max
         expected = sp.nu / np.cos(np.sqrt(0.1) * q) ** 2 + sp.offset
@@ -200,7 +190,7 @@ class TestTransforms:
 
     def test_swanson_potential_is_sec_squared_plus_offset(self):
         params = swanson_default(lam=0.3, delta=0.1)
-        sp = swanson_spectral(params)
+        sp = params.family().spectral()
         problem = swanson_transform(params)
         q = np.linspace(-0.9, 0.9, 13) * problem.q_max
         expected = sp.nu / np.cos(np.sqrt(0.5) * q) ** 2 + sp.offset
@@ -211,11 +201,9 @@ class TestTransforms:
         SwansonParams(deformation=DeformationParams(), lam=0.3, delta=0.1),
     ])
     def test_beta_zero_similarity_factor_matches_quadrature(self, params):
-        from mlqm import build_rho
-
-        _, rho = build_rho(params.family().coefficients())
         p = np.linspace(-2.0, 2.0, 5)
-        assert np.allclose(np.exp(params.family().log_rho()(p)), rho(p), rtol=1e-10)
+        rho = np.exp(quadrature_log_rho(params.family().coefficients(), p))
+        assert np.allclose(np.exp(params.family().log_rho()(p)), rho, rtol=1e-10)
 
     def test_swanson_potential_is_gamma_free(self):
         base = swanson_default(lam=0.3, delta=0.1, gamma=0.0)
@@ -267,10 +255,10 @@ class TestWavefunctions:
         # the published closed forms (kept for cross-checks) leave an O(1)
         # residual; the canonical forms above are the solutions
         params = displaced_default()
-        psi = displaced_printed_wavefunction(0, params)
+        psi = params.family().wavefunction(0, params.energy(0), printed=True)
         assert ode_residual(psi, displaced_coefficients(params), psi.epsilon).value > 0.1
         s_params = swanson_default(lam=0.3, delta=0.1)
-        phi = swanson_printed_wavefunction(0, s_params)
+        phi = s_params.family().wavefunction(0, s_params.energy(0), printed=True)
         assert ode_residual(phi, swanson_coefficients(s_params), phi.epsilon).value > 0.1
 
     def test_ground_state_has_no_nodes(self):

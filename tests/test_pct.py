@@ -6,17 +6,18 @@ import pytest
 from mlqm import (
     CoefficientSet,
     DeformationParams,
+    DisplacedOscillatorParams,
     DomainError,
     EllipticityError,
     EnergyMap,
     UnsupportedRegimeError,
+    SwansonParams,
     build_potential,
-    build_q_map,
-    build_rho,
     secant_squared_levels,
     transform,
 )
 from mlqm.models import gup_q_map_hint
+from oracles import quadrature_log_rho, quadrature_q_map
 
 
 def quartic_coeffs(beta=0.25, energy_map=None):
@@ -87,41 +88,38 @@ class TestCoefficientSet:
 class TestQMap:
     def test_quadrature_matches_closed_form(self):
         beta = 0.25
-        coeffs = quartic_coeffs(beta)
-        generic = build_q_map(coeffs)
-        hinted = build_q_map(coeffs, gup_q_map_hint(DeformationParams(1.0, beta, 0.0)))
+        q_of_p, q_min, q_max = quadrature_q_map(quartic_coeffs(beta))
+        hinted = gup_q_map_hint(DeformationParams(1.0, beta, 0.0))
         p = np.linspace(-4, 4, 9)
-        assert np.allclose(generic.q_of_p(p), hinted.q_of_p(p), atol=1e-10)
-        assert generic.q_max == pytest.approx(np.pi / (2 * np.sqrt(beta)), rel=1e-8)
-        assert generic.q_min == pytest.approx(-np.pi / (2 * np.sqrt(beta)), rel=1e-8)
+        assert np.allclose(q_of_p(p), hinted.q_of_p(p), atol=1e-10)
+        assert q_max == pytest.approx(np.pi / (2 * np.sqrt(beta)), rel=1e-8)
+        assert q_min == pytest.approx(-np.pi / (2 * np.sqrt(beta)), rel=1e-8)
 
     def test_inverse_round_trip(self):
-        coeffs = quartic_coeffs(0.25)
-        qmap = build_q_map(coeffs)
+        qmap = gup_q_map_hint(DeformationParams(1.0, 0.25, 0.0))
         q = np.linspace(-0.8, 0.8, 7) * qmap.q_max
         assert np.allclose(qmap.q_of_p(qmap.p_of_q(q)), q, atol=1e-10)
 
-    def test_inverse_rejects_out_of_domain(self):
-        coeffs = quartic_coeffs(0.25)
-        qmap = build_q_map(coeffs)
-        with pytest.raises(DomainError):
-            qmap.p_of_q(qmap.q_max + 0.1)
+
+#: One family per similarity part: the power law (sigma, Swanson) and the arctan (ell, displaced).
+FAMILIES = (
+    SwansonParams(DeformationParams(1.0, 0.25, 0.1), lam=0.3, delta=0.1).family(),
+    DisplacedOscillatorParams(DeformationParams(1.0, 0.25, 0.1), lam=0.7).family(),
+)
 
 
 class TestRho:
     def test_quadrature_matches_hint(self):
-        beta = 0.25
-        coeffs = quartic_coeffs(beta)
-        # for g = 0: chi = f'/(4f), so log rho = (1/2) log(1+beta p^2)... / 2
-        hint = lambda p: 0.5 * np.log1p(beta * np.asarray(p, dtype=float) ** 2)
-        _, rho_generic = build_rho(coeffs)
-        _, rho_hinted = build_rho(coeffs, log_rho_hint=hint)
+        # the closed-form log rho of each model against the quadrature of its chi
         p = np.linspace(-3, 3, 7)
-        assert np.allclose(rho_generic(p), rho_hinted(p), rtol=1e-9)
+        for family in FAMILIES:
+            rho_generic = np.exp(quadrature_log_rho(family.coefficients(), p))
+            rho_hinted = np.exp(family.log_rho()(p))
+            assert np.allclose(rho_generic, rho_hinted, rtol=1e-9)
 
     def test_rho_is_one_at_origin(self):
-        _, rho = build_rho(quartic_coeffs(0.25))
-        assert rho(0.0) == pytest.approx(1.0)
+        for family in FAMILIES:
+            assert np.exp(family.log_rho()(0.0)) == pytest.approx(1.0)
 
 
 class TestPotential:
@@ -131,7 +129,7 @@ class TestPotential:
         # verify against the direct formula at sampled points instead.
         beta = 0.25
         coeffs = quartic_coeffs(beta)
-        problem = transform(coeffs, q_hint=gup_q_map_hint(DeformationParams(1.0, beta, 0.0)))
+        problem = transform(coeffs, gup_q_map_hint(DeformationParams(1.0, beta, 0.0)))
         q = np.linspace(-0.9, 0.9, 11) * problem.q_max
         p = problem.p_of_q(q)
         f, df, d2f = coeffs.f(p), coeffs.df(p), coeffs.d2f(p)
@@ -140,7 +138,7 @@ class TestPotential:
 
     def test_domain_error_outside_box(self):
         coeffs = quartic_coeffs(0.25)
-        qmap = build_q_map(coeffs, gup_q_map_hint(DeformationParams(1.0, 0.25, 0.0)))
+        qmap = gup_q_map_hint(DeformationParams(1.0, 0.25, 0.0))
         V = build_potential(coeffs, qmap)
         with pytest.raises(DomainError):
             V(qmap.q_max * 1.01)
