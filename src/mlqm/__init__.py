@@ -43,13 +43,12 @@ from .errors import (
     ResolutionError,
     UnsupportedRegimeError,
 )
-from .inner import QuadratureSpec, eta_inner, measure_jacobian
-from .jacobi import JacobiOrder, jacobi_batch, jacobi_eval
+from .inner import QuadratureSpec, eta_inner
+from .jacobi import jacobi_batch, jacobi_eval
 from .models import (
     DerivedSpectralParams,
     DisplacedOscillatorParams,
     GupFamily,
-    MetricFunction,
     SwansonParams,
     Wavefunction,
     displaced_coefficients,
@@ -71,7 +70,6 @@ from .pct import (
     EnergyMap,
     TransformedProblem,
     build_potential,
-    secant_squared_levels,
     transform,
 )
 from .verify import (

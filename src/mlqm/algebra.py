@@ -51,6 +51,30 @@ class DeformationParams:
             return np.ones_like(p)
         return (1.0 + self.beta * p**2) ** (self.gamma / self.beta - 1.0)
 
+    @property
+    def q_half(self) -> float:
+        """Half-width pi/(2 sqrt(beta)) of the q-box; infinite at beta = 0."""
+        return np.pi / (2.0 * np.sqrt(self.beta)) if self.beta > 0 else np.inf
+
+    def q_of_p(self, p):
+        """q = arctan(sqrt(beta) p)/sqrt(beta), so dq = dp/(1+beta*p^2): all of p onto |q| < q_half.
+
+        The identity at beta = 0.
+        """
+        p = np.asarray(p, dtype=float)
+        if self.beta == 0:
+            return p
+        sqb = np.sqrt(self.beta)
+        return np.arctan(sqb * p) / sqb
+
+    def p_of_q(self, q):
+        """The inverse map p = tan(sqrt(beta) q)/sqrt(beta); the identity at beta = 0."""
+        q = np.asarray(q, dtype=float)
+        if self.beta == 0:
+            return q
+        sqb = np.sqrt(self.beta)
+        return np.tan(sqb * q) / sqb
+
 
 @dataclass(frozen=True)
 class MomentumGrid:

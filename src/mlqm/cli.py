@@ -273,10 +273,9 @@ def cmd_wavefunction(cfg: RunConfig, n: int, samples: int) -> int:
     params = cfg.model_params()
     psi = wavefunction(n, params, QuadratureSpec(node_count=cfg.nodes))
     eta = params.family().metric()
-    sqb = np.sqrt(cfg.beta)
-    q_half = np.pi / (2.0 * sqb)
-    q = np.linspace(-0.995 * q_half, 0.995 * q_half, samples)
-    p = np.tan(sqb * q) / sqb
+    d = params.deformation
+    q = np.linspace(-0.995 * d.q_half, 0.995 * d.q_half, samples)
+    p = d.p_of_q(q)
     vals = psi(p)
     columns = (p, vals.real, vals.imag, eta(p), q)
     rows = [{key: float(col[k]) for key, col in zip(_WAVEFUNCTION_HEADER, columns)} for k in range(samples)]

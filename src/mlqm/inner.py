@@ -1,11 +1,11 @@
 """Deformed-measure and metric-weighted scalar products.
 
-The measure of the deformed algebra is dp/(1+beta*p^2)^(1-gamma/beta).
-Under p = tan(sqrt(beta) q)/sqrt(beta) it transforms exactly into
-(1+beta*p^2)^(gamma/beta) dq on the finite box |q| < pi/(2*sqrt(beta)),
-where the model eigenfunctions are smooth cos-powers times polynomials and
-Gauss-Legendre quadrature converges spectrally.  That q-scheme is the only
-one: it needs beta > 0, as the closed-form metric and eigenfunctions do.
+The measure of the deformed algebra is ``DeformationParams.measure_weight``
+dp.  Under the q-map of ``DeformationParams``, dp = (1+beta*p^2) dq, it
+becomes a weight on the finite box |q| < q_half, where the model
+eigenfunctions are smooth cos-powers times polynomials and Gauss-Legendre
+quadrature converges spectrally.  That q-scheme is the only one: it needs
+beta > 0, as the closed-form metric and eigenfunctions do.
 
 The Gauss-Legendre nodes are the eigenvalues of the tridiagonal Jacobi
 matrix of the Legendre recurrence (Golub & Welsch, Math. Comp. 23, 221
@@ -37,18 +37,6 @@ class QuadratureSpec:
             raise DomainError(f"need node_count >= 16, got {self.node_count}")
 
 
-def measure_jacobian(params: DeformationParams, p):
-    """Exact Jacobian factor: dp/(1+beta*p^2)^(1-gamma/beta) = jac(p) dq.
-
-    With p = tan(sqrt(beta) q)/sqrt(beta), dp = (1+beta*p^2) dq, so the
-    factor is (1+beta*p^2)^(gamma/beta).
-    """
-    p = np.asarray(p, dtype=float)
-    if params.beta == 0:
-        return np.ones_like(p)
-    return (1.0 + params.beta * p**2) ** (params.gamma / params.beta)
-
-
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
     """numpy's ``leggauss`` with Golub-Welsch nodes: the eigenvalues of the Jacobi
@@ -69,17 +57,15 @@ def _leggauss(n: int):
 
 
 def _quad_once(phi, psi, eta, params: DeformationParams, n_nodes: int) -> complex:
+    """n-node Gauss-Legendre sum on the q-box: the measure weight times dp/dq = 1 + beta*p^2, at p(q)."""
     if params.beta <= 0:
         raise DomainError("Gauss-Legendre quadrature on q needs beta > 0")
-    sqb = np.sqrt(params.beta)
-    q_half = np.pi / (2.0 * sqb)
     x, w = _leggauss(n_nodes)
-    q = q_half * x
-    p = np.tan(sqb * q) / sqb
-    vals = np.conj(phi(p)) * psi(p) * measure_jacobian(params, p)
+    p = params.p_of_q(params.q_half * x)
+    vals = np.conj(phi(p)) * psi(p) * params.measure_weight(p) * (1.0 + params.beta * p**2)
     if eta is not None:
         vals = vals * eta(p)
-    return complex(np.sum(q_half * w * vals))
+    return complex(np.sum(params.q_half * w * vals))
 
 
 def eta_inner(phi, psi, eta, params: DeformationParams, spec: QuadratureSpec = QuadratureSpec()) -> complex:

@@ -5,26 +5,9 @@ stay modest (n <= ~50) in this package, where the recurrence is stable on
 [-1, 1].
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class JacobiOrder:
-    """Degree n and exponent parameters (a, b) of P_n^(a,b)."""
-
-    n: int
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError(f"degree must be non-negative, got {self.n}")
-        if self.a <= -1 or self.b <= -1:
-            raise DomainError(f"need a > -1 and b > -1, got a={self.a}, b={self.b}")
 
 
 def jacobi_batch(n_max: int, a: float, b: float, z):
@@ -32,7 +15,10 @@ def jacobi_batch(n_max: int, a: float, b: float, z):
 
     Returns an array of shape (n_max + 1,) + shape(z).
     """
-    JacobiOrder(n_max, a, b)  # parameter validation
+    if n_max < 0:
+        raise DomainError(f"degree must be non-negative, got {n_max}")
+    if a <= -1 or b <= -1:
+        raise DomainError(f"need a > -1 and b > -1, got a={a}, b={b}")
     z = np.asarray(z, dtype=float)
     out = np.empty((n_max + 1,) + z.shape)
     out[0] = 1.0

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .inner import QuadratureSpec, eta_inner
 from .jacobi import jacobi_eval
-from .pct import CoefficientSet, EnergyMap, QMap, TransformedProblem, secant_squared_levels
+from .pct import CoefficientSet, EnergyMap, QMap, TransformedProblem
 
 
 @dataclass(frozen=True)
@@ -194,45 +194,25 @@ class DerivedSpectralParams:
         return abs(np.imag(self.a_const)) == 0.0
 
 
-@dataclass(frozen=True)
-class MetricFunction:
-    """Positive metric weight eta(p) with eta(0) = 1."""
-
-    evaluator: Callable
-
-    def __call__(self, p):
-        return self.evaluator(np.asarray(p, dtype=float))
-
-
 def gup_q_map_hint(deformation: DeformationParams) -> QMap:
-    """Closed-form q-map for f = (1+beta*p^2)^2: q = arctan(sqrt(beta) p)/sqrt(beta)."""
-    beta = deformation.beta
-    if beta == 0:
-        return QMap(q_of_p=lambda p: np.asarray(p, float), p_of_q=lambda q: np.asarray(q, float),
-                    q_min=-np.inf, q_max=np.inf)
-    sqb = np.sqrt(beta)
-    return QMap(
-        q_of_p=lambda p: np.arctan(sqb * np.asarray(p, float)) / sqb,
-        p_of_q=lambda q: np.tan(sqb * np.asarray(q, float)) / sqb,
-        q_min=-np.pi / (2 * sqb),
-        q_max=np.pi / (2 * sqb),
-    )
+    """Closed-form q-map for f = (1+beta*p^2)^2: the map of ``DeformationParams``."""
+    d = deformation
+    return QMap(q_of_p=d.q_of_p, p_of_q=d.p_of_q, q_min=-d.q_half, q_max=d.q_half)
 
 
 # --------------------------------------------------------------------------
-# eigenfunctions (canonical and printed cross-check forms)
+# eigenfunctions
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Wavefunction:
-    """Closed-form eigenfunction N * exp(a1*u(p)) * (1+beta*p^2)^a2 * P_n^(alpha,alpha)(z(p)).
+    """Closed-form eigenfunction N * exp(a1*q(p)) * (1+beta*p^2)^a2 * P_n^(alpha,alpha)(z(p)).
 
-    Here u(p) = arctan(sqrt(beta) p)/sqrt(beta).  The canonical argument is
-    z = sqrt(beta) p/sqrt(1+beta*p^2) (what the transformation pipeline
-    produces); ``printed_argument`` switches to z = sqrt(beta) p/(1+beta*p^2)
-    for cross-checking the published closed form.  First and second
-    derivatives are analytic (chain rule plus the Jacobi parameter-shift
-    derivative), as required by the ODE-residual check.
+    Here q(p) is the q-map of ``DeformationParams`` and the Jacobi argument
+    is z = sqrt(beta) p/sqrt(1+beta*p^2), what the transformation pipeline
+    produces.  First and second derivatives are analytic (chain rule
+    plus the Jacobi parameter-shift derivative), as required by the
+    ODE-residual check.
     """
 
     n: int
@@ -243,7 +223,6 @@ class Wavefunction:
     energy: complex = np.nan
     epsilon: float = np.nan
     norm: float = 1.0
-    printed_argument: bool = False
 
     def __post_init__(self):
         if self.n < 0:
@@ -253,10 +232,6 @@ class Wavefunction:
 
     def _z(self, p, w):
         sqb = np.sqrt(self.beta)
-        if self.printed_argument:
-            return sqb * p / w, sqb * (1.0 - self.beta * p**2) / w**2, 2.0 * sqb * self.beta * p * (
-                self.beta * p**2 - 3.0
-            ) / w**3
         return sqb * p / np.sqrt(w), sqb * w ** (-1.5), -3.0 * self.beta * sqb * p * w ** (-2.5)
 
     def _jacobi(self, z):
@@ -273,9 +248,7 @@ class Wavefunction:
     def _pieces(self, p):
         p = np.asarray(p, dtype=float)
         w = 1.0 + self.beta * p**2
-        sqb = np.sqrt(self.beta)
-        u = np.arctan(sqb * p) / sqb
-        log_env = self.a1 * u + self.a2 * np.log(w)
+        log_env = self.a1 * DeformationParams(beta=self.beta).q_of_p(p) + self.a2 * np.log(w)
         dlog = (self.a1 + 2.0 * self.a2 * self.beta * p) / w
         d2log = (2.0 * self.a2 * self.beta * w - (self.a1 + 2.0 * self.a2 * self.beta * p) * 2.0 * self.beta * p) / w**2
         env = self.norm * np.exp(log_env)
@@ -349,17 +322,16 @@ class GupFamily:
         return CoefficientSet(f=f, df=df, d2f=d2f, g=g, dg=dg, h=h, energy_map=self.energy_map)
 
     def log_rho(self) -> Callable:
-        """log rho = -(gamma + sigma)/(2 beta) * log(1 + beta p^2) - ell * arctan(sqrt(beta) p)/sqrt(beta)."""
+        """log rho = -(gamma + sigma)/(2 beta) * log(1 + beta p^2) - ell * q(p), q the q-map."""
         d = self.deformation
         beta, gamma = d.beta, d.gamma
         sigma, ell = self.sigma, self.ell
-        if beta == 0:  # gamma = 0 here; the limit of the formula above
-            return lambda p: -0.5 * sigma * np.asarray(p, float) ** 2 - ell * np.asarray(p, float)
-        sqb = np.sqrt(beta)
 
         def log_rho(p):
             p = np.asarray(p, dtype=float)
-            return -((gamma + sigma) / (2.0 * beta)) * np.log1p(beta * p**2) - ell * np.arctan(sqb * p) / sqb
+            # at beta = 0 (gamma = 0 there) the power law takes its limit
+            power = -0.5 * sigma * p**2 if beta == 0 else -((gamma + sigma) / (2.0 * beta)) * np.log1p(beta * p**2)
+            return power - ell * d.q_of_p(p)
 
         return log_rho
 
@@ -388,37 +360,38 @@ class GupFamily:
         return pct.transform(self.coefficients(), gup_q_map_hint(self.deformation))
 
     def epsilon_levels(self) -> Callable:
-        """n -> eps_n of the transformed problem (ladder plus the potential offset)."""
-        sp = self.spectral()
-        ladder = secant_squared_levels(sp.nu, self.deformation.beta)
-        return lambda n: ladder(n) + sp.offset
+        """n -> eps_n = (A + n sqrt(beta))^2 + offset: the sec^2 ladder plus the potential offset.
 
-    def metric(self) -> MetricFunction:
-        """Metric eta(p) = (1+beta*p^2)^(sigma/beta) * exp(2*ell*arctan(sqrt(beta) p)/sqrt(beta)).
+        A complex A (nu < -beta/4, fall to centre) has no real bound-state ladder and is refused.
+        """
+        sp = self.spectral()
+        if not sp.is_real:
+            raise UnsupportedRegimeError(f"nu={sp.nu} < -beta/4: no real bound-state ladder")
+        sqb = np.sqrt(self.deformation.beta)
+        return lambda n: (sp.a_const + np.asarray(n) * sqb) ** 2 + sp.offset
+
+    def metric(self) -> Callable:
+        """Metric eta(p) = (1+beta*p^2)^(sigma/beta) * exp(2*ell*q(p)), q the q-map.
 
         Checked against the generic formula before it is returned.
         """
-        beta = self.deformation.beta
-        if beta <= 0:
+        d = self.deformation
+        if d.beta <= 0:
             raise DomainError("the closed-form metric requires beta > 0")
-        sqb = np.sqrt(beta)
-        exponent, ell = self.sigma / beta, self.ell
+        exponent, ell = self.sigma / d.beta, self.ell
 
         def eta(p):
-            return (1.0 + beta * p**2) ** exponent * np.exp(2.0 * ell * np.arctan(sqb * p) / sqb)
+            p = np.asarray(p, dtype=float)
+            return (1.0 + d.beta * p**2) ** exponent * np.exp(2.0 * ell * d.q_of_p(p))
 
-        metric = MetricFunction(evaluator=eta)
-        _assert_generic_agreement(metric, self.deformation, self.log_rho())
-        return metric
+        _assert_generic_agreement(eta, d, self.log_rho())
+        return eta
 
-    def wavefunction(self, n: int, energy: complex, printed: bool = False) -> Wavefunction:
+    def wavefunction(self, n: int, energy: complex) -> Wavefunction:
         """Unnormalized eigenfunction with a1 = -ell and alpha = B - 1/2, B = A/sqrt(beta).
 
         The canonical form rho(p) * phi_n(q(p)) has a2 = -(gamma + sigma)/(2 beta) - B/2.
-        The published (``printed``) form carries the full -B and the Jacobi
-        argument sqrt(beta) p/(1+beta*p^2); it is kept for cross-checks only,
-        and the ODE-residual check quantifies its discrepancy.  Only defined
-        below the reality threshold.
+        Only defined below the reality threshold.
         """
         beta = self.deformation.beta
         if beta <= 0:
@@ -433,11 +406,10 @@ class GupFamily:
             n=n,
             beta=beta,
             a1=-self.ell,
-            a2=-(self.deformation.gamma + self.sigma) / (2.0 * beta) - (big_b if printed else big_b / 2.0),
+            a2=-(self.deformation.gamma + self.sigma) / (2.0 * beta) - big_b / 2.0,
             alpha=big_b - 0.5,
             energy=energy,
             epsilon=float(self.epsilon_levels()(n)),
-            printed_argument=printed,
         )
 
 
@@ -455,7 +427,7 @@ def transform(params) -> TransformedProblem:
     return params.family().transform()
 
 
-def metric(params) -> MetricFunction:
+def metric(params) -> Callable:
     """Closed-form metric of the model."""
     return params.family().metric()
 
@@ -496,7 +468,7 @@ displaced_wavefunction = swanson_wavefunction = wavefunction
 # generic metric path
 # --------------------------------------------------------------------------
 
-def generic_metric(deformation: DeformationParams, log_rho: Callable) -> MetricFunction:
+def generic_metric(deformation: DeformationParams, log_rho: Callable) -> Callable:
     """Generic metric (1+beta*p^2)^(-gamma/beta) * exp(-2 * Re int chi).
 
     ``log_rho`` is the (real) integral of chi; for both models it has a
@@ -511,10 +483,10 @@ def generic_metric(deformation: DeformationParams, log_rho: Callable) -> MetricF
         p = np.asarray(p, dtype=float)
         return (1.0 + beta * p**2) ** (-gamma / beta) * np.exp(-2.0 * np.real(log_rho(p)))
 
-    return MetricFunction(evaluator=eta)
+    return eta
 
 
-def _assert_generic_agreement(metric: MetricFunction, deformation: DeformationParams, log_rho: Callable):
+def _assert_generic_agreement(metric: Callable, deformation: DeformationParams, log_rho: Callable):
     generic = generic_metric(deformation, log_rho)
     p = np.linspace(-7.0, 7.0, 11)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed metric gives a NaN rel, refused below

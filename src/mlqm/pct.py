@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EllipticityError, UnsupportedRegimeError
+from .errors import DomainError, EllipticityError
 
 #: Interval of the random points at which CoefficientSet validates itself.
 _VALIDATION_RANGE = (-10.0, 10.0)
@@ -122,24 +122,3 @@ def transform(coeffs: CoefficientSet, q_map: QMap) -> TransformedProblem:
         potential=build_potential(coeffs, q_map),
         p_of_q=q_map.p_of_q,
     )
-
-
-def secant_squared_levels(nu: float, beta: float):
-    """Bound-state levels eps_n = (A + n sqrt(beta))^2 of -d^2/dq^2 + nu*sec^2(sqrt(beta) q).
-
-    A = (sqrt(beta) + sqrt(beta + 4 nu))/2.  Any additive offset carried by
-    the full potential is the caller's responsibility.  nu <= -beta/4 makes
-    A complex (fall-to-center regime) and is rejected.
-    """
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if nu <= -beta / 4.0:
-        raise UnsupportedRegimeError(f"nu={nu} <= -beta/4={-beta/4}: no real bound-state ladder")
-    sqb = np.sqrt(beta)
-    a_const = 0.5 * (sqb + np.sqrt(beta + 4.0 * nu))
-
-    def levels(n):
-        n = np.asarray(n)
-        return (a_const + n * sqb) ** 2
-
-    return levels

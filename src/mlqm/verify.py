@@ -203,11 +203,9 @@ def ode_residual(psi, coeffs: CoefficientSet, epsilon: float) -> ResidualReport:
     (the closed-form eigenfunctions do); sampling is uniform in q so the
     whole box is probed without chasing p to infinity.
     """
-    beta = psi.beta
-    sqb = np.sqrt(beta)
-    q_half = np.pi / (2.0 * sqb)
-    q = np.linspace(-0.999 * q_half, 0.999 * q_half, ODE_SAMPLES)
-    p = np.tan(sqb * q) / sqb
+    d = DeformationParams(beta=psi.beta)
+    q = np.linspace(-0.999 * d.q_half, 0.999 * d.q_half, ODE_SAMPLES)
+    p = d.p_of_q(q)
     vals = psi(p)
     resid = (
         -coeffs.f(p) * psi.second_derivative(p)

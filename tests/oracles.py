@@ -1,11 +1,14 @@
 """Independent references that only the tests use: adaptive quadrature of the PCT
-integrals and the Hamiltonians composed literally from dense x and p matrices."""
+integrals, the Hamiltonians composed literally from dense x and p matrices, and
+the published (printed) eigenfunction."""
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from mlqm.algebra import DeformationParams, MomentumGrid, first_derivative_matrix
-from mlqm.models import DisplacedOscillatorParams, SwansonParams
+from mlqm.models import DisplacedOscillatorParams, SwansonParams, Wavefunction
 
 _QUAD_ABS_TOL = 1e-12
 
@@ -54,3 +57,21 @@ def operator_hamiltonian(model, grid: MomentumGrid) -> np.ndarray:
         model.omega * (ad @ a) + model.lam * (a @ a) + model.delta * (ad @ ad)
         + (model.omega / 2.0) * np.eye(grid.n_points)
     )
+
+
+@dataclass(frozen=True)
+class PrintedWavefunction(Wavefunction):
+    """The published eigenfunction: Jacobi argument z = sqrt(beta) p/(1+beta*p^2)."""
+
+    def _z(self, p, w):
+        sqb = np.sqrt(self.beta)
+        return sqb * p / w, sqb * (1.0 - self.beta * p**2) / w**2, 2.0 * sqb * self.beta * p * (
+            self.beta * p**2 - 3.0
+        ) / w**3
+
+
+def printed_wavefunction(family, n, energy) -> PrintedWavefunction:
+    """The published form of ``family.wavefunction(n, energy)``: the power of 1+beta*p^2 carries the full -B."""
+    wave = family.wavefunction(n, energy)
+    big_b = wave.alpha + 0.5
+    return PrintedWavefunction(**{**vars(wave), "a2": wave.a2 - big_b / 2.0})

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mlqm import (
     DeformationParams,
@@ -64,6 +66,17 @@ class TestDeformationParams:
     def test_rejects_non_finite_parameters(self, name, value):
         with pytest.raises(ValueError):
             DeformationParams(**{name: value})
+
+    # subnormal p would underflow sqrt(beta)*p and lose the round trip to the float format
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(beta=st.just(0.0) | st.floats(1e-3, 10.0), p=st.floats(-100.0, 100.0, allow_subnormal=False))
+    @example(beta=10.0, p=100.0)
+    @example(beta=0.0, p=-100.0)
+    def test_q_map_round_trip(self, beta, p):
+        d = DeformationParams(beta=beta)
+        q = d.q_of_p(p)
+        assert abs(q) < d.q_half
+        assert abs(d.p_of_q(q) - p) <= 1e-12 * abs(p)
 
 
 class TestMomentumGrid:

@@ -11,7 +11,6 @@ from mlqm import (
     NonConvergenceError,
     QuadratureSpec,
     eta_inner,
-    measure_jacobian,
 )
 from mlqm.inner import _leggauss
 
@@ -47,17 +46,6 @@ def test_gauss_legendre_nodes_match_numpy(n):
     assert np.abs(w - w_ref).max() <= 1e-14
     assert abs(w.sum() - 2.0) <= 1e-14
     assert np.array_equal(x, -x[::-1])
-
-
-class TestMeasureJacobian:
-    def test_beta_zero_is_unity(self):
-        d = DeformationParams()
-        assert np.all(measure_jacobian(d, np.linspace(-3, 3, 7)) == 1.0)
-
-    def test_closed_form(self):
-        d = DeformationParams(1.0, 0.4, 0.2)
-        p = np.array([0.0, 1.5, -2.0])
-        assert np.allclose(measure_jacobian(d, p), (1 + 0.4 * p**2) ** 0.5)
 
 
 class TestInnerProducts:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
-from mlqm import DomainError, JacobiOrder, jacobi_batch, jacobi_eval
+from mlqm import DomainError, jacobi_batch, jacobi_eval
 
 
 def mp_jacobi(n, a, b, z):
@@ -15,13 +15,15 @@ def mp_jacobi(n, a, b, z):
 
 
 class TestJacobiOrder:
+    """The degree and parameters (n, a, b) that jacobi_batch admits."""
+
     def test_accepts_irrational_parameters(self):
-        JacobiOrder(3, np.sqrt(2) - 0.5, 0.25)
+        jacobi_batch(3, np.sqrt(2) - 0.5, 0.25, 0.3)
 
     @pytest.mark.parametrize("n,a,b", [(-1, 0.0, 0.0), (2, -1.0, 0.0), (2, 0.0, -1.5)])
     def test_rejects_out_of_domain(self, n, a, b):
         with pytest.raises(DomainError):
-            JacobiOrder(n, a, b)
+            jacobi_batch(n, a, b, 0.3)
 
 
 class TestValues:

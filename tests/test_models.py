@@ -28,7 +28,7 @@ from mlqm import (
 )
 from mlqm.models import displaced_coefficients, swanson_coefficients, wavefunction
 from mlqm.verify import ode_residual
-from oracles import quadrature_log_rho
+from oracles import printed_wavefunction, quadrature_log_rho
 
 
 def displaced_default(beta=0.1, gamma=0.0, lam=0.5):
@@ -118,12 +118,9 @@ class TestSwansonSpectrum:
     def test_energy_map_links_epsilon_and_energy(self):
         params = swanson_default()
         coeffs = swanson_coefficients(params)
-        sp = params.family().spectral()
-        from mlqm import secant_squared_levels
-
-        ladder = secant_squared_levels(sp.nu, 0.5)
+        eps_levels = params.family().epsilon_levels()
         for n in range(6):
-            eps = float(ladder(n) + sp.offset)
+            eps = float(eps_levels(n))
             assert coeffs.energy_map.energy(eps) == pytest.approx(
                 float(np.real(swanson_energy(n, params))), rel=1e-12
             )
@@ -146,6 +143,13 @@ class TestSwansonSpectrum:
     def test_spectral_is_real_flag(self):
         assert swanson_default(beta=1.9).family().spectral().is_real
         assert not swanson_default(beta=2.1).family().spectral().is_real
+
+    def test_ladder_refused_without_real_a(self):
+        # past beta_c, nu < -beta/4 (fall to centre) makes A complex; at beta = 0 there is no sec^2 box
+        with pytest.raises(UnsupportedRegimeError):
+            swanson_default(beta=2.1).family().epsilon_levels()
+        with pytest.raises(DomainError):
+            swanson_default(beta=0.0).family().epsilon_levels()
 
 
 class TestMetrics:
@@ -252,13 +256,13 @@ class TestWavefunctions:
             swanson_wavefunction(0, swanson_default(beta=2.1))
 
     def test_printed_forms_do_not_satisfy_the_ode(self):
-        # the published closed forms (kept for cross-checks) leave an O(1)
-        # residual; the canonical forms above are the solutions
+        # the published closed forms leave an O(1) residual; the canonical
+        # forms above are the solutions
         params = displaced_default()
-        psi = params.family().wavefunction(0, params.energy(0), printed=True)
+        psi = printed_wavefunction(params.family(), 0, params.energy(0))
         assert ode_residual(psi, displaced_coefficients(params), psi.epsilon).value > 0.1
         s_params = swanson_default(lam=0.3, delta=0.1)
-        phi = s_params.family().wavefunction(0, s_params.energy(0), printed=True)
+        phi = printed_wavefunction(s_params.family(), 0, s_params.energy(0))
         assert ode_residual(phi, swanson_coefficients(s_params), phi.epsilon).value > 0.1
 
     def test_ground_state_has_no_nodes(self):

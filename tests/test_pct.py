@@ -10,10 +10,10 @@ from mlqm import (
     DomainError,
     EllipticityError,
     EnergyMap,
-    UnsupportedRegimeError,
+    GupFamily,
     SwansonParams,
+    UnsupportedRegimeError,
     build_potential,
-    secant_squared_levels,
     transform,
 )
 from mlqm.models import gup_q_map_hint
@@ -144,24 +144,24 @@ class TestPotential:
             V(qmap.q_max * 1.01)
 
 
+def hermitian_family(nu, beta):
+    """The Hermitian (sigma = ell = 0) GUP family with c = 0, whose sec^2 strength is nu = a / beta."""
+    return GupFamily(
+        deformation=DeformationParams(1.0, beta, 0.0),
+        sigma=0.0,
+        ell=0.0,
+        a=nu * beta,
+        c=0.0,
+        energy_map=EnergyMap(scale=1.0, offset=0.0),
+    )
+
+
 class TestSecantSquaredLevels:
-    def test_ladder_values(self):
-        beta, nu = 0.5, 3.0
-        levels = secant_squared_levels(nu, beta)
-        a = 0.5 * (np.sqrt(beta) + np.sqrt(beta + 4 * nu))
-        n = np.arange(4)
-        assert np.allclose(levels(n), (a + n * np.sqrt(beta)) ** 2)
-
-    def test_free_box_limit(self):
-        # nu = 0: the ladder reduces to the particle-in-a-box set (n+1)^2 beta
-        levels = secant_squared_levels(0.0, 0.5)
-        n = np.arange(5)
-        assert np.allclose(levels(n), 0.5 * (n + 1) ** 2)
-
     def test_fall_to_center_rejected(self):
+        # nu < -beta/4 makes A complex: no real bound-state ladder
         with pytest.raises(UnsupportedRegimeError):
-            secant_squared_levels(-0.2, 0.5)
+            hermitian_family(-0.2, 0.5).epsilon_levels()
 
     def test_beta_must_be_positive(self):
         with pytest.raises(DomainError):
-            secant_squared_levels(1.0, 0.0)
+            hermitian_family(1.0, 0.0).epsilon_levels()
