@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -21,6 +22,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports mlqm from this source tree, capturing text output.
+
+    Its stdout is block-buffered, as for any pipe, so output that the exit path fails to flush is lost.
+    """
+    src = os.path.dirname(os.path.dirname(mlqm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
 
 
 class TestSpectrum:
@@ -418,6 +430,55 @@ class TestConfigResolution:
         assert via_flag == via_file != RunConfig()
 
 
+class TestProcessExit:
+    """`python -m mlqm.cli` and the `mlqm` script exit through `run`, which freezes the collector first."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("verify", "--list"), EXIT_OK),
+            (("spectrum", "--levels", "2"), EXIT_OK),
+            (("spectrum", "--beta", "0"), EXIT_CONFIG),
+            (("spectrum", "--grid", "80"), EXIT_NUMERIC),
+        ],
+        ids=["verify-list", "spectrum", "config-error", "numeric-failure"],
+    )
+    def test_process_matches_in_process_main(self, capsys, argv, expected):
+        in_process = run(capsys, *argv)
+        assert in_process[0] == expected
+        proc = python("-m", "mlqm.cli", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+
+    def test_output_file_is_complete(self, capsys, tmp_path):
+        argv = ("spectrum", "--levels", "2", "--output")
+        assert run(capsys, *argv, str(tmp_path / "in.csv")) == (EXIT_OK, "", "")
+        proc = python("-m", "mlqm.cli", *argv, str(tmp_path / "out.csv"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+        written = (tmp_path / "out.csv").read_bytes()
+        assert written == (tmp_path / "in.csv").read_bytes() and written.count(b"\n") == 3
+
+    def test_run_freezes_after_main_and_exits_with_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or EXIT_NUMERIC)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == EXIT_NUMERIC and calls == ["main", "freeze"]
+
+    def test_escaping_exception_prints_a_traceback_and_exits_one(self):
+        probe = "import mlqm.cli as cli\ndef main():\n    raise RuntimeError('escaped main')\ncli.main = main\ncli.run()"
+        proc = python("-c", probe)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("Traceback (most recent call last):\n")
+        assert proc.stderr.endswith("RuntimeError: escaped main\n")
+
+    def test_in_process_main_leaves_the_collector_alone(self, capsys):
+        # tests and the traced benchmark replay call main() in-process, many times over
+        before = gc.get_freeze_count()
+        assert run(capsys, "spectrum", "--levels", "2")[0] == EXIT_OK
+        assert gc.get_freeze_count() == before
+
+
 @pytest.mark.parametrize(
     "code, scipy_loaded",
     [
@@ -432,8 +493,6 @@ class TestConfigResolution:
 )
 def test_scipy_is_imported_at_the_first_solve(code, scipy_loaded):
     # SciPy's import costs ~0.3 s per process, so a command that solves nothing must not pay it
-    src = os.path.dirname(os.path.dirname(mlqm.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "\n".join([
         "import contextlib, io, sys",
         "def main(argv):",
@@ -443,7 +502,7 @@ def test_scipy_is_imported_at_the_first_solve(code, scipy_loaded):
         code,
         "print(' '.join(m for m in sys.modules if m.startswith('scipy')))",
     ])
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = python("-c", probe, check=True)
     loaded = out.stdout.split()
     if scipy_loaded:
         assert "scipy.sparse.linalg" in loaded
