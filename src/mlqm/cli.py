@@ -66,7 +66,6 @@ class RunConfig:
     lam: float = field(default=0.5, metadata={"key": "lambda"})
     delta: float = 0.0
     levels: int = 4
-    grid: int = field(default=2000, metadata={"help": "q-space grid size"})
     nodes: int = field(default=512, metadata={"help": "quadrature node count"})
     p_grid: int = field(default=1200, metadata={"help": "p-space grid size"})
     p_max: float = field(default=30.0, metadata={"help": "p-space half-width"})
@@ -186,7 +185,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         )
     rows = []
     if cfg.levels > 0:
-        q_result = eigensolver.solve_q_space(family.transform(), cfg.grid, cfg.levels)
+        q_result = eigensolver.solve_q_space(family.transform(), cfg.levels)
         e_q = coeffs.energy_map.energy(q_result.real_parts)
         p_grid = MomentumGrid.symmetric(cfg.p_max, cfg.p_grid)
         # Swanson bound states decay only polynomially in p, so the box-edge
@@ -222,9 +221,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 _SWEEP_PARAMS = ("beta", "lambda", "delta", "omega")
 #: Most rows one sweep may ask for; the table is built in memory before it is written.
 _MAX_SWEEP_STEPS = 100_000
-#: q-grid of a numeric sweep row (``--grid`` if smaller), for both models: past beta_c
-#: every row costs two ARPACK solves, on this grid and on twice it.
-_SWEEP_GRID = 700
 
 
 def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> dict:
@@ -232,7 +228,7 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> dict:
     params = local.model_params()
     if numeric:
         family = params.family()
-        result = eigensolver.solve_q_space(family.transform(), min(local.grid, _SWEEP_GRID), local.levels)
+        result = eigensolver.solve_q_space(family.transform(), local.levels)
         energies = [family.energy_map.energy(complex(e)) for e in result.eigenvalues]
     else:
         energies = [complex(params.energy(n)) for n in range(local.levels)]

@@ -1,21 +1,15 @@
 """Numerical spectral oracles.
 
-Two independent discretizations cross-check the closed forms: a
-tridiagonal Schrodinger solver on the finite q-box (the precision oracle)
-and a non-Hermitian momentum-space solver that sees the operator as it
-really is, assembled from the ODE coefficients.  The momentum-space matrix
-is banded and assembled straight into CSC, so its few low modes come from
-one ARPACK shift-invert call around sigma = 0 rather than from a full dense
-eigensolve.  Its grid is a truncated box, so the solve is refused when one
-of the requested modes reaches the box edge.  The q-box solver closes each wall with the analytic
-wall behaviour phi ~ d^B, its exponent B read from the potential, so one
-solver follows the spectrum on both sides of the reality threshold, where
-a Dirichlet wall would pin every eigenvalue on the real axis.  Its matrix
-is real symmetric below the threshold (solved by eigh_tridiagonal) and
-complex symmetric past it (ARPACK shift-invert left of the Bendixson
-bound).  No solver here forms a dense eigenproblem.  SciPy is imported in
-the functions that call it, at the first solve: its ~0.3 s import would
-otherwise slow every CLI process, even those that solve nothing.
+Two independent discretizations cross-check the closed forms: a spectral
+Schrodinger solver on the finite q-box (the precision oracle) and a
+non-Hermitian momentum-space solver that sees the operator as it really is,
+assembled from the ODE coefficients into banded CSC, whose few low modes
+come from one ARPACK shift-invert call; its grid is a truncated box, so the
+solve is refused when a requested mode reaches the box edge.  The q-box
+solver takes the wall behaviour phi ~ d^B, B read from the potential, out of
+the eigenfunction, so it follows the spectrum on both sides of the reality
+threshold.  SciPy is imported in the functions that call it, at the first
+solve: its ~0.3 s import would otherwise slow every CLI process.
 """
 
 from dataclasses import dataclass
@@ -38,8 +32,9 @@ UNCLASSIFIED = "unclassified"
 #: artifacts of a box that is too small sit at O(1).
 _SPURIOUS_EDGE_RATIO = 1e-4
 
-#: Distance from each wall to the outermost q-grid point, as a fraction of the box.
-_WALL_GAP = 0.01
+#: Most q-box levels one solve returns: the dense collocation matrix has 32 + 4 n_levels rows,
+#: so the largest solve is 2032 x 2032 and takes 10-20 s.
+_MAX_Q_LEVELS = 500
 
 
 @dataclass(frozen=True)
@@ -101,80 +96,83 @@ def _indicial_root(problem: TransformedProblem) -> complex:
     """Wall exponent B of phi ~ d^B (the indicial root), read from the potential alone.
 
     The box spans pi/sqrt(beta), and near a wall V = nu sec^2(sqrt(beta) q)
-    + const, so V sin^2(sqrt(beta) d) at wall distances d = gap and 2 gap
-    gives nu and the constant; B is the root of B(B-1) = nu/beta with
-    Re B >= 1/2 (complex past the reality threshold).
+    + const, so V sin^2(sqrt(beta) d) at two wall distances d gives nu and
+    the constant; B is the root of B(B-1) = nu/beta with Re B >= 1/2
+    (complex past the reality threshold).
     """
     span = problem.q_max - problem.q_min
     sqb = np.pi / span
-    d = np.array([1.0, 2.0]) * _WALL_GAP * span
+    # At d = 1e-4 span, a smooth part of V leaves a fit error that falls as d^3 or faster,
+    # while the rounding of q_min + d, relative to d, grows as 1/d: both sit near 1e-12
+    # of nu there.  At 1e-2 span a potential that is not pure sec^2 misfits nu by up to
+    # 5e-7, and the leftover nu z^2/(1-z^2) term stalls the collocation.  The second
+    # distance 2d makes the fit about (4 u(d) - u(2d))/3, which amplifies rounding by < 2.
+    d = np.array([1e-4, 2e-4]) * span
     s2 = np.sin(sqb * d) ** 2
     u = np.asarray(problem.potential(problem.q_min + d), dtype=float) * s2
     nu = (u[0] * s2[1] - u[1] * s2[0]) / (s2[1] - s2[0])
     return complex(0.5 * (1.0 + np.sqrt(complex(1.0 + 4.0 * nu / sqb**2))))
 
 
-def _q_box_levels(problem: TransformedProblem, wall_b: complex, n_grid: int, n_levels: int) -> np.ndarray:
-    """The n_levels lowest levels on the n_grid-point wall-closure grid."""
-    from scipy.linalg import eigh_tridiagonal
-    from scipy.sparse import diags_array
-    span = problem.q_max - problem.q_min
-    d0 = _WALL_GAP * span
-    q = np.linspace(problem.q_min + d0, problem.q_max - d0, n_grid)
-    h = q[1] - q[0]
-    diag = (2.0 / h**2 + np.asarray(problem.potential(q), dtype=float)).astype(complex)
-    diag[[0, -1]] -= ((d0 - h) / d0) ** wall_b / h**2
-    off = np.full(n_grid - 1, -1.0 / h**2)
-    try:
-        levels = eigh_tridiagonal(
-            diag.real, off, select="i", select_range=(0, n_levels - 1), eigvals_only=True
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"q-box eigensolve failed: {exc}")
-    if wall_b.imag == 0:
-        return levels
-    # Bendixson: every Re(eigenvalue) lies at or above the lowest level of the Hermitian part
-    matrix = diags_array([off, diag, off], offsets=[-1, 0, 1], format="csc")
-    eigs, _ = _low_modes(matrix, n_levels, levels[0] - 1.0)
-    # conj(M) has exactly the conjugate spectrum: merge the two branches
-    eigs = np.concatenate([eigs, np.conj(eigs)])
-    return eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels]
+def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
+    """The n_levels lowest q-box levels from one Chebyshev collocation solve with the wall factor taken out.
 
+    With beta = (pi/span)^2, z = sin(sqrt(beta) (q - q_mid)), phi = (1 - z^2)^(B/2) u,
+    B from ``_indicial_root`` and nu = beta B (B - 1), the Schrodinger problem becomes
 
-def solve_q_space(problem: TransformedProblem, n_grid: int, n_levels: int) -> SpectrumResult:
-    """Second-order q-box solve with a wall closure, Richardson-combined over n_grid and 2*n_grid points.
+        -beta (1-z^2) u'' + beta (2B+1) z u' + [V(q(z)) - nu z^2/(1-z^2) + B beta] u = eps u,
 
-    The regular solution behaves like d^B at distance d from a wall, with B
-    read from the potential (``_indicial_root``).  The grid stops
-    d0 = _WALL_GAP * span short of each wall, and its ghost point is folded
-    back with the ratio ((d0-h)/d0)^B, complex when B is: this continues the
-    bound states past the reality threshold, where a Dirichlet wall would pin
-    them on the real axis.  Only the three bands are assembled, and
-    eigh_tridiagonal solves the Hermitian part, the whole matrix for a real
-    B.  For a complex B, ARPACK shift-invert runs at the lowest level of the
-    Hermitian part minus 1, strictly left of every eigenvalue (Bendixson's
-    theorem), and the modes are merged with their conjugates, the spectrum
-    of the conjugate closure, so that pairs appear as pairs.
+    with coefficients smooth on [-1, 1].  It is collocated at the N = 32 + 4 n_levels
+    interior Chebyshev-Gauss points with no boundary rows, since the factor already
+    selects the regular solution at each wall, and SciPy's dense ``eigvals`` solves it.
+    A complex B (past the reality threshold) gives a complex matrix, whose eigenvalues
+    are merged with their conjugates so that pairs appear as pairs.  The upper part of
+    a collocation spectrum is spurious; only the lowest n_levels are returned.
     """
+    from scipy.linalg import LinAlgError, eigvals
     if not (np.isfinite(problem.q_min) and np.isfinite(problem.q_max)):
         raise InvalidGridError("solve_q_space needs a finite q-box")
-    if n_grid < 64:
-        raise InvalidGridError(f"need n_grid >= 64, got {n_grid}")
-    if n_levels < 1 or n_levels > n_grid // 4:
-        raise ResolutionError(f"cannot resolve {n_levels} levels on a {n_grid}-point grid")
-    min_grid = round(1.0 / _WALL_GAP)  # the spacing (1 - 2 gap) span/(n_grid - 1) must stay below the gap
-    if n_grid < min_grid:
-        raise ResolutionError(f"q-grid of {n_grid} points is not finer than the wall gap; need n_grid >= {min_grid}")
+    if not 1 <= n_levels <= _MAX_Q_LEVELS:
+        raise ResolutionError(f"cannot resolve {n_levels} q-box levels; need 1 <= levels <= {_MAX_Q_LEVELS}")
+    n = 32 + 4 * n_levels
+    t = (2 * np.arange(n) + 1) * np.pi / (2 * n)
+    z, one_minus_z2 = np.cos(t), np.sin(t) ** 2  # z = cos t, so 1 - z^2 keeps its digits at the walls
+    # D1 from the barycentric weights of the Chebyshev-Gauss points, D2 from D1 (Welfert's
+    # recursion); each diagonal is minus its off-diagonal row sum
+    w = (-1.0) ** np.arange(n) * np.sin(t)
+    dz = z[:, None] - z[None, :]
+    np.fill_diagonal(dz, 1.0)
+    d1 = (w[None, :] / w[:, None]) / dz
+    np.fill_diagonal(d1, 0.0)
+    np.fill_diagonal(d1, -d1.sum(axis=1))
+    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - 1.0 / dz)
+    np.fill_diagonal(d2, 0.0)
+    np.fill_diagonal(d2, -d2.sum(axis=1))
+    span = problem.q_max - problem.q_min
+    beta = (np.pi / span) ** 2
     wall_b = _indicial_root(problem)
-    coarse = _q_box_levels(problem, wall_b, n_grid, n_levels)
-    fine = _q_box_levels(problem, wall_b, 2 * n_grid, n_levels)
-    r2 = ((2 * n_grid - 1) / (n_grid - 1)) ** 2  # (h_coarse / h_fine)^2
-    eps = (r2 * fine - coarse) / (r2 - 1.0)
+    if wall_b.imag == 0:
+        wall_b = wall_b.real
+    nu = beta * wall_b * (wall_b - 1.0)
+    q = problem.q_min + span * (1.0 - t / np.pi)  # z = sin(sqrt(beta) (q - q_mid)) = cos t
+    diag = np.asarray(problem.potential(q), dtype=float) - nu * z**2 / one_minus_z2 + wall_b * beta
+    matrix = -beta * one_minus_z2[:, None] * d2 + (beta * (2.0 * wall_b + 1.0) * z)[:, None] * d1
+    matrix[np.diag_indices(n)] += diag
+    try:
+        eigs = eigvals(matrix)
+    except (LinAlgError, ValueError) as exc:  # ValueError: check_finite found a NaN or inf entry
+        raise NumericError(f"q-box eigensolve failed: {exc}")
+    if np.isrealobj(matrix):
+        # a real wall exponent makes the operator self-adjoint in the weight (1-z^2)^(B-1/2)
+        eps = np.sort(eigs.real)[:n_levels]
+    else:
+        eigs = np.concatenate([eigs, np.conj(eigs)])
+        eps = eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels]
     return SpectrumResult(
         eigenvalues=tuple(complex(e) for e in eps),
         classification=classify_spectrum(eps, 1e-6),
         source="q-space-numeric",
-        resolution=2 * n_grid,
+        resolution=n,
     )
 
 

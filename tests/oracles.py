@@ -1,11 +1,12 @@
 """Independent references that only the tests use: adaptive quadrature of the PCT
-integrals, the Hamiltonians composed literally from dense x and p matrices, and
-the published (printed) eigenfunction."""
+integrals, the Hamiltonians composed literally from dense x and p matrices, a
+finite-difference q-box solve, and the published (printed) eigenfunction."""
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 from mlqm.algebra import DeformationParams, MomentumGrid, first_derivative_matrix
 from mlqm.models import DisplacedOscillatorParams, SwansonParams, Wavefunction
@@ -57,6 +58,30 @@ def operator_hamiltonian(model, grid: MomentumGrid) -> np.ndarray:
         model.omega * (ad @ a) + model.lam * (a @ a) + model.delta * (ad @ ad)
         + (model.omega / 2.0) * np.eye(grid.n_points)
     )
+
+
+def _fd_q_box_levels(problem, wall_b, n_grid, n_levels):
+    """The n_levels lowest levels of the second-order FD q-box on n_grid points, with a ghost-point wall closure.
+
+    The grid stops d0 = 0.01 span short of each wall, and its ghost point is
+    folded back with ((d0 - h)/d0)^B, the ratio of the wall behaviour phi ~ d^B.
+    """
+    span = problem.q_max - problem.q_min
+    d0 = 0.01 * span
+    q = np.linspace(problem.q_min + d0, problem.q_max - d0, n_grid)
+    h = q[1] - q[0]
+    diag = 2.0 / h**2 + np.asarray(problem.potential(q), dtype=float)
+    diag[[0, -1]] -= ((d0 - h) / d0) ** wall_b / h**2
+    off = np.full(n_grid - 1, -1.0 / h**2)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1), eigvals_only=True), h
+
+
+def fd_q_box_levels(problem, wall_b: float, n_levels: int):
+    """Finite-difference q-box levels for a real wall exponent B, Richardson-combined over 2000 and 4000 points."""
+    coarse, h_coarse = _fd_q_box_levels(problem, wall_b, 2000, n_levels)
+    fine, h_fine = _fd_q_box_levels(problem, wall_b, 4000, n_levels)
+    r2 = (h_coarse / h_fine) ** 2
+    return (r2 * fine - coarse) / (r2 - 1.0)
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ def test_criterion_1_displaced_spectral_agreement():
     budget, t0 = 5.0, time.perf_counter()
     params = displaced_params()
     coeffs = displaced_coefficients(params)
-    result = solve_q_space(displaced_transform(params), n_grid=2000, n_levels=8)
+    result = solve_q_space(displaced_transform(params), n_levels=8)
     errs = []
     for n, eps in enumerate(result.eigenvalues):
         e_num = coeffs.energy_map.energy(eps.real)
@@ -85,7 +85,7 @@ def test_criterion_2_swanson_spectral_agreement():
     params = swanson_params()
     coeffs = swanson_coefficients(params)
     e0 = swanson_energy(0, params)
-    result = solve_q_space(swanson_transform(params), n_grid=2000, n_levels=8)
+    result = solve_q_space(swanson_transform(params), n_levels=8)
     errs = []
     for n, eps in enumerate(result.eigenvalues):
         e_num = coeffs.energy_map.energy(eps.real)
@@ -106,8 +106,8 @@ def test_criterion_3_reality_transition():
     beta_c = swanson_beta_c(swanson_params())
     assert beta_c == pytest.approx(2.0, rel=1e-12)
 
-    def branch(beta, n_grid=700):
-        return solve_q_space_branch(swanson_transform(swanson_params(beta=beta)), n_grid=n_grid, n_levels=4)
+    def branch(beta):
+        return solve_q_space_branch(swanson_transform(swanson_params(beta=beta)), n_levels=4)
 
     below = branch(1.9)
     scale = max(1.0, float(np.max(np.abs(below.real_parts))))
@@ -117,7 +117,7 @@ def test_criterion_3_reality_transition():
     lo, hi = 1.9, 2.1
     for _ in range(4):
         mid = 0.5 * (lo + hi)
-        if branch(mid, n_grid=600).has_conjugate_pair:
+        if branch(mid).has_conjugate_pair:
             hi = mid
         else:
             lo = mid

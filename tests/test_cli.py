@@ -37,7 +37,7 @@ def python(*args, **kwargs) -> subprocess.CompletedProcess:
 
 class TestSpectrum:
     def test_csv_output_and_accuracy(self, capsys):
-        code, out, _ = run(capsys, "spectrum", "--levels", "3", "--grid", "800")
+        code, out, _ = run(capsys, "spectrum", "--levels", "3")
         assert code == EXIT_OK
         lines = out.strip().split("\n")
         assert lines[0] == "n,E_closed,E_q,E_p_re,E_p_im,err_q,err_p"
@@ -49,7 +49,7 @@ class TestSpectrum:
         assert float(first[6]) < 1e-4  # p-space relative error
 
     def test_json_output(self, capsys):
-        code, out, _ = run(capsys, "spectrum", "--levels", "2", "--grid", "800", "--format", "json")
+        code, out, _ = run(capsys, "spectrum", "--levels", "2", "--format", "json")
         assert code == EXIT_OK
         rows = json.loads(out)
         assert [r["n"] for r in rows] == [0, 1]
@@ -58,7 +58,7 @@ class TestSpectrum:
     def test_swanson_clean_point(self, capsys):
         code, out, _ = run(
             capsys, "spectrum", "--model", "swanson", "--beta", "0.5",
-            "--lambda", "0.2", "--delta", "0.2", "--levels", "2", "--grid", "800",
+            "--lambda", "0.2", "--delta", "0.2", "--levels", "2",
         )
         assert code == EXIT_OK
         first = out.strip().split("\n")[1].split(",")
@@ -68,7 +68,7 @@ class TestSpectrum:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "spec.csv"
         code, out, _ = run(
-            capsys, "spectrum", "--levels", "2", "--grid", "800", "--output", str(target)
+            capsys, "spectrum", "--levels", "2", "--output", str(target)
         )
         assert code == EXIT_OK and out == ""
         text = target.read_text()
@@ -137,21 +137,11 @@ class TestSweep:
             "--lambda", "0.2", "--delta", "0.2", "--levels", "800",
         )
         assert code == EXIT_NUMERIC and out == ""
-        assert err == "numeric failure: cannot resolve 800 levels on a 700-point grid\n"
-
-    def test_numeric_sweep_refuses_a_grid_coarser_than_the_wall_gap(self, capsys):
-        # on this grid the wall closure would degenerate into a Dirichlet wall, which prints
-        # E0 = 0.3354 + 0i at beta = 2.5, where the closed form is 0.375 -/+ 0.156i
-        code, out, err = run(
-            capsys, "sweep", "--model", "swanson", "--numeric", "--grid", "80", "--param", "beta",
-            "--from", "1.5", "--to", "2.5", "--steps", "3", "--lambda", "0.2", "--delta", "0.2", "--levels", "2",
-        )
-        assert code == EXIT_NUMERIC and out == ""
-        assert err == "numeric failure: q-grid of 80 points is not finer than the wall gap; need n_grid >= 100\n"
+        assert err == "numeric failure: cannot resolve 800 q-box levels; need 1 <= levels <= 500\n"
 
     def test_numeric_sweep_matches_closed_form(self, capsys):
         code, out, _ = run(
-            capsys, "sweep", "--levels", "2", "--grid", "600", "--numeric",
+            capsys, "sweep", "--levels", "2", "--numeric",
             "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2",
         )
         assert code == EXIT_OK
@@ -209,7 +199,7 @@ class TestFormats:
     @pytest.mark.parametrize(
         "argv, blank",
         [
-            (("spectrum", "--levels", "2", "--grid", "800"), set()),
+            (("spectrum", "--levels", "2"), set()),
             # lambda * delta < 0 has no reality threshold: a blank CSV cell, a JSON null
             (("sweep", "--model", "swanson", "--lambda", "0.2", "--delta", "-0.1", "--levels", "2",
               "--param", "beta", "--from", "0.3", "--to", "0.6", "--steps", "3"), {"beta_c"}),
@@ -323,7 +313,7 @@ class TestNumericFailure:
         monkeypatch.setattr(
             eigensolver, "p_space_operator", lambda coeffs, grid: csc_array(np.diag(np.arange(float(grid.n_points))))
         )
-        code, out, err = run(capsys, "spectrum", "--levels", "2", "--grid", "800")
+        code, out, err = run(capsys, "spectrum", "--levels", "2")
         assert code == EXIT_NUMERIC and out == ""
         assert err.startswith("numeric failure: shift-invert eigensolve failed on a 1200x1200 matrix")
 
@@ -331,7 +321,7 @@ class TestNumericFailure:
 class TestConfigResolution:
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"model": "displaced", "beta": 0.2, "levels": 2, "grid": 800}))
+        cfg.write_text(json.dumps({"model": "displaced", "beta": 0.2, "levels": 2, "nodes": 800}))
         code, out, _ = run(capsys, "spectrum", "--config", str(cfg), "--beta", "0.1")
         assert code == EXIT_OK
         # flag wins: E_closed must be the beta=0.1 value
@@ -362,7 +352,7 @@ class TestConfigResolution:
         assert code == EXIT_CONFIG and "singular" in err
 
     @pytest.mark.parametrize(
-        "bad", [{"levels": 2.9}, {"levels": True}, {"grid": "800"}, {"output": 2}, {"output": ["x.csv"]}]
+        "bad", [{"levels": 2.9}, {"levels": True}, {"nodes": "800"}, {"output": 2}, {"output": ["x.csv"]}]
     )
     def test_config_value_types_checked(self, capsys, tmp_path, bad):
         # a fractional or boolean count is not truncated, and an integer output is not a file descriptor
@@ -374,7 +364,7 @@ class TestConfigResolution:
 
     def test_integral_config_values_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"levels": 2.0, "grid": 800, "output": None}))
+        cfg.write_text(json.dumps({"levels": 2.0, "nodes": 800, "output": None}))
         code, out, _ = run(capsys, "verify", "--list", "--config", str(cfg))
         assert code == EXIT_OK and "gamma-independence" in out.split()
 
@@ -439,7 +429,7 @@ class TestProcessExit:
             (("verify", "--list"), EXIT_OK),
             (("spectrum", "--levels", "2"), EXIT_OK),
             (("spectrum", "--beta", "0"), EXIT_CONFIG),
-            (("spectrum", "--grid", "80"), EXIT_NUMERIC),
+            (("spectrum", "--p-max", "3"), EXIT_NUMERIC),
         ],
         ids=["verify-list", "spectrum", "config-error", "numeric-failure"],
     )
@@ -479,20 +469,30 @@ class TestProcessExit:
         assert gc.get_freeze_count() == before
 
 
+#: the SciPy solver packages a command may load
+SOLVERS = {"scipy.linalg", "scipy.sparse.linalg"}
+
+
 @pytest.mark.parametrize(
-    "code, scipy_loaded",
+    "code, solvers",
     [
-        ("import mlqm", False),
-        ("import mlqm.cli", False),
-        ("assert main(['verify', '--list']) == 0", False),
-        ("assert main(['sweep', '--param', 'beta', '--from', '0.05', '--to', '0.2', '--steps', '4']) == 0", False),
-        ("assert main(['spectrum', '--beta', '0']) == 2", False),
-        ("assert main(['spectrum', '--levels', '2']) == 0", True),
+        ("import mlqm", set()),
+        ("import mlqm.cli", set()),
+        ("assert main(['verify', '--list']) == 0", set()),
+        ("assert main(['sweep', '--param', 'beta', '--from', '0.05', '--to', '0.2', '--steps', '4']) == 0", set()),
+        ("assert main(['spectrum', '--beta', '0']) == 2", set()),
+        ("assert main(['spectrum', '--levels', '2']) == 0", SOLVERS),
+        (
+            "assert main(['sweep', '--model', 'swanson', '--numeric', '--param', 'beta', '--from', '1.5',"
+            " '--to', '2.5', '--steps', '2', '--lambda', '0.2', '--delta', '0.2']) == 0",
+            {"scipy.linalg"},
+        ),
     ],
-    ids=["import-mlqm", "import-cli", "verify-list", "closed-form-sweep", "config-error", "spectrum"],
+    ids=["import-mlqm", "import-cli", "verify-list", "closed-form-sweep", "config-error", "spectrum", "numeric-sweep"],
 )
-def test_scipy_is_imported_at_the_first_solve(code, scipy_loaded):
-    # SciPy's import costs ~0.3 s per process, so a command that solves nothing must not pay it
+def test_scipy_is_imported_at_the_first_solve(code, solvers):
+    # SciPy's import costs ~0.3 s per process, so a command that solves nothing must not pay it,
+    # and the q-box solve of a numeric sweep needs only scipy.linalg, not scipy.sparse
     probe = "\n".join([
         "import contextlib, io, sys",
         "def main(argv):",
@@ -504,10 +504,11 @@ def test_scipy_is_imported_at_the_first_solve(code, scipy_loaded):
     ])
     out = python("-c", probe, check=True)
     loaded = out.stdout.split()
-    if scipy_loaded:
-        assert "scipy.sparse.linalg" in loaded
-    else:
+    assert SOLVERS & set(loaded) == solvers
+    if not solvers:
         assert loaded == []
+    if "scipy.sparse.linalg" not in solvers:
+        assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
 @pytest.mark.parametrize(
