@@ -67,8 +67,8 @@ class RunConfig:
     delta: float = 0.0
     levels: int = 4
     nodes: int = field(default=512, metadata={"help": "quadrature node count"})
-    p_grid: int = field(default=1200, metadata={"help": "p-space grid size"})
-    p_max: float = field(default=30.0, metadata={"help": "p-space half-width"})
+    p_grid: int = field(default=1200, metadata={"help": "p-grid size of verify's operator checks"})
+    p_max: float = field(default=30.0, metadata={"help": "p-grid half-width of verify's operator checks"})
     format: str = field(default="csv", metadata={"choices": ("csv", "json")})
     output: str | None = None
 
@@ -187,14 +187,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if cfg.levels > 0:
         q_result = eigensolver.solve_q_space(family.transform(), cfg.levels)
         e_q = coeffs.energy_map.energy(q_result.real_parts)
-        p_grid = MomentumGrid.symmetric(cfg.p_max, cfg.p_grid)
-        # Swanson bound states decay only polynomially in p, so the box-edge
-        # guard needs the measure-weighted norm.
-        p_result = eigensolver.solve_p_space(
-            eigensolver.p_space_operator(coeffs, p_grid),
-            cfg.levels,
-            weight=cfg.deformation.measure_weight(p_grid.points),
-        )
+        p_result = eigensolver.solve_p_space(coeffs, cfg.deformation, cfg.levels)
         e_p = coeffs.energy_map.energy(np.array([complex(e) for e in p_result.eigenvalues]))
         for n in range(cfg.levels):
             e_closed = complex(params.energy(n)).real
@@ -313,7 +306,7 @@ def _battery(cfg: RunConfig, metric_override: str | None):
     grid_desc = {"n_points": cfg.p_grid, "p_max": cfg.p_max}
     hmat = eigensolver.p_space_operator(coeffs, p_grid)
     if not _is_hermitian(family):
-        yield verify.hermiticity_defect_report(hmat, deformation, p_grid), grid_desc
+        yield verify.hermiticity_defect_report(hmat, coeffs, deformation, p_grid), grid_desc
 
     if metric_override is not None:
         base = dataclasses.replace(cfg, model=metric_override)
@@ -329,16 +322,8 @@ def _battery(cfg: RunConfig, metric_override: str | None):
     residuals = [verify.ode_residual(psi, coeffs, psi.epsilon) for psi in states]
     yield max(residuals, key=lambda r: (not r.passed, r.value)), {"samples": verify.ODE_SAMPLES}
 
-    # the gamma spread is O(h^4) in the p-spacing, so cap h at 0.025 to land
-    # safely below the 1e-6 tolerance at the strongest supported deformations
-    gamma_max = min(cfg.p_max, 15.0)
-    gamma_n = max(int(2.0 * gamma_max / 0.025) + 1, 256)
-    gamma_grid = MomentumGrid.symmetric(gamma_max, gamma_n)
-    gammas = (0.0, cfg.beta / 2.0, cfg.beta)
-    yield verify.gamma_independence(params, gammas, min(cfg.levels, 4) or 4, gamma_grid), {
-        "n_points": gamma_grid.n_points,
-        "p_max": gamma_max,
-    }
+    gamma_report = verify.gamma_independence(params, (0.0, cfg.beta / 2.0, cfg.beta), n_states)
+    yield gamma_report, {"collocation_points": gamma_report.context["collocation_points"]}
 
 
 def cmd_verify(cfg: RunConfig, list_only: bool, metric_override: str | None) -> int:

@@ -7,11 +7,10 @@ eigenfunctions are smooth cos-powers times polynomials and Gauss-Legendre
 quadrature converges spectrally.  That q-scheme is the only one: it needs
 beta > 0, as the closed-form metric and eigenfunctions do.
 
-The Gauss-Legendre nodes are the eigenvalues of the tridiagonal Jacobi
-matrix of the Legendre recurrence (Golub & Welsch, Math. Comp. 23, 221
-(1969)): an O(n^2) solve, where numpy's dense one costs O(n^3).  Its
-``scipy.linalg`` import runs at the first quadrature, not at import time,
-so the CLI commands that solve nothing never load SciPy.
+The Gauss-Legendre nodes start from Tricomi's asymptotic guesses and take
+Newton steps on P_n, evaluated by the three-term recurrence (Hale & Townsend,
+SIAM J. Sci. Comput. 35, A652 (2013)): O(n^2) with numpy alone, where numpy's
+own ``leggauss`` solves a dense O(n^3) eigenproblem.
 """
 
 from dataclasses import dataclass
@@ -24,6 +23,8 @@ from .errors import DomainError, NonConvergenceError
 
 #: Relative node-doubling change above which the integral is declared divergent.
 _DIVERGENCE_THRESHOLD = 1e-3
+#: Most Newton steps from Tricomi's guesses.
+_NEWTON_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -39,21 +40,36 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
-    """numpy's ``leggauss`` with Golub-Welsch nodes: the eigenvalues of the Jacobi
-    matrix (zero diagonal, off-diagonal k/sqrt(4k^2 - 1)), then numpy's Newton
-    step on P_n, weights 1/(P_{n-1} P_n') and symmetrisation."""
-    from scipy.linalg import eigvalsh_tridiagonal
-    leg = np.polynomial.legendre
-    k = np.arange(1.0, n)
-    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k**2 - 1.0))
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    df = leg.legval(x, leg.legder(c))
-    x -= leg.legval(x, c) / df
-    fm = leg.legval(x, c[1:])
-    w = 1.0 / ((fm / np.abs(fm).max()) * (df / np.abs(df).max()))
-    w = (w + w[::-1]) / 2.0
-    return (x - x[::-1]) / 2.0, w * (2.0 / w.sum())
+    """numpy's ``leggauss`` from Newton-refined Tricomi guesses: the n nodes in ascending order.
+
+    Newton steps on P_n, evaluated by the recurrence, take Tricomi's guesses to
+    rounding in two or three steps.  The weights are numpy's formula,
+    1/(P_{n-1} P_n') scaled to sum to 2, with P_{n-1} and P_n' from one more
+    recurrence pass at the nodes.  Only the non-negative half is
+    computed; the other half is its mirror image.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(_NEWTON_STEPS):
+        p_prev, p_n = _legendre_pair(n, x)
+        dx = p_n * (x * x - 1.0) / (n * (x * p_n - p_prev))  # P_n/P_n', with (x^2 - 1) P_n' = n (x P_n - P_{n-1})
+        x -= dx
+        if np.max(np.abs(dx)) <= 1e-13:  # quadratic convergence: the step just taken left x exact to rounding
+            break
+    p_prev, p_n = _legendre_pair(n, x)
+    w = (x * x - 1.0) / (n * p_prev * (x * p_n - p_prev))  # 1/(P_{n-1} P_n')
+    if n % 2:
+        x[-1] = 0.0  # the middle node, which has no mirror image
+    x, w = np.concatenate([-x, x[: n // 2][::-1]]), np.concatenate([w, w[: n // 2][::-1]])
+    return x, w * (2.0 / w.sum())
+
+
+def _legendre_pair(n: int, x: np.ndarray):
+    """P_{n-1}(x) and P_n(x) by the recurrence (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p_prev, p
 
 
 def _quad_once(phi, psi, eta, params: DeformationParams, n_nodes: int) -> complex:

@@ -5,8 +5,9 @@ Every check returns a ResidualReport whose pass flag is exactly
 EXCEED a floor (a genuinely non-Hermitian operator, a discriminating wrong
 metric) are phrased as shortfall-below-floor with tolerance 0, so the same
 invariant applies; their records also carry the measured value and the
-floor.  ``scipy.sparse`` is imported in the checks that use it,
-so ``verify --list``, which runs none, never loads SciPy.
+floor.  The operator checks work band by band on the (5, N) numpy band
+array of ``p_space_operator``, and the p-space modes come from the
+theta-axis collocation solve, so no check loads SciPy.
 """
 
 import dataclasses
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DeformationParams, GridFunction, MomentumGrid
-from .eigensolver import _edge_guarded_modes, p_space_operator, solve_p_space
-from .errors import DegenerateMeasureError
-from .inner import QuadratureSpec, eta_inner
+from .eigensolver import BAND_OFFSETS, solve_p_space, theta_modes
+from .errors import DegenerateMeasureError, ResolutionError
+from .inner import QuadratureSpec, _leggauss, eta_inner
 from .models import DisplacedOscillatorParams, SwansonParams
 from .pct import CoefficientSet
 
@@ -41,6 +42,13 @@ ODE_FAULT_FLOOR = 1e-3
 
 #: Low-lying modes spanning the subspace of the projected exceed-checks.
 PROJECTION_MODES = 8
+#: Share of a projection mode's measure-weighted squared norm beyond the box,
+#: |p| > p_max, above which the box cuts the mode off and the projected checks
+#: are refused.  Swanson bound states decay only polynomially in p; on
+#: desk-scale boxes they leave about 1e-6 there.
+_SPURIOUS_EDGE_RATIO = 1e-4
+#: Gauss-Legendre nodes on each of the three theta intervals of that share.
+_SHARE_NODES = 128
 #: q-uniform sample count of the ODE residual.
 ODE_SAMPLES = 1000
 
@@ -82,43 +90,103 @@ def _exceed_report(name: str, measured: float, floor: float, context: dict) -> R
     return ResidualReport(name=name, value=value, tolerance=TOLERANCES[name], context=ctx)
 
 
-def _frobenius(m) -> float:
-    """Frobenius norm of a dense or sparse matrix."""
-    from scipy.sparse import issparse, linalg as sparse_linalg
-    return float(sparse_linalg.norm(m) if issparse(m) else np.linalg.norm(m))
+def _shifted(x: np.ndarray, k: int) -> np.ndarray:
+    """x[i + k] at each index i of the first axis, zero where i + k falls off the grid."""
+    out = np.zeros_like(x)
+    n = len(x)
+    if k >= 0:
+        out[: n - k] = x[k:]
+    else:
+        out[-k:] = x[: n + k]
+    return out
 
 
-def adjoint_under_weight(hmat, params: DeformationParams, grid: MomentumGrid):
-    """Adjoint with respect to the deformed measure: W^-1 (conj H)^T W.
+def _apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H x for a band array H and a vector or a matrix x of columns."""
+    return sum((row if x.ndim == 1 else row[:, None]) * _shifted(x, k) for row, k in zip(bands, BAND_OFFSETS))
 
-    W is the diagonal of measure weights at the nodes; the uniform trapezoid
-    spacing factor cancels between W and its inverse.  A dense H gives a
-    dense adjoint, a sparse H a sparse one with the same band structure.
-    """
-    from scipy.sparse import diags_array
+
+def _similar(bands: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The bands of E H E^-1, E = diag(e)."""
+    return np.stack([row * e * _shifted(1.0 / e, k) for row, k in zip(bands, BAND_OFFSETS)])
+
+
+def _measure(params: DeformationParams, grid: MomentumGrid) -> np.ndarray:
     w = params.measure_weight(grid.points)
     if np.any(w == 0):
         raise DegenerateMeasureError("measure weight vanishes at a grid node")
-    return diags_array(1.0 / w) @ hmat.conj().T @ diags_array(w)
+    return w
 
 
-def hermiticity_defect(hmat, params: DeformationParams, grid: MomentumGrid) -> float:
+def adjoint_under_weight(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> np.ndarray:
+    """Adjoint with respect to the deformed measure, W^-1 (conj H)^T W, of a band array H.
+
+    W is the diagonal of measure weights at the nodes; the uniform trapezoid
+    spacing factor cancels between W and its inverse.  Element (i, i + k) of
+    the adjoint is (1/w[i]) conj H[i + k, i] w[i + k], so the result is again
+    a band array.
+    """
+    w = _measure(params, grid)
+    return np.stack([(1.0 / w) * _shifted(hmat[2 - k].conj(), k) * _shifted(w, k) for k in BAND_OFFSETS])
+
+
+def hermiticity_defect(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> float:
     """Raw relative Frobenius defect ||H_adj - H|| / ||H||."""
     hadj = adjoint_under_weight(hmat, params, grid)
-    return _frobenius(hadj - hmat) / _frobenius(hmat)
+    return float(np.linalg.norm(hadj - hmat) / np.linalg.norm(hmat))
 
 
-def _low_mode_basis(hmat, n_modes: int, w: np.ndarray) -> np.ndarray:
-    """The n_modes lowest eigenvectors, refused when one reaches the box edge in the w-weighted norm."""
-    return _edge_guarded_modes(hmat, n_modes, w)[1]
+def _tail_share(modes, params: DeformationParams, p_max: float) -> np.ndarray:
+    """Share of each mode's measure-weighted squared norm at |p| > p_max, by Gauss-Legendre on theta.
+
+    On theta = arctan(sqrt(beta) p) the measure (1 + beta p^2)^(gamma/beta - 1) dp
+    is cos(theta)^(-2 gamma/beta) dtheta/sqrt(beta).
+    """
+    x, wq = _leggauss(_SHARE_NODES)
+    edge = np.sqrt(params.beta) * params.q_of_p(p_max)
+
+    def norm2(lo, hi):
+        theta = lo + (hi - lo) * (x + 1.0) / 2.0
+        density = np.abs(modes(theta)) ** 2 * (np.cos(theta) ** (-2.0 * params.gamma / params.beta))[:, None]
+        return (hi - lo) / 2.0 * (wq @ density)
+
+    tail = norm2(edge, np.pi / 2) + norm2(-np.pi / 2, -edge)
+    return tail / (tail + norm2(-edge, edge))
 
 
-def _project(op, basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _low_mode_basis(coeffs: CoefficientSet, params: DeformationParams, grid: MomentumGrid,
+                    n_modes: int = PROJECTION_MODES) -> np.ndarray:
+    """The n_modes lowest theta-axis modes at the grid points, one column each.
+
+    A mode with more than _SPURIOUS_EDGE_RATIO of its measure-weighted squared
+    norm beyond the grid's |p| is cut off by the box, so ResolutionError asks
+    for a larger box instead of returning it.
+    """
+    modes = theta_modes(coeffs, params, n_modes)
+    inside = _tail_share(modes, params, grid.p_max) <= _SPURIOUS_EDGE_RATIO
+    if not inside.all():  # a NaN share compares False, so it is refused too
+        beyond = n_modes - int(np.count_nonzero(inside))
+        raise ResolutionError(
+            f"{beyond} of the {n_modes} lowest p-space modes hold more than {_SPURIOUS_EDGE_RATIO:g} of their "
+            f"norm beyond |p| = {grid.p_max:g}; enlarge the grid"
+        )
+    return modes(np.sqrt(params.beta) * params.q_of_p(grid.points))
+
+
+def _project(bands: np.ndarray, basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     gram = basis.conj().T @ (w[:, None] * basis)
-    return np.linalg.solve(gram, basis.conj().T @ (w[:, None] * (op @ basis)))
+    return np.linalg.solve(gram, basis.conj().T @ (w[:, None] * _apply(bands, basis)))
 
 
-def projected_hermiticity_defect(hmat, params: DeformationParams, grid: MomentumGrid) -> float:
+def _projected_pair(hmat, other, coeffs: CoefficientSet, params: DeformationParams, grid: MomentumGrid):
+    """``other`` and H_adj projected onto the low-mode subspace with the weighted Gram matrix."""
+    w = _measure(params, grid)
+    basis = _low_mode_basis(coeffs, params, grid)
+    return _project(other, basis, w), _project(adjoint_under_weight(hmat, params, grid), basis, w)
+
+
+def projected_hermiticity_defect(hmat: np.ndarray, coeffs: CoefficientSet, params: DeformationParams,
+                                 grid: MomentumGrid) -> float:
     """Hermiticity defect restricted to the low-lying bound-state subspace.
 
     The raw Frobenius defect is dominated by the huge high-|p| entries of
@@ -126,33 +194,27 @@ def projected_hermiticity_defect(hmat, params: DeformationParams, grid: Momentum
     physical non-Hermiticity; projecting H and its adjoint onto the lowest
     bound modes (weighted Gram) measures the defect where it matters.
     """
-    w = params.measure_weight(grid.points)
-    if np.any(w == 0):
-        raise DegenerateMeasureError("measure weight vanishes at a grid node")
-    hadj = adjoint_under_weight(hmat, params, grid)
-    basis = _low_mode_basis(hmat, PROJECTION_MODES, w)
-    hk = _project(hmat, basis, w)
-    hk_adj = _project(hadj, basis, w)
-    return _frobenius(hk - hk_adj) / _frobenius(hk)
+    hk, hk_adj = _projected_pair(hmat, hmat, coeffs, params, grid)
+    return float(np.linalg.norm(hk - hk_adj) / np.linalg.norm(hk))
 
 
-def hermiticity_defect_report(hmat, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
+def hermiticity_defect_report(hmat: np.ndarray, coeffs: CoefficientSet, params: DeformationParams,
+                              grid: MomentumGrid) -> ResidualReport:
     """Exceed-check: the operator must be genuinely non-Hermitian (defect > 1e-2)."""
-    measured = projected_hermiticity_defect(hmat, params, grid)
+    measured = projected_hermiticity_defect(hmat, coeffs, params, grid)
     return _exceed_report("hermiticity-defect", measured, HERMITICITY_DEFECT_FLOOR, {})
 
 
-def pseudo_hermiticity_residual(hmat, eta, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
+def pseudo_hermiticity_residual(hmat: np.ndarray, eta, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
     """Relative Frobenius residual of  E H E^-1 - H_adj  with E = diag(eta)."""
-    from scipy.sparse import diags_array
     e = np.asarray(eta(grid.points), dtype=float)
     hadj = adjoint_under_weight(hmat, params, grid)
-    value = _frobenius(diags_array(e) @ hmat @ diags_array(1.0 / e) - hadj) / _frobenius(hmat)
+    value = float(np.linalg.norm(_similar(hmat, e) - hadj) / np.linalg.norm(hmat))
     return ResidualReport(name="pseudo-hermiticity", value=value, tolerance=TOLERANCES["pseudo-hermiticity"])
 
 
 def metric_discrimination_report(
-    hmat, wrong_eta, params: DeformationParams, grid: MomentumGrid
+    hmat: np.ndarray, coeffs: CoefficientSet, wrong_eta, params: DeformationParams, grid: MomentumGrid
 ) -> ResidualReport:
     """Exceed-check: a wrong metric must leave a visible residual (> 1e-2).
 
@@ -160,14 +222,9 @@ def metric_discrimination_report(
     metric is diluted by discretization, so the comparison happens on the
     low-lying mode subspace.
     """
-    from scipy.sparse import diags_array
-    w = params.measure_weight(grid.points)
     e = np.asarray(wrong_eta(grid.points), dtype=float)
-    hadj = adjoint_under_weight(hmat, params, grid)
-    basis = _low_mode_basis(hmat, PROJECTION_MODES, w)
-    lk = _project(diags_array(e) @ hmat @ diags_array(1.0 / e), basis, w)
-    hk_adj = _project(hadj, basis, w)
-    measured = _frobenius(lk - hk_adj) / _frobenius(hk_adj)
+    lk, hk_adj = _projected_pair(hmat, _similar(hmat, e), coeffs, params, grid)
+    measured = np.linalg.norm(lk - hk_adj) / np.linalg.norm(hk_adj)
     return _exceed_report("metric-discrimination", measured, METRIC_DISCRIMINATION_FLOOR, {})
 
 
@@ -223,14 +280,12 @@ def ode_fault_detection_report(psi, coeffs: CoefficientSet, epsilon: float) -> R
     return _exceed_report("ode-fault-detection", shifted.value, ODE_FAULT_FLOOR, {})
 
 
-def gamma_independence(
-    params, gamma_values, n_levels: int, grid: MomentumGrid
-) -> ResidualReport:
+def gamma_independence(params, gamma_values, n_levels: int) -> ResidualReport:
     """Spread of numeric p-space E_n across gamma values, relative to |E_n|.
 
     The closed-form spectra contain no gamma; the p-space solver sees gamma
-    through g, h, and the measure, so agreement across gamma values is a
-    genuine check, not a tautology.
+    through g and h, so agreement across gamma values is a genuine check,
+    not a tautology.
     """
     if not isinstance(params, (DisplacedOscillatorParams, SwansonParams)):
         raise TypeError(f"unsupported model type {type(params).__name__}")
@@ -238,8 +293,7 @@ def gamma_independence(
     for gamma in gamma_values:
         deformation = dataclasses.replace(params.deformation, gamma=gamma)
         coeffs = dataclasses.replace(params, deformation=deformation).family().coefficients()
-        weight = deformation.measure_weight(grid.points)
-        result = solve_p_space(p_space_operator(coeffs, grid), n_levels, weight=weight)
+        result = solve_p_space(coeffs, deformation, n_levels)
         energies.append(coeffs.energy_map.energy(result.real_parts))
     energies = np.array(energies)  # shape (n_gamma, n_levels)
     spread = energies.max(axis=0) - energies.min(axis=0)
@@ -249,7 +303,7 @@ def gamma_independence(
         name="gamma-independence",
         value=value,
         tolerance=TOLERANCES["gamma-independence"],
-        context={"gamma_values": list(map(float, gamma_values))},
+        context={"gamma_values": list(map(float, gamma_values)), "collocation_points": result.resolution},
     )
 
 

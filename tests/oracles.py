@@ -1,14 +1,18 @@
 """Independent references that only the tests use: adaptive quadrature of the PCT
-integrals, the Hamiltonians composed literally from dense x and p matrices, a
-finite-difference q-box solve, and the published (printed) eigenfunction."""
+integrals, the Hamiltonians composed literally from dense x and p matrices,
+finite-difference q-box and p-space solves, and the published (printed)
+eigenfunction."""
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import csc_array, diags_array
+from scipy.sparse.linalg import eigs
 
 from mlqm.algebra import DeformationParams, MomentumGrid, first_derivative_matrix
+from mlqm.eigensolver import p_space_operator
 from mlqm.models import DisplacedOscillatorParams, SwansonParams, Wavefunction
 
 _QUAD_ABS_TOL = 1e-12
@@ -82,6 +86,44 @@ def fd_q_box_levels(problem, wall_b: float, n_levels: int):
     fine, h_fine = _fd_q_box_levels(problem, wall_b, 4000, n_levels)
     r2 = (h_coarse / h_fine) ** 2
     return (r2 * fine - coarse) / (r2 - 1.0)
+
+
+def low_modes(matrix, n_modes: int):
+    """The n_modes eigenpairs of smallest real part of a square matrix, from one ARPACK shift-invert call at 0.
+
+    The call returns the n_modes + 8 eigenpairs nearest 0; a fixed generic start vector
+    gives the same digits on every run and keeps both parity sectors in the Krylov space.
+    """
+    n = matrix.shape[0]
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals, vecs = eigs(csc_array(matrix), k=n_modes + 8, sigma=0.0, v0=v0)
+    order = np.argsort(vals.real)[:n_modes]
+    return vals[order], vecs[:, order]
+
+
+def band_csc(bands):
+    """The CSC matrix of a (5, N) band array of ``p_space_operator``, explicit zeros dropped."""
+    n = bands.shape[1]
+    offsets = range(-2, 3)
+    matrix = diags_array([row[max(0, -k): n - max(0, k)] for row, k in zip(bands, offsets)], offsets=offsets,
+                         format="csc")
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def _fd_p_space_levels(coeffs, p_max, n_points, n_levels):
+    return low_modes(band_csc(p_space_operator(coeffs, MomentumGrid.symmetric(p_max, n_points))), n_levels)[0]
+
+
+def fd_p_space_levels(coeffs, p_max: float, n_points: int, n_levels: int):
+    """Finite-difference p-space levels on |p| <= p_max, Richardson-combined over n_points and 2 n_points - 1 points.
+
+    The 4th-order stencils of ``p_space_operator`` with a Dirichlet box; the
+    box must hold the modes, which for the Swanson family decay only as a power of p.
+    """
+    coarse = _fd_p_space_levels(coeffs, p_max, n_points, n_levels)
+    fine = _fd_p_space_levels(coeffs, p_max, 2 * n_points - 1, n_levels)
+    return (16.0 * fine - coarse) / 15.0
 
 
 @dataclass(frozen=True)

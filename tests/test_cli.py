@@ -11,10 +11,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array
 
 import mlqm
-from mlqm import cli, eigensolver, verify
+from mlqm import cli, verify
 from mlqm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig, _battery, main
 
 
@@ -46,7 +45,7 @@ class TestSpectrum:
         assert int(first[0]) == 0
         assert float(first[1]) == pytest.approx(0.6506246098625197, rel=1e-12)
         assert float(first[5]) < 1e-6  # q-space relative error
-        assert float(first[6]) < 1e-4  # p-space relative error
+        assert float(first[6]) < 1e-12  # p-space relative error
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--levels", "2", "--format", "json")
@@ -75,9 +74,14 @@ class TestSpectrum:
         assert text.startswith("n,E_closed") and "\r" not in text
 
     def test_box_too_small_refuses(self, capsys):
-        code, out, err = run(capsys, "spectrum", "--p-max", "3")
+        # spectrum's E_p needs no box; verify's operator checks run on |p| <= p_max
+        assert run(capsys, "spectrum", "--p-max", "3")[0] == EXIT_OK
+        code, out, err = run(capsys, "verify", "--p-max", "3")
         assert code == EXIT_NUMERIC and out == ""
-        assert err == "numeric failure: the box edge holds 4 of the 4 lowest p-space modes; enlarge the grid\n"
+        assert err == (
+            "numeric failure: 8 of the 8 lowest p-space modes hold more than 0.0001 of their norm beyond |p| = 3; "
+            "enlarge the grid\n"
+        )
 
 
 class TestSweep:
@@ -294,28 +298,60 @@ class TestVerify:
         assert np.isnan(report.value) and not report.passed
 
     def test_unresolved_low_modes_refuse(self, capsys):
+        # past the box corner of polynomially decaying Swanson modes one projection mode holds
+        # more than 1e-4 of its norm beyond |p| = 30
         code, out, err = run(
-            capsys, "verify", "--model", "swanson", "--beta", "0.6",
+            capsys, "verify", "--model", "swanson", "--beta", "0.65",
             "--lambda", "0.35", "--delta", "0.05", "--levels", "4",
         )
         assert code == EXIT_NUMERIC and out == ""
-        assert err == "numeric failure: the box edge holds 1 of the 4 lowest p-space modes; enlarge the grid\n"
+        assert err == (
+            "numeric failure: 1 of the 8 lowest p-space modes hold more than 0.0001 of their norm beyond |p| = 30; "
+            "enlarge the grid\n"
+        )
+
+    def test_swanson_box_corner_passes(self, capsys):
+        # at the box corner the eighth projection mode holds 9e-5 of its norm past |p| = 30, just
+        # under the 1e-4 guard, so every check runs, and every one passes
+        code, out, _ = run(
+            capsys, "verify", "--model", "swanson", "--beta", "0.6",
+            "--lambda", "0.35", "--delta", "0.05", "--levels", "4",
+        )
+        assert code == EXIT_OK
+        records = [json.loads(l) for l in out.strip().split("\n")]
+        assert [r["name"] for r in records] == list(cli._CHECK_NAMES) and all(r["pass"] for r in records)
 
     def test_displaced_modes_past_the_box_refuse(self, capsys):
-        code, out, err = run(capsys, "verify", "--lambda", "5")
+        # lambda = 5 moves the modes off-centre, past a box of |p| <= 10
+        code, out, err = run(capsys, "verify", "--lambda", "5", "--p-max", "10")
         assert code == EXIT_NUMERIC and out == ""
-        assert err == "numeric failure: the box edge holds 4 of the 4 lowest p-space modes; enlarge the grid\n"
+        assert err == (
+            "numeric failure: 8 of the 8 lowest p-space modes hold more than 0.0001 of their norm beyond |p| = 10; "
+            "enlarge the grid\n"
+        )
+
+    def test_displaced_lambda_5_passes(self, capsys):
+        # at the default |p| <= 30 the same modes hold under 1e-9 of their norm past the box
+        code, out, _ = run(capsys, "verify", "--lambda", "5")
+        assert code == EXIT_OK
+        records = {r["name"]: r for r in map(json.loads, out.strip().split("\n"))}
+        assert set(records) == set(cli._CHECK_NAMES) and all(r["pass"] for r in records.values())
+        assert records["gamma-independence"]["value"] <= 1e-10
 
 
 class TestNumericFailure:
-    def test_singular_shift_exits_numeric(self, capsys, monkeypatch):
-        # sigma = 0 is an exact eigenvalue of this stand-in matrix
-        monkeypatch.setattr(
-            eigensolver, "p_space_operator", lambda coeffs, grid: csc_array(np.diag(np.arange(float(grid.n_points))))
-        )
-        code, out, err = run(capsys, "spectrum", "--levels", "2")
+    def test_non_finite_coefficient_exits_numeric(self, capsys, monkeypatch):
+        # h is NaN only past |p| = 40, off verify's grid but where the theta-axis solve samples it
+        coefficients = mlqm.GupFamily.coefficients
+
+        def broken(family):
+            coeffs = coefficients(family)
+            return dataclasses.replace(coeffs, h=lambda p: np.where(np.abs(p) > 40.0, np.nan, coeffs.h(p)))
+
+        monkeypatch.setattr(mlqm.GupFamily, "coefficients", broken)
+        code, out, err = run(capsys, "verify")
         assert code == EXIT_NUMERIC and out == ""
-        assert err.startswith("numeric failure: shift-invert eigensolve failed on a 1200x1200 matrix")
+        assert err == "numeric failure: p-space eigensolve failed: Array must not contain infs or NaNs\n"
 
 
 class TestConfigResolution:
@@ -429,7 +465,7 @@ class TestProcessExit:
             (("verify", "--list"), EXIT_OK),
             (("spectrum", "--levels", "2"), EXIT_OK),
             (("spectrum", "--beta", "0"), EXIT_CONFIG),
-            (("spectrum", "--p-max", "3"), EXIT_NUMERIC),
+            (("spectrum", "--levels", "501"), EXIT_NUMERIC),
         ],
         ids=["verify-list", "spectrum", "config-error", "numeric-failure"],
     )
@@ -479,20 +515,27 @@ SOLVERS = {"scipy.linalg", "scipy.sparse.linalg"}
         ("import mlqm", set()),
         ("import mlqm.cli", set()),
         ("assert main(['verify', '--list']) == 0", set()),
+        ("assert main(['verify']) == 0", set()),
+        ("assert main(['verify', '--model', 'swanson', '--beta', '0.4', '--lambda', '0.28', '--delta', '0.12']) == 0",
+         set()),
         ("assert main(['sweep', '--param', 'beta', '--from', '0.05', '--to', '0.2', '--steps', '4']) == 0", set()),
         ("assert main(['spectrum', '--beta', '0']) == 2", set()),
-        ("assert main(['spectrum', '--levels', '2']) == 0", SOLVERS),
+        ("assert main(['spectrum', '--levels', '2']) == 0", {"scipy.linalg"}),
         (
             "assert main(['sweep', '--model', 'swanson', '--numeric', '--param', 'beta', '--from', '1.5',"
             " '--to', '2.5', '--steps', '2', '--lambda', '0.2', '--delta', '0.2']) == 0",
             {"scipy.linalg"},
         ),
     ],
-    ids=["import-mlqm", "import-cli", "verify-list", "closed-form-sweep", "config-error", "spectrum", "numeric-sweep"],
+    ids=[
+        "import-mlqm", "import-cli", "verify-list", "verify", "verify-swanson", "closed-form-sweep", "config-error",
+        "spectrum", "numeric-sweep",
+    ],
 )
 def test_scipy_is_imported_at_the_first_solve(code, solvers):
-    # SciPy's import costs ~0.3 s per process, so a command that solves nothing must not pay it,
-    # and the q-box solve of a numeric sweep needs only scipy.linalg, not scipy.sparse
+    # SciPy's import costs ~0.3 s per process, so a command that solves nothing must not pay it;
+    # verify solves with numpy alone, and the q-box solve of spectrum and of a numeric sweep
+    # needs only scipy.linalg, not scipy.sparse
     probe = "\n".join([
         "import contextlib, io, sys",
         "def main(argv):",
@@ -507,8 +550,7 @@ def test_scipy_is_imported_at_the_first_solve(code, solvers):
     assert SOLVERS & set(loaded) == solvers
     if not solvers:
         assert loaded == []
-    if "scipy.sparse.linalg" not in solvers:
-        assert not [m for m in loaded if m.startswith("scipy.sparse")]
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
 
 
 @pytest.mark.parametrize(

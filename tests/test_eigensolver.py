@@ -4,10 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as sparse_linalg
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csc_array
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from mlqm import (
     DeformationParams,
@@ -31,10 +29,10 @@ from mlqm import (
 )
 from mlqm import eigensolver
 from mlqm.algebra import first_derivative_matrix, second_derivative_matrix
-from mlqm.eigensolver import CONJUGATE_PAIR, REAL, UNCLASSIFIED
-from mlqm.models import displaced_coefficients, swanson_coefficients
-from mlqm.verify import _low_mode_basis
-from oracles import fd_q_box_levels, operator_hamiltonian
+from mlqm.eigensolver import CONJUGATE_PAIR, REAL, UNCLASSIFIED, theta_modes
+from mlqm.models import displaced_coefficients, swanson_coefficients, wavefunction
+from mlqm.verify import PROJECTION_MODES, _low_mode_basis
+from oracles import band_csc, fd_p_space_levels, fd_q_box_levels, low_modes, operator_hamiltonian
 from test_models import family_points
 
 
@@ -86,29 +84,34 @@ class TestQSpace:
             solve_q_space(unbounded, n_levels=2)
 
 
+def closed_form_energies(params, n_levels):
+    return np.array([complex(params.energy(n)) for n in range(n_levels)])
+
+
+def p_space_energies(params, n_levels):
+    coeffs = params.family().coefficients()
+    result = solve_p_space(coeffs, params.deformation, n_levels)
+    return coeffs.energy_map.energy(np.array(result.eigenvalues)), result
+
+
 class TestPSpace:
     def test_displaced_ode_matrix_levels(self):
         params = displaced_default()
-        coeffs = displaced_coefficients(params)
-        grid = MomentumGrid.symmetric(30.0, 1200)
-        result = solve_p_space(build_p_space_matrix(coeffs, grid), 4)
-        for n, eps in enumerate(result.eigenvalues):
-            e_num = coeffs.energy_map.energy(eps.real)
-            assert abs(e_num - displaced_energy(n, params)) < 1e-5
-        assert result.all_real
+        e_num, result = p_space_energies(params, 4)
+        assert np.all(np.abs(e_num - closed_form_energies(params, 4)) < 1e-12)
+        assert result.all_real and result.source == "p-space-numeric" and result.resolution == 48
 
     def test_operator_composition_agrees_with_ode_matrix(self):
-        # two independent discretizations of the same Hamiltonian: the
-        # literal operator composition and the reduced ODE coefficients
+        # two independent discretizations of the same Hamiltonian: the literal
+        # operator composition on a finite-difference grid and the collocated
+        # ODE coefficients
         params = displaced_default()
         grid = MomentumGrid.symmetric(30.0, 1200)
-        coeffs = displaced_coefficients(params)
         # the composition interleaves checkerboard parasites with the bound
         # states, so its levels are the smooth ones among the 11 lowest modes
-        vals, vecs = eigensolver._low_modes(operator_hamiltonian(params, grid), 11)
+        vals, vecs = low_modes(operator_hamiltonian(params, grid), 11)
         e_op = vals[_smooth(vecs)][:3].real
-        r_ode = solve_p_space(build_p_space_matrix(coeffs, grid), 3)
-        e_ode = coeffs.energy_map.energy(r_ode.real_parts)
+        e_ode = p_space_energies(params, 3)[0]
         assert np.allclose(e_op, e_ode, atol=1e-5)
 
     def test_operator_hamiltonians_are_real(self):
@@ -117,30 +120,27 @@ class TestPSpace:
         assert np.isrealobj(operator_hamiltonian(swanson_default(), grid))
 
     def test_swanson_weighted_filter(self):
-        # Swanson bound states decay polynomially; the weighted filter with its
-        # 1e-4 threshold must still find the levels
-        params = swanson_default()
+        # Swanson bound states decay only polynomially in p; in the measure-weighted
+        # norm they still pass the box's norm-share guard, and on the grid they are
+        # the finite-difference operator's modes: on the rows whose stencil stays on
+        # the grid, their Rayleigh quotients are the levels
+        params = SwansonParams(DeformationParams(1.0, 0.5, 0.0), lam=0.3, delta=0.1)
         coeffs = swanson_coefficients(params)
         grid = MomentumGrid.symmetric(30.0, 1200)
-        result = solve_p_space(
-            build_p_space_matrix(coeffs, grid),
-            3,
-            weight=params.deformation.measure_weight(grid.points),
-        )
-        e_num = coeffs.energy_map.energy(result.real_parts)
-        e_ref = [float(np.real(swanson_energy(n, params))) for n in range(3)]
-        assert np.allclose(e_num, e_ref, atol=1e-5)
+        basis = _low_mode_basis(coeffs, params.deformation, grid, 3)
+        hmat = build_p_space_matrix(coeffs, grid)
+        inside = slice(2, -2)
+        rayleigh = np.sum(basis[inside] * (hmat @ basis)[inside], axis=0) / np.sum(basis[inside] ** 2, axis=0)
+        e_ref = closed_form_energies(params, 3).real
+        assert np.allclose(coeffs.energy_map.energy(rayleigh), e_ref, atol=1e-5)
 
     def test_resolution_error_when_filter_starves(self):
-        params = swanson_default()
-        coeffs = swanson_coefficients(params)
-        grid = MomentumGrid.symmetric(30.0, 400)
-        with pytest.raises(ResolutionError):
-            solve_p_space(build_p_space_matrix(coeffs, grid), 50)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(InvalidGridError):
-            solve_p_space(np.zeros((4, 5)), 1)
+        # on |p| <= 3 the box cuts every projection mode off
+        params = displaced_default()
+        with pytest.raises(ResolutionError, match=(
+            "8 of the 8 lowest p-space modes hold more than 0.0001 of their norm beyond |p| = 3; enlarge the grid"
+        )):
+            _low_mode_basis(displaced_coefficients(params), params.deformation, MomentumGrid.symmetric(3.0, 400))
 
     def test_rejects_asymmetric_grid(self):
         coeffs = displaced_coefficients(displaced_default())
@@ -174,14 +174,65 @@ class TestPSpace:
         ids=["displaced", "swanson"],
     )
     def test_csc_operator_is_the_csc_of_the_dense_matrix(self, params):
-        # the same stored entries in the same order, so ARPACK factors the same matrix
+        # row k of the band array is the diagonal at offset k - 2, zero where its column falls
+        # off the grid: the finite-difference oracle's CSC form of it stores exactly the
+        # entries of the dense matrix's, in the same order
         coeffs = params.family().coefficients()
         grid = MomentumGrid.symmetric(20.0, 301)
-        op = p_space_operator(coeffs, grid)
-        ref = csc_array(build_p_space_matrix(coeffs, grid))
-        assert op.format == "csc" and op.shape == ref.shape
+        bands = p_space_operator(coeffs, grid)
+        assert bands.shape == (5, grid.n_points)
+        op, ref = band_csc(bands), csc_array(build_p_space_matrix(coeffs, grid))
+        assert op.shape == ref.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(op, part), getattr(ref, part)), part
+        assert np.linalg.norm(bands) == pytest.approx(np.linalg.norm(ref.data), rel=1e-14)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family_points())
+def test_p_space_levels_match_the_closed_form(params):
+    # both models, gamma in [0, beta]; no p-grid, no box
+    got = p_space_energies(params, 4)[0]
+    want = closed_form_energies(params, 4)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("params", [
+    DisplacedOscillatorParams(DeformationParams(1.0, 1e6, 0.0), lam=0.5),
+    DisplacedOscillatorParams(DeformationParams(1.0, 0.1, 0.0), lam=5.0),
+    SwansonParams(DeformationParams(1.0, 1.5, 0.0), lam=0.2, delta=0.2),
+    SwansonParams(DeformationParams(1.0, 1.9, 0.0), lam=0.2, delta=0.2),
+    SwansonParams(DeformationParams(1.0, 6.0, 0.0), lam=0.2, delta=0.2),
+], ids=["beta-1e6", "lambda-5", "swanson-1.5", "swanson-1.9", "swanson-6"])
+def test_p_space_levels_far_from_the_desk_scale(params):
+    # the runs whose finite-difference p-box levels were off by 1e-4 to 1e3
+    got = p_space_energies(params, 4)[0]
+    want = closed_form_energies(params, 4)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+def perturbed_h(params):
+    """The coefficients of ``params`` with 0.3 beta exp(z) added to h, z = sqrt(beta) p/sqrt(1 + beta p^2): no closed form."""
+    coeffs = params.family().coefficients()
+    sqb = np.sqrt(params.deformation.beta)
+    return dataclasses.replace(coeffs, h=lambda p: coeffs.h(p) + 0.3 * sqb**2 * np.exp(sqb * p / np.sqrt(1.0 + (sqb * p) ** 2)))
+
+
+#: the displaced CLI defaults and the benchmark's seed-1 Swanson draw
+PERTURBED_P_POINTS = [displaced_default(), swanson_default(beta=0.452755, lam=0.262753, delta=0.124772)]
+
+
+@pytest.mark.parametrize("params", PERTURBED_P_POINTS, ids=["displaced", "swanson"])
+def test_perturbed_h_converges_and_matches_the_fd_oracle(params):
+    coeffs = perturbed_h(params)
+    got = np.array(solve_p_space(coeffs, params.deformation, 4).eigenvalues)
+    # 16 levels collocate on 96 points, twice the 48 of 4 levels
+    doubled = np.array(solve_p_space(coeffs, params.deformation, 16).eigenvalues[:4])
+    assert np.all(np.abs(got - doubled) <= 1e-10 * np.maximum(1.0, np.abs(doubled)))
+    # the Swanson modes decay only as a power of p, so its box is wider
+    p_max, n_points = (30.0, 1201) if isinstance(params, DisplacedOscillatorParams) else (200.0, 8001)
+    want = fd_p_space_levels(coeffs, p_max, n_points, 4)
+    assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
 
 class TestBranchSolver:
@@ -214,57 +265,11 @@ class TestBranchSolver:
         assert solve_q_space_branch is solve_q_space
 
 
-# Dense oracle for the shift-invert low-mode solves: every eigenpair from
-# np.linalg.eig, sorted by real part, and the box-edge guard restated here.
-
-def _dense_modes(hmat):
-    vals, vecs = np.linalg.eig(hmat)
-    order = np.argsort(vals.real)
-    return vals[order], vecs[:, order]
-
-
-def _reaches_edge(vecs, weight):
-    """The guard: weighted amplitude at the 2 outermost points on either side above 1e-4 of the peak."""
-    amp = np.sqrt(weight)[:, None] * np.abs(vecs)
-    return ~(np.max(amp[[0, 1, -2, -1]], axis=0) <= 1e-4 * np.max(amp, axis=0))
-
-
 def _smooth(vecs):
     """Not a grid-scale checkerboard: the nearest-neighbour difference does not exceed the sum."""
     rough = np.linalg.norm(np.diff(vecs, axis=0), axis=0)
     smooth = np.linalg.norm(vecs[1:] + vecs[:-1], axis=0)
     return rough <= smooth
-
-
-def _rayleigh(hmat, basis):
-    return np.sum(basis.conj() * (hmat @ basis), axis=0) / np.sum(np.abs(basis) ** 2, axis=0)
-
-
-def _assert_matches_dense(got, want):
-    assert np.all(np.abs(np.asarray(got) - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(family_points())
-def test_shift_invert_matches_dense_oracle(params):
-    # both guarded callers return the n lowest dense modes, or refuse exactly
-    # when one of them reaches the box edge; the grid is small so the dense
-    # oracle is cheap and its own rounding (about 1e-16 * ||H||) stays well
-    # below the 1e-8 gate
-    grid = MomentumGrid.symmetric(30.0, 150)
-    hmat = build_p_space_matrix(params.family().coefficients(), grid)
-    weight = params.deformation.measure_weight(grid.points)
-    vals, vecs = _dense_modes(hmat)
-    cases = (
-        (4, lambda: solve_p_space(hmat, 4, weight=weight).eigenvalues),
-        (8, lambda: _rayleigh(hmat, _low_mode_basis(hmat, 8, weight))),
-    )
-    for n, solve in cases:
-        if _reaches_edge(vecs[:, :n], weight).any():
-            with pytest.raises(ResolutionError):
-                solve()
-        else:
-            _assert_matches_dense(solve(), vals[:n])
 
 
 @st.composite
@@ -302,13 +307,26 @@ def test_q_box_levels_match_the_closed_form(params):
 
 # One example set per side of the Swanson beta_c. The oracle is the closed form: a dense
 # finite-difference solve of the q-box is far less accurate than the collocation it would check.
-# Within 1% of beta_c the two wall exponents nearly coincide, and at beta_c itself B is a double
-# root: there B, and every level, moves as the square root of the nu fit's rounding (1e-12 -> 1e-6).
+# Within 1% of beta_c the two wall exponents nearly coincide, and B, with every level, moves as
+# the square root of the nu fit's rounding (1e-12 -> 1e-6); at beta_c itself B is taken as the
+# double root (test_reality_threshold_gives_the_real_ladder).
 @pytest.mark.parametrize("lo, hi", [(0.6, 0.99), (1.01, 1.4)], ids=["below", "past"])
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_branch_solver_matches_dense_oracle(lo, hi, data):
     _assert_matches_closed_form(data.draw(branch_points(lo, hi)), solve_q_space_branch)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.6, 0.99), (1.01, 1.4)], ids=["below", "past"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_p_space_solve_follows_the_branch(lo, hi, data):
+    # past beta_c the decay exponent s is complex, and the levels are merged with their conjugates
+    params = data.draw(branch_points(lo, hi))
+    got = np.array(solve_p_space(params.family().coefficients(), params.deformation, 4).eigenvalues)
+    want = closed_form_eps(params, 4)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    assert np.any(got.imag != 0) == np.iscomplexobj(want)
 
 
 def perturbed(params):
@@ -354,6 +372,22 @@ def test_wall_exponent_read_from_the_potential(params):
     assert abs(eigensolver._indicial_root(problem) - want) <= 1e-9 * abs(want)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_reality_threshold_gives_the_real_ladder(gamma):
+    # at beta_c = 2 the roots of B(B - 1) = nu/beta, and those of the p-space decay exponent,
+    # coincide, so a root read off its fit's rounding would be complex by the square root of
+    # that rounding and turn the real ladder -1, 3, 11, 23 into conjugate pairs
+    params = SwansonParams(DeformationParams(1.0, 2.0, gamma), lam=0.25, delta=0.25)
+    assert eigensolver._indicial_root(params.family().transform()) == 0.5
+    for got in (
+        solve_q_space(params.family().transform(), 4).eigenvalues,
+        solve_p_space(params.family().coefficients(), params.deformation, 4).eigenvalues,
+    ):
+        got = np.array(got)
+        assert np.all(got.imag == 0)
+        assert np.all(np.abs(got.real - [-1.0, 3.0, 11.0, 23.0]) <= 1e-12 * 23.0)
+
+
 class TestBranchSolverBands:
     @pytest.mark.parametrize("beta", [1.9, 2.3])
     def test_same_problem_gives_the_same_digits(self, beta):
@@ -383,61 +417,52 @@ class TestBranchSolverBands:
             solve_q_space_branch(broken, n_levels=4)
 
 
-@pytest.fixture
-def requested_k(monkeypatch):
-    """The k of every shift-invert call made during the test."""
-    requested = []
-    eigs = sparse_linalg.eigs
-
-    def spy(a, k, **kwargs):
-        requested.append(k)
-        return eigs(a, k=k, **kwargs)
-
-    monkeypatch.setattr(sparse_linalg, "eigs", spy)
-    return requested
-
-
 class TestLowModes:
-    def test_interleaved_parasites_are_returned_in_one_call(self, requested_k):
-        # the operator-composed matrix interleaves checkerboard parasites with
-        # the bound states; none reaches the box edge, so the guard passes and
-        # the 14 lowest modes, parasites included, come from one call
-        grid = MomentumGrid.symmetric(30.0, 300)
-        hmat = operator_hamiltonian(displaced_default(), grid)
-        result = solve_p_space(hmat, 14)
-        assert requested_k == [22]
-        vals, _ = _dense_modes(hmat)
-        _assert_matches_dense(result.eigenvalues, vals[:14])
-
-    def test_starved_filter_stops_at_the_cap(self, requested_k):
-        # the edge guard checks the n lowest modes of one ARPACK call with
-        # k = n + 8 and refuses there, without asking for more modes
-        params = swanson_default()
-        grid = MomentumGrid.symmetric(30.0, 160)
-        with pytest.raises(ResolutionError, match="the box edge holds 47 of the 50 lowest p-space modes"):
-            solve_p_space(build_p_space_matrix(swanson_coefficients(params), grid), 50)
-        assert requested_k == [58]
-
-    def test_more_modes_than_arpack_returns_are_refused(self):
-        # ARPACK returns at most N - 2 modes
-        with pytest.raises(ResolutionError, match="cannot resolve 9 modes of a 10x10 matrix"):
-            solve_p_space(np.diag(np.arange(1.0, 11.0)), 9)
-
     def test_same_matrix_gives_the_same_digits(self):
+        params = swanson_default(beta=0.452755, lam=0.262753, delta=0.124772)
+        coeffs = swanson_coefficients(params)
+        first = solve_p_space(coeffs, params.deformation, 4)
+        assert first.eigenvalues == solve_p_space(coeffs, params.deformation, 4).eigenvalues
         grid = MomentumGrid.symmetric(30.0, 400)
-        hmat = build_p_space_matrix(displaced_coefficients(displaced_default()), grid)
-        assert solve_p_space(hmat, 4).eigenvalues == solve_p_space(hmat, 4).eigenvalues
+        basis = _low_mode_basis(coeffs, params.deformation, grid)
+        assert np.array_equal(basis, _low_mode_basis(coeffs, params.deformation, grid))
 
-    def test_singular_shift_is_a_numeric_error(self):
-        # sigma = 0 is an exact eigenvalue, so the shifted LU factor is singular
-        with pytest.raises(NumericError, match="shift-invert eigensolve failed"):
-            solve_p_space(np.diag(np.arange(64.0)), 4)
+    @pytest.mark.parametrize("params", [displaced_default(gamma=0.05), swanson_default(lam=0.3, delta=0.1)],
+                             ids=["displaced", "swanson"])
+    def test_modes_are_the_closed_form_eigenfunctions(self, params):
+        # interpolated in z and multiplied by the wall factor, each mode is the
+        # closed-form eigenfunction up to its scale, out at |p| = 30 too
+        modes = theta_modes(params.family().coefficients(), params.deformation, PROJECTION_MODES)
+        d = params.deformation
+        p = np.linspace(-30.0, 30.0, 241)
+        got = modes(np.sqrt(d.beta) * d.q_of_p(p))
+        for n in range(PROJECTION_MODES):
+            want = wavefunction(n, params, normalize=False)(p)
+            scale = (want @ got[:, n]) / (want @ want)
+            assert np.max(np.abs(got[:, n] - scale * want)) <= 1e-10 * np.max(np.abs(got[:, n]))
 
-    def test_arpack_non_convergence_is_a_numeric_error(self, monkeypatch):
-        def stall(a, k, **kwargs):
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.array([]))
+    def test_collocation_node_is_interpolated_exactly(self):
+        params = displaced_default()
+        modes = theta_modes(params.family().coefficients(), params.deformation, 2)
+        theta = np.pi / 2 - modes.t[:3]  # z = sin(theta) = cos t: three collocation points themselves
+        got = modes(theta)
+        want = (np.cos(theta) ** modes.s * np.exp(modes.m * theta))[:, None] * modes.values[:3]
+        assert np.array_equal(got, want)
 
-        monkeypatch.setattr(sparse_linalg, "eigs", stall)
-        grid = MomentumGrid.symmetric(30.0, 400)
-        with pytest.raises(NumericError, match="No convergence"):
-            solve_p_space(build_p_space_matrix(displaced_coefficients(displaced_default()), grid), 4)
+    @pytest.mark.parametrize("n_levels", [0, 501])
+    def test_refuses_unresolvable_level_counts(self, n_levels):
+        params = displaced_default()
+        with pytest.raises(ResolutionError, match=f"cannot resolve {n_levels} p-space levels; need 1 <= levels <= 500"):
+            solve_p_space(displaced_coefficients(params), params.deformation, n_levels)
+
+    def test_non_finite_coefficient_is_a_numeric_error(self):
+        params = displaced_default()
+        coeffs = displaced_coefficients(params)
+        broken = dataclasses.replace(coeffs, h=lambda p: np.where(p > 1.0, np.nan, coeffs.h(p)))
+        with pytest.raises(NumericError, match="p-space eigensolve failed: Array must not contain infs or NaNs"):
+            solve_p_space(broken, params.deformation, 4)
+
+    def test_beta_zero_is_refused(self):
+        params = DisplacedOscillatorParams(deformation=DeformationParams(1.0, 0.0, 0.0), lam=0.5)
+        with pytest.raises(InvalidGridError, match="the theta-axis solve needs beta > 0"):
+            solve_p_space(displaced_coefficients(params), params.deformation, 2)

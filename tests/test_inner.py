@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -46,6 +47,42 @@ def test_gauss_legendre_nodes_match_numpy(n):
     assert np.abs(w - w_ref).max() <= 1e-14
     assert abs(w.sum() - 2.0) <= 1e-14
     assert np.array_equal(x, -x[::-1])
+
+
+def test_gauss_legendre_matches_numpy_up_to_100_nodes():
+    # the weights are numpy's formula 1/(P_{n-1} P_n'), which near the ends magnifies a
+    # one-ulp difference in a node to ~1e-14 in its weight
+    for n in range(1, 101):
+        x, w = _leggauss(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert np.abs(x - x_ref).max() <= 2.3e-16, n
+        assert np.abs(w - w_ref).max() <= 2e-14, n
+        assert np.array_equal(x, -x[::-1]) and np.all(np.diff(x) > 0), n
+
+
+def test_gauss_legendre_matches_mpmath_at_1024_nodes():
+    # 32-digit nodes: two Newton steps from ours on the Legendre recurrence, and the
+    # weights 2/((1 - x^2) P_n'(x)^2) there; outermost nodes, middle nodes and two between
+    n = 1024
+    x, w = _leggauss(n)
+
+    def legendre_pair(t):
+        p_prev, p = mpmath.mpf(1), t
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * t * p - j * p_prev) / (j + 1)
+        return p_prev, p
+
+    with mpmath.workdps(32):
+        for i in [0, 1, 2, 3, 100, 300, n // 2 - 1, n // 2]:
+            t = mpmath.mpf(x[i])
+            for _ in range(2):
+                p_prev, p = legendre_pair(t)
+                t -= p * (t * t - 1) / (n * (t * p - p_prev))
+            p_prev, p = legendre_pair(t)
+            weight = 2 * (1 - t * t) / (n * p_prev) ** 2
+            assert abs(x[i] - t) <= 1e-16, i
+            # numpy's weight formula leaves ~1e-9 at the outermost node
+            assert abs(w[i] - weight) <= 2e-9 * weight, i
 
 
 class TestInnerProducts:

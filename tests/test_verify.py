@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.sparse import issparse
 
 from mlqm import (
     DeformationParams,
@@ -11,7 +10,6 @@ from mlqm import (
     SwansonParams,
     TOLERANCES,
     adjoint_under_weight,
-    build_p_space_matrix,
     displaced_metric,
     displaced_wavefunction,
     gamma_independence,
@@ -23,10 +21,13 @@ from mlqm import (
     pseudo_hermiticity_residual,
     swanson_metric,
 )
+from mlqm.eigensolver import _dense
 from mlqm.models import displaced_coefficients, swanson_coefficients
 from mlqm.verify import (
     HERMITICITY_DEFECT_FLOOR,
+    PROJECTION_MODES,
     ResidualReport,
+    _low_mode_basis,
     _exceed_report,
     gram_without_metric_report,
     hermiticity_defect_report,
@@ -69,40 +70,50 @@ class TestResidualReport:
             assert key in TOLERANCES
 
 
+def random_bands(rng, n):
+    """A random complex (5, n) band array, zero where a band's column falls off the grid."""
+    bands = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    for row, k in zip(bands, range(-2, 3)):
+        row[: max(0, -k)] = 0.0
+        row[n - max(0, k):] = 0.0
+    return bands
+
+
 class TestAdjoint:
     def test_involution(self):
         rng = np.random.default_rng(7)
         grid = MomentumGrid.symmetric(5.0, 64)
         d = DeformationParams(1.0, 0.3, 0.1)
-        h = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        h = random_bands(rng, 64)
         hadj = adjoint_under_weight(h, d, grid)
         assert np.allclose(adjoint_under_weight(hadj, d, grid), h)
 
     def test_reduces_to_conjugate_transpose_at_beta_zero(self):
         rng = np.random.default_rng(8)
         grid = MomentumGrid.symmetric(5.0, 32)
-        h = rng.normal(size=(32, 32))
-        assert np.allclose(adjoint_under_weight(h, DeformationParams(), grid), h.T)
+        h = random_bands(rng, 32)
+        assert np.allclose(_dense(adjoint_under_weight(h, DeformationParams(), grid)), _dense(h).conj().T)
 
 
 class TestHermiticityDefect:
     def test_hermitian_limit_has_zero_defect(self):
         params = displaced_default(lam=0.0)
         grid = MomentumGrid.symmetric(20.0, 400)
-        h = build_p_space_matrix(displaced_coefficients(params), grid)
+        h = p_space_operator(displaced_coefficients(params), grid)
         assert hermiticity_defect(h, params.deformation, grid) < 1e-12
 
     def test_projected_defect_sees_the_non_hermiticity(self):
         params = displaced_default(lam=0.5)
         grid = MomentumGrid.symmetric(30.0, 900)
-        h = build_p_space_matrix(displaced_coefficients(params), grid)
+        coeffs = displaced_coefficients(params)
+        h = p_space_operator(coeffs, grid)
         raw = hermiticity_defect(h, params.deformation, grid)
-        projected = projected_hermiticity_defect(h, params.deformation, grid)
+        projected = projected_hermiticity_defect(h, coeffs, params.deformation, grid)
         # the raw Frobenius norm dilutes the defect by the grid weight of the
         # huge kinetic entries; the subspace projection does not
         assert projected > 10.0 * raw
         assert projected > 0.1
-        report = hermiticity_defect_report(h, params.deformation, grid)
+        report = hermiticity_defect_report(h, coeffs, params.deformation, grid)
         assert report.passed  # shortfall below floor is zero
 
 
@@ -110,24 +121,25 @@ class TestPseudoHermiticity:
     def test_correct_metric_residual_is_tiny(self):
         params = displaced_default()
         grid = MomentumGrid.symmetric(30.0, 900)
-        h = build_p_space_matrix(displaced_coefficients(params), grid)
+        h = p_space_operator(displaced_coefficients(params), grid)
         report = pseudo_hermiticity_residual(h, displaced_metric(params), params.deformation, grid)
         assert report.value < 1e-8 and report.passed
 
     def test_swanson_metric_residual_is_tiny(self):
         params = swanson_default()
         grid = MomentumGrid.symmetric(30.0, 900)
-        h = build_p_space_matrix(swanson_coefficients(params), grid)
+        h = p_space_operator(swanson_coefficients(params), grid)
         report = pseudo_hermiticity_residual(h, swanson_metric(params), params.deformation, grid)
         assert report.value < 1e-8 and report.passed
 
     def test_wrong_metric_is_discriminated(self):
         params = displaced_default()
         grid = MomentumGrid.symmetric(30.0, 900)
-        h = build_p_space_matrix(displaced_coefficients(params), grid)
+        coeffs = displaced_coefficients(params)
+        h = p_space_operator(coeffs, grid)
         # a Swanson-shaped metric is wrong for the displaced model
         wrong = lambda p: (1.0 + 0.1 * np.asarray(p, dtype=float) ** 2) ** (-1.0)
-        report = metric_discrimination_report(h, wrong, params.deformation, grid)
+        report = metric_discrimination_report(h, coeffs, wrong, params.deformation, grid)
         assert report.passed
         assert report.context["measured"] > 0.1
 
@@ -162,13 +174,12 @@ class TestOdeChecks:
 class TestGammaIndependence:
     def test_displaced_spread_is_below_tolerance(self):
         params = displaced_default()
-        grid = MomentumGrid.symmetric(15.0, 1201)
-        report = gamma_independence(params, (0.0, 0.05, 0.1), 4, grid)
+        report = gamma_independence(params, (0.0, 0.05, 0.1), 4)
         assert report.value < 1e-6 and report.passed
 
     def test_rejects_unknown_model(self):
-        with pytest.raises(TypeError):
-            gamma_independence(object(), (0.0,), 2, MomentumGrid.symmetric(10.0, 200))
+        with pytest.raises(TypeError, match="unsupported model type object"):
+            gamma_independence(object(), (0.0,), 2)
 
 
 @pytest.mark.parametrize(
@@ -179,29 +190,40 @@ class TestGammaIndependence:
     ],
     ids=["displaced", "swanson"],
 )
-def test_dense_and_csc_operators_give_the_same_checks(params, coefficients, metric):
-    # the verify algebra runs on whichever form it is given; both forms must
-    # report the same values and verdicts
+def test_band_checks_match_the_dense_oracle(params, coefficients, metric):
+    # the operator checks run band by band; the same algebra on the dense N x N
+    # matrices, written out here, must give the same values and verdicts
     grid = MomentumGrid.symmetric(30.0, 1200)
     d = params.deformation
-    op = p_space_operator(coefficients(params), grid)
-    dense = op.toarray()
-    assert type(adjoint_under_weight(dense, d, grid)) is np.ndarray
-    adj = adjoint_under_weight(op, d, grid)
-    assert issparse(adj)
-    assert np.allclose(adj.toarray(), adjoint_under_weight(dense, d, grid), rtol=1e-12, atol=0.0)
+    coeffs = coefficients(params)
+    bands = p_space_operator(coeffs, grid)
+    dense = _dense(bands)
+    w = d.measure_weight(grid.points)
+    adj = (dense.conj().T * w[None, :]) / w[:, None]  # W^-1 H^T W
+    assert np.allclose(_dense(adjoint_under_weight(bands, d, grid)), adj, rtol=1e-12, atol=0.0)
 
     wrong = lambda p: (1.0 + 0.1 * np.asarray(p, dtype=float) ** 2) ** (-1.0)
+    e, e_wrong = metric(params)(grid.points), wrong(grid.points)
+    basis = _low_mode_basis(coeffs, d, grid)
+    assert basis.shape == (grid.n_points, PROJECTION_MODES)
 
-    def checks(h):
-        reports = [
-            pseudo_hermiticity_residual(h, metric(params), d, grid),
-            metric_discrimination_report(h, wrong, d, grid),
-            hermiticity_defect_report(h, d, grid),
-        ]
-        values = [hermiticity_defect(h, d, grid), projected_hermiticity_defect(h, d, grid)]
-        return [r.value for r in reports] + values, [r.passed for r in reports]
+    def project(m):
+        gram = basis.conj().T @ (w[:, None] * basis)
+        return np.linalg.solve(gram, basis.conj().T @ (w[:, None] * (m @ basis)))
 
-    (sparse_values, sparse_flags), (dense_values, dense_flags) = checks(op), checks(dense)
-    assert sparse_flags == dense_flags
-    assert np.allclose(sparse_values, dense_values, rtol=1e-9, atol=1e-12)
+    hk, hk_adj = project(dense), project(adj)
+    lk = project((e_wrong[:, None] * dense) / e_wrong[None, :])
+    want = [
+        np.linalg.norm((e[:, None] * dense) / e[None, :] - adj) / np.linalg.norm(dense),
+        np.linalg.norm(lk - hk_adj) / np.linalg.norm(hk_adj),
+        np.linalg.norm(adj - dense) / np.linalg.norm(dense),
+        np.linalg.norm(hk - hk_adj) / np.linalg.norm(hk),
+    ]
+    got = [
+        pseudo_hermiticity_residual(bands, metric(params), d, grid).value,
+        metric_discrimination_report(bands, coeffs, wrong, d, grid).context["measured"],
+        hermiticity_defect(bands, d, grid),
+        projected_hermiticity_defect(bands, coeffs, d, grid),
+    ]
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+    assert hermiticity_defect_report(bands, coeffs, d, grid).passed
