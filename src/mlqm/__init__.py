@@ -7,81 +7,57 @@ Swanson model in that setting: closed-form spectra and eigenfunctions via a
 point canonical transformation to a sec^2 potential, metric operators
 restoring Hermiticity, and independent numerical eigensolvers plus
 weighted-inner-product checks that verify all of it.
+
+The names below resolve lazily (PEP 562): ``import mlqm`` loads no submodule
+and no numpy, and the first use of a name imports the submodule that
+defines it.
 """
 
-from .algebra import (
-    DeformationParams,
-    GridFunction,
-    MomentumGrid,
-    UncertaintyReport,
-    apply_momentum,
-    apply_position,
-    commutator_residual,
-    uncertainty_check,
-)
-from .eigensolver import (
-    SpectrumResult,
-    build_p_space_matrix,
-    classify_spectrum,
-    p_space_operator,
-    solve_p_space,
-    solve_q_space,
-    solve_q_space_branch,
-)
-from .errors import (
-    ComplexSpectrumError,
-    ConstraintViolatedError,
-    DegenerateMeasureError,
-    DegenerateModelError,
-    DivergenceError,
-    DomainError,
-    EllipticityError,
-    InvalidGridError,
-    MlqmError,
-    NonConvergenceError,
-    NumericError,
-    ResolutionError,
-    UnsupportedRegimeError,
-)
-from .inner import QuadratureSpec, eta_inner
-from .jacobi import jacobi_batch, jacobi_eval
-from .models import (
-    DerivedSpectralParams,
-    DisplacedOscillatorParams,
-    GupFamily,
-    SwansonParams,
-    Wavefunction,
-    displaced_coefficients,
-    displaced_energy,
-    displaced_metric,
-    displaced_transform,
-    displaced_wavefunction,
-    generic_metric,
-    swanson_beta_c,
-    swanson_coefficients,
-    swanson_energy,
-    swanson_metric,
-    swanson_reality_margin,
-    swanson_transform,
-    swanson_wavefunction,
-)
-from .pct import (
-    CoefficientSet,
-    EnergyMap,
-    TransformedProblem,
-    build_potential,
-    transform,
-)
-from .verify import (
-    TOLERANCES,
-    ResidualReport,
-    adjoint_under_weight,
-    gamma_independence,
-    gram_matrix,
-    hermiticity_defect,
-    ode_residual,
-    projected_hermiticity_defect,
-    pseudo_hermiticity_residual,
-)
+import importlib
 
+#: submodule -> the public names the package exports from it
+_EXPORTS = {
+    "algebra": (
+        "DeformationParams", "GridFunction", "MomentumGrid", "UncertaintyReport",
+        "apply_momentum", "apply_position", "commutator_residual", "uncertainty_check",
+    ),
+    "eigensolver": (
+        "SpectrumResult", "build_p_space_matrix", "classify_spectrum", "p_space_operator",
+        "solve_p_space", "solve_q_space", "solve_q_space_branch",
+    ),
+    "errors": (
+        "ComplexSpectrumError", "ConstraintViolatedError", "DegenerateMeasureError", "DegenerateModelError",
+        "DivergenceError", "DomainError", "EllipticityError", "InvalidGridError", "MlqmError",
+        "NonConvergenceError", "NumericError", "ResolutionError", "UnsupportedRegimeError",
+    ),
+    "inner": ("QuadratureSpec", "eta_inner"),
+    "jacobi": ("jacobi_batch", "jacobi_eval"),
+    "models": (
+        "DerivedSpectralParams", "DisplacedOscillatorParams", "GupFamily", "SwansonParams", "Wavefunction",
+        "displaced_coefficients", "displaced_energy", "displaced_metric", "displaced_transform",
+        "displaced_wavefunction", "generic_metric", "swanson_beta_c", "swanson_coefficients", "swanson_energy",
+        "swanson_metric", "swanson_reality_margin", "swanson_transform", "swanson_wavefunction",
+    ),
+    "pct": ("CoefficientSet", "EnergyMap", "TransformedProblem", "build_potential", "transform"),
+    "verify": (
+        "TOLERANCES", "ResidualReport", "adjoint_under_weight", "gamma_independence", "gram_matrix",
+        "hermiticity_defect", "ode_residual", "projected_hermiticity_defect", "pseudo_hermiticity_residual",
+    ),
+}
+#: public name -> the submodule that defines it
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,8 +18,10 @@ import numpy as np
 
 from .errors import DomainError, EllipticityError
 
-#: Interval of the random points at which CoefficientSet validates itself.
+#: Interval of the points at which CoefficientSet validates itself.
 _VALIDATION_RANGE = (-10.0, 10.0)
+#: Where in it those 100 points lie: the Weyl sequence k/phi mod 1 of the golden ratio phi, evenly spread.
+_VALIDATION_FRACTIONS = (np.arange(1, 101) * 0.6180339887498949) % 1.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ class CoefficientSet:
     energy_map: EnergyMap
 
     def __post_init__(self):
-        rng = np.random.default_rng(12345)
-        p = rng.uniform(*_VALIDATION_RANGE, size=100)
+        lo, hi = _VALIDATION_RANGE
+        p = lo + (hi - lo) * _VALIDATION_FRACTIONS
         fvals = np.asarray(self.f(p), dtype=float)
         if not np.all(fvals > 0):  # also refuses NaN
             raise EllipticityError("f(p) must be strictly positive on the working domain")

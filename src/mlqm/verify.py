@@ -67,7 +67,7 @@ class ResidualReport:
         return self.value <= self.tolerance
 
     def to_record(self, params: dict | None = None, grid: dict | None = None) -> dict:
-        """JSON record; an exceed-check also carries the measured value and its floor."""
+        """JSON record; an exceed-check also carries the measured value and its floor, a skipped check its reason."""
         record = {
             "name": self.name,
             "value": self.value,
@@ -78,6 +78,8 @@ class ResidualReport:
         }
         if "floor" in self.context:
             record.update(measured=self.context["measured"], floor=self.context["floor"])
+        if "skipped" in self.context:
+            record["skipped"] = self.context["skipped"]
         return record
 
 

@@ -3,11 +3,13 @@
 import argparse
 import dataclasses
 import gc
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ import pytest
 import mlqm
 from mlqm import cli, verify
 from mlqm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig, _battery, main
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(capsys, *argv):
@@ -278,14 +283,23 @@ class TestVerify:
             "commutator-residual", "hermiticity-defect", "pseudo-hermiticity",
             "gram-identity", "ode-residual", "gamma-independence",
         ]
-        # lambda = delta makes the Swanson operator Hermitian, so the defect check is skipped
+        # lambda = delta makes the Swanson operator Hermitian: the defect check still emits its record, skipped
         hermitian = ("--model", "swanson", "--lambda", "0.2", "--delta", "0.2")
         code, listed, _ = run(capsys, "verify", "--list", *hermitian)
-        assert code == EXIT_OK
+        assert code == EXIT_OK and listed.split() == list(cli._CHECK_NAMES)
         code, out, _ = run(capsys, "verify", *hermitian)
         assert code == EXIT_OK
-        assert listed.split() == [json.loads(l)["name"] for l in out.strip().split("\n")]
-        assert "hermiticity-defect" not in listed.split()
+        records = [json.loads(l) for l in out.strip().split("\n")]
+        assert [r["name"] for r in records] == list(cli._CHECK_NAMES)
+        defect = records[cli._CHECK_NAMES.index("hermiticity-defect")]
+        assert defect["skipped"] and defect["value"] == 0.0 and defect["pass"] is True
+        assert not {"measured", "floor"} & set(defect)
+
+    def test_list_builds_no_model(self, capsys):
+        # a mass the model refuses is no error for a list of check names
+        listed = "".join(name + "\n" for name in cli._CHECK_NAMES)
+        assert run(capsys, "verify", "--list", "--mass", "-1") == (EXIT_OK, listed, "")
+        assert run(capsys, "verify", "--mass", "-1")[0] == EXIT_CONFIG
 
     def test_nan_ode_residual_is_the_worst(self, monkeypatch):
         # one NaN residual among passing ones must fail the check, not be outranked
@@ -505,6 +519,20 @@ class TestProcessExit:
         assert gc.get_freeze_count() == before
 
 
+def modules_loaded_by(code: str) -> list:
+    """The modules a fresh interpreter holds after running ``code``, in which ``main`` runs the CLI silently."""
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "def main(argv):",
+        "    from mlqm.cli import main",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        return main(argv)",
+        code,
+        "print(' '.join(sys.modules))",
+    ])
+    return python("-c", probe, check=True).stdout.split()
+
+
 #: the SciPy solver packages a command may load
 SOLVERS = {"scipy.linalg", "scipy.sparse.linalg"}
 
@@ -536,21 +564,72 @@ def test_scipy_is_imported_at_the_first_solve(code, solvers):
     # SciPy's import costs ~0.3 s per process, so a command that solves nothing must not pay it;
     # verify solves with numpy alone, and the q-box solve of spectrum and of a numeric sweep
     # needs only scipy.linalg, not scipy.sparse
-    probe = "\n".join([
-        "import contextlib, io, sys",
-        "def main(argv):",
-        "    from mlqm.cli import main",
-        "    with contextlib.redirect_stdout(io.StringIO()):",
-        "        return main(argv)",
-        code,
-        "print(' '.join(m for m in sys.modules if m.startswith('scipy')))",
-    ])
-    out = python("-c", probe, check=True)
-    loaded = out.stdout.split()
+    loaded = [m for m in modules_loaded_by(code) if m.startswith("scipy")]
     assert SOLVERS & set(loaded) == solvers
     if not solvers:
         assert loaded == []
     assert not [m for m in loaded if m.startswith("scipy.sparse")]
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import mlqm",
+        "import mlqm.cli",
+        "assert main(['verify', '--list']) == 0",
+        "assert main(['--help']) == 0",
+        "assert main(['sweep']) == 2",
+        "assert main(['spectrum', '--config', {config!r}]) == 2",
+    ],
+    ids=["import-mlqm", "import-cli", "verify-list", "help", "usage-error", "config-error"],
+)
+def test_numpy_is_imported_at_the_first_computing_command(code, tmp_path):
+    # numpy and the numeric library are most of a process's start-up, so a command that computes nothing skips them
+    config = tmp_path / "bad-type.json"
+    config.write_text('{"levels": "four"}')
+    loaded = modules_loaded_by(code.format(config=str(config)))
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+
+def _trace_span_modules() -> set:
+    spec = importlib.util.spec_from_file_location("_perfbench_trace_replay", PERFBENCH / "trace_replay.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {module_name for targets in module.SPANS.values() for module_name, _ in targets}
+
+
+@pytest.mark.parametrize(
+    "code, unloaded",
+    [
+        ("assert main(['spectrum', '--levels', '2']) == 0", set()),
+        ("assert main(['verify']) == 0", {"scipy.linalg"}),
+        (
+            "assert main(['sweep', '--model', 'swanson', '--numeric', '--param', 'beta', '--from', '1.5',"
+            " '--to', '2.5', '--steps', '2', '--lambda', '0.2', '--delta', '0.2']) == 0",
+            set(),
+        ),
+    ],
+    ids=["spectrum", "verify", "numeric-sweep"],
+)
+def test_computing_commands_load_every_traced_module(code, unloaded):
+    # the traced benchmark wraps the SPANS functions in the modules its replayed commands have loaded
+    assert _trace_span_modules() - set(modules_loaded_by(code)) == unloaded
+
+
+def test_package_names_resolve_lazily():
+    probe = "\n".join([
+        "import importlib, mlqm",
+        "assert set(mlqm.__all__) <= set(dir(mlqm))",
+        "for name in mlqm.__all__:",
+        "    namespace = {}",
+        "    exec(f'from mlqm import {name}', namespace)",
+        "    defined = getattr(importlib.import_module(f'mlqm.{mlqm._SOURCE[name]}'), name)",
+        "    assert getattr(mlqm, name) is namespace[name] is defined, name",
+        "print(len(mlqm.__all__))",
+    ])
+    assert python("-c", probe, check=True).stdout == f"{len(mlqm.__all__)}\n"
+    with pytest.raises(AttributeError):
+        getattr(mlqm, "no_such_name")
 
 
 @pytest.mark.parametrize(
