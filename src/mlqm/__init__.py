@@ -26,11 +26,11 @@ _EXPORTS = {
         "solve_p_space", "solve_q_space", "solve_q_space_branch",
     ),
     "errors": (
-        "ComplexSpectrumError", "ConstraintViolatedError", "DegenerateMeasureError", "DegenerateModelError",
+        "ComplexSpectrumError", "ConstraintViolatedError", "DegenerateModelError",
         "DivergenceError", "DomainError", "EllipticityError", "InvalidGridError", "MlqmError",
         "NonConvergenceError", "NumericError", "ResolutionError", "UnsupportedRegimeError",
     ),
-    "inner": ("QuadratureSpec", "eta_inner"),
+    "inner": ("eta_inner",),
     "jacobi": ("jacobi_batch", "jacobi_eval"),
     "models": (
         "DerivedSpectralParams", "DisplacedOscillatorParams", "GupFamily", "SwansonParams", "Wavefunction",
@@ -40,8 +40,8 @@ _EXPORTS = {
     ),
     "pct": ("CoefficientSet", "EnergyMap", "TransformedProblem", "build_potential", "transform"),
     "verify": (
-        "TOLERANCES", "ResidualReport", "adjoint_under_weight", "gamma_independence", "gram_matrix",
-        "hermiticity_defect", "ode_residual", "projected_hermiticity_defect", "pseudo_hermiticity_residual",
+        "TOLERANCES", "ResidualReport", "gamma_independence", "gram_matrix", "metric_identity_residual",
+        "ode_residual", "pseudo_hermiticity_residual",
     ),
 }
 #: public name -> the submodule that defines it

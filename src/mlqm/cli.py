@@ -61,9 +61,6 @@ class RunConfig:
     lam: float = field(default=0.5, metadata={"key": "lambda"})
     delta: float = 0.0
     levels: int = 4
-    nodes: int = field(default=512, metadata={"help": "quadrature node count"})
-    p_grid: int = field(default=1200, metadata={"help": "p-grid size of verify's operator checks"})
-    p_max: float = field(default=30.0, metadata={"help": "p-grid half-width of verify's operator checks"})
     format: str = field(default="csv", metadata={"choices": ("csv", "json")})
     output: str | None = None
 
@@ -101,13 +98,13 @@ def _load_library():
     ``--help``, ``verify --list`` and configuration errors, which compute nothing,
     do without them.
     """
-    global np, DeformationParams, GridFunction, MomentumGrid, QuadratureSpec
+    global np, DeformationParams, GridFunction, MomentumGrid, QUADRATURE_NODES
     global DisplacedOscillatorParams, SwansonParams, wavefunction, eigensolver, verify
     import numpy as np
 
     from . import eigensolver, verify
     from .algebra import DeformationParams, GridFunction, MomentumGrid
-    from .inner import QuadratureSpec
+    from .inner import QUADRATURE_NODES
     from .models import DisplacedOscillatorParams, SwansonParams, wavefunction
 
 
@@ -277,7 +274,7 @@ def cmd_wavefunction(cfg: RunConfig, n: int, samples: int) -> int:
     if samples < 2:
         raise DomainError(f"need samples >= 2, got {samples}")
     params = cfg.model_params()
-    psi = wavefunction(n, params, QuadratureSpec(node_count=cfg.nodes))
+    psi = wavefunction(n, params)
     eta = params.family().metric()
     d = params.deformation
     q = np.linspace(-0.995 * d.q_half, 0.995 * d.q_half, samples)
@@ -312,35 +309,32 @@ def _battery(cfg: RunConfig, metric_override: str | None):
     """Run the full verification battery; yields (report, grid-descriptor)."""
     params, family, coeffs, metric = _model_pieces(cfg)
     deformation = cfg.deformation
-    spec = QuadratureSpec(node_count=cfg.nodes)
 
     comm_grid = MomentumGrid.symmetric(10.0, 4097)
     phi = GridFunction.from_callable(comm_grid, lambda p: np.exp(-0.5 * p**2))
     yield verify.commutator_report(deformation, phi), {"n_points": 4097, "p_max": 10.0}
 
-    p_grid = MomentumGrid.symmetric(cfg.p_max, cfg.p_grid)
-    grid_desc = {"n_points": cfg.p_grid, "p_max": cfg.p_max}
-    hmat = eigensolver.p_space_operator(coeffs, p_grid)
+    samples = {"samples": verify.ODE_SAMPLES}
     if _is_hermitian(family):
         context = {"skipped": "H is Hermitian (sigma = ell = 0): there is no defect to detect"}
         skipped = verify.ResidualReport("hermiticity-defect", 0.0, verify.TOLERANCES["hermiticity-defect"], context)
-        yield skipped, grid_desc
+        yield skipped, samples
     else:
-        yield verify.hermiticity_defect_report(hmat, coeffs, deformation, p_grid), grid_desc
+        yield verify.hermiticity_defect_report(coeffs, deformation), samples
 
     if metric_override is not None:
         base = dataclasses.replace(cfg, model=metric_override)
         metric = _model_pieces(base)[3]
-    yield verify.pseudo_hermiticity_residual(hmat, metric, deformation, p_grid), grid_desc
+    yield verify.pseudo_hermiticity_residual(coeffs, metric, deformation), samples
 
     n_states = min(cfg.levels, 4) or 4
-    states = [wavefunction(k, params, spec) for k in range(n_states)]
-    _, gram_report = verify.gram_matrix(states, metric, deformation, spec)
-    yield gram_report, {"nodes": cfg.nodes}
+    states = [wavefunction(k, params) for k in range(n_states)]
+    _, gram_report = verify.gram_matrix(states, metric, deformation)
+    yield gram_report, {"nodes": QUADRATURE_NODES}
 
     # a failing report, NaN included, outranks every passing one
     residuals = [verify.ode_residual(psi, coeffs, psi.epsilon) for psi in states]
-    yield max(residuals, key=lambda r: (not r.passed, r.value)), {"samples": verify.ODE_SAMPLES}
+    yield max(residuals, key=lambda r: (not r.passed, r.value)), samples
 
     gamma_report = verify.gamma_independence(params, (0.0, cfg.beta / 2.0, cfg.beta), n_states)
     yield gamma_report, {"collocation_points": gamma_report.context["collocation_points"]}

@@ -7,8 +7,8 @@ works on the Schrodinger form of the problem and follows the spectrum on
 both sides of the reality threshold.  The p-space solve sees the
 non-Hermitian operator -f d^2/dp^2 + g d/dp + h itself, with no PCT and no
 metric, mapped from the whole p-axis onto theta = arctan(sqrt(beta) p).  The
-finite-difference p-space operator of the verification checks is assembled
-here too, as a numpy band array.  Only the q-box solve uses SciPy, imported
+finite-difference p-space operator is assembled here too, as a numpy band
+array; the tests use it as a reference.  Only the q-box solve uses SciPy, imported
 at its first call: its ~0.3 s import would otherwise slow every CLI process.
 """
 

@@ -29,10 +29,6 @@ class DegenerateModelError(MlqmError, ValueError):
     """Model parameters make the momentum-space reduction singular."""
 
 
-class DegenerateMeasureError(MlqmError, ValueError):
-    """Measure weight vanishes at a grid node."""
-
-
 class UnsupportedRegimeError(MlqmError, ValueError):
     """Parameters fall in a regime the closed-form machinery does not cover."""
 

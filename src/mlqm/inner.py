@@ -13,7 +13,6 @@ SIAM J. Sci. Comput. 35, A652 (2013)): O(n^2) with numpy alone, where numpy's
 own ``leggauss`` solves a dense O(n^3) eigenproblem.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,21 +20,12 @@ import numpy as np
 from .algebra import DeformationParams
 from .errors import DomainError, NonConvergenceError
 
+#: Gauss-Legendre node count on q; the node-doubling check also runs at twice it.
+QUADRATURE_NODES = 512
 #: Relative node-doubling change above which the integral is declared divergent.
 _DIVERGENCE_THRESHOLD = 1e-3
 #: Most Newton steps from Tricomi's guesses.
 _NEWTON_STEPS = 10
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Legendre node count on q; the node-doubling check also runs at twice it."""
-
-    node_count: int = 512
-
-    def __post_init__(self):
-        if self.node_count < 16:
-            raise DomainError(f"need node_count >= 16, got {self.node_count}")
 
 
 @lru_cache(maxsize=32)
@@ -84,15 +74,15 @@ def _quad_once(phi, psi, eta, params: DeformationParams, n_nodes: int) -> comple
     return complex(np.sum(params.q_half * w * vals))
 
 
-def eta_inner(phi, psi, eta, params: DeformationParams, spec: QuadratureSpec = QuadratureSpec()) -> complex:
+def eta_inner(phi, psi, eta, params: DeformationParams) -> complex:
     """Metric scalar product  integral of eta * conj(phi) * psi  under the deformed measure.
 
     ``phi``/``psi`` are callables of p; ``eta`` is a positive weight
-    callable or None for the plain product.  A node-doubling check guards
-    against divergent integrands.
+    callable or None for the plain product.  A node-doubling check,
+    QUADRATURE_NODES against twice as many, guards against divergent integrands.
     """
-    coarse = _quad_once(phi, psi, eta, params, spec.node_count)
-    fine = _quad_once(phi, psi, eta, params, 2 * spec.node_count)
+    coarse = _quad_once(phi, psi, eta, params, QUADRATURE_NODES)
+    fine = _quad_once(phi, psi, eta, params, 2 * QUADRATURE_NODES)
     # floor the scale at 1 so that exactly-orthogonal pairs (both estimates
     # at round-off level) are not misread as divergence
     scale = max(abs(fine), abs(coarse), 1.0)

@@ -28,7 +28,7 @@ from .errors import (
     DomainError,
     UnsupportedRegimeError,
 )
-from .inner import QuadratureSpec, eta_inner
+from .inner import eta_inner
 from .jacobi import jacobi_eval
 from .pct import CoefficientSet, EnergyMap, QMap, TransformedProblem
 
@@ -437,15 +437,13 @@ def energy(n: int, params) -> complex:
     return params.energy(n)
 
 
-def wavefunction(
-    n: int, params, spec: QuadratureSpec = QuadratureSpec(), normalize: bool = True
-) -> Wavefunction:
+def wavefunction(n: int, params, normalize: bool = True) -> Wavefunction:
     """Canonical eigenfunction rho(p) * phi_n(q(p)), metric-normalized by default."""
     family = params.family()
     wave = family.wavefunction(n, params.energy(n))
     if not normalize:
         return wave
-    norm2 = eta_inner(wave, wave, family.metric(), params.deformation, spec).real
+    norm2 = eta_inner(wave, wave, family.metric(), params.deformation).real
     if not np.isfinite(norm2) or norm2 <= 0:
         raise DivergenceError(f"eigenfunction has no finite positive metric norm (got {norm2})")
     return dataclasses.replace(wave, norm=wave.norm / np.sqrt(norm2))

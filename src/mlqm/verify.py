@@ -5,9 +5,15 @@ Every check returns a ResidualReport whose pass flag is exactly
 EXCEED a floor (a genuinely non-Hermitian operator, a discriminating wrong
 metric) are phrased as shortfall-below-floor with tolerance 0, so the same
 invariant applies; their records also carry the measured value and the
-floor.  The operator checks work band by band on the (5, N) numpy band
-array of ``p_space_operator``, and the p-space modes come from the
-theta-axis collocation solve, so no check loads SciPy.
+floor.
+
+The three operator checks share one pointwise identity and no grid.  The
+operator H = -f d^2/dp^2 + g d/dp + h has real coefficients, and its adjoint
+under the measure mu is H^+ v = mu^-1 [-(f mu v)'' - (g mu v)' + h mu v].
+Expanding eta H psi = H^+ (eta psi) for every psi leaves one condition,
+(f mu eta)' + g mu eta = 0: the terms in h cancel, and the remaining
+psi-term is the derivative of that condition.  ``metric_identity_residual``
+evaluates it on the q-uniform sample of the ODE residual.
 """
 
 import dataclasses
@@ -16,10 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import DeformationParams, GridFunction, MomentumGrid
-from .eigensolver import BAND_OFFSETS, solve_p_space, theta_modes
-from .errors import DegenerateMeasureError, ResolutionError
-from .inner import QuadratureSpec, _leggauss, eta_inner
-from .models import DisplacedOscillatorParams, SwansonParams
+from .eigensolver import solve_p_space, theta_modes
+from .errors import ResolutionError
+from .inner import _leggauss, eta_inner
 from .pct import CoefficientSet
 
 #: Single source of truth for every residual budget in the suite.
@@ -40,16 +45,17 @@ METRIC_DISCRIMINATION_FLOOR = 1e-2
 GRAM_WITHOUT_METRIC_FLOOR = 1e-3
 ODE_FAULT_FLOOR = 1e-3
 
-#: Low-lying modes spanning the subspace of the projected exceed-checks.
+#: Low-lying modes of ``_low_mode_basis``.  The battery no longer calls it; the benchmark's
+#: trace (perfbench/trace_replay.SPANS) still wraps it, so it stays until that trace changes.
 PROJECTION_MODES = 8
 #: Share of a projection mode's measure-weighted squared norm beyond the box,
-#: |p| > p_max, above which the box cuts the mode off and the projected checks
-#: are refused.  Swanson bound states decay only polynomially in p; on
+#: |p| > p_max, above which the box cuts the mode off and ``_low_mode_basis``
+#: refuses it.  Swanson bound states decay only polynomially in p; on
 #: desk-scale boxes they leave about 1e-6 there.
 _SPURIOUS_EDGE_RATIO = 1e-4
 #: Gauss-Legendre nodes on each of the three theta intervals of that share.
 _SHARE_NODES = 128
-#: q-uniform sample count of the ODE residual.
+#: q-uniform sample count of the ODE residual and of the metric identity.
 ODE_SAMPLES = 1000
 
 
@@ -92,52 +98,6 @@ def _exceed_report(name: str, measured: float, floor: float, context: dict) -> R
     return ResidualReport(name=name, value=value, tolerance=TOLERANCES[name], context=ctx)
 
 
-def _shifted(x: np.ndarray, k: int) -> np.ndarray:
-    """x[i + k] at each index i of the first axis, zero where i + k falls off the grid."""
-    out = np.zeros_like(x)
-    n = len(x)
-    if k >= 0:
-        out[: n - k] = x[k:]
-    else:
-        out[-k:] = x[: n + k]
-    return out
-
-
-def _apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H x for a band array H and a vector or a matrix x of columns."""
-    return sum((row if x.ndim == 1 else row[:, None]) * _shifted(x, k) for row, k in zip(bands, BAND_OFFSETS))
-
-
-def _similar(bands: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The bands of E H E^-1, E = diag(e)."""
-    return np.stack([row * e * _shifted(1.0 / e, k) for row, k in zip(bands, BAND_OFFSETS)])
-
-
-def _measure(params: DeformationParams, grid: MomentumGrid) -> np.ndarray:
-    w = params.measure_weight(grid.points)
-    if np.any(w == 0):
-        raise DegenerateMeasureError("measure weight vanishes at a grid node")
-    return w
-
-
-def adjoint_under_weight(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> np.ndarray:
-    """Adjoint with respect to the deformed measure, W^-1 (conj H)^T W, of a band array H.
-
-    W is the diagonal of measure weights at the nodes; the uniform trapezoid
-    spacing factor cancels between W and its inverse.  Element (i, i + k) of
-    the adjoint is (1/w[i]) conj H[i + k, i] w[i + k], so the result is again
-    a band array.
-    """
-    w = _measure(params, grid)
-    return np.stack([(1.0 / w) * _shifted(hmat[2 - k].conj(), k) * _shifted(w, k) for k in BAND_OFFSETS])
-
-
-def hermiticity_defect(hmat: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> float:
-    """Raw relative Frobenius defect ||H_adj - H|| / ||H||."""
-    hadj = adjoint_under_weight(hmat, params, grid)
-    return float(np.linalg.norm(hadj - hmat) / np.linalg.norm(hmat))
-
-
 def _tail_share(modes, params: DeformationParams, p_max: float) -> np.ndarray:
     """Share of each mode's measure-weighted squared norm at |p| > p_max, by Gauss-Legendre on theta.
 
@@ -175,68 +135,60 @@ def _low_mode_basis(coeffs: CoefficientSet, params: DeformationParams, grid: Mom
     return modes(np.sqrt(params.beta) * params.q_of_p(grid.points))
 
 
-def _project(bands: np.ndarray, basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    gram = basis.conj().T @ (w[:, None] * basis)
-    return np.linalg.solve(gram, basis.conj().T @ (w[:, None] * _apply(bands, basis)))
+def _q_uniform_samples(params: DeformationParams) -> np.ndarray:
+    """ODE_SAMPLES momenta, uniform in q on |q| <= 0.999 q_half: the whole axis without chasing p to infinity."""
+    q = np.linspace(-0.999 * params.q_half, 0.999 * params.q_half, ODE_SAMPLES)
+    return params.p_of_q(q)
 
 
-def _projected_pair(hmat, other, coeffs: CoefficientSet, params: DeformationParams, grid: MomentumGrid):
-    """``other`` and H_adj projected onto the low-mode subspace with the weighted Gram matrix."""
-    w = _measure(params, grid)
-    basis = _low_mode_basis(coeffs, params, grid)
-    return _project(other, basis, w), _project(adjoint_under_weight(hmat, params, grid), basis, w)
+def metric_identity_residual(coeffs: CoefficientSet, params: DeformationParams, eta=None) -> float:
+    """Relative residual of (f mu eta)' + g mu eta = 0, the pointwise form of eta H = H^+ eta.
 
-
-def projected_hermiticity_defect(hmat: np.ndarray, coeffs: CoefficientSet, params: DeformationParams,
-                                 grid: MomentumGrid) -> float:
-    """Hermiticity defect restricted to the low-lying bound-state subspace.
-
-    The raw Frobenius defect is dominated by the huge high-|p| entries of
-    the discretized operator, which shrink as O(spacing) and dilute the
-    physical non-Hermiticity; projecting H and its adjoint onto the lowest
-    bound modes (weighted Gram) measures the defect where it matters.
+    Returns max|(log f mu eta)' + g/f| / (max|(log f mu)'| + max|g/f|) on the
+    q-uniform sample; ``eta`` None is eta = 1, the Hermiticity of H itself.
+    The log-derivatives are centred differences with the step 1e-5 (1 + |p|)
+    that ``CoefficientSet`` validates its derivatives with.  An overflow or a
+    non-positive weight reads NaN, which fails every check.
     """
-    hk, hk_adj = _projected_pair(hmat, hmat, coeffs, params, grid)
-    return float(np.linalg.norm(hk - hk_adj) / np.linalg.norm(hk))
+    p = _q_uniform_samples(params)
+    step = 1e-5 * (1.0 + np.abs(p))
+
+    def log_derivative(fn):
+        return (np.log(fn(p + step)) - np.log(fn(p - step))) / (2.0 * step)
+
+    with np.errstate(all="ignore"):
+        d_f_mu = log_derivative(coeffs.f) + log_derivative(params.measure_weight)
+        d_eta = 0.0 if eta is None else log_derivative(eta)
+        drift = np.asarray(coeffs.g(p), dtype=float) / np.asarray(coeffs.f(p), dtype=float)
+        value = np.max(np.abs(d_f_mu + d_eta + drift)) / (np.max(np.abs(d_f_mu)) + np.max(np.abs(drift)))
+    return float(value)
 
 
-def hermiticity_defect_report(hmat: np.ndarray, coeffs: CoefficientSet, params: DeformationParams,
-                              grid: MomentumGrid) -> ResidualReport:
-    """Exceed-check: the operator must be genuinely non-Hermitian (defect > 1e-2)."""
-    measured = projected_hermiticity_defect(hmat, coeffs, params, grid)
+def hermiticity_defect_report(coeffs: CoefficientSet, params: DeformationParams) -> ResidualReport:
+    """Exceed-check: the operator must be genuinely non-Hermitian, its identity residual at eta = 1 above 1e-2."""
+    measured = metric_identity_residual(coeffs, params)
     return _exceed_report("hermiticity-defect", measured, HERMITICITY_DEFECT_FLOOR, {})
 
 
-def pseudo_hermiticity_residual(hmat: np.ndarray, eta, params: DeformationParams, grid: MomentumGrid) -> ResidualReport:
-    """Relative Frobenius residual of  E H E^-1 - H_adj  with E = diag(eta)."""
-    e = np.asarray(eta(grid.points), dtype=float)
-    hadj = adjoint_under_weight(hmat, params, grid)
-    value = float(np.linalg.norm(_similar(hmat, e) - hadj) / np.linalg.norm(hmat))
+def pseudo_hermiticity_residual(coeffs: CoefficientSet, eta, params: DeformationParams) -> ResidualReport:
+    """The identity residual of the metric eta; eta H = H^+ eta holds to 1e-6."""
+    value = metric_identity_residual(coeffs, params, eta)
     return ResidualReport(name="pseudo-hermiticity", value=value, tolerance=TOLERANCES["pseudo-hermiticity"])
 
 
-def metric_discrimination_report(
-    hmat: np.ndarray, coeffs: CoefficientSet, wrong_eta, params: DeformationParams, grid: MomentumGrid
-) -> ResidualReport:
-    """Exceed-check: a wrong metric must leave a visible residual (> 1e-2).
-
-    Like the Hermiticity defect, the raw Frobenius residual of a wrong
-    metric is diluted by discretization, so the comparison happens on the
-    low-lying mode subspace.
-    """
-    e = np.asarray(wrong_eta(grid.points), dtype=float)
-    lk, hk_adj = _projected_pair(hmat, _similar(hmat, e), coeffs, params, grid)
-    measured = np.linalg.norm(lk - hk_adj) / np.linalg.norm(hk_adj)
+def metric_discrimination_report(coeffs: CoefficientSet, wrong_eta, params: DeformationParams) -> ResidualReport:
+    """Exceed-check: a wrong metric must leave an identity residual above 1e-2."""
+    measured = metric_identity_residual(coeffs, params, wrong_eta)
     return _exceed_report("metric-discrimination", measured, METRIC_DISCRIMINATION_FLOOR, {})
 
 
-def gram_matrix(states, eta, params: DeformationParams, spec: QuadratureSpec = QuadratureSpec()):
+def gram_matrix(states, eta, params: DeformationParams):
     """Gram matrix G[m,n] = <psi_m|psi_n>_eta and the ||G - I||_max report."""
     k = len(states)
     gram = np.empty((k, k), dtype=complex)
     for i in range(k):
         for j in range(i, k):
-            val = eta_inner(states[i], states[j], eta, params, spec)
+            val = eta_inner(states[i], states[j], eta, params)
             gram[i, j] = val
             gram[j, i] = np.conj(val)
     value = float(np.max(np.abs(gram - np.eye(k))))
@@ -244,14 +196,13 @@ def gram_matrix(states, eta, params: DeformationParams, spec: QuadratureSpec = Q
     return gram, report
 
 
-def gram_without_metric_report(states, params: DeformationParams,
-                               spec: QuadratureSpec = QuadratureSpec()) -> ResidualReport:
+def gram_without_metric_report(states, params: DeformationParams) -> ResidualReport:
     """Exceed-check: without eta some off-diagonal element must exceed 1e-3."""
     k = len(states)
     worst = 0.0
     for i in range(k):
         for j in range(i + 1, k):
-            worst = max(worst, abs(eta_inner(states[i], states[j], None, params, spec)))
+            worst = max(worst, abs(eta_inner(states[i], states[j], None, params)))
     return _exceed_report("gram-without-metric", worst, GRAM_WITHOUT_METRIC_FLOOR, {})
 
 
@@ -259,12 +210,9 @@ def ode_residual(psi, coeffs: CoefficientSet, epsilon: float) -> ResidualReport:
     """Max-norm residual of -f psi'' + g psi' + h psi - eps psi on a q-uniform sample.
 
     ``psi`` must expose analytic ``derivative`` and ``second_derivative``
-    (the closed-form eigenfunctions do); sampling is uniform in q so the
-    whole box is probed without chasing p to infinity.
+    (the closed-form eigenfunctions do); it is sampled uniformly in q.
     """
-    d = DeformationParams(beta=psi.beta)
-    q = np.linspace(-0.999 * d.q_half, 0.999 * d.q_half, ODE_SAMPLES)
-    p = d.p_of_q(q)
+    p = _q_uniform_samples(DeformationParams(beta=psi.beta))
     vals = psi(p)
     resid = (
         -coeffs.f(p) * psi.second_derivative(p)
@@ -289,8 +237,6 @@ def gamma_independence(params, gamma_values, n_levels: int) -> ResidualReport:
     through g and h, so agreement across gamma values is a genuine check,
     not a tautology.
     """
-    if not isinstance(params, (DisplacedOscillatorParams, SwansonParams)):
-        raise TypeError(f"unsupported model type {type(params).__name__}")
     energies = []
     for gamma in gamma_values:
         deformation = dataclasses.replace(params.deformation, gamma=gamma)

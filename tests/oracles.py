@@ -1,7 +1,7 @@
 """Independent references that only the tests use: adaptive quadrature of the PCT
 integrals, the Hamiltonians composed literally from dense x and p matrices,
-finite-difference q-box and p-space solves, and the published (printed)
-eigenfunction."""
+finite-difference q-box and p-space solves, the finite-difference form of the
+pseudo-Hermiticity check, and the published (printed) eigenfunction."""
 
 from dataclasses import dataclass
 
@@ -12,7 +12,7 @@ from scipy.sparse import csc_array, diags_array
 from scipy.sparse.linalg import eigs
 
 from mlqm.algebra import DeformationParams, MomentumGrid, first_derivative_matrix
-from mlqm.eigensolver import p_space_operator
+from mlqm.eigensolver import BAND_OFFSETS, p_space_operator
 from mlqm.models import DisplacedOscillatorParams, SwansonParams, Wavefunction
 
 _QUAD_ABS_TOL = 1e-12
@@ -124,6 +124,44 @@ def fd_p_space_levels(coeffs, p_max: float, n_points: int, n_levels: int):
     coarse = _fd_p_space_levels(coeffs, p_max, n_points, n_levels)
     fine = _fd_p_space_levels(coeffs, p_max, 2 * n_points - 1, n_levels)
     return (16.0 * fine - coarse) / 15.0
+
+
+def _shifted(x: np.ndarray, k: int) -> np.ndarray:
+    """x[i + k] at each index i, zero where i + k falls off the grid."""
+    out = np.zeros_like(x)
+    n = len(x)
+    if k >= 0:
+        out[: n - k] = x[k:]
+    else:
+        out[-k:] = x[: n + k]
+    return out
+
+
+def adjoint_under_weight(bands: np.ndarray, params: DeformationParams, grid: MomentumGrid) -> np.ndarray:
+    """Adjoint W^-1 (conj H)^T W of a (5, N) band array H, W the diagonal of measure weights, as a band array.
+
+    The uniform trapezoid spacing factor cancels between W and its inverse.
+    Element (i, i + k) of the adjoint is (1/w[i]) conj H[i + k, i] w[i + k].
+    """
+    w = params.measure_weight(grid.points)
+    return np.stack([(1.0 / w) * _shifted(bands[2 - k].conj(), k) * _shifted(w, k) for k in BAND_OFFSETS])
+
+
+def similar(bands: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The band array of E H E^-1, E = diag(e)."""
+    return np.stack([row * e * _shifted(1.0 / e, k) for row, k in zip(bands, BAND_OFFSETS)])
+
+
+def fd_pseudo_hermiticity_residual(coeffs, eta, params: DeformationParams, grid: MomentumGrid) -> float:
+    """||E H E^-1 - H_adj||_F / ||H||_F for the finite-difference operator on ``grid``, E = diag(eta).
+
+    The discrete form of eta H = H^+ eta: its stencil error falls with the
+    grid spacing towards the pointwise identity of ``verify.metric_identity_residual``.
+    """
+    bands = p_space_operator(coeffs, grid)
+    e = np.asarray(eta(grid.points), dtype=float)
+    defect = similar(bands, e) - adjoint_under_weight(bands, params, grid)
+    return float(np.linalg.norm(defect) / np.linalg.norm(bands))
 
 
 @dataclass(frozen=True)

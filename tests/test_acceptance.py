@@ -33,13 +33,12 @@ from mlqm import (
     swanson_wavefunction,
     uncertainty_check,
 )
-from mlqm.eigensolver import p_space_operator
 from mlqm.models import displaced_coefficients, swanson_coefficients
 from mlqm.verify import (
     gram_without_metric_report,
+    hermiticity_defect_report,
     ode_fault_detection_report,
     ode_residual,
-    projected_hermiticity_defect,
     pseudo_hermiticity_residual,
 )
 
@@ -140,36 +139,26 @@ def test_criterion_3_reality_transition():
 
 def test_criterion_4_pseudo_hermiticity():
     budget, t0 = 30.0, time.perf_counter()
-    grid_fine = MomentumGrid.symmetric(30.0, 2000)
-    grid_eig = MomentumGrid.symmetric(30.0, 1200)
-
     d_params = displaced_params()
     d_coeffs = displaced_coefficients(d_params)
-    h_d = p_space_operator(d_coeffs, grid_fine)
-    res_d = pseudo_hermiticity_residual(
-        h_d, displaced_metric(d_params), d_params.deformation, grid_fine
-    ).value
+    res_d = pseudo_hermiticity_residual(d_coeffs, displaced_metric(d_params), d_params.deformation).value
 
     s_params = swanson_params()
-    h_s = p_space_operator(swanson_coefficients(s_params), grid_fine)
     res_s = pseudo_hermiticity_residual(
-        h_s, swanson_metric(s_params), s_params.deformation, grid_fine
+        swanson_coefficients(s_params), swanson_metric(s_params), s_params.deformation
     ).value
 
-    # non-Hermiticity (subspace-projected defect): the criterion-2 Swanson
+    # non-Hermiticity (the identity residual at eta = 1): the criterion-2 Swanson
     # point lam = delta is Hermitian by construction, so the defect check
     # uses a genuinely asymmetric coupling
-    h_d_small = p_space_operator(d_coeffs, grid_eig)
-    defect_d = projected_hermiticity_defect(h_d_small, d_coeffs, d_params.deformation, grid_eig)
+    defect_d = hermiticity_defect_report(d_coeffs, d_params.deformation).context["measured"]
     s_asym = swanson_params(lam=0.3, delta=0.1)
-    s_coeffs = swanson_coefficients(s_asym)
-    h_s_small = p_space_operator(s_coeffs, grid_eig)
-    defect_s = projected_hermiticity_defect(h_s_small, s_coeffs, s_asym.deformation, grid_eig)
+    defect_s = hermiticity_defect_report(swanson_coefficients(s_asym), s_asym.deformation).context["measured"]
 
     elapsed = time.perf_counter() - t0
     ok = res_d < 1e-6 and res_s < 1e-6 and defect_d > 1e-2 and defect_s > 1e-2 and elapsed < budget
     _line(4, "pseudo-Hermiticity", ok,
-          f"residuals {res_d:.1e}/{res_s:.1e}, projected defects {defect_d:.3f}/{defect_s:.3f}",
+          f"residuals {res_d:.1e}/{res_s:.1e}, defects at eta = 1 {defect_d:.3f}/{defect_s:.3f}",
           elapsed, budget)
     assert res_d < 1e-6 and res_s < 1e-6
     assert defect_d > 1e-2 and defect_s > 1e-2

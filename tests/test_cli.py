@@ -78,15 +78,15 @@ class TestSpectrum:
         text = target.read_text()
         assert text.startswith("n,E_closed") and "\r" not in text
 
-    def test_box_too_small_refuses(self, capsys):
-        # spectrum's E_p needs no box; verify's operator checks run on |p| <= p_max
-        assert run(capsys, "spectrum", "--p-max", "3")[0] == EXIT_OK
-        code, out, err = run(capsys, "verify", "--p-max", "3")
-        assert code == EXIT_NUMERIC and out == ""
-        assert err == (
-            "numeric failure: 8 of the 8 lowest p-space modes hold more than 0.0001 of their norm beyond |p| = 3; "
-            "enlarge the grid\n"
-        )
+    def test_box_too_small_refuses(self, capsys, tmp_path):
+        # no command runs on a p-box any more, so the settings that sized one are refused, a small box included
+        for argv in (("spectrum", "--p-max", "3"), ("verify", "--p-max", "3"), ("verify", "--p-grid", "800")):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_CONFIG and out == "" and "unrecognized arguments" in err
+        cfg = tmp_path / "box.json"
+        cfg.write_text(json.dumps({"p_grid": 800}))
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out, err) == (EXIT_CONFIG, "", "configuration error: unknown config keys: ['p_grid']\n")
 
 
 class TestSweep:
@@ -311,22 +311,27 @@ class TestVerify:
         report = next(r for r, _ in _battery(RunConfig(), None) if r.name == "ode-residual")
         assert np.isnan(report.value) and not report.passed
 
-    def test_unresolved_low_modes_refuse(self, capsys):
-        # past the box corner of polynomially decaying Swanson modes one projection mode holds
-        # more than 1e-4 of its norm beyond |p| = 30
-        code, out, err = run(
-            capsys, "verify", "--model", "swanson", "--beta", "0.65",
-            "--lambda", "0.35", "--delta", "0.05", "--levels", "4",
-        )
-        assert code == EXIT_NUMERIC and out == ""
-        assert err == (
-            "numeric failure: 1 of the 8 lowest p-space modes hold more than 0.0001 of their norm beyond |p| = 30; "
-            "enlarge the grid\n"
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--model", "swanson"),
+            ("--model", "swanson", "--beta", "0.65", "--lambda", "0.35", "--delta", "0.05", "--levels", "4"),
+            ("--beta", "10", "--lambda", "0.5"),
+        ],
+        ids=["swanson-defaults", "swanson-past-the-old-box-corner", "displaced-beta-10"],
+    )
+    def test_runs_past_the_old_p_grid_pass(self, capsys, argv):
+        # the finite-difference p-grid read a stencil error of 2.9e-6 at the Swanson defaults (exit 1)
+        # and refused the two other points (exit 3); the pointwise identity has no grid
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == EXIT_OK
+        records = {r["name"]: r for r in map(json.loads, out.strip().split("\n"))}
+        assert set(records) == set(cli._CHECK_NAMES) and all(r["pass"] for r in records.values())
+        assert records["pseudo-hermiticity"]["value"] <= 1e-9
 
     def test_swanson_box_corner_passes(self, capsys):
-        # at the box corner the eighth projection mode holds 9e-5 of its norm past |p| = 30, just
-        # under the 1e-4 guard, so every check runs, and every one passes
+        # the corner of the old p-box, where the eighth projection mode held 9e-5 of its norm
+        # past |p| = 30: every check runs, and every one passes
         code, out, _ = run(
             capsys, "verify", "--model", "swanson", "--beta", "0.6",
             "--lambda", "0.35", "--delta", "0.05", "--levels", "4",
@@ -335,17 +340,15 @@ class TestVerify:
         records = [json.loads(l) for l in out.strip().split("\n")]
         assert [r["name"] for r in records] == list(cli._CHECK_NAMES) and all(r["pass"] for r in records)
 
-    def test_displaced_modes_past_the_box_refuse(self, capsys):
-        # lambda = 5 moves the modes off-centre, past a box of |p| <= 10
-        code, out, err = run(capsys, "verify", "--lambda", "5", "--p-max", "10")
-        assert code == EXIT_NUMERIC and out == ""
-        assert err == (
-            "numeric failure: 8 of the 8 lowest p-space modes hold more than 0.0001 of their norm beyond |p| = 10; "
-            "enlarge the grid\n"
-        )
+    def test_displaced_modes_past_the_box_refuse(self, capsys, tmp_path):
+        # lambda = 5 moved the modes past a box of |p| <= 10; with no box left, a config that asks for one is refused
+        cfg = tmp_path / "box.json"
+        cfg.write_text(json.dumps({"lambda": 5, "p_max": 10}))
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out, err) == (EXIT_CONFIG, "", "configuration error: unknown config keys: ['p_max']\n")
 
     def test_displaced_lambda_5_passes(self, capsys):
-        # at the default |p| <= 30 the same modes hold under 1e-9 of their norm past the box
+        # lambda = 5 moves the modes far off-centre
         code, out, _ = run(capsys, "verify", "--lambda", "5")
         assert code == EXIT_OK
         records = {r["name"]: r for r in map(json.loads, out.strip().split("\n"))}
@@ -355,7 +358,7 @@ class TestVerify:
 
 class TestNumericFailure:
     def test_non_finite_coefficient_exits_numeric(self, capsys, monkeypatch):
-        # h is NaN only past |p| = 40, off verify's grid but where the theta-axis solve samples it
+        # h is NaN only past |p| = 40, where the theta-axis solve samples it
         coefficients = mlqm.GupFamily.coefficients
 
         def broken(family):
@@ -371,7 +374,7 @@ class TestNumericFailure:
 class TestConfigResolution:
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"model": "displaced", "beta": 0.2, "levels": 2, "nodes": 800}))
+        cfg.write_text(json.dumps({"model": "displaced", "beta": 0.2, "levels": 2}))
         code, out, _ = run(capsys, "spectrum", "--config", str(cfg), "--beta", "0.1")
         assert code == EXIT_OK
         # flag wins: E_closed must be the beta=0.1 value
@@ -402,7 +405,7 @@ class TestConfigResolution:
         assert code == EXIT_CONFIG and "singular" in err
 
     @pytest.mark.parametrize(
-        "bad", [{"levels": 2.9}, {"levels": True}, {"nodes": "800"}, {"output": 2}, {"output": ["x.csv"]}]
+        "bad", [{"levels": 2.9}, {"levels": True}, {"levels": "800"}, {"output": 2}, {"output": ["x.csv"]}]
     )
     def test_config_value_types_checked(self, capsys, tmp_path, bad):
         # a fractional or boolean count is not truncated, and an integer output is not a file descriptor
@@ -414,7 +417,7 @@ class TestConfigResolution:
 
     def test_integral_config_values_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"levels": 2.0, "nodes": 800, "output": None}))
+        cfg.write_text(json.dumps({"levels": 2.0, "output": None}))
         code, out, _ = run(capsys, "verify", "--list", "--config", str(cfg))
         assert code == EXIT_OK and "gamma-independence" in out.split()
 
@@ -424,6 +427,15 @@ class TestConfigResolution:
         code, _, err = run(capsys, "verify", "--list", "--config", str(cfg))
         assert code == EXIT_CONFIG and "unknown config keys: ['jobs']" in err
         assert main(["verify", "--list", "--jobs", "2"]) == EXIT_CONFIG
+        capsys.readouterr()
+
+    def test_nodes_setting_removed(self, capsys, tmp_path):
+        # the quadrature keeps 512 nodes, checked against 1024; 2048 gave the same verdicts
+        cfg = tmp_path / "nodes.json"
+        cfg.write_text(json.dumps({"nodes": 2048}))
+        code, _, err = run(capsys, "verify", "--list", "--config", str(cfg))
+        assert code == EXIT_CONFIG and "unknown config keys: ['nodes']" in err
+        assert main(["verify", "--nodes", "2048"]) == EXIT_CONFIG
         capsys.readouterr()
 
     def test_usage_error_exits_two(self, capsys):
@@ -453,7 +465,7 @@ class TestConfigResolution:
         assert {flag: actions[flag].dest for flag in flags} == flags
 
     #: one setting per field annotation, with a value other than its default
-    REPRESENTATIVES = {"model": "swanson", "lambda": 0.25, "p_grid": 800, "output": "out.csv"}
+    REPRESENTATIVES = {"model": "swanson", "lambda": 0.25, "levels": 3, "output": "out.csv"}
 
     def test_representatives_cover_every_annotation(self):
         assert {cli._SETTINGS[key].type for key in self.REPRESENTATIVES} == {
@@ -642,7 +654,7 @@ def test_package_names_resolve_lazily():
     ids=["verify", "verify-swanson", "spectrum"],
 )
 def test_cli_path_builds_no_dense_operator(capsys, argv, limit_mb):
-    # one dense 1200 x 1200 p-space matrix is 11.5 MB; the banded path peaks near 1.4 MB
+    # one dense 1200 x 1200 p-space matrix is 11.5 MB; these commands build no p-space operator at all
     assert main(list(argv)) == EXIT_OK  # first call fills the quadrature-node cache
     tracemalloc.start()
     try:

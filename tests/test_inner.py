@@ -10,33 +10,14 @@ from mlqm import (
     DeformationParams,
     DomainError,
     NonConvergenceError,
-    QuadratureSpec,
     eta_inner,
 )
 from mlqm.inner import _leggauss
 
 
-def deformed_inner(phi, psi, params, spec=QuadratureSpec()):
+def deformed_inner(phi, psi, params):
     """The plain deformed-measure product: the metric product with eta identically 1."""
-    return eta_inner(phi, psi, None, params, spec)
-
-
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.node_count == 512
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"node_count": 15},
-            {"node_count": 8},
-            {"node_count": 0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureSpec(**kwargs)
+    return eta_inner(phi, psi, None, params)
 
 
 @pytest.mark.parametrize("n", [16, 512, 1024])
