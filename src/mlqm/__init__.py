@@ -35,7 +35,7 @@ _EXPORTS = {
     "models": (
         "DerivedSpectralParams", "DisplacedOscillatorParams", "GupFamily", "SwansonParams", "Wavefunction",
         "displaced_coefficients", "displaced_energy", "displaced_metric", "displaced_transform",
-        "displaced_wavefunction", "generic_metric", "swanson_beta_c", "swanson_coefficients", "swanson_energy",
+        "displaced_wavefunction", "swanson_beta_c", "swanson_coefficients", "swanson_energy",
         "swanson_metric", "swanson_reality_margin", "swanson_transform", "swanson_wavefunction",
     ),
     "pct": ("CoefficientSet", "EnergyMap", "TransformedProblem", "build_potential", "transform"),

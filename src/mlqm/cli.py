@@ -174,10 +174,10 @@ def _emit(header, rows, cfg: RunConfig):
 
 
 def _model_pieces(cfg: RunConfig):
-    """Params, their family, its coefficients and its metric (self-checked on construction)."""
+    """Params, their family and its coefficients."""
     params = cfg.model_params()
     family = params.family()
-    return params, family, family.coefficients(), family.metric()
+    return params, family, family.coefficients()
 
 
 # --------------------------------------------------------------------------
@@ -188,31 +188,39 @@ _SPECTRUM_HEADER = ("n", "E_closed", "E_q", "E_p_re", "E_p_im", "err_q", "err_p"
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    params, family, coeffs, _ = _model_pieces(cfg)
+    params, family, coeffs = _model_pieces(cfg)
     # E_closed and E_q are real columns, so complex levels would lose their imaginary part
     if complex(params.energy(0)).imag != 0:
         raise ComplexSpectrumError(
             f"beta = {cfg.beta:g} is past the reality threshold beta_c = {params.beta_c():.6g}: the levels are "
             "complex-conjugate pairs; follow them with `sweep --numeric`"
         )
+    e_closed = [complex(params.energy(n)).real for n in range(cfg.levels)]
+    for n in range(1, cfg.levels):
+        lower, upper = e_closed[n - 1], e_closed[n]
+        # the ladder's spacing is then at the rounding of the levels themselves, so no error can be measured
+        if abs(upper - lower) <= 16 * np.spacing(max(abs(lower), abs(upper))):
+            raise UnsupportedRegimeError(
+                f"closed-form levels E_{n - 1} = {_fmt(lower)} and E_{n} = {_fmt(upper)} are within 16 ulp "
+                "of each other: the ladder is not resolved in double precision"
+            )
     rows = []
     if cfg.levels > 0:
         q_result = eigensolver.solve_q_space(family.transform(), cfg.levels)
         e_q = coeffs.energy_map.energy(q_result.real_parts)
         p_result = eigensolver.solve_p_space(coeffs, cfg.deformation, cfg.levels)
         e_p = coeffs.energy_map.energy(np.array([complex(e) for e in p_result.eigenvalues]))
-        for n in range(cfg.levels):
-            e_closed = complex(params.energy(n)).real
-            scale = max(1.0, abs(e_closed))
+        for n, e in enumerate(e_closed):
+            scale = max(1.0, abs(e))
             rows.append(
                 {
                     "n": n,
-                    "E_closed": e_closed,
+                    "E_closed": e,
                     "E_q": float(e_q[n]),
                     "E_p_re": float(e_p[n].real),
                     "E_p_im": float(e_p[n].imag),
-                    "err_q": abs(e_q[n] - e_closed) / scale,
-                    "err_p": abs(e_p[n] - e_closed) / scale,
+                    "err_q": abs(e_q[n] - e) / scale,
+                    "err_p": abs(e_p[n] - e) / scale,
                 }
             )
     _emit(_SPECTRUM_HEADER, rows, cfg)
@@ -307,7 +315,8 @@ def _is_hermitian(family) -> bool:
 
 def _battery(cfg: RunConfig, metric_override: str | None):
     """Run the full verification battery; yields (report, grid-descriptor)."""
-    params, family, coeffs, metric = _model_pieces(cfg)
+    params, family, coeffs = _model_pieces(cfg)
+    metric = family.metric()
     deformation = cfg.deformation
 
     comm_grid = MomentumGrid.symmetric(10.0, 4097)
@@ -323,8 +332,7 @@ def _battery(cfg: RunConfig, metric_override: str | None):
         yield verify.hermiticity_defect_report(coeffs, deformation), samples
 
     if metric_override is not None:
-        base = dataclasses.replace(cfg, model=metric_override)
-        metric = _model_pieces(base)[3]
+        metric = dataclasses.replace(cfg, model=metric_override).model_params().family().metric()
     yield verify.pseudo_hermiticity_residual(coeffs, metric, deformation), samples
 
     n_states = min(cfg.levels, 4) or 4

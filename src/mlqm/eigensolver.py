@@ -163,9 +163,9 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
     are merged with their conjugates so that pairs appear as pairs.  The upper part of
     a collocation spectrum is spurious; only the lowest n_levels are returned.
     """
-    from scipy.linalg import LinAlgError, eigvals
     if not (np.isfinite(problem.q_min) and np.isfinite(problem.q_max)):
         raise InvalidGridError("solve_q_space needs a finite q-box")
+    from scipy.linalg import LinAlgError, eigvals
     n = _collocation_size(n_levels, "q-box")
     t, d1, d2 = _chebyshev_gauss(n)
     z, one_minus_z2 = np.cos(t), np.sin(t) ** 2  # z = cos t, so 1 - z^2 keeps its digits at the walls

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .inner import eta_inner
 from .jacobi import jacobi_eval
-from .pct import CoefficientSet, EnergyMap, QMap, TransformedProblem
+from .pct import CoefficientSet, EnergyMap, TransformedProblem
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,6 @@ class DerivedSpectralParams:
         return abs(np.imag(self.a_const)) == 0.0
 
 
-def gup_q_map_hint(deformation: DeformationParams) -> QMap:
-    """Closed-form q-map for f = (1+beta*p^2)^2: the map of ``DeformationParams``."""
-    d = deformation
-    return QMap(q_of_p=d.q_of_p, p_of_q=d.p_of_q, q_min=-d.q_half, q_max=d.q_half)
-
-
 # --------------------------------------------------------------------------
 # eigenfunctions
 # --------------------------------------------------------------------------
@@ -357,7 +351,7 @@ class GupFamily:
 
     def transform(self) -> TransformedProblem:
         """Schrodinger form using the closed-form q-map."""
-        return pct.transform(self.coefficients(), gup_q_map_hint(self.deformation))
+        return pct.transform(self.coefficients(), self.deformation)
 
     def epsilon_levels(self) -> Callable:
         """n -> eps_n = (A + n sqrt(beta))^2 + offset: the sec^2 ladder plus the potential offset.
@@ -370,22 +364,23 @@ class GupFamily:
         sqb = np.sqrt(self.deformation.beta)
         return lambda n: (sp.a_const + np.asarray(n) * sqb) ** 2 + sp.offset
 
-    def metric(self) -> Callable:
-        """Metric eta(p) = (1+beta*p^2)^(sigma/beta) * exp(2*ell*q(p)), q the q-map.
-
-        Checked against the generic formula before it is returned.
-        """
+    def log_metric(self) -> Callable:
+        """log eta = -(gamma/beta) * log(1 + beta p^2) - 2 log rho, the metric under which H is pseudo-Hermitian."""
         d = self.deformation
         if d.beta <= 0:
-            raise DomainError("the closed-form metric requires beta > 0")
-        exponent, ell = self.sigma / d.beta, self.ell
+            raise DomainError("the metric requires beta > 0")
+        beta, gamma, log_rho = d.beta, d.gamma, self.log_rho()
 
-        def eta(p):
+        def log_eta(p):
             p = np.asarray(p, dtype=float)
-            return (1.0 + d.beta * p**2) ** exponent * np.exp(2.0 * ell * d.q_of_p(p))
+            return -(gamma / beta) * np.log1p(beta * p**2) - 2.0 * log_rho(p)
 
-        _assert_generic_agreement(eta, d, self.log_rho())
-        return eta
+        return log_eta
+
+    def metric(self) -> Callable:
+        """Metric eta(p) = exp(log eta(p)); see ``log_metric``."""
+        log_eta = self.log_metric()
+        return lambda p: np.exp(log_eta(p))
 
     def wavefunction(self, n: int, energy: complex) -> Wavefunction:
         """Unnormalized eigenfunction with a1 = -ell and alpha = B - 1/2, B = A/sqrt(beta).
@@ -461,34 +456,3 @@ displaced_metric = swanson_metric = metric
 displaced_energy = swanson_energy = energy
 displaced_wavefunction = swanson_wavefunction = wavefunction
 
-
-# --------------------------------------------------------------------------
-# generic metric path
-# --------------------------------------------------------------------------
-
-def generic_metric(deformation: DeformationParams, log_rho: Callable) -> Callable:
-    """Generic metric (1+beta*p^2)^(-gamma/beta) * exp(-2 * Re int chi).
-
-    ``log_rho`` is the (real) integral of chi; for both models it has a
-    closed form, so this path is exact and serves as an independent check on
-    the model-specific formulas.
-    """
-    beta, gamma = deformation.beta, deformation.gamma
-    if beta <= 0:
-        raise DomainError("the generic metric requires beta > 0")
-
-    def eta(p):
-        p = np.asarray(p, dtype=float)
-        return (1.0 + beta * p**2) ** (-gamma / beta) * np.exp(-2.0 * np.real(log_rho(p)))
-
-    return eta
-
-
-def _assert_generic_agreement(metric: Callable, deformation: DeformationParams, log_rho: Callable):
-    generic = generic_metric(deformation, log_rho)
-    p = np.linspace(-7.0, 7.0, 11)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed metric gives a NaN rel, refused below
-        a, b = metric(p), generic(p)
-        rel = np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300))
-    if not rel <= 1e-10:  # also refuses NaN, which compares False
-        raise ConstraintViolatedError(f"closed-form metric disagrees with the generic formula (rel {rel:.2e})")

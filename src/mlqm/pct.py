@@ -7,8 +7,9 @@ a standard Schrodinger form -d^2/dq^2 + V(q) with
     V = (4 g^2 + 3 f'^2 + 8 g f') / (16 f) - f''/4 - g'/2 + h
 
 evaluated at p(q).  Model builders supply analytic derivatives (validated on
-construction) and the closed-form q-map; the similarity factor rho enters
-only the metric, which the models build from their closed-form log rho.
+construction); the q-map is the closed form on ``DeformationParams``, exact
+for f = (1 + beta p^2)^2.  The similarity factor rho enters only the metric,
+which the models build from their closed-form log rho.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import DeformationParams
 from .errors import DomainError, EllipticityError
 
 #: Interval of the points at which CoefficientSet validates itself.
@@ -82,33 +84,23 @@ class CoefficientSet:
 
 
 @dataclass(frozen=True)
-class QMap:
-    """q(p), its inverse, and the q-domain endpoints."""
-
-    q_of_p: Callable
-    p_of_q: Callable
-    q_min: float
-    q_max: float
-
-
-@dataclass(frozen=True)
 class TransformedProblem:
-    """Schrodinger form of a coefficient set: the q-domain, the potential and p(q)."""
+    """Schrodinger form of a coefficient set: the q-domain and the potential."""
 
     q_min: float
     q_max: float
     potential: Callable
-    p_of_q: Callable
 
 
-def build_potential(coeffs: CoefficientSet, q_map: QMap) -> Callable:
-    """Pointwise evaluator of V(q); raises DomainError outside (q_min, q_max)."""
+def build_potential(coeffs: CoefficientSet, deformation: DeformationParams) -> Callable:
+    """Pointwise evaluator of V(q) at p(q), the q-map of ``deformation``; raises DomainError outside |q| < q_half."""
+    q_half = deformation.q_half
 
     def V(q):
         q = np.asarray(q, dtype=float)
-        if np.any(q <= q_map.q_min) or np.any(q >= q_map.q_max):
-            raise DomainError(f"q outside ({q_map.q_min}, {q_map.q_max})")
-        p = np.asarray(q_map.p_of_q(q), dtype=float)
+        if np.any(np.abs(q) >= q_half):
+            raise DomainError(f"q outside ({-q_half}, {q_half})")
+        p = np.asarray(deformation.p_of_q(q), dtype=float)
         f, df, d2f = coeffs.f(p), coeffs.df(p), coeffs.d2f(p)
         g, dg, h = coeffs.g(p), coeffs.dg(p), coeffs.h(p)
         return (4 * g**2 + 3 * df**2 + 8 * g * df) / (16 * f) - d2f / 4 - dg / 2 + h
@@ -116,11 +108,7 @@ def build_potential(coeffs: CoefficientSet, q_map: QMap) -> Callable:
     return V
 
 
-def transform(coeffs: CoefficientSet, q_map: QMap) -> TransformedProblem:
-    """PCT pipeline: the domain and p(q) of the closed-form ``q_map`` and the potential evaluator."""
-    return TransformedProblem(
-        q_min=q_map.q_min,
-        q_max=q_map.q_max,
-        potential=build_potential(coeffs, q_map),
-        p_of_q=q_map.p_of_q,
-    )
+def transform(coeffs: CoefficientSet, deformation: DeformationParams) -> TransformedProblem:
+    """PCT pipeline: the q-box |q| < q_half of ``deformation`` and the potential evaluator."""
+    q_half = deformation.q_half
+    return TransformedProblem(q_min=-q_half, q_max=q_half, potential=build_potential(coeffs, deformation))

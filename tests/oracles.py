@@ -1,7 +1,7 @@
 """Independent references that only the tests use: adaptive quadrature of the PCT
 integrals, the Hamiltonians composed literally from dense x and p matrices,
 finite-difference q-box and p-space solves, the finite-difference form of the
-pseudo-Hermiticity check, and the published (printed) eigenfunction."""
+pseudo-Hermiticity check, and the published (printed) metric and eigenfunction."""
 
 from dataclasses import dataclass
 
@@ -32,6 +32,18 @@ def quadrature_q_map(coeffs):
 def quadrature_log_rho(coeffs, p):
     """log rho(p) = int_0^p chi by adaptive quadrature, chi = (f' + 2g)/(4f)."""
     return np.vectorize(lambda x: _integral(lambda t: float(coeffs.chi(t)), 0.0, x), otypes=[float])(p)
+
+
+def quadrature_metric(family, p):
+    """eta = (1 + beta p^2)^(-gamma/beta) rho^-2 with log rho from ``quadrature_log_rho``."""
+    d = family.deformation
+    return (1.0 + d.beta * p**2) ** (-d.gamma / d.beta) * np.exp(-2.0 * quadrature_log_rho(family.coefficients(), p))
+
+
+def printed_metric(family):
+    """The published metric (1 + beta p^2)^(sigma/beta) exp(2 ell q(p)), q the q-map."""
+    d = family.deformation
+    return lambda p: (1.0 + d.beta * p**2) ** (family.sigma / d.beta) * np.exp(2.0 * family.ell * d.q_of_p(p))
 
 
 def position_kernel(params: DeformationParams, grid: MomentumGrid) -> np.ndarray:

@@ -88,6 +88,28 @@ class TestSpectrum:
         code, out, err = run(capsys, "verify", "--config", str(cfg))
         assert (code, out, err) == (EXIT_CONFIG, "", "configuration error: unknown config keys: ['p_grid']\n")
 
+    @pytest.mark.parametrize("omega", ["0.05", "0.02", "1e-3", "1e-4"])
+    def test_small_omega_levels_are_resolved(self, capsys, omega):
+        # the metric overflows at these omega, but spectrum does not read it
+        code, out, err = run(capsys, "spectrum", "--omega", omega)
+        assert code == EXIT_OK and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 4
+        assert all(float(row[5]) <= 1e-10 and float(row[6]) <= 1e-10 for row in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum",),
+        ("spectrum", "--model", "swanson", "--lambda", "0.3", "--delta", "0.1"),
+        ("sweep", "--param", "beta", "--from", "0.05", "--to", "0.2", "--steps", "3", "--numeric"),
+    ], ids=["displaced", "swanson", "numeric-sweep"])
+    def test_spectrum_and_sweep_never_build_the_metric(self, capsys, monkeypatch, argv):
+        def no_metric(family):
+            raise AssertionError("the metric was built")
+
+        monkeypatch.setattr(mlqm.GupFamily, "metric", no_metric)
+        monkeypatch.setattr(mlqm.GupFamily, "log_metric", no_metric)
+        assert run(capsys, *argv)[0] == EXIT_OK
+
 
 class TestSweep:
     def test_closed_form_sweep(self, capsys):
@@ -370,6 +392,18 @@ class TestNumericFailure:
         assert code == EXIT_NUMERIC and out == ""
         assert err == "numeric failure: p-space eigensolve failed: Array must not contain infs or NaNs\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--omega", "0.05"),
+        ("wavefunction", "--omega", "0.05", "--samples", "3"),
+        ("verify", "--model", "swanson", "--beta", "0.02", "--lambda", "0.05", "--delta", "0.45"),
+    ], ids=["verify", "wavefunction", "verify-swanson"])
+    def test_overflowing_metric_norm_refuses_without_warnings(self, argv):
+        # the metric or the eigenfunction overflows at the outer quadrature nodes; the refusal is the one line
+        proc = python("-m", "mlqm.cli", *argv)
+        assert proc.returncode == EXIT_NUMERIC and proc.stdout == ""
+        assert proc.stderr.startswith("numeric failure: inner product failed node doubling")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestConfigResolution:
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
@@ -442,10 +476,12 @@ class TestConfigResolution:
         assert main(["sweep"]) == 2  # missing required sweep arguments
         capsys.readouterr()
 
-    def test_non_finite_metric_self_check_refuses(self, capsys):
-        # omega = 1e-8 overflows the metric; its self-check must refuse the NaN, not pass it
-        assert main(["spectrum", "--omega", "1e-8", "--levels", "2"]) == EXIT_CONFIG
-        assert "closed-form metric disagrees" in capsys.readouterr().err
+    @pytest.mark.parametrize("omega", ["1e-8", "1e-6"])
+    def test_unresolved_ladder_refuses(self, capsys, omega):
+        # the levels sit near lambda^2/(2 omega^2) and are spaced by ~omega, below their own rounding here
+        code, out, err = run(capsys, "spectrum", "--omega", omega, "--levels", "2")
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith("configuration error: closed-form levels E_0 = ") and "within 16 ulp" in err
 
     #: the flags each subcommand adds to the common settings
     OWN_FLAGS = {

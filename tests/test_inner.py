@@ -20,19 +20,24 @@ def deformed_inner(phi, psi, params):
     return eta_inner(phi, psi, None, params)
 
 
-@pytest.mark.parametrize("n", [16, 512, 1024])
+#: node count -> largest weight gap to numpy; at 1024 nodes numpy's weights are the less
+#: accurate side (see the mpmath test below), 1.52e-14 apart
+NUMPY_WEIGHT_GAPS = {16: 1e-14, 512: 1e-14, 1024: 1.6e-14}
+
+
+@pytest.mark.parametrize("n", NUMPY_WEIGHT_GAPS)
 def test_gauss_legendre_nodes_match_numpy(n):
     x, w = _leggauss(n)
     x_ref, w_ref = np.polynomial.legendre.leggauss(n)
     assert np.abs(x - x_ref).max() <= 1e-14
-    assert np.abs(w - w_ref).max() <= 1e-14
+    assert np.abs(w - w_ref).max() <= NUMPY_WEIGHT_GAPS[n]
     assert abs(w.sum() - 2.0) <= 1e-14
     assert np.array_equal(x, -x[::-1])
 
 
 def test_gauss_legendre_matches_numpy_up_to_100_nodes():
-    # the weights are numpy's formula 1/(P_{n-1} P_n'), which near the ends magnifies a
-    # one-ulp difference in a node to ~1e-14 in its weight
+    # numpy's weight formula 1/(P_{n-1} P_n') near the ends magnifies a one-ulp difference
+    # in a node to ~1e-14 in its weight
     for n in range(1, 101):
         x, w = _leggauss(n)
         x_ref, w_ref = np.polynomial.legendre.leggauss(n)
@@ -62,8 +67,8 @@ def test_gauss_legendre_matches_mpmath_at_1024_nodes():
             p_prev, p = legendre_pair(t)
             weight = 2 * (1 - t * t) / (n * p_prev) ** 2
             assert abs(x[i] - t) <= 1e-16, i
-            # numpy's weight formula leaves ~1e-9 at the outermost node
-            assert abs(w[i] - weight) <= 2e-9 * weight, i
+            # the last ulp of the outermost node moves its weight by 1.5e-12 (8e-10 with numpy's formula)
+            assert abs(w[i] - weight) <= 2e-12 * weight, i
 
 
 class TestInnerProducts:

@@ -18,7 +18,6 @@ from mlqm import (
     displaced_transform,
     displaced_wavefunction,
     eta_inner,
-    generic_metric,
     swanson_beta_c,
     swanson_energy,
     swanson_metric,
@@ -26,9 +25,9 @@ from mlqm import (
     swanson_transform,
     swanson_wavefunction,
 )
-from mlqm.models import displaced_coefficients, swanson_coefficients, wavefunction
+from mlqm.models import displaced_coefficients, metric, swanson_coefficients, wavefunction
 from mlqm.verify import ode_residual
-from oracles import printed_wavefunction, quadrature_log_rho
+from oracles import printed_metric, printed_wavefunction, quadrature_log_rho, quadrature_metric
 
 
 def displaced_default(beta=0.1, gamma=0.0, lam=0.5):
@@ -165,13 +164,12 @@ class TestMetrics:
         assert np.allclose(eta(p), expected)
 
     def test_generic_path_agrees_with_closed_forms(self):
+        # the metric against the published closed form and against the quadrature of chi
         p = np.linspace(-5, 5, 11)
-        d_params = displaced_default(gamma=0.05)
-        g1 = generic_metric(d_params.deformation, d_params.family().log_rho())
-        assert np.allclose(displaced_metric(d_params)(p), g1(p), rtol=1e-12)
-        s_params = swanson_default(lam=0.3, delta=0.1, gamma=0.1)
-        g2 = generic_metric(s_params.deformation, s_params.family().log_rho())
-        assert np.allclose(swanson_metric(s_params)(p), g2(p), rtol=1e-12)
+        for params in (displaced_default(gamma=0.05), swanson_default(lam=0.3, delta=0.1, gamma=0.1)):
+            eta = metric(params)(p)
+            assert np.allclose(eta, printed_metric(params.family())(p), rtol=1e-12, atol=0)
+            assert np.allclose(eta, quadrature_metric(params.family(), p), rtol=1e-9, atol=0)
 
     def test_hermitian_limits_have_trivial_metric(self):
         p = np.linspace(-4, 4, 9)
@@ -288,6 +286,18 @@ def family_points(draw):
     beta = draw(st.floats(0.05, 0.9)) * swanson_beta_c(swanson_default(lam=lam, delta=delta))
     gamma = draw(st.floats(0.0, beta))
     return SwansonParams(DeformationParams(1.0, beta, gamma), lam=lam, delta=delta)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(family_points())
+def test_metric_matches_the_printed_form_and_the_quadrature_of_chi(params):
+    # at the 11 points where the metric was once checked against a second formula of itself
+    p = np.linspace(-7.0, 7.0, 11)
+    family = params.family()
+    eta = family.metric()(p)
+    assert np.all(np.isfinite(eta)) and np.all(eta > 0)
+    assert np.max(np.abs(eta / printed_metric(family)(p) - 1.0)) <= 1e-12
+    assert np.max(np.abs(eta / quadrature_metric(family, p) - 1.0)) <= 1e-9
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

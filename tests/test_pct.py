@@ -16,7 +16,6 @@ from mlqm import (
     build_potential,
     transform,
 )
-from mlqm.models import gup_q_map_hint
 from oracles import quadrature_log_rho, quadrature_q_map
 
 
@@ -89,16 +88,16 @@ class TestQMap:
     def test_quadrature_matches_closed_form(self):
         beta = 0.25
         q_of_p, q_min, q_max = quadrature_q_map(quartic_coeffs(beta))
-        hinted = gup_q_map_hint(DeformationParams(1.0, beta, 0.0))
+        closed = DeformationParams(1.0, beta, 0.0)
         p = np.linspace(-4, 4, 9)
-        assert np.allclose(q_of_p(p), hinted.q_of_p(p), atol=1e-10)
+        assert np.allclose(q_of_p(p), closed.q_of_p(p), atol=1e-10)
         assert q_max == pytest.approx(np.pi / (2 * np.sqrt(beta)), rel=1e-8)
         assert q_min == pytest.approx(-np.pi / (2 * np.sqrt(beta)), rel=1e-8)
 
     def test_inverse_round_trip(self):
-        qmap = gup_q_map_hint(DeformationParams(1.0, 0.25, 0.0))
-        q = np.linspace(-0.8, 0.8, 7) * qmap.q_max
-        assert np.allclose(qmap.q_of_p(qmap.p_of_q(q)), q, atol=1e-10)
+        deformation = DeformationParams(1.0, 0.25, 0.0)
+        q = np.linspace(-0.8, 0.8, 7) * deformation.q_half
+        assert np.allclose(deformation.q_of_p(deformation.p_of_q(q)), q, atol=1e-10)
 
 
 #: One family per similarity part: the power law (sigma, Swanson) and the arctan (ell, displaced).
@@ -129,19 +128,20 @@ class TestPotential:
         # verify against the direct formula at sampled points instead.
         beta = 0.25
         coeffs = quartic_coeffs(beta)
-        problem = transform(coeffs, gup_q_map_hint(DeformationParams(1.0, beta, 0.0)))
+        deformation = DeformationParams(1.0, beta, 0.0)
+        problem = transform(coeffs, deformation)
         q = np.linspace(-0.9, 0.9, 11) * problem.q_max
-        p = problem.p_of_q(q)
+        p = deformation.p_of_q(q)
         f, df, d2f = coeffs.f(p), coeffs.df(p), coeffs.d2f(p)
         expected = 3.0 * df**2 / (16.0 * f) - d2f / 4.0
         assert np.allclose(problem.potential(q), expected, atol=1e-12)
 
     def test_domain_error_outside_box(self):
         coeffs = quartic_coeffs(0.25)
-        qmap = gup_q_map_hint(DeformationParams(1.0, 0.25, 0.0))
-        V = build_potential(coeffs, qmap)
+        deformation = DeformationParams(1.0, 0.25, 0.0)
+        V = build_potential(coeffs, deformation)
         with pytest.raises(DomainError):
-            V(qmap.q_max * 1.01)
+            V(deformation.q_half * 1.01)
 
 
 def hermitian_family(nu, beta):
