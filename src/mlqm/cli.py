@@ -180,6 +180,12 @@ def _model_pieces(cfg: RunConfig):
     return params, family, family.coefficients()
 
 
+def _require_finite_box(cfg: RunConfig):
+    """The numeric solves work on the q-box |q| < pi/(2 sqrt(beta)), which beta = 0 stretches to the whole line."""
+    if not cfg.beta > 0:
+        raise DomainError(f"the numeric solves need beta > 0, got beta = {cfg.beta:g}")
+
+
 # --------------------------------------------------------------------------
 # spectrum
 # --------------------------------------------------------------------------
@@ -189,6 +195,7 @@ _SPECTRUM_HEADER = ("n", "E_closed", "E_q", "E_p_re", "E_p_im", "err_q", "err_p"
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     params, family, coeffs = _model_pieces(cfg)
+    _require_finite_box(cfg)
     # E_closed and E_q are real columns, so complex levels would lose their imaginary part
     if complex(params.energy(0)).imag != 0:
         raise ComplexSpectrumError(
@@ -240,6 +247,7 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> dict:
     local = dataclasses.replace(cfg, **{_SETTINGS[name].name: value})
     params = local.model_params()
     if numeric:
+        _require_finite_box(local)
         family = params.family()
         result = eigensolver.solve_q_space(family.transform(), local.levels)
         energies = [family.energy_map.energy(complex(e)) for e in result.eigenvalues]
@@ -338,7 +346,7 @@ def _battery(cfg: RunConfig, metric_override: str | None):
     n_states = min(cfg.levels, 4) or 4
     states = [wavefunction(k, params) for k in range(n_states)]
     _, gram_report = verify.gram_matrix(states, metric, deformation)
-    yield gram_report, {"nodes": QUADRATURE_NODES}
+    yield gram_report, {"nodes": 2 * QUADRATURE_NODES - 1, "check_nodes": QUADRATURE_NODES - 1}
 
     # a failing report, NaN included, outranks every passing one
     residuals = [verify.ode_residual(psi, coeffs, psi.epsilon) for psi in states]

@@ -3,14 +3,14 @@
 The measure of the deformed algebra is ``DeformationParams.measure_weight``
 dp.  Under the q-map of ``DeformationParams``, dp = (1+beta*p^2) dq, it
 becomes a weight on the finite box |q| < q_half, where the model
-eigenfunctions are smooth cos-powers times polynomials and Gauss-Legendre
-quadrature converges spectrally.  That q-scheme is the only one: it needs
-beta > 0, as the closed-form metric and eigenfunctions do.
+eigenfunctions are smooth cos-powers times polynomials.  That q-scheme is the
+only one: it needs beta > 0, as the closed-form metric and eigenfunctions do.
 
-The Gauss-Legendre nodes start from Tricomi's asymptotic guesses and take
-Newton steps on P_n, evaluated by the three-term recurrence (Hale & Townsend,
-SIAM J. Sci. Comput. 35, A652 (2013)): O(n^2) with numpy alone, where numpy's
-own ``leggauss`` solves a dense O(n^3) eigenproblem.
+The rule is Fejer's second: the open Chebyshev nodes cos(k pi/n), with weights
+from one inverse FFT (Waldvogel, BIT 46, 195 (2006)).  It converges like
+Gauss-Legendre, also on integrands singular at the box ends (Trefethen, SIAM
+Rev. 50, 67 (2008)), and it nests: the n-rule's nodes are every other node of
+the 2n-rule, so node doubling evaluates the integrand once.
 """
 
 from functools import lru_cache
@@ -20,61 +20,27 @@ import numpy as np
 from .algebra import DeformationParams
 from .errors import DomainError, NonConvergenceError
 
-#: Gauss-Legendre node count on q; the node-doubling check also runs at twice it.
+#: Fejer rule size on q; the integral is the 1023-node rule of twice it, checked against this 511-node one.
 QUADRATURE_NODES = 512
 #: Relative node-doubling change above which the integral is declared divergent.
 _DIVERGENCE_THRESHOLD = 1e-3
-#: Most Newton steps from Tricomi's guesses.
-_NEWTON_STEPS = 10
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    """numpy's ``leggauss`` from Newton-refined Tricomi guesses: the n nodes in ascending order.
+@lru_cache(maxsize=8)
+def _fejer(n: int):
+    """Fejer's second rule on [-1, 1], n >= 2: the n - 1 nodes cos(k pi/n), k = 1..n-1, and their weights.
 
-    Newton steps on P_n, evaluated by the recurrence, take Tricomi's guesses to
-    rounding in two or three steps.  The weights are 2/((1 - x^2) P_n'^2), with
-    P_n' from P_{n-1} and P_n of one more recurrence pass at the nodes: of the
-    forms that agree at an exact node, the one least moved by the node's last
-    ulp (1.5e-12 relative at n = 1024, where numpy's 1/(P_{n-1} P_n') moves by
-    8e-10).  Only the non-negative half is computed; the other half is its
-    mirror image.
+    The rule is interpolatory, so it integrates x^d exactly for d <= n - 2, and
+    for d = n - 1 as well when n is even, by symmetry.
     """
-    k = np.arange(1, (n + 1) // 2 + 1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
-    for _ in range(_NEWTON_STEPS):
-        p_prev, p_n = _legendre_pair(n, x)
-        dx = p_n * (x * x - 1.0) / (n * (x * p_n - p_prev))  # P_n/P_n', with (x^2 - 1) P_n' = n (x P_n - P_{n-1})
-        x -= dx
-        if np.max(np.abs(dx)) <= 1e-13:  # quadratic convergence: the step just taken left x exact to rounding
-            break
-    p_prev, p_n = _legendre_pair(n, x)
-    one_minus_x2 = (1.0 - x) * (1.0 + x)  # 1 - x is exact for x >= 1/2, where 1 - x^2 would cancel
-    w = 2.0 * one_minus_x2 / (n * (x * p_n - p_prev)) ** 2  # 2/((1 - x^2) P_n'^2)
-    if n % 2:
-        x[-1] = 0.0  # the middle node, which has no mirror image
-    return np.concatenate([-x, x[: n // 2][::-1]]), np.concatenate([w, w[: n // 2][::-1]])
+    from numpy import fft  # at the first integral, not with this module
 
-
-def _legendre_pair(n: int, x: np.ndarray):
-    """P_{n-1}(x) and P_n(x) by the recurrence (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}."""
-    p_prev, p = np.ones_like(x), x.copy()
-    for j in range(1, n):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    return p_prev, p
-
-
-def _quad_once(phi, psi, eta, params: DeformationParams, n_nodes: int) -> complex:
-    """n-node Gauss-Legendre sum on the q-box: the measure weight times dp/dq = 1 + beta*p^2, at p(q)."""
-    if params.beta <= 0:
-        raise DomainError("Gauss-Legendre quadrature on q needs beta > 0")
-    x, w = _leggauss(n_nodes)
-    p = params.p_of_q(params.q_half * x)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads NaN, which node doubling refuses
-        vals = np.conj(phi(p)) * psi(p) * params.measure_weight(p) * (1.0 + params.beta * p**2)
-        if eta is not None:
-            vals = vals * eta(p)
-        return complex(np.sum(params.q_half * w * vals))
+    odd = np.arange(1, n, 2)
+    moments = np.zeros(n + 1)
+    moments[: odd.size] = 2.0 / (odd * (odd - 2.0))
+    moments[odd.size] = 1.0 / odd[-1]
+    w = fft.ifft(-moments[:-1] - moments[:0:-1]).real  # w[0] is the weight of the node x = 1, which is 0
+    return np.cos(np.pi * np.arange(1, n) / n), w[1:]
 
 
 def eta_inner(phi, psi, eta, params: DeformationParams) -> complex:
@@ -84,8 +50,18 @@ def eta_inner(phi, psi, eta, params: DeformationParams) -> complex:
     callable or None for the plain product.  A node-doubling check,
     QUADRATURE_NODES against twice as many, guards against divergent integrands.
     """
-    coarse = _quad_once(phi, psi, eta, params, QUADRATURE_NODES)
-    fine = _quad_once(phi, psi, eta, params, 2 * QUADRATURE_NODES)
+    if params.beta <= 0:
+        raise DomainError("quadrature on q needs beta > 0")
+    x, w_fine = _fejer(2 * QUADRATURE_NODES)
+    w_coarse = _fejer(QUADRATURE_NODES)[1]
+    p = params.p_of_q(params.q_half * x)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads NaN, which node doubling refuses
+        vals = np.conj(phi(p)) * psi(p) * params.measure_weight(p) * (1.0 + params.beta * p**2)
+        if eta is not None:
+            vals = vals * eta(p)
+        vals = params.q_half * vals
+        coarse = complex(np.sum(w_coarse * vals[1::2]))
+        fine = complex(np.sum(w_fine * vals))
     # floor the scale at 1 so that exactly-orthogonal pairs (both estimates
     # at round-off level) are not misread as divergence
     scale = max(abs(fine), abs(coarse), 1.0)

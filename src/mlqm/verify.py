@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import DeformationParams, GridFunction, MomentumGrid
 from .eigensolver import solve_p_space, theta_modes
 from .errors import ResolutionError
-from .inner import _leggauss, eta_inner
+from .inner import _fejer, eta_inner
 from .pct import CoefficientSet
 
 #: Single source of truth for every residual budget in the suite.
@@ -53,7 +53,7 @@ PROJECTION_MODES = 8
 #: refuses it.  Swanson bound states decay only polynomially in p; on
 #: desk-scale boxes they leave about 1e-6 there.
 _SPURIOUS_EDGE_RATIO = 1e-4
-#: Gauss-Legendre nodes on each of the three theta intervals of that share.
+#: Fejer rule size on each of the three theta intervals of that share (127 nodes each).
 _SHARE_NODES = 128
 #: q-uniform sample count of the ODE residual and of the metric identity.
 ODE_SAMPLES = 1000
@@ -99,12 +99,12 @@ def _exceed_report(name: str, measured: float, floor: float, context: dict) -> R
 
 
 def _tail_share(modes, params: DeformationParams, p_max: float) -> np.ndarray:
-    """Share of each mode's measure-weighted squared norm at |p| > p_max, by Gauss-Legendre on theta.
+    """Share of each mode's measure-weighted squared norm at |p| > p_max, by Fejer's second rule on theta.
 
     On theta = arctan(sqrt(beta) p) the measure (1 + beta p^2)^(gamma/beta - 1) dp
     is cos(theta)^(-2 gamma/beta) dtheta/sqrt(beta).
     """
-    x, wq = _leggauss(_SHARE_NODES)
+    x, wq = _fejer(_SHARE_NODES)
     edge = np.sqrt(params.beta) * params.q_of_p(p_max)
 
     def norm2(lo, hi):

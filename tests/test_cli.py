@@ -6,6 +6,8 @@ import gc
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +22,7 @@ from mlqm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAIL, RunCo
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
 
 def run(capsys, *argv):
@@ -464,7 +467,7 @@ class TestConfigResolution:
         capsys.readouterr()
 
     def test_nodes_setting_removed(self, capsys, tmp_path):
-        # the quadrature keeps 512 nodes, checked against 1024; 2048 gave the same verdicts
+        # the quadrature has one fixed rule: Fejer's 1023 nodes, checked against every other one of them
         cfg = tmp_path / "nodes.json"
         cfg.write_text(json.dumps({"nodes": 2048}))
         code, _, err = run(capsys, "verify", "--list", "--config", str(cfg))
@@ -482,6 +485,16 @@ class TestConfigResolution:
         code, out, err = run(capsys, "spectrum", "--omega", omega, "--levels", "2")
         assert code == EXIT_CONFIG and out == ""
         assert err.startswith("configuration error: closed-form levels E_0 = ") and "within 16 ulp" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--beta", "0"),
+        ("spectrum", "--beta", "0", "--levels", "0"),
+        ("sweep", "--numeric", "--param", "beta", "--from", "0", "--to", "0.2", "--steps", "3"),
+    ], ids=["spectrum", "spectrum-no-levels", "numeric-sweep"])
+    def test_numeric_solves_refuse_beta_zero(self, capsys, argv):
+        # beta = 0 stretches the q-box to the whole line; the closed-form sweep still runs there
+        message = "configuration error: the numeric solves need beta > 0, got beta = 0\n"
+        assert run(capsys, *argv) == (EXIT_CONFIG, "", message)
 
     #: the flags each subcommand adds to the common settings
     OWN_FLAGS = {
@@ -565,6 +578,38 @@ class TestProcessExit:
         before = gc.get_freeze_count()
         assert run(capsys, "spectrum", "--levels", "2")[0] == EXIT_OK
         assert gc.get_freeze_count() == before
+
+
+def console_script_commands() -> list:
+    """(argv, exit code) of each `mlqm` line of the workflow's "Installed console script" step.
+
+    A bare `mlqm ...` line must exit 0; `rc=0; mlqm ... || rc=$?; test "$rc" -eq N` must exit N.
+    """
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    step = lines.index("      - name: Installed console script")
+    start = next(i for i in range(step, len(lines)) if lines[i].strip() == "run: |") + 1
+    commands = []
+    for line in lines[start:]:
+        if not line.startswith(" " * 10):  # the end of the run block
+            break
+        line = line.strip()
+        if line.startswith("mlqm "):
+            commands.append((tuple(shlex.split(line)[1:]), EXIT_OK))
+        elif "mlqm " in line:
+            match = re.fullmatch(r'rc=0; mlqm (.+) \|\| rc=\$\?; test "\$rc" -eq (\d)', line)
+            assert match, line
+            commands.append((tuple(shlex.split(match[1])), int(match[2])))
+    return commands
+
+
+CONSOLE_SCRIPT = console_script_commands()
+
+
+@pytest.mark.parametrize("argv, expected", CONSOLE_SCRIPT, ids=[" ".join(argv) for argv, _ in CONSOLE_SCRIPT])
+def test_console_script_step_exit_codes(argv, expected, tmp_path):
+    # the CI step runs the installed script; this runs the same lines from the source tree
+    proc = python("-m", "mlqm.cli", *argv, cwd=tmp_path)
+    assert proc.returncode == expected, proc.stderr
 
 
 def modules_loaded_by(code: str) -> list:

@@ -1,4 +1,4 @@
-"""Deformed-measure Gauss-Legendre quadrature."""
+"""Deformed-measure quadrature by Fejer's second rule."""
 
 import math
 
@@ -12,7 +12,7 @@ from mlqm import (
     NonConvergenceError,
     eta_inner,
 )
-from mlqm.inner import _leggauss
+from mlqm.inner import QUADRATURE_NODES, _fejer
 
 
 def deformed_inner(phi, psi, params):
@@ -20,55 +20,43 @@ def deformed_inner(phi, psi, params):
     return eta_inner(phi, psi, None, params)
 
 
-#: node count -> largest weight gap to numpy; at 1024 nodes numpy's weights are the less
-#: accurate side (see the mpmath test below), 1.52e-14 apart
-NUMPY_WEIGHT_GAPS = {16: 1e-14, 512: 1e-14, 1024: 1.6e-14}
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 512, 1024])
+def test_fejer_nodes_nest(n):
+    x, _ = _fejer(n)
+    assert np.array_equal(x, np.cos(np.pi * np.arange(1, n) / n))
+    assert np.array_equal(x, _fejer(2 * n)[0][1::2])  # node doubling evaluates the integrand once
 
 
-@pytest.mark.parametrize("n", NUMPY_WEIGHT_GAPS)
-def test_gauss_legendre_nodes_match_numpy(n):
-    x, w = _leggauss(n)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-    assert np.abs(x - x_ref).max() <= 1e-14
-    assert np.abs(w - w_ref).max() <= NUMPY_WEIGHT_GAPS[n]
-    assert abs(w.sum() - 2.0) <= 1e-14
-    assert np.array_equal(x, -x[::-1])
+@pytest.mark.parametrize("n", [2, 4, 16, 128, 512, 1024, 3, 17])
+def test_fejer_integrates_polynomials_exactly(n):
+    # interpolatory on n - 1 nodes: exact for x^d, d <= n - 2, and for d = n - 1 too when n is even;
+    # measured: 5.6e-16 at worst
+    x, w = _fejer(n)
+    assert abs(w.sum() - 2.0) <= 1e-15
+    for d in range(n - n % 2):
+        assert abs(w @ x**d - (1 + (-1) ** d) / (d + 1)) <= 1e-14, d
 
 
-def test_gauss_legendre_matches_numpy_up_to_100_nodes():
-    # numpy's weight formula 1/(P_{n-1} P_n') near the ends magnifies a one-ulp difference
-    # in a node to ~1e-14 in its weight
-    for n in range(1, 101):
-        x, w = _leggauss(n)
-        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
-        assert np.abs(x - x_ref).max() <= 2.3e-16, n
-        assert np.abs(w - w_ref).max() <= 2e-14, n
-        assert np.array_equal(x, -x[::-1]) and np.all(np.diff(x) > 0), n
+def fejer_weight(n, k):
+    """w_k = (4/n) sin(theta_k) sum_{j <= n/2} sin((2j - 1) theta_k)/(2j - 1), theta_k = k pi/n, in mpmath."""
+    theta = mpmath.pi * k / n
+    tail = mpmath.fsum(mpmath.sin((2 * j - 1) * theta) / (2 * j - 1) for j in range(1, n // 2 + 1))
+    return 4 * mpmath.sin(theta) * tail / n
 
 
-def test_gauss_legendre_matches_mpmath_at_1024_nodes():
-    # 32-digit nodes: two Newton steps from ours on the Legendre recurrence, and the
-    # weights 2/((1 - x^2) P_n'(x)^2) there; outermost nodes, middle nodes and two between
-    n = 1024
-    x, w = _leggauss(n)
-
-    def legendre_pair(t):
-        p_prev, p = mpmath.mpf(1), t
-        for j in range(1, n):
-            p_prev, p = p, ((2 * j + 1) * t * p - j * p_prev) / (j + 1)
-        return p_prev, p
-
+@pytest.mark.parametrize("n, ks, abs_gap, rel_gap", [
+    # measured: 2.0e-17 and 2.3e-16 over all 15 weights at n = 16; 6.7e-19 and 4.0e-14 at n = 1024,
+    # where the relative gap is largest in the small weights at the ends
+    (16, range(1, 16), 5e-17, 5e-16),
+    (1024, [1, 2, 3, 4, 100, 300, 511, 512, 513, 1020, 1021, 1022, 1023], 2e-18, 1e-13),  # ends, middle, between
+], ids=["16", "1024"])
+def test_fejer_weights_match_mpmath(n, ks, abs_gap, rel_gap):
+    _, w = _fejer(n)
     with mpmath.workdps(32):
-        for i in [0, 1, 2, 3, 100, 300, n // 2 - 1, n // 2]:
-            t = mpmath.mpf(x[i])
-            for _ in range(2):
-                p_prev, p = legendre_pair(t)
-                t -= p * (t * t - 1) / (n * (t * p - p_prev))
-            p_prev, p = legendre_pair(t)
-            weight = 2 * (1 - t * t) / (n * p_prev) ** 2
-            assert abs(x[i] - t) <= 1e-16, i
-            # the last ulp of the outermost node moves its weight by 1.5e-12 (8e-10 with numpy's formula)
-            assert abs(w[i] - weight) <= 2e-12 * weight, i
+        for k in ks:
+            weight = fejer_weight(n, k)
+            assert abs(w[k - 1] - weight) <= abs_gap, k
+            assert abs(w[k - 1] - weight) <= rel_gap * weight, k
 
 
 class TestInnerProducts:
@@ -102,6 +90,14 @@ class TestInnerProducts:
         odd = lambda p: np.asarray(p, dtype=float) * np.exp(-0.5 * np.asarray(p, dtype=float) ** 2)
         val = deformed_inner(even, odd, d)
         assert abs(val) < 1e-12
+
+    def test_integrand_is_evaluated_once_at_the_fine_nodes(self):
+        # the coarse rule's nodes are every other fine node, so node doubling needs one evaluation pass
+        d = DeformationParams(1.0, 0.5, 0.0)
+        sizes = []
+        phi = lambda p: sizes.append(np.size(p)) or np.exp(-0.5 * np.asarray(p, dtype=float) ** 2)
+        deformed_inner(phi, phi, d)
+        assert sizes == [2 * QUADRATURE_NODES - 1] * 2 == [1023, 1023]  # phi and psi, once each
 
     def test_divergence_detected(self):
         d = DeformationParams(1.0, 0.5, 0.0)
