@@ -1,6 +1,7 @@
 """Command-line interface: spectra, sweeps, wavefunction exports, verification.
 
-Exit codes: 0 success (all checks pass), 1 verification failure, 2 invalid
+Exit codes: 0 success (all checks pass), 1 verification failure (a failed
+``verify`` check, or a ``spectrum`` level off its closed form), 2 invalid
 configuration, 3 numeric failure.  Tabular output is CSV (LF endings, 17
 significant digits); verification reports are JSON records, one per line.
 """
@@ -196,6 +197,8 @@ _SPECTRUM_HEADER = ("n", "E_closed", "E_q", "E_p_re", "E_p_im", "err_q", "err_p"
 def cmd_spectrum(cfg: RunConfig) -> int:
     params, family, coeffs = _model_pieces(cfg)
     _require_finite_box(cfg)
+    if cfg.levels > 0:
+        eigensolver._collocation_size(cfg.levels, "q-box")  # refuses an unresolvable count before any level is built
     # E_closed and E_q are real columns, so complex levels would lose their imaginary part
     if complex(params.energy(0)).imag != 0:
         raise ComplexSpectrumError(
@@ -231,6 +234,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                 }
             )
     _emit(_SPECTRUM_HEADER, rows, cfg)
+    gate = verify.TOLERANCES["spectrum-error"]
+    misses = [(row[col], row["n"], col) for row in rows for col in ("err_q", "err_p") if not row[col] <= gate]
+    if misses:
+        err, n, col = max(misses, key=lambda miss: (np.isnan(miss[0]), miss[0]))  # NaN is the worst miss
+        sys.stderr.write(f"verification failure: level {n} has {col} = {err:.3g}, above the {gate:g} gate\n")
+        return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 

@@ -6,10 +6,11 @@ taken out of the eigenfunction.  The q-box solve (the precision oracle)
 works on the Schrodinger form of the problem and follows the spectrum on
 both sides of the reality threshold.  The p-space solve sees the
 non-Hermitian operator -f d^2/dp^2 + g d/dp + h itself, with no PCT and no
-metric, mapped from the whole p-axis onto theta = arctan(sqrt(beta) p).  The
-finite-difference p-space operator is assembled here too, as a numpy band
-array; the tests use it as a reference.  Only the q-box solve uses SciPy, imported
-at its first call: its ~0.3 s import would otherwise slow every CLI process.
+metric, mapped from the whole p-axis onto theta = arctan(sqrt(beta) p).
+``build_p_space_matrix`` assembles the finite-difference p-space operator from
+the stencil matrices of ``algebra``; no command uses it.  Only the q-box solve
+uses SciPy, imported at its first call: its ~0.3 s import would otherwise slow
+every CLI process.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import _D1_CENTRAL, _D2_CENTRAL, DeformationParams, MomentumGrid
+from .algebra import DeformationParams, MomentumGrid, first_derivative_matrix, second_derivative_matrix
 from .errors import InvalidGridError, NumericError, ResolutionError
 from .pct import CoefficientSet, TransformedProblem
 
@@ -26,12 +27,8 @@ CONJUGATE_PAIR = "member-of-conjugate-pair"
 UNCLASSIFIED = "unclassified"
 
 #: Most levels one collocation solve returns: the dense matrix has 32 + 4 n_levels rows,
-#: so the largest solve is 2032 x 2032 and takes 10-20 s.
+#: so the largest solve is 2032 x 2032 and takes 3.5-4.8 s (2-core Xeon, 1-2 BLAS threads).
 _MAX_LEVELS = 500
-
-#: Offsets of the five bands of the p-space operator, in the row order of its band array.
-BAND_OFFSETS = range(-2, 3)
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -201,40 +198,15 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
 solve_q_space_branch = solve_q_space
 
 
-def p_space_operator(coeffs: CoefficientSet, grid: MomentumGrid) -> np.ndarray:
-    """-f d^2/dp^2 + g d/dp + h with 4th-order stencils, as a (5, N) band array.
-
-    Row k holds the band at offset ``BAND_OFFSETS[k]``: entry [k, i] is the
-    matrix element (i, i + k - 2), and the entries whose column falls off the
-    grid are zero.
-    """
+def build_p_space_matrix(coeffs: CoefficientSet, grid: MomentumGrid) -> np.ndarray:
+    """-f d^2/dp^2 + g d/dp + h as the dense products of the 4th-order stencil matrices (Dirichlet closure)."""
     if not grid.is_symmetric:
         raise InvalidGridError("p-space assembly requires a symmetric grid")
     p, n, step = grid.points, grid.n_points, grid.spacing
     f = np.asarray(coeffs.f(p), dtype=float)
     g = np.asarray(coeffs.g(p), dtype=float)
     h = np.asarray(coeffs.h(p), dtype=float)
-    bands = np.zeros((len(BAND_OFFSETS), n))
-    for row, k, c1, c2 in zip(bands, BAND_OFFSETS, _D1_CENTRAL, _D2_CENTRAL):
-        i = slice(max(0, -k), n - max(0, k))
-        row[i] = -f[i] * (c2 / step**2) + g[i] * (c1 / step)
-    bands[2] += h
-    return bands
-
-
-def build_p_space_matrix(coeffs: CoefficientSet, grid: MomentumGrid) -> np.ndarray:
-    """Dense view of ``p_space_operator``: the digits of the stencil-matrix products."""
-    return _dense(p_space_operator(coeffs, grid))
-
-
-def _dense(bands: np.ndarray) -> np.ndarray:
-    """The N x N matrix of a (5, N) band array."""
-    n = bands.shape[1]
-    dense = np.zeros((n, n), dtype=bands.dtype)
-    for row, k in zip(bands, BAND_OFFSETS):
-        i = np.arange(max(0, -k), n - max(0, k))
-        dense[i, i + k] = row[i]
-    return dense
+    return -f[:, None] * second_derivative_matrix(n, step) + g[:, None] * first_derivative_matrix(n, step) + np.diag(h)
 
 
 def _decay_exponent(coeffs: CoefficientSet, beta: float) -> complex:

@@ -1,7 +1,8 @@
 """Independent references that only the tests use: adaptive quadrature of the PCT
-integrals, the Hamiltonians composed literally from dense x and p matrices,
-finite-difference q-box and p-space solves, the finite-difference form of the
-pseudo-Hermiticity check, and the published (printed) metric and eigenfunction."""
+integrals, the Hamiltonians composed literally from dense x and p matrices, the
+finite-difference p-space operator as a band array, finite-difference q-box and
+p-space solves, the finite-difference form of the pseudo-Hermiticity check, and
+the published (printed) metric and eigenfunction."""
 
 from dataclasses import dataclass
 
@@ -11,11 +12,12 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csc_array, diags_array
 from scipy.sparse.linalg import eigs
 
-from mlqm.algebra import DeformationParams, MomentumGrid, first_derivative_matrix
-from mlqm.eigensolver import BAND_OFFSETS, p_space_operator
+from mlqm.algebra import _D1_CENTRAL, _D2_CENTRAL, DeformationParams, MomentumGrid, first_derivative_matrix
 from mlqm.models import DisplacedOscillatorParams, SwansonParams, Wavefunction
 
 _QUAD_ABS_TOL = 1e-12
+#: Offsets of the five bands of the p-space operator, in the row order of its band array.
+BAND_OFFSETS = range(-2, 3)
 
 
 def _integral(fn, lo, hi):
@@ -76,6 +78,36 @@ def operator_hamiltonian(model, grid: MomentumGrid) -> np.ndarray:
     )
 
 
+def p_space_operator(coeffs, grid: MomentumGrid) -> np.ndarray:
+    """-f d^2/dp^2 + g d/dp + h with 4th-order stencils on a symmetric grid, as a (5, N) band array.
+
+    Row k holds the band at offset ``BAND_OFFSETS[k]``: entry [k, i] is the
+    matrix element (i, i + k - 2), and the entries whose column falls off the
+    grid are zero.
+    """
+    assert grid.is_symmetric, "p-space assembly requires a symmetric grid"
+    p, n, step = grid.points, grid.n_points, grid.spacing
+    f = np.asarray(coeffs.f(p), dtype=float)
+    g = np.asarray(coeffs.g(p), dtype=float)
+    h = np.asarray(coeffs.h(p), dtype=float)
+    bands = np.zeros((len(BAND_OFFSETS), n))
+    for row, k, c1, c2 in zip(bands, BAND_OFFSETS, _D1_CENTRAL, _D2_CENTRAL):
+        i = slice(max(0, -k), n - max(0, k))
+        row[i] = -f[i] * (c2 / step**2) + g[i] * (c1 / step)
+    bands[2] += h
+    return bands
+
+
+def _dense(bands: np.ndarray) -> np.ndarray:
+    """The N x N matrix of a (5, N) band array."""
+    n = bands.shape[1]
+    dense = np.zeros((n, n), dtype=bands.dtype)
+    for row, k in zip(bands, BAND_OFFSETS):
+        i = np.arange(max(0, -k), n - max(0, k))
+        dense[i, i + k] = row[i]
+    return dense
+
+
 def _fd_q_box_levels(problem, wall_b, n_grid, n_levels):
     """The n_levels lowest levels of the second-order FD q-box on n_grid points, with a ghost-point wall closure.
 
@@ -116,9 +148,8 @@ def low_modes(matrix, n_modes: int):
 def band_csc(bands):
     """The CSC matrix of a (5, N) band array of ``p_space_operator``, explicit zeros dropped."""
     n = bands.shape[1]
-    offsets = range(-2, 3)
-    matrix = diags_array([row[max(0, -k): n - max(0, k)] for row, k in zip(bands, offsets)], offsets=offsets,
-                         format="csc")
+    matrix = diags_array([row[max(0, -k): n - max(0, k)] for row, k in zip(bands, BAND_OFFSETS)],
+                         offsets=BAND_OFFSETS, format="csc")
     matrix.eliminate_zeros()
     return matrix
 

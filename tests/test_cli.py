@@ -113,6 +113,47 @@ class TestSpectrum:
         monkeypatch.setattr(mlqm.GupFamily, "log_metric", no_metric)
         assert run(capsys, *argv)[0] == EXIT_OK
 
+    @pytest.mark.parametrize("argv, n_rows, stderr", [
+        (("--levels", "100"), 100, "verification failure: level 99 has err_q = 1.67e-06, above the 1e-06 gate\n"),
+        (("--model", "swanson", "--levels", "50"), 50,
+         "verification failure: level 47 has err_p = 2.7e-05, above the 1e-06 gate\n"),
+    ], ids=["displaced-100", "swanson-50"])
+    def test_levels_off_the_closed_form_exit_1_after_the_table(self, capsys, argv, n_rows, stderr):
+        # the collocation loses digits at high level counts; the whole table is still written
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert code == EXIT_VERIFY_FAIL and err == stderr
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [int(row[0]) for row in rows] == list(range(n_rows))
+        assert max(float(row[col]) for row in rows for col in (5, 6)) > verify.TOLERANCES["spectrum-error"]
+
+    @pytest.mark.parametrize("argv", [(), ("--levels", "60")], ids=["defaults", "levels-60"])
+    def test_levels_on_the_closed_form_exit_0(self, capsys, argv):
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert code == EXIT_OK and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert max(float(row[col]) for row in rows for col in (5, 6)) <= 1e-7
+
+    def test_nan_error_fails_the_gate(self, capsys, monkeypatch):
+        solve = mlqm.eigensolver.solve_q_space
+
+        def nan_ground_level(problem, n_levels):
+            result = solve(problem, n_levels)
+            return dataclasses.replace(result, eigenvalues=(complex("nan"),) + result.eigenvalues[1:])
+
+        monkeypatch.setattr(mlqm.eigensolver, "solve_q_space", nan_ground_level)
+        code, out, err = run(capsys, "spectrum", "--levels", "2")
+        assert code == EXIT_VERIFY_FAIL and len(out.strip().split("\n")) == 3
+        assert err == "verification failure: level 0 has err_q = nan, above the 1e-06 gate\n"
+
+    def test_rejects_huge_level_count_before_any_work(self, capsys, monkeypatch):
+        def no_energy(*args):
+            raise AssertionError("a closed-form level was computed")
+
+        monkeypatch.setattr(mlqm.DisplacedOscillatorParams, "energy", no_energy)
+        code, out, err = run(capsys, "spectrum", "--levels", "1000000000")
+        assert code == EXIT_NUMERIC and out == ""
+        assert err == "numeric failure: cannot resolve 1000000000 q-box levels; need 1 <= levels <= 500\n"
+
 
 class TestSweep:
     def test_closed_form_sweep(self, capsys):

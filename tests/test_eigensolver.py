@@ -19,7 +19,6 @@ from mlqm import (
     classify_spectrum,
     displaced_energy,
     displaced_transform,
-    p_space_operator,
     solve_p_space,
     solve_q_space,
     solve_q_space_branch,
@@ -28,11 +27,12 @@ from mlqm import (
     swanson_transform,
 )
 from mlqm import eigensolver
-from mlqm.algebra import first_derivative_matrix, second_derivative_matrix
 from mlqm.eigensolver import CONJUGATE_PAIR, REAL, UNCLASSIFIED, theta_modes
 from mlqm.models import displaced_coefficients, swanson_coefficients, wavefunction
 from mlqm.verify import PROJECTION_MODES, _low_mode_basis
-from oracles import band_csc, fd_p_space_levels, fd_q_box_levels, low_modes, operator_hamiltonian
+from oracles import (
+    _dense, band_csc, fd_p_space_levels, fd_q_box_levels, low_modes, operator_hamiltonian, p_space_operator,
+)
 from test_models import family_points
 
 
@@ -153,20 +153,13 @@ class TestPSpace:
         ids=["displaced", "swanson"],
     )
     def test_band_assembly_equals_stencil_products(self, params):
-        # the bands are written directly; they must reproduce the dense
+        # the oracle writes the bands directly; they must reproduce the dense
         # stencil products digit for digit, edge rows included
         coeffs = params.family().coefficients()
         grid = MomentumGrid.symmetric(20.0, 301)
-        p, n, step = grid.points, grid.n_points, grid.spacing
-        f, g, h = coeffs.f(p), coeffs.g(p), coeffs.h(p)
-        dense = (
-            -f[:, None] * second_derivative_matrix(n, step)
-            + g[:, None] * first_derivative_matrix(n, step)
-            + np.diag(h)
-        )
         hmat = build_p_space_matrix(coeffs, grid)
-        assert type(hmat) is np.ndarray and hmat.shape == (n, n)
-        assert np.array_equal(hmat, dense)
+        assert type(hmat) is np.ndarray and hmat.shape == (grid.n_points, grid.n_points)
+        assert np.array_equal(hmat, _dense(p_space_operator(coeffs, grid)))
 
     @pytest.mark.parametrize(
         "params",
