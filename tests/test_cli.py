@@ -113,18 +113,22 @@ class TestSpectrum:
         monkeypatch.setattr(mlqm.GupFamily, "log_metric", no_metric)
         assert run(capsys, *argv)[0] == EXIT_OK
 
-    @pytest.mark.parametrize("argv, n_rows, stderr", [
-        (("--levels", "100"), 100, "verification failure: level 99 has err_q = 1.67e-06, above the 1e-06 gate\n"),
-        (("--model", "swanson", "--levels", "50"), 50,
-         "verification failure: level 47 has err_p = 2.7e-05, above the 1e-06 gate\n"),
+    @pytest.mark.parametrize("argv, n_rows", [
+        (("--levels", "100"), 100),
+        (("--model", "swanson", "--levels", "50"), 50),
     ], ids=["displaced-100", "swanson-50"])
-    def test_levels_off_the_closed_form_exit_1_after_the_table(self, capsys, argv, n_rows, stderr):
-        # the collocation loses digits at high level counts; the whole table is still written
+    def test_levels_off_the_closed_form_exit_1_after_the_table(self, capsys, argv, n_rows):
+        # the collocation loses digits at high level counts; the whole table is still written.
+        # Those digits are rounding noise that shifts with the BLAS build and thread count, so
+        # the stderr line is checked against the worst error in the printed table, not pinned.
         code, out, err = run(capsys, "spectrum", *argv)
-        assert code == EXIT_VERIFY_FAIL and err == stderr
+        assert code == EXIT_VERIFY_FAIL
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [int(row[0]) for row in rows] == list(range(n_rows))
-        assert max(float(row[col]) for row in rows for col in (5, 6)) > verify.TOLERANCES["spectrum-error"]
+        worst, n, col = max((float(row[col]), int(row[0]), name) for row in rows
+                            for col, name in ((5, "err_q"), (6, "err_p")))
+        assert worst > verify.TOLERANCES["spectrum-error"]
+        assert err == f"verification failure: level {n} has {col} = {worst:.3g}, above the 1e-06 gate\n"
 
     @pytest.mark.parametrize("argv", [(), ("--levels", "60")], ids=["defaults", "levels-60"])
     def test_levels_on_the_closed_form_exit_0(self, capsys, argv):
