@@ -22,8 +22,7 @@ _EXPORTS = {
         "apply_momentum", "apply_position", "commutator_residual", "uncertainty_check",
     ),
     "eigensolver": (
-        "SpectrumResult", "build_p_space_matrix", "classify_spectrum", "solve_p_space", "solve_q_space",
-        "solve_q_space_branch",
+        "SpectrumResult", "build_p_space_matrix", "solve_p_space", "solve_q_space", "solve_q_space_branch",
     ),
     "errors": (
         "ComplexSpectrumError", "ConstraintViolatedError", "DegenerateModelError",

@@ -1,9 +1,10 @@
 """Command-line interface: spectra, sweeps, wavefunction exports, verification.
 
 Exit codes: 0 success (all checks pass), 1 verification failure (a failed
-``verify`` check, or a ``spectrum`` level off its closed form), 2 invalid
-configuration, 3 numeric failure.  Tabular output is CSV (LF endings, 17
-significant digits); verification reports are JSON records, one per line.
+``verify`` check, or a ``spectrum`` or ``sweep --numeric`` level off its
+closed form), 2 invalid configuration, 3 numeric failure.  Tabular output is
+CSV (LF endings, 17 significant digits); verification reports are JSON
+records, one per line.
 """
 
 import argparse
@@ -219,7 +220,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         q_result = eigensolver.solve_q_space(family.transform(), cfg.levels)
         e_q = coeffs.energy_map.energy(q_result.real_parts)
         p_result = eigensolver.solve_p_space(coeffs, cfg.deformation, cfg.levels)
-        e_p = coeffs.energy_map.energy(np.array([complex(e) for e in p_result.eigenvalues]))
+        e_p = coeffs.energy_map.energy(np.array(p_result.eigenvalues))
         for n, e in enumerate(e_closed):
             scale = max(1.0, abs(e))
             rows.append(
@@ -234,13 +235,18 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                 }
             )
     _emit(_SPECTRUM_HEADER, rows, cfg)
+    return _gate(((row[col], row["n"], col) for row in rows for col in ("err_q", "err_p")), "level {} has {}".format)
+
+
+def _gate(errors, what) -> int:
+    """Exit 1 if an (error, *key) is above the gate, after a stderr line naming the worst (NaN first) by what(*key)."""
     gate = verify.TOLERANCES["spectrum-error"]
-    misses = [(row[col], row["n"], col) for row in rows for col in ("err_q", "err_p") if not row[col] <= gate]
-    if misses:
-        err, n, col = max(misses, key=lambda miss: (np.isnan(miss[0]), miss[0]))  # NaN is the worst miss
-        sys.stderr.write(f"verification failure: level {n} has {col} = {err:.3g}, above the {gate:g} gate\n")
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK
+    misses = [miss for miss in errors if not miss[0] <= gate]
+    if not misses:
+        return EXIT_OK
+    err, *key = max(misses, key=lambda miss: (np.isnan(miss[0]), miss[0]))
+    sys.stderr.write(f"verification failure: {what(*key)} = {err:.3g}, above the {gate:g} gate\n")
+    return EXIT_VERIFY_FAIL
 
 
 # --------------------------------------------------------------------------
@@ -252,14 +258,20 @@ _SWEEP_PARAMS = ("beta", "lambda", "delta", "omega")
 _MAX_SWEEP_STEPS = 100_000
 
 
-def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> dict:
+def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> tuple:
+    """One sweep row, and each numeric level's error relative to max(1, |E|) off its closed-form E."""
     local = dataclasses.replace(cfg, **{_SETTINGS[name].name: value})
     params = local.model_params()
+    errors = ()
     if numeric:
         _require_finite_box(local)
         family = params.family()
         result = eigensolver.solve_q_space(family.transform(), local.levels)
         energies = [family.energy_map.energy(complex(e)) for e in result.eigenvalues]
+        # the closed form, merged with its conjugates where the solve merged its own, in the solve's order
+        want = np.array([complex(params.energy(n)) for n in range(local.levels)])
+        want = np.array(eigensolver._lowest(want, local.levels, merge=result.has_conjugate_pair))
+        errors = np.abs(np.array(energies) - want) / np.maximum(1.0, np.abs(want))
     else:
         energies = [complex(params.energy(n)) for n in range(local.levels)]
     try:
@@ -269,7 +281,7 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> dict:
     row = {name: value, "beta_c": bc}
     for n, e in enumerate(energies):
         row[f"E{n}_re"], row[f"E{n}_im"] = e.real, e.imag
-    return row
+    return row, errors
 
 
 def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, steps: int, numeric: bool) -> int:
@@ -280,10 +292,11 @@ def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, steps: int,
     if start == stop:
         raise DomainError("constant sweep (from == to) rejected")
     _load_library()
-    rows = [_sweep_row(cfg, param, float(v), numeric) for v in np.linspace(start, stop, steps)]
+    rows, row_errors = zip(*(_sweep_row(cfg, param, float(v), numeric) for v in np.linspace(start, stop, steps)))
     header = [param] + [f"E{n}_{part}" for n in range(cfg.levels) for part in ("re", "im")] + ["beta_c"]
-    _emit(header, rows, cfg)
-    return EXIT_OK
+    _emit(header, list(rows), cfg)
+    errors = ((err, row[param], n) for row, errs in zip(rows, row_errors) for n, err in enumerate(errs))
+    return _gate(errors, lambda value, n: f"at {param} = {_fmt(value)} level {n} has error")
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +343,7 @@ def _is_hermitian(family) -> bool:
     return family.sigma == 0 and family.ell == 0
 
 
-def _battery(cfg: RunConfig, metric_override: str | None):
+def _battery(cfg: RunConfig):
     """Run the full verification battery; yields (report, grid-descriptor)."""
     params, family, coeffs = _model_pieces(cfg)
     metric = family.metric()
@@ -348,8 +361,6 @@ def _battery(cfg: RunConfig, metric_override: str | None):
     else:
         yield verify.hermiticity_defect_report(coeffs, deformation), samples
 
-    if metric_override is not None:
-        metric = dataclasses.replace(cfg, model=metric_override).model_params().family().metric()
     yield verify.pseudo_hermiticity_residual(coeffs, metric, deformation), samples
 
     n_states = min(cfg.levels, 4) or 4
@@ -365,14 +376,14 @@ def _battery(cfg: RunConfig, metric_override: str | None):
     yield gamma_report, {"collocation_points": gamma_report.context["collocation_points"]}
 
 
-def cmd_verify(cfg: RunConfig, list_only: bool, metric_override: str | None) -> int:
+def cmd_verify(cfg: RunConfig, list_only: bool) -> int:
     if list_only:
         # _battery emits every check for every model, a skipped one included, so no model is built
         _write("".join(name + "\n" for name in _CHECK_NAMES), cfg)
         return EXIT_OK
     all_pass = True
     lines = []
-    for report, grid_desc in _battery(cfg, metric_override):
+    for report, grid_desc in _battery(cfg):
         record = report.to_record(params=cfg.params_dict(), grid=grid_desc)
         lines.append(json.dumps(record, sort_keys=True))
         all_pass = all_pass and report.passed
@@ -420,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the verification battery (JSON records)")
     _add_common(vf)
     vf.add_argument("--list", action="store_true", help="print check names and exit")
-    vf.add_argument("--metric-override", choices=MODELS)
     return parser
 
 
@@ -440,7 +450,7 @@ def main(argv=None) -> int:
         if args.command == "wavefunction":
             return cmd_wavefunction(cfg, args.n, args.samples)
         if args.command == "verify":
-            return cmd_verify(cfg, args.list, args.metric_override)
+            return cmd_verify(cfg, args.list)
         raise DomainError(f"unknown command {args.command!r}")
     except _CONFIG_ERRORS as exc:
         sys.stderr.write(f"configuration error: {exc}\n")

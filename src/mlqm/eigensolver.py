@@ -14,7 +14,6 @@ every CLI process.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,26 +21,16 @@ from .algebra import DeformationParams, MomentumGrid, first_derivative_matrix, s
 from .errors import InvalidGridError, NumericError, ResolutionError
 from .pct import CoefficientSet, TransformedProblem
 
-REAL = "real"
-CONJUGATE_PAIR = "member-of-conjugate-pair"
-UNCLASSIFIED = "unclassified"
-
 #: Most levels one collocation solve returns: the dense matrix has 32 + 4 n_levels rows,
 #: so the largest solve is 2032 x 2032 and takes 3.5-4.8 s (2-core Xeon, 1-2 BLAS threads).
 _MAX_LEVELS = 500
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigenvalues sorted by real part with per-eigenvalue reality tags."""
+    """The lowest levels in (Re, Im) order, a real one with imaginary part exactly 0, and the collocation size N."""
 
     eigenvalues: tuple
-    classification: tuple
-    source: str
     resolution: int
-
-    def __post_init__(self):
-        if len(self.eigenvalues) != len(self.classification):
-            raise ValueError("one classification tag per eigenvalue required")
 
     @property
     def real_parts(self) -> np.ndarray:
@@ -52,37 +41,28 @@ class SpectrumResult:
         return np.array([e.imag for e in self.eigenvalues])
 
     @property
-    def all_real(self) -> bool:
-        return all(tag == REAL for tag in self.classification)
-
-    @property
     def has_conjugate_pair(self) -> bool:
-        return CONJUGATE_PAIR in self.classification
+        return any(e.imag != 0 for e in self.eigenvalues)
 
 
-def classify_spectrum(eigs: Sequence[complex], tol: float):
-    """Tag each eigenvalue real / member-of-conjugate-pair / unclassified.
+def _lowest(eigs: np.ndarray, n_levels: int, merge: bool = False) -> tuple:
+    """The n_levels eigenvalues of smallest (Re, Im), each merged with its conjugate first if ``merge``."""
+    if merge:
+        eigs = np.concatenate([eigs, np.conj(eigs)])
+    return tuple(complex(e) for e in eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels])
 
-    Real means |Im| <= tol * max(1, |Re|); the rest are greedily matched
-    with a conjugate partner within tol.
+
+def _larger_root(a: float, b: float, c: float, snap: float) -> float | complex:
+    """The root of a x^2 + b x + c with the larger real part, in the form that does not cancel; a float if real.
+
+    A discriminant within snap (b^2 + 4|ac|) of zero is taken as zero, a double root.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    eigs = [complex(e) for e in eigs]
-    tags = [None] * len(eigs)
-    for i, e in enumerate(eigs):
-        if abs(e.imag) <= tol * max(1.0, abs(e.real)):
-            tags[i] = REAL
-    for i, e in enumerate(eigs):
-        if tags[i] is not None:
-            continue
-        for j in range(i + 1, len(eigs)):
-            if tags[j] is None and abs(eigs[j] - e.conjugate()) <= tol * max(1.0, abs(e)):
-                tags[i] = tags[j] = CONJUGATE_PAIR
-                break
-        else:
-            tags[i] = UNCLASSIFIED
-    return tuple(tags)
+    disc = b * b - 4.0 * a * c
+    if abs(disc) <= snap * (b * b + 4.0 * abs(a * c)):
+        disc = 0.0
+    root = np.sqrt(complex(disc))
+    x = (root - b) / (2.0 * a) if b <= 0 else -2.0 * c / (b + root)
+    return float(x.real) if x.imag == 0 else complex(x)
 
 
 def _collocation_size(n_levels: int, what: str) -> int:
@@ -116,7 +96,7 @@ def _barycentric_weights(t: np.ndarray) -> np.ndarray:
     return (-1.0) ** np.arange(len(t)) * np.sin(t)
 
 
-def _indicial_root(problem: TransformedProblem) -> complex:
+def _indicial_root(problem: TransformedProblem) -> float | complex:
     """Wall exponent B of phi ~ d^B (the indicial root), read from the potential alone.
 
     The box spans pi/sqrt(beta), and near a wall V = nu sec^2(sqrt(beta) q)
@@ -135,14 +115,11 @@ def _indicial_root(problem: TransformedProblem) -> complex:
     s2 = np.sin(sqb * d) ** 2
     u = np.asarray(problem.potential(problem.q_min + d), dtype=float) * s2
     nu = (u[0] * s2[1] - u[1] * s2[0]) / (s2[1] - s2[0])
-    disc = 1.0 + 4.0 * nu / sqb**2
-    # The fit misreads disc by up to 3e-12 of its scale (3000 random points of both models).
-    # At the reality threshold B is a double root and moves as the square root of that
-    # misreading, which would turn the real ladder at beta_c into conjugate pairs; within
-    # the fit's rounding of zero the root is taken as double.
-    if abs(disc) <= 1e-11 * (1.0 + 4.0 * abs(nu) / sqb**2):
-        disc = 0.0
-    return complex(0.5 * (1.0 + np.sqrt(complex(disc))))
+    # The fit misreads the discriminant 1 + 4 nu/beta by up to 3e-12 of its scale (3000
+    # random points of both models).  At the reality threshold B is a double root and moves
+    # as the square root of that misreading, which would turn the real ladder at beta_c into
+    # conjugate pairs; within the fit's rounding of zero the root is taken as double.
+    return _larger_root(1.0, -1.0, -nu / sqb**2, 1e-11)
 
 
 def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
@@ -169,8 +146,6 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
     span = problem.q_max - problem.q_min
     beta = (np.pi / span) ** 2
     wall_b = _indicial_root(problem)
-    if wall_b.imag == 0:
-        wall_b = wall_b.real
     nu = beta * wall_b * (wall_b - 1.0)
     q = problem.q_min + span * (1.0 - t / np.pi)  # z = sin(sqrt(beta) (q - q_mid)) = cos t
     diag = np.asarray(problem.potential(q), dtype=float) - nu * z**2 / one_minus_z2 + wall_b * beta
@@ -180,18 +155,9 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
         eigs = eigvals(matrix)
     except (LinAlgError, ValueError) as exc:  # ValueError: check_finite found a NaN or inf entry
         raise NumericError(f"q-box eigensolve failed: {exc}")
-    if np.isrealobj(matrix):
-        # a real wall exponent makes the operator self-adjoint in the weight (1-z^2)^(B-1/2)
-        eps = np.sort(eigs.real)[:n_levels]
-    else:
-        eigs = np.concatenate([eigs, np.conj(eigs)])
-        eps = eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels]
-    return SpectrumResult(
-        eigenvalues=tuple(complex(e) for e in eps),
-        classification=classify_spectrum(eps, 1e-6),
-        source="q-space-numeric",
-        resolution=n,
-    )
+    # a real wall exponent makes the operator self-adjoint in the weight (1-z^2)^(B-1/2)
+    real = np.isrealobj(matrix)
+    return SpectrumResult(_lowest(eigs.real if real else eigs, n_levels, merge=not real), n)
 
 
 #: Alias of ``solve_q_space``, the name under which callers follow the complex branch.
@@ -209,7 +175,7 @@ def build_p_space_matrix(coeffs: CoefficientSet, grid: MomentumGrid) -> np.ndarr
     return -f[:, None] * second_derivative_matrix(n, step) + g[:, None] * first_derivative_matrix(n, step) + np.diag(h)
 
 
-def _decay_exponent(coeffs: CoefficientSet, beta: float) -> complex:
+def _decay_exponent(coeffs: CoefficientSet, beta: float) -> float | complex:
     """Exponent s of psi ~ cos(theta)^s ~ |p|^-s at |p| -> inf, read from g and h alone.
 
     With f ~ beta^2 p^4, g ~ G3 p^3 and h ~ H2 p^2, s is the larger root of
@@ -221,16 +187,9 @@ def _decay_exponent(coeffs: CoefficientSet, beta: float) -> complex:
     g_odd = (np.asarray(coeffs.g(p), dtype=float) - np.asarray(coeffs.g(-p), dtype=float)) / (2.0 * p**3)
     h_even = (np.asarray(coeffs.h(p), dtype=float) + np.asarray(coeffs.h(-p), dtype=float)) / (2.0 * p**2)
     g3, h2 = (4.0 * g_odd[1] - g_odd[0]) / 3.0, (4.0 * h_even[1] - h_even[0]) / 3.0
-    b = beta**2 + g3
-    disc = b * b + 4.0 * beta**2 * h2
-    # G3 and H2 carry about 1e-15 of disc's scale; within that of zero s is a double
-    # root (the reality threshold), as for the q-box's wall exponent
-    if abs(disc) <= 1e-14 * (b * b + 4.0 * beta**2 * abs(h2)):
-        disc = 0.0
-    root = np.sqrt(complex(disc))
-    # the root with the larger real part, in the form that does not cancel
-    s = (root - b) / (2.0 * beta**2) if b <= 0 else 2.0 * h2 / (b + root)
-    return s.real if s.imag == 0 else s
+    # G3 and H2 carry about 1e-15 of the discriminant's scale; within that of zero s is a
+    # double root (the reality threshold), as for the q-box's wall exponent
+    return _larger_root(beta**2, beta**2 + g3, -h2, 1e-14)
 
 
 @dataclass(frozen=True)
@@ -314,21 +273,11 @@ def theta_modes(coeffs: CoefficientSet, deformation: DeformationParams, n_modes:
 
 
 def solve_p_space(coeffs: CoefficientSet, deformation: DeformationParams, n_levels: int) -> SpectrumResult:
-    """The n_levels lowest p-space levels from ``theta_modes``, classified.
+    """The n_levels lowest p-space levels from ``theta_modes``.
 
     A complex decay exponent (past the reality threshold) gives a complex
     matrix, whose eigenvalues are merged with their conjugates so that pairs
     appear as pairs.
     """
     modes = theta_modes(coeffs, deformation, n_levels, vectors=False)
-    eigs = modes.eigenvalues
-    if isinstance(modes.s, complex):
-        eigs = np.concatenate([eigs, np.conj(eigs)])
-        eigs = eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels]
-    tol = 1e-7 * max(1.0, float(np.max(np.abs(eigs.real))))
-    return SpectrumResult(
-        eigenvalues=tuple(complex(e) for e in eigs),
-        classification=classify_spectrum(eigs, tol),
-        source="p-space-numeric",
-        resolution=len(modes.t),
-    )
+    return SpectrumResult(_lowest(modes.eigenvalues, n_levels, merge=isinstance(modes.s, complex)), len(modes.t))

@@ -209,7 +209,12 @@ class TestSweep:
         assert code == EXIT_CONFIG and out == ""
         assert err == "configuration error: need 2 <= steps <= 100000, got 1000000000\n"
 
-    def test_branch_solver_refuses_unresolvable_level_count(self, capsys):
+    def test_branch_solver_refuses_unresolvable_level_count(self, capsys, monkeypatch):
+        def no_energy(*args):
+            raise AssertionError("a closed-form level was computed")
+
+        # the solve refuses the count before the gate builds a closed-form level
+        monkeypatch.setattr(mlqm.SwansonParams, "energy", no_energy)
         code, out, err = run(
             capsys, "sweep", "--model", "swanson", "--numeric", "--param", "beta",
             "--from", "1.5", "--to", "1.7", "--steps", "2",
@@ -226,6 +231,59 @@ class TestSweep:
         assert code == EXIT_OK
         row = out.strip().split("\n")[1].split(",")
         assert float(row[1]) == pytest.approx(0.6506246098625197, rel=1e-6)
+
+    NUMERIC_200 = ("--numeric", "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2", "--levels", "200")
+
+    def test_numeric_levels_off_the_closed_form_exit_1_after_the_table(self, capsys):
+        # the collocation loses digits at high level counts, as for spectrum; the whole table is still
+        # written, and the stderr line is checked against the printed table, since the lost digits shift
+        # with the BLAS build and thread count
+        code, out, err = run(capsys, "sweep", *self.NUMERIC_200)
+        assert code == EXIT_VERIFY_FAIL
+        lines = out.strip().split("\n")
+        assert lines[0].split(",")[-1] == "beta_c"  # blank: the displaced model has no beta_c
+        rows = [[float(cell) for cell in line.split(",")[:-1]] for line in lines[1:]]
+        assert [len(row) for row in rows] == [401, 401] and [row[0] for row in rows] == [0.1, 0.2]
+        misses = []
+        for row in rows:
+            params = RunConfig(beta=row[0]).model_params()
+            for n in range(200):
+                e = params.energy(n)
+                misses.append((abs(complex(row[1 + 2 * n], row[2 + 2 * n]) - e) / max(1.0, abs(e)), row[0], n))
+        worst, beta, n = max(misses, key=lambda miss: miss[0])
+        assert worst > verify.TOLERANCES["spectrum-error"]
+        where = f"at beta = {beta:.17g} level {n} has error = {worst:.3g}"
+        assert err == f"verification failure: {where}, above the 1e-06 gate\n"
+
+    def test_json_numeric_sweep_is_gated(self, capsys):
+        code, out, err = run(capsys, "sweep", *self.NUMERIC_200, "--format", "json")
+        assert code == EXIT_VERIFY_FAIL and len(json.loads(out)) == 2
+        assert err.startswith("verification failure: at beta = ") and err.endswith(", above the 1e-06 gate\n")
+
+    def test_numeric_sweep_across_beta_c_exits_0(self, capsys):
+        # the README's sweep: at beta_c = 2.0 itself the closed form is complex by the square root of its
+        # rounding (5e-9) while the solve's snapped wall exponent keeps the ladder real; past beta_c both
+        # sides are conjugate pairs, compared in the solve's (Re, Im) order
+        code, out, err = run(
+            capsys, "sweep", "--model", "swanson", "--beta", "0.5", "--lambda", "0.2", "--delta", "0.2",
+            "--param", "beta", "--from", "1.5", "--to", "2.5", "--steps", "21", "--numeric",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 21 and float(rows[-1][2]) != 0.0
+
+    def test_nan_level_fails_the_numeric_sweep(self, capsys, monkeypatch):
+        solve = mlqm.eigensolver.solve_q_space
+
+        def nan_top_level(problem, n_levels):
+            result = solve(problem, n_levels)
+            return dataclasses.replace(result, eigenvalues=result.eigenvalues[:-1] + (complex("nan"),))
+
+        monkeypatch.setattr(mlqm.eigensolver, "solve_q_space", nan_top_level)
+        code, out, err = run(capsys, "sweep", "--numeric", "--param", "beta", "--from", "0.1", "--to", "0.2",
+                             "--steps", "2", "--levels", "2")
+        assert code == EXIT_VERIFY_FAIL and len(out.strip().split("\n")) == 3
+        assert err == "verification failure: at beta = 0.10000000000000001 level 1 has error = nan, above the 1e-06 gate\n"
 
 
 class TestSpectrumPastThreshold:
@@ -328,12 +386,6 @@ class TestVerify:
         assert defect["floor"] == verify.HERMITICITY_DEFECT_FLOOR
         assert defect["measured"] > defect["floor"] and defect["value"] == 0.0
 
-    def test_wrong_metric_fails_battery(self, capsys):
-        code, out, _ = run(capsys, "verify", "--metric-override", "swanson")
-        assert code == EXIT_VERIFY_FAIL
-        records = {r["name"]: r for r in map(json.loads, out.strip().split("\n"))}
-        assert not records["pseudo-hermiticity"]["pass"]
-
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "verify.jsonl"
         code, out, _ = run(capsys, "verify", "--output", str(target))
@@ -378,7 +430,7 @@ class TestVerify:
         monkeypatch.setattr(
             verify, "ode_residual", lambda *args: dataclasses.replace(ode_residual(*args), value=next(values))
         )
-        report = next(r for r, _ in _battery(RunConfig(), None) if r.name == "ode-residual")
+        report = next(r for r, _ in _battery(RunConfig()) if r.name == "ode-residual")
         assert np.isnan(report.value) and not report.passed
 
     @pytest.mark.parametrize(
@@ -522,6 +574,8 @@ class TestConfigResolution:
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["sweep"]) == 2  # missing required sweep arguments
+        # gone: a wrong metric failing its check is test_verify's test_wrong_metric_is_discriminated
+        assert main(["verify", "--metric-override", "swanson"]) == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("omega", ["1e-8", "1e-6"])
@@ -546,7 +600,7 @@ class TestConfigResolution:
         "spectrum": set(),
         "sweep": {"--param", "--from", "--to", "--steps", "--numeric"},
         "wavefunction": {"--n", "--samples"},
-        "verify": {"--list", "--metric-override"},
+        "verify": {"--list"},
     }
 
     @pytest.mark.parametrize("command", OWN_FLAGS)

@@ -16,7 +16,6 @@ from mlqm import (
     ResolutionError,
     SwansonParams,
     build_p_space_matrix,
-    classify_spectrum,
     displaced_energy,
     displaced_transform,
     solve_p_space,
@@ -27,7 +26,7 @@ from mlqm import (
     swanson_transform,
 )
 from mlqm import eigensolver
-from mlqm.eigensolver import CONJUGATE_PAIR, REAL, UNCLASSIFIED, theta_modes
+from mlqm.eigensolver import theta_modes
 from mlqm.models import displaced_coefficients, swanson_coefficients, wavefunction
 from mlqm.verify import PROJECTION_MODES, _low_mode_basis
 from oracles import (
@@ -44,15 +43,21 @@ def swanson_default(beta=0.5, lam=0.2, delta=0.2):
     return SwansonParams(deformation=DeformationParams(1.0, beta, 0.0), lam=lam, delta=delta)
 
 
-class TestClassification:
-    def test_real_and_pair_tags(self):
-        eigs = [1.0, 2.0 + 1e-12j, 3.0 + 0.5j, 3.0 - 0.5j, 4.0 + 0.2j]
-        tags = classify_spectrum(eigs, tol=1e-9)
-        assert tags == (REAL, REAL, CONJUGATE_PAIR, CONJUGATE_PAIR, UNCLASSIFIED)
+class TestSharedRules:
+    def test_lowest_merges_conjugates_and_orders_by_real_then_imaginary_part(self):
+        eigs = np.array([3.0 + 0.5j, 1.0 + 0.0j, 9.0 - 2.0j])
+        assert eigensolver._lowest(eigs, 3, merge=True) == (1.0, 1.0, 3.0 - 0.5j)
+        assert eigensolver._lowest(eigs.real, 2) == (1.0, 3.0)
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            classify_spectrum([1.0], tol=0.0)
+    def test_larger_root_is_real_when_it_can_be_and_does_not_cancel(self):
+        x = eigensolver._larger_root(1.0, 1e8, 1.0, 1e-14)  # x^2 + 1e8 x + 1: (-b + root)/2a keeps no digit
+        assert type(x) is float and x == pytest.approx(-1e-8, rel=1e-15)
+        assert eigensolver._larger_root(1.0, -1.0, 0.5, 1e-14) == 0.5 + 0.5j
+
+    def test_larger_root_snaps_a_rounding_level_discriminant_to_a_double_root(self):
+        # B(B - 1) = -1/4 has the double root 1/2; a coefficient off by 1e-15 would move it by 3e-8
+        assert eigensolver._larger_root(1.0, -1.0, 0.25 + 1e-15, 1e-11) == 0.5
+        assert isinstance(eigensolver._larger_root(1.0, -1.0, 0.25 + 1e-15, 1e-16), complex)
 
 
 class TestQSpace:
@@ -65,7 +70,7 @@ class TestQSpace:
             e_num = coeffs.energy_map.energy(eps.real)
             e_ref = displaced_energy(n, params)
             assert abs(e_num - e_ref) / abs(e_ref) < 1e-7
-        assert result.all_real and result.source == "q-space-numeric"
+        assert not result.has_conjugate_pair
 
     def test_swanson_levels(self):
         params = swanson_default()
@@ -99,7 +104,7 @@ class TestPSpace:
         params = displaced_default()
         e_num, result = p_space_energies(params, 4)
         assert np.all(np.abs(e_num - closed_form_energies(params, 4)) < 1e-12)
-        assert result.all_real and result.source == "p-space-numeric" and result.resolution == 48
+        assert not result.has_conjugate_pair and result.resolution == 48
 
     def test_operator_composition_agrees_with_ode_matrix(self):
         # two independent discretizations of the same Hamiltonian: the literal
@@ -232,7 +237,7 @@ class TestBranchSolver:
     def test_real_side_of_transition(self):
         problem = swanson_transform(swanson_default(beta=1.9))
         result = solve_q_space_branch(problem, n_levels=4)
-        assert result.all_real
+        assert not result.has_conjugate_pair
 
     def test_complex_side_has_conjugate_pairs(self):
         problem = swanson_transform(swanson_default(beta=2.1))

@@ -39,8 +39,8 @@ def wrong_metric(p):
     return (1.0 + 0.1 * np.asarray(p, dtype=float) ** 2) ** (-1.0)
 
 
-#: (params, the other model at the same beta and lambda, as `verify --metric-override` builds it): the
-#: displaced CLI defaults, and the benchmark's seed-1 Swanson draw, whose H is not Hermitian (lambda != delta)
+#: (params, the other model at the same beta and lambda, whose metric is the wrong one): the displaced
+#: CLI defaults, and the benchmark's seed-1 Swanson draw, whose H is not Hermitian (lambda != delta)
 DISCRIMINATION_POINTS = pytest.mark.parametrize("params, other", [
     (displaced_default(), swanson_default(beta=0.1, lam=0.5, delta=0.0)),
     (swanson_default(beta=0.452755, lam=0.262753, delta=0.124772), displaced_default(beta=0.452755, lam=0.262753)),
