@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import DeformationParams, MomentumGrid, first_derivative_matrix, second_derivative_matrix
 from .errors import InvalidGridError, NumericError, ResolutionError
-from .pct import CoefficientSet, TransformedProblem
+from .pct import CoefficientSet, TransformedProblem, _larger_root
 
 #: Most levels one collocation solve returns: the dense matrix has 32 + 4 n_levels rows,
 #: so the largest solve is 2032 x 2032 and takes 3.5-4.8 s (2-core Xeon, 1-2 BLAS threads).
@@ -50,19 +50,6 @@ def _lowest(eigs: np.ndarray, n_levels: int, merge: bool = False) -> tuple:
     if merge:
         eigs = np.concatenate([eigs, np.conj(eigs)])
     return tuple(complex(e) for e in eigs[np.lexsort((eigs.imag, eigs.real))][:n_levels])
-
-
-def _larger_root(a: float, b: float, c: float, snap: float) -> float | complex:
-    """The root of a x^2 + b x + c with the larger real part, in the form that does not cancel; a float if real.
-
-    A discriminant within snap (b^2 + 4|ac|) of zero is taken as zero, a double root.
-    """
-    disc = b * b - 4.0 * a * c
-    if abs(disc) <= snap * (b * b + 4.0 * abs(a * c)):
-        disc = 0.0
-    root = np.sqrt(complex(disc))
-    x = (root - b) / (2.0 * a) if b <= 0 else -2.0 * c / (b + root)
-    return float(x.real) if x.imag == 0 else complex(x)
 
 
 def _collocation_size(n_levels: int, what: str) -> int:

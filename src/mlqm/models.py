@@ -30,7 +30,7 @@ from .errors import (
 )
 from .inner import eta_inner
 from .jacobi import jacobi_eval
-from .pct import CoefficientSet, EnergyMap, TransformedProblem
+from .pct import CoefficientSet, EnergyMap, TransformedProblem, _larger_root, _snapped_sqrt
 
 
 @dataclass(frozen=True)
@@ -113,25 +113,25 @@ class SwansonParams:
 
     @property
     def c1(self) -> float:
-        """Asymmetry coefficient (delta-lam)/(hbar*omega*(omega-lam-delta))."""
-        return (self.delta - self.lam) / (self.deformation.hbar * self.omega * self.drive)
+        """Asymmetry coefficient (delta-lam)/(hbar*m*omega*(omega-lam-delta))."""
+        return (self.delta - self.lam) / (self.deformation.hbar * self.m * self.omega * self.drive)
 
     def family(self) -> "GupFamily":
         """sigma = c1 and ell = 0.
 
-        The mass enters only through the affine eps<->E map; f, g, h are
-        m-free because the ladder operators carry the whole 1/(2m) prefactor.
+        hbar and m enter only as the product hbar m, the square of the momentum
+        scale sqrt(hbar m omega), so E_n depends on them only through hbar m beta.
         """
         d = self.deformation
-        hbar, gamma = d.hbar, d.gamma
+        hbar_m, gamma = d.hbar * self.m, d.gamma
         omega, drive, c1 = self.omega, self.drive, self.c1
         return GupFamily(
             deformation=d,
             sigma=c1,
             ell=0.0,
-            a=(omega + self.lam + self.delta) / (hbar**2 * omega**2 * drive) - 2.0 * gamma * c1 - gamma**2,
-            c=-(c1 + 1.0 / (hbar * drive) + gamma),
-            energy_map=EnergyMap(scale=2.0 / (hbar * self.m * omega * drive), offset=-1.0 / (hbar * self.m * drive)),
+            a=(omega + self.lam + self.delta) / (hbar_m**2 * omega**2 * drive) - 2.0 * gamma * c1 - gamma**2,
+            c=-(c1 + 1.0 / (hbar_m * drive) + gamma),
+            energy_map=EnergyMap(scale=2.0 / (hbar_m * omega * drive), offset=-1.0 / (hbar_m * drive)),
         )
 
     @property
@@ -140,19 +140,16 @@ class SwansonParams:
         d = self.deformation
         return d.hbar * self.m * self.omega * d.beta * self.drive / 2.0
 
-    def energy(self, n: int) -> complex:
-        """Closed-form E_n; complex (conjugate-pair member) past the reality threshold.
+    def energy(self, n: int) -> float | complex:
+        """Closed-form E_n in units of omega (no hbar): a float, or past the reality threshold complex with Im > 0.
 
-        Returns a real float when the square-root argument is non-negative and a
-        complex value (principal branch, positive imaginary part) otherwise.
+        A ``swanson_reality_margin`` within its rounding of zero, on the scale (omega - t)^2 + 4|lam delta|, is 0.
         """
         if n < 0:
             raise DomainError(f"level index must be non-negative, got {n}")
-        arg = swanson_reality_margin(self)
-        quad = self._t * (n * n + n + 0.5)
-        if arg >= 0:
-            return quad + (n + 0.5) * np.sqrt(arg)
-        return quad + (n + 0.5) * 1j * np.sqrt(-arg)
+        t = self._t
+        root = _snapped_sqrt(swanson_reality_margin(self), (self.omega - t) ** 2 + 4.0 * abs(self.lam * self.delta))
+        return t * (n * n + n + 0.5) + (n + 0.5) * root
 
     def beta_c(self) -> Optional[float]:
         """Critical deformation beta_c = 2(omega - 2 sqrt(lam*delta))/(m*hbar*omega*(omega-lam-delta)).
@@ -179,19 +176,15 @@ def swanson_reality_margin(params: SwansonParams) -> float:
 
 @dataclass(frozen=True)
 class DerivedSpectralParams:
-    """Ladder constant A, sec^2 strength nu and additive offset.
+    """Ladder constant A (a float, or complex past the reality threshold), sec^2 strength nu and additive offset."""
 
-    For parameters past the reality threshold ``a_const`` is complex
-    (principal branch); below it it is real.
-    """
-
-    a_const: complex
+    a_const: float | complex
     nu: float
     offset: float
 
     @property
     def is_real(self) -> bool:
-        return abs(np.imag(self.a_const)) == 0.0
+        return not isinstance(self.a_const, complex)
 
 
 # --------------------------------------------------------------------------
@@ -330,11 +323,11 @@ class GupFamily:
         return log_rho
 
     def spectral(self) -> DerivedSpectralParams:
-        """nu = (kappa (kappa - beta) + a + beta c)/beta, offset = ell^2 + kappa - beta + c - nu, and A.
+        """nu = (kappa (kappa - beta) + a + beta c)/beta, offset = ell^2 + kappa - beta + c - nu, and A = sqrt(beta) B.
 
-        Past the reality threshold 1 + 4 nu/beta turns negative and A becomes
-        complex (principal branch); callers that need real bound states must
-        check ``is_real``.
+        B is the larger root of B^2 - B - nu/beta, the wall exponent that the q-box solve reads
+        from the potential; past the reality threshold 1 + 4 nu/beta < 0 and A is complex
+        (principal branch), so callers that need real bound states must check ``is_real``.
         """
         d = self.deformation
         beta = d.beta
@@ -343,11 +336,7 @@ class GupFamily:
         tilt = d.gamma + self.sigma  # kappa - beta
         nu = (tilt * self.kappa + self.a + beta * self.c) / beta
         offset = self.ell**2 - nu + (tilt + self.c)
-        root = np.sqrt(complex(beta + 4.0 * nu))
-        a_const = 0.5 * (np.sqrt(beta) + root)
-        if root.imag == 0:
-            a_const = a_const.real
-        return DerivedSpectralParams(a_const=a_const, nu=nu, offset=offset)
+        return DerivedSpectralParams(np.sqrt(beta) * _larger_root(1.0, -1.0, -nu / beta), nu, offset)
 
     def transform(self) -> TransformedProblem:
         """Schrodinger form using the closed-form q-map."""
@@ -396,7 +385,7 @@ class GupFamily:
             raise ComplexSpectrumError(
                 "beta is at or past the reality threshold; bound-state eigenfunctions are not real-parameter Jacobi forms"
             )
-        big_b = float(np.real(sp.a_const)) / np.sqrt(beta)
+        big_b = sp.a_const / np.sqrt(beta)
         return Wavefunction(
             n=n,
             beta=beta,

@@ -9,7 +9,9 @@ a standard Schrodinger form -d^2/dq^2 + V(q) with
 evaluated at p(q).  Model builders supply analytic derivatives (validated on
 construction); the q-map is the closed form on ``DeformationParams``, exact
 for f = (1 + beta p^2)^2.  The similarity factor rho enters only the metric,
-which the models build from their closed-form log rho.
+which the models build from their closed-form log rho.  Whether a level is
+real or half of a conjugate pair is decided by one rule, ``_snapped_sqrt``,
+which the closed forms and the numeric solves share.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,27 @@ from .errors import DomainError, EllipticityError
 _VALIDATION_RANGE = (-10.0, 10.0)
 #: Where in it those 100 points lie: the Weyl sequence k/phi mod 1 of the golden ratio phi, evenly spread.
 _VALIDATION_FRACTIONS = (np.arange(1, 101) * 0.6180339887498949) % 1.0
+#: The rounding of a discriminant, relative to the scale of its terms: 16 ulp.
+_ROUNDING = 16 * np.finfo(float).eps
+
+
+def _snapped_sqrt(disc: float, scale: float, snap: float = _ROUNDING) -> float | complex:
+    """sqrt(disc), a float when real and the principal complex root when not; a disc within snap * scale of 0 is 0.
+
+    That is the rounding of disc: at a reality threshold the root is double, and its rounding would
+    otherwise pick between a real ladder and conjugate pairs.
+    """
+    if abs(disc) <= snap * scale:
+        return 0.0
+    return float(np.sqrt(disc)) if disc > 0 else complex(np.sqrt(complex(disc)))
+
+
+def _larger_root(a: float, b: float, c: float, snap: float = _ROUNDING) -> float | complex:
+    """The root of a x^2 + b x + c of larger real part, in the form that does not cancel, by ``_snapped_sqrt``."""
+    root = _snapped_sqrt(b * b - 4.0 * a * c, b * b + 4.0 * abs(a * c), snap)
+    z = np.complex128(root)  # one formula for either kind of root
+    x = (z - b) / (2.0 * a) if b <= 0 else -2.0 * c / (b + z)
+    return complex(x) if isinstance(root, complex) else float(x.real)
 
 
 @dataclass(frozen=True)

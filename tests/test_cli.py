@@ -72,6 +72,14 @@ class TestSpectrum:
         assert float(first[1]) == pytest.approx(0.45, rel=1e-12)
         assert float(first[5]) < 1e-6
 
+    @pytest.mark.parametrize("mass", ["0.5", "2", "5"])
+    def test_swanson_mass_levels_on_the_closed_form(self, capsys, mass):
+        # both solves and the published form depend on the mass only through hbar m beta
+        code, out, err = run(capsys, "spectrum", "--model", "swanson", "--mass", mass)
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 4 and max(float(row[col]) for row in rows for col in (5, 6)) <= 1e-11
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "spec.csv"
         code, out, _ = run(
@@ -261,9 +269,9 @@ class TestSweep:
         assert err.startswith("verification failure: at beta = ") and err.endswith(", above the 1e-06 gate\n")
 
     def test_numeric_sweep_across_beta_c_exits_0(self, capsys):
-        # the README's sweep: at beta_c = 2.0 itself the closed form is complex by the square root of its
-        # rounding (5e-9) while the solve's snapped wall exponent keeps the ladder real; past beta_c both
-        # sides are conjugate pairs, compared in the solve's (Re, Im) order
+        # the README's sweep: at beta_c = 2.0 itself the closed form and the solve both take a reality margin
+        # within its rounding of zero as zero and read the real ladder; past beta_c both sides are conjugate
+        # pairs, compared in the solve's (Re, Im) order
         code, out, err = run(
             capsys, "sweep", "--model", "swanson", "--beta", "0.5", "--lambda", "0.2", "--delta", "0.2",
             "--param", "beta", "--from", "1.5", "--to", "2.5", "--steps", "21", "--numeric",
@@ -297,6 +305,25 @@ class TestSpectrumPastThreshold:
             "configuration error: beta = 2.3 is past the reality threshold beta_c = 2: the levels are "
             "complex-conjugate pairs; follow them with `sweep --numeric`\n"
         )
+
+    def test_beta_c_itself_is_the_real_ladder(self, capsys):
+        # beta_c = 2 exactly, where the float reality margin reads -1.1e-16, within its rounding of zero
+        code, out, err = run(
+            capsys, "spectrum", "--model", "swanson", "--beta", "2", "--lambda", "0.2", "--delta", "0.2",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        rows = [[float(cell) for cell in line.split(",")] for line in out.strip().split("\n")[1:]]
+        assert [row[1] for row in rows] == pytest.approx([0.3, 1.5, 3.9, 7.5], rel=1e-14)
+        assert all(row[4] == 0.0 for row in rows)
+
+    def test_closed_form_sweep_is_real_at_beta_c_and_paired_past_it(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--model", "swanson", "--lambda", "0.2", "--delta", "0.2",
+            "--param", "beta", "--from", "2", "--to", "2.1", "--steps", "2",
+        )
+        assert code == EXIT_OK
+        at_beta_c, past = ([float(cell) for cell in line.split(",")[2:-1:2]] for line in out.strip().split("\n")[1:])
+        assert at_beta_c == [0.0] * 4 and all(im > 0 for im in past)
 
     def test_real_again_above_the_complex_window(self, capsys):
         # (omega - t)^2 >= 4 lam delta again once t >= omega + 2 sqrt(lam delta): beta >= 14/3 here

@@ -28,6 +28,7 @@ from mlqm import (
 from mlqm import eigensolver
 from mlqm.eigensolver import theta_modes
 from mlqm.models import displaced_coefficients, swanson_coefficients, wavefunction
+from mlqm.pct import _larger_root
 from mlqm.verify import PROJECTION_MODES, _low_mode_basis
 from oracles import (
     _dense, band_csc, fd_p_space_levels, fd_q_box_levels, low_modes, operator_hamiltonian, p_space_operator,
@@ -50,14 +51,14 @@ class TestSharedRules:
         assert eigensolver._lowest(eigs.real, 2) == (1.0, 3.0)
 
     def test_larger_root_is_real_when_it_can_be_and_does_not_cancel(self):
-        x = eigensolver._larger_root(1.0, 1e8, 1.0, 1e-14)  # x^2 + 1e8 x + 1: (-b + root)/2a keeps no digit
+        x = _larger_root(1.0, 1e8, 1.0, 1e-14)  # x^2 + 1e8 x + 1: (-b + root)/2a keeps no digit
         assert type(x) is float and x == pytest.approx(-1e-8, rel=1e-15)
-        assert eigensolver._larger_root(1.0, -1.0, 0.5, 1e-14) == 0.5 + 0.5j
+        assert _larger_root(1.0, -1.0, 0.5, 1e-14) == 0.5 + 0.5j
 
     def test_larger_root_snaps_a_rounding_level_discriminant_to_a_double_root(self):
         # B(B - 1) = -1/4 has the double root 1/2; a coefficient off by 1e-15 would move it by 3e-8
-        assert eigensolver._larger_root(1.0, -1.0, 0.25 + 1e-15, 1e-11) == 0.5
-        assert isinstance(eigensolver._larger_root(1.0, -1.0, 0.25 + 1e-15, 1e-16), complex)
+        assert _larger_root(1.0, -1.0, 0.25 + 1e-15, 1e-11) == 0.5
+        assert isinstance(_larger_root(1.0, -1.0, 0.25 + 1e-15, 1e-16), complex)
 
 
 class TestQSpace:
@@ -401,6 +402,23 @@ def test_reality_threshold_gives_the_real_ladder(gamma):
         got = np.array(got)
         assert np.all(got.imag == 0)
         assert np.all(np.abs(got.real - [-1.0, 3.0, 11.0, 23.0]) <= 1e-12 * 23.0)
+
+
+@pytest.mark.parametrize("hbar, mass, beta", [(2.0, 1.5, 0.1), (0.5, 3.0, 0.4), (0.3, 0.5, 6.0), (2.0, 0.5, 3.0)],
+                         ids=["hbar-m-beta-0.3", "hbar-m-beta-0.6", "hbar-m-beta-0.9", "past-beta-c"])
+def test_swanson_levels_depend_on_hbar_m_beta_alone(hbar, mass, beta):
+    # the momentum scale is sqrt(hbar m omega), so E(hbar, m, beta) = E(1, 1, hbar m beta) at fixed omega,
+    # lambda and delta; beta_c is 2.18 at hbar m = 1, so the last point reads conjugate pairs
+    levels = []
+    for params in (SwansonParams(DeformationParams(hbar, beta, 0.0), m=mass, lam=0.3, delta=0.1),
+                   SwansonParams(DeformationParams(1.0, hbar * mass * beta, 0.0), lam=0.3, delta=0.1)):
+        family = params.family()
+        q = solve_q_space(family.transform(), 4).eigenvalues
+        p = solve_p_space(family.coefficients(), params.deformation, 4).eigenvalues
+        levels.append(family.energy_map.energy(np.array([q, p])))
+    scaled, unit = levels
+    assert np.all(np.abs(scaled - unit) <= 1e-10 * np.maximum(1.0, np.abs(unit)))
+    assert np.all((unit.imag != 0) == (hbar * mass * beta > 2.18))
 
 
 class TestBranchSolverBands:

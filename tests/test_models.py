@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlqm import (
@@ -319,3 +319,37 @@ def test_family_derivation_matches_published_closed_forms(params):
         assert abs(family.energy_map.epsilon(params.energy(n)) - eps) <= 1e-10 * max(1.0, abs(eps))
         psi = wavefunction(n, params, normalize=False)
         assert ode_residual(psi, coeffs, psi.epsilon).value < 1e-8
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda x: 10.0**x)
+
+
+@st.composite
+def box_points(draw):
+    """Either model with hbar and the mass on [0.2, 5], beta on [1e-3, 1e2], omega on [0.05, 20] and gamma on [0, beta]."""
+    hbar, mass = draw(_log_uniform(0.2, 5.0)), draw(_log_uniform(0.2, 5.0))
+    beta, omega = draw(_log_uniform(1e-3, 1e2)), draw(_log_uniform(0.05, 20.0))
+    deformation = DeformationParams(hbar, beta, draw(st.floats(0.0, beta)))
+    if draw(st.booleans()):
+        return DisplacedOscillatorParams(deformation, mu=mass, omega=omega, lam=draw(st.floats(-1.0, 1.0)) * omega)
+    lam = draw(st.floats(-0.45, 0.45)) * omega
+    delta = draw(st.floats(-0.45, 0.45)) * omega
+    return SwansonParams(deformation, m=mass, omega=omega, lam=lam, delta=delta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(box_points())
+@example(SwansonParams(DeformationParams(1.0, 0.1, 0.0), m=2.0, lam=0.5))  # the Swanson CLI defaults at m = 2
+@example(SwansonParams(DeformationParams(1.0, 2.0, 0.0), lam=0.2, delta=0.2))  # exactly at beta_c = 2
+def test_family_ladder_gives_the_published_energies(params):
+    # the family's eps ladder, mapped back to E, is the published E_n at every hbar and mass, and
+    # the family and the closed form read the same side of the reality threshold
+    family = params.family()
+    real = not isinstance(params.energy(0), complex)
+    assert family.spectral().is_real == real
+    if real:
+        levels = family.epsilon_levels()
+        for n in range(6):
+            e = params.energy(n)
+            assert abs(family.energy_map.energy(float(levels(n))) - e) <= 1e-10 * max(1.0, abs(e))

@@ -16,6 +16,7 @@ from mlqm import (
     build_potential,
     transform,
 )
+from mlqm.pct import _snapped_sqrt
 from oracles import quadrature_log_rho, quadrature_q_map
 
 
@@ -30,6 +31,18 @@ def quartic_coeffs(beta=0.25, energy_map=None):
         h=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
         energy_map=energy_map or EnergyMap(scale=1.0, offset=0.0),
     )
+
+
+class TestRealityRule:
+    def test_snapped_sqrt_is_a_float_when_real_and_complex_otherwise(self):
+        assert type(_snapped_sqrt(4.0, 4.0)) is float and _snapped_sqrt(4.0, 4.0) == 2.0
+        assert type(_snapped_sqrt(-4.0, 4.0)) is complex and _snapped_sqrt(-4.0, 4.0) == 2j
+
+    def test_snapped_sqrt_takes_its_rounding_for_zero(self):
+        # 16 ulp of the scale by default: 1.1e-16 is inside that of 0.32, as the Swanson margin at beta_c is
+        assert _snapped_sqrt(-1.1e-16, 0.32) == 0.0 and type(_snapped_sqrt(-1.1e-16, 0.32)) is float
+        assert type(_snapped_sqrt(-1.1e-16, 0.01)) is complex
+        assert _snapped_sqrt(1e-12, 1.0, snap=1e-11) == 0.0
 
 
 class TestEnergyMap:
