@@ -100,13 +100,11 @@ def _load_library():
     ``--help``, ``verify --list`` and configuration errors, which compute nothing,
     do without them.
     """
-    global np, DeformationParams, GridFunction, MomentumGrid, QUADRATURE_NODES
-    global DisplacedOscillatorParams, SwansonParams, wavefunction, eigensolver, verify
+    global np, DeformationParams, DisplacedOscillatorParams, SwansonParams, wavefunction, eigensolver, verify
     import numpy as np
 
     from . import eigensolver, verify
-    from .algebra import DeformationParams, GridFunction, MomentumGrid
-    from .inner import QUADRATURE_NODES
+    from .algebra import DeformationParams
     from .models import DisplacedOscillatorParams, SwansonParams, wavefunction
 
 
@@ -175,13 +173,6 @@ def _emit(header, rows, cfg: RunConfig):
     _write(text + "\n", cfg)
 
 
-def _model_pieces(cfg: RunConfig):
-    """Params, their family and its coefficients."""
-    params = cfg.model_params()
-    family = params.family()
-    return params, family, family.coefficients()
-
-
 def _require_finite_box(cfg: RunConfig):
     """The numeric solves work on the q-box |q| < pi/(2 sqrt(beta)), which beta = 0 stretches to the whole line."""
     if not cfg.beta > 0:
@@ -196,14 +187,16 @@ _SPECTRUM_HEADER = ("n", "E_closed", "E_q", "E_p_re", "E_p_im", "err_q", "err_p"
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    params, family, coeffs = _model_pieces(cfg)
+    params = cfg.model_params()
+    family = params.family()
+    coeffs = family.coefficients()
     _require_finite_box(cfg)
     if cfg.levels > 0:
         eigensolver._collocation_size(cfg.levels, "q-box")  # refuses an unresolvable count before any level is built
     # E_closed and E_q are real columns, so complex levels would lose their imaginary part
     if complex(params.energy(0)).imag != 0:
         raise ComplexSpectrumError(
-            f"beta = {cfg.beta:g} is past the reality threshold beta_c = {params.beta_c():.6g}: the levels are "
+            f"beta = {cfg.beta!r} is past the reality threshold beta_c = {float(params.beta_c())!r}: the levels are "
             "complex-conjugate pairs; follow them with `sweep --numeric`"
         )
     e_closed = [complex(params.energy(n)).real for n in range(cfg.levels)]
@@ -335,60 +328,19 @@ _CHECK_NAMES = (
     "gram-identity",
     "ode-residual",
     "gamma-independence",
+    "closed-form-ladder",
 )
-
-
-def _is_hermitian(family) -> bool:
-    # sigma and ell are the two parts of the metric; both vanish exactly when H is Hermitian
-    return family.sigma == 0 and family.ell == 0
-
-
-def _battery(cfg: RunConfig):
-    """Run the full verification battery; yields (report, grid-descriptor)."""
-    params, family, coeffs = _model_pieces(cfg)
-    metric = family.metric()
-    deformation = cfg.deformation
-
-    comm_grid = MomentumGrid.symmetric(10.0, 4097)
-    phi = GridFunction.from_callable(comm_grid, lambda p: np.exp(-0.5 * p**2))
-    yield verify.commutator_report(deformation, phi), {"n_points": 4097, "p_max": 10.0}
-
-    samples = {"samples": verify.ODE_SAMPLES}
-    if _is_hermitian(family):
-        context = {"skipped": "H is Hermitian (sigma = ell = 0): there is no defect to detect"}
-        skipped = verify.ResidualReport("hermiticity-defect", 0.0, verify.TOLERANCES["hermiticity-defect"], context)
-        yield skipped, samples
-    else:
-        yield verify.hermiticity_defect_report(coeffs, deformation), samples
-
-    yield verify.pseudo_hermiticity_residual(coeffs, metric, deformation), samples
-
-    n_states = min(cfg.levels, 4) or 4
-    states = [wavefunction(k, params) for k in range(n_states)]
-    _, gram_report = verify.gram_matrix(states, metric, deformation)
-    yield gram_report, {"nodes": 2 * QUADRATURE_NODES - 1, "check_nodes": QUADRATURE_NODES - 1}
-
-    # a failing report, NaN included, outranks every passing one
-    residuals = [verify.ode_residual(psi, coeffs, psi.epsilon) for psi in states]
-    yield max(residuals, key=lambda r: (not r.passed, r.value)), samples
-
-    gamma_report = verify.gamma_independence(params, (0.0, cfg.beta / 2.0, cfg.beta), n_states)
-    yield gamma_report, {"collocation_points": gamma_report.context["collocation_points"]}
 
 
 def cmd_verify(cfg: RunConfig, list_only: bool) -> int:
     if list_only:
-        # _battery emits every check for every model, a skipped one included, so no model is built
+        # verify.battery emits every check for every model, a skipped one included, so no model is built
         _write("".join(name + "\n" for name in _CHECK_NAMES), cfg)
         return EXIT_OK
-    all_pass = True
-    lines = []
-    for report, grid_desc in _battery(cfg):
-        record = report.to_record(params=cfg.params_dict(), grid=grid_desc)
-        lines.append(json.dumps(record, sort_keys=True))
-        all_pass = all_pass and report.passed
-    _write("\n".join(lines) + "\n", cfg)
-    return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
+    params = cfg.model_params()  # first: it loads the library
+    reports = verify.battery(params, cfg.levels)
+    _write("".join(json.dumps(r.to_record(cfg.params_dict()), sort_keys=True) + "\n" for r in reports), cfg)
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
 
 
 # --------------------------------------------------------------------------

@@ -421,12 +421,10 @@ def energy(n: int, params) -> complex:
     return params.energy(n)
 
 
-def wavefunction(n: int, params, normalize: bool = True) -> Wavefunction:
-    """Canonical eigenfunction rho(p) * phi_n(q(p)), metric-normalized by default."""
+def wavefunction(n: int, params) -> Wavefunction:
+    """Canonical eigenfunction rho(p) * phi_n(q(p)), metric-normalized; ``GupFamily.wavefunction`` is unnormalized."""
     family = params.family()
     wave = family.wavefunction(n, params.energy(n))
-    if not normalize:
-        return wave
     norm2 = eta_inner(wave, wave, family.metric(), params.deformation).real
     if not np.isfinite(norm2) or norm2 <= 0:
         raise DivergenceError(f"eigenfunction has no finite positive metric norm (got {norm2})")

@@ -13,6 +13,10 @@ Expanding eta H psi = H^+ (eta psi) for every psi leaves one condition,
 (f mu eta)' + g mu eta = 0: the terms in h cancel, and the remaining
 psi-term is the derivative of that condition.  ``metric_identity_residual``
 evaluates it on the q-uniform sample of the ODE residual.
+
+``battery`` is the one place that decides what ``mlqm verify`` runs, at what
+resolution, and what it skips; each report carries its own grid descriptor
+in ``context["grid"]``, so a caller only writes the records.
 """
 
 import dataclasses
@@ -20,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DeformationParams, GridFunction, MomentumGrid
+from .algebra import DeformationParams, GridFunction, MomentumGrid, commutator_residual
 from .eigensolver import solve_p_space, theta_modes
 from .errors import ResolutionError
-from .inner import _fejer, eta_inner
+from .inner import QUADRATURE_NODES, _fejer, eta_inner
+from .models import wavefunction
 from .pct import CoefficientSet
 
 #: Single source of truth for every residual budget in the suite.
@@ -35,6 +40,7 @@ TOLERANCES = {
     "ode-residual": 1e-8,
     "gamma-independence": 1e-6,
     "spectrum-error": 1e-6,  # err_q and err_p of every `spectrum` row
+    "closed-form-ladder": 1e-10,  # published E_n against the family's ladder, relative to max(1, |E_n|)
 }
 
 HERMITICITY_DEFECT_FLOOR = 1e-2
@@ -49,8 +55,9 @@ PROJECTION_MODES = 8
 _SPURIOUS_EDGE_RATIO = 1e-4
 #: Fejer rule size on each of the three theta intervals of that share (127 nodes each).
 _SHARE_NODES = 128
-#: q-uniform sample count of the ODE residual and of the metric identity.
+#: q-uniform sample count of the ODE residual and of the metric identity, and their grid descriptor.
 ODE_SAMPLES = 1000
+_SAMPLE_GRID = {"samples": ODE_SAMPLES}
 
 
 @dataclass(frozen=True)
@@ -66,15 +73,15 @@ class ResidualReport:
     def passed(self) -> bool:
         return self.value <= self.tolerance
 
-    def to_record(self, params: dict, grid: dict) -> dict:
-        """JSON record; an exceed-check also carries the measured value and its floor, a skipped check its reason."""
+    def to_record(self, params: dict) -> dict:
+        """JSON record with the report's grid; an exceed-check adds the measured value and floor, a skip its reason."""
         record = {
             "name": self.name,
             "value": self.value,
             "tolerance": self.tolerance,
             "pass": bool(self.passed),
             "params": dict(params),
-            "grid": dict(grid),
+            "grid": dict(self.context.get("grid", {})),
         }
         if "floor" in self.context:
             record.update(measured=self.context["measured"], floor=self.context["floor"])
@@ -83,11 +90,11 @@ class ResidualReport:
         return record
 
 
-def _exceed_report(name: str, measured: float, floor: float) -> ResidualReport:
+def _exceed_report(name: str, measured: float, floor: float, **context) -> ResidualReport:
     """Phrase 'measured must exceed floor' as shortfall <= 0; a NaN measurement stays NaN and fails."""
     shortfall = floor - float(measured)
     value = 0.0 if shortfall <= 0 else shortfall
-    context = {"measured": float(measured), "floor": float(floor)}
+    context.update(measured=float(measured), floor=float(floor))
     return ResidualReport(name=name, value=value, tolerance=TOLERANCES[name], context=context)
 
 
@@ -160,13 +167,13 @@ def metric_identity_residual(coeffs: CoefficientSet, params: DeformationParams, 
 def hermiticity_defect_report(coeffs: CoefficientSet, params: DeformationParams) -> ResidualReport:
     """Exceed-check: the operator must be genuinely non-Hermitian, its identity residual at eta = 1 above 1e-2."""
     measured = metric_identity_residual(coeffs, params)
-    return _exceed_report("hermiticity-defect", measured, HERMITICITY_DEFECT_FLOOR)
+    return _exceed_report("hermiticity-defect", measured, HERMITICITY_DEFECT_FLOOR, grid=_SAMPLE_GRID)
 
 
 def pseudo_hermiticity_residual(coeffs: CoefficientSet, eta, params: DeformationParams) -> ResidualReport:
     """The identity residual of the metric eta; eta H = H^+ eta holds to 1e-6."""
     value = metric_identity_residual(coeffs, params, eta)
-    return ResidualReport(name="pseudo-hermiticity", value=value, tolerance=TOLERANCES["pseudo-hermiticity"])
+    return ResidualReport("pseudo-hermiticity", value, TOLERANCES["pseudo-hermiticity"], {"grid": _SAMPLE_GRID})
 
 
 def gram_matrix(states, eta, params: DeformationParams):
@@ -179,7 +186,8 @@ def gram_matrix(states, eta, params: DeformationParams):
             gram[i, j] = val
             gram[j, i] = np.conj(val)
     value = float(np.max(np.abs(gram - np.eye(k))))
-    report = ResidualReport(name="gram-identity", value=value, tolerance=TOLERANCES["gram-identity"])
+    grid = {"nodes": 2 * QUADRATURE_NODES - 1, "check_nodes": QUADRATURE_NODES - 1}
+    report = ResidualReport("gram-identity", value, TOLERANCES["gram-identity"], {"grid": grid})
     return gram, report
 
 
@@ -198,7 +206,7 @@ def ode_residual(psi, coeffs: CoefficientSet, epsilon: float) -> ResidualReport:
         - epsilon * vals
     )
     value = float(np.max(np.abs(resid)) / np.max(np.abs(vals)))
-    return ResidualReport(name="ode-residual", value=value, tolerance=TOLERANCES["ode-residual"])
+    return ResidualReport("ode-residual", value, TOLERANCES["ode-residual"], {"grid": _SAMPLE_GRID})
 
 
 def gamma_independence(params, gamma_values, n_levels: int) -> ResidualReport:
@@ -222,13 +230,55 @@ def gamma_independence(params, gamma_values, n_levels: int) -> ResidualReport:
         name="gamma-independence",
         value=value,
         tolerance=TOLERANCES["gamma-independence"],
-        context={"gamma_values": list(map(float, gamma_values)), "collocation_points": result.resolution},
+        context={"gamma_values": list(map(float, gamma_values)), "grid": {"collocation_points": result.resolution}},
     )
 
 
-def commutator_report(params: DeformationParams, phi: GridFunction) -> ResidualReport:
-    """Wrap the algebra-level commutator residual as a standard report."""
-    from .algebra import commutator_residual
+def commutator_report(params: DeformationParams) -> ResidualReport:
+    """The algebra-level commutator residual of a unit Gaussian on 4097 points of |p| <= 10."""
+    grid = MomentumGrid.symmetric(10.0, 4097)
+    value = commutator_residual(params, GridFunction.from_callable(grid, lambda p: np.exp(-0.5 * p**2)))
+    context = {"grid": {"n_points": grid.n_points, "p_max": grid.p_max}}
+    return ResidualReport("commutator-residual", value, TOLERANCES["commutator-residual"], context)
 
-    value = commutator_residual(params, phi)
-    return ResidualReport(name="commutator-residual", value=value, tolerance=TOLERANCES["commutator-residual"])
+
+def closed_form_ladder(params, family, n_levels: int) -> ResidualReport:
+    """Largest |E_n - E(eps_n)| / max(1, |E_n|) for n < n_levels: the published E_n against the family's ladder.
+
+    ``gram-identity`` and ``ode-residual`` check the family's eigenfunctions
+    against its own eps_n; only this record ties eps_n to the published E_n.
+    """
+    ladder = family.energy_map.energy(family.epsilon_levels()(np.arange(n_levels)))
+    published = np.array([complex(params.energy(n)) for n in range(n_levels)])
+    value = float(np.max(np.abs(published - ladder) / np.maximum(1.0, np.abs(published))))
+    grid = {"levels": n_levels}
+    return ResidualReport("closed-form-ladder", value, TOLERANCES["closed-form-ladder"], {"grid": grid})
+
+
+def battery(params, levels: int) -> list:
+    """The reports of ``mlqm verify`` at the model ``params``, in the order of ``cli._CHECK_NAMES``.
+
+    The family, coefficients, metric and min(levels, 4) states (4 at levels = 0) are built once; the
+    ladder covers n < max(levels, 4).  Checks are called through module globals, so a rebound name runs.
+    """
+    family = params.family()
+    coeffs = family.coefficients()
+    metric = family.metric()
+    deformation = params.deformation
+    reports = [commutator_report(deformation)]
+    if family.sigma == 0 and family.ell == 0:
+        skip = {"skipped": "H is Hermitian (sigma = ell = 0): there is no defect to detect", "grid": _SAMPLE_GRID}
+        reports.append(ResidualReport("hermiticity-defect", 0.0, TOLERANCES["hermiticity-defect"], skip))
+    else:
+        reports.append(hermiticity_defect_report(coeffs, deformation))
+    reports.append(pseudo_hermiticity_residual(coeffs, metric, deformation))
+    n_states = min(levels, 4) or 4
+    states = [wavefunction(k, params) for k in range(n_states)]
+    reports.append(gram_matrix(states, metric, deformation)[1])
+    # a failing report, NaN included, outranks every passing one
+    residuals = [ode_residual(psi, coeffs, psi.epsilon) for psi in states]
+    reports.append(max(residuals, key=lambda r: (not r.passed, r.value)))
+    reports.append(gamma_independence(params, (0.0, deformation.beta / 2.0, deformation.beta), n_states))
+    # after the states: past beta_c they refuse with ComplexSpectrumError, before the ladder's own refusal
+    reports.append(closed_form_ladder(params, family, max(levels, 4)))
+    return reports

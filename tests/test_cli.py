@@ -18,7 +18,7 @@ import pytest
 
 import mlqm
 from mlqm import cli, verify
-from mlqm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig, _battery, main
+from mlqm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig, main
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -302,8 +302,18 @@ class TestSpectrumPastThreshold:
         )
         assert code == EXIT_CONFIG and out == ""
         assert err == (
-            "configuration error: beta = 2.3 is past the reality threshold beta_c = 2: the levels are "
-            "complex-conjugate pairs; follow them with `sweep --numeric`\n"
+            "configuration error: beta = 2.3 is past the reality threshold beta_c = 1.9999999999999996: "
+            "the levels are complex-conjugate pairs; follow them with `sweep --numeric`\n"
+        )
+
+    def test_just_past_beta_c_the_refusal_reads_two_numbers(self, capsys):
+        # beta and beta_c are printed with repr: with :g both read 2 here
+        code, out, err = run(
+            capsys, "spectrum", "--model", "swanson", "--lambda", "0.2", "--delta", "0.2", "--beta", "2.00000000001",
+        )
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(
+            "configuration error: beta = 2.00000000001 is past the reality threshold beta_c = 1.9999999999999996: "
         )
 
     def test_beta_c_itself_is_the_real_ladder(self, capsys):
@@ -430,7 +440,7 @@ class TestVerify:
         _, out, _ = run(capsys, "verify", "--list")
         assert out.split() == [
             "commutator-residual", "hermiticity-defect", "pseudo-hermiticity",
-            "gram-identity", "ode-residual", "gamma-independence",
+            "gram-identity", "ode-residual", "gamma-independence", "closed-form-ladder",
         ]
         # lambda = delta makes the Swanson operator Hermitian: the defect check still emits its record, skipped
         hermitian = ("--model", "swanson", "--lambda", "0.2", "--delta", "0.2")
@@ -457,8 +467,25 @@ class TestVerify:
         monkeypatch.setattr(
             verify, "ode_residual", lambda *args: dataclasses.replace(ode_residual(*args), value=next(values))
         )
-        report = next(r for r, _ in _battery(RunConfig()) if r.name == "ode-residual")
+        report = next(r for r in verify.battery(RunConfig().model_params(), 4) if r.name == "ode-residual")
         assert np.isnan(report.value) and not report.passed
+
+    def test_ladder_off_the_published_energies_fails(self, capsys, monkeypatch):
+        # a shifted energy map leaves the eigenfunctions on their own ladder, and gamma-independence
+        # compares levels that all shift alike: only closed-form-ladder sees the published E_n
+        family = mlqm.DisplacedOscillatorParams.family
+
+        def shifted(params):
+            fam = family(params)
+            shift = dataclasses.replace(fam.energy_map, offset=fam.energy_map.offset + 1e-6)
+            return dataclasses.replace(fam, energy_map=shift)
+
+        monkeypatch.setattr(mlqm.DisplacedOscillatorParams, "family", shifted)
+        code, out, _ = run(capsys, "verify")
+        records = [json.loads(line) for line in out.strip().split("\n")]
+        assert code == EXIT_VERIFY_FAIL
+        assert [r["name"] for r in records if not r["pass"]] == ["closed-form-ladder"]
+        assert records[-1]["value"] == pytest.approx(5e-7, rel=1e-6)
 
     @pytest.mark.parametrize(
         "argv",

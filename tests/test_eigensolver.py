@@ -27,7 +27,7 @@ from mlqm import (
 )
 from mlqm import eigensolver
 from mlqm.eigensolver import theta_modes
-from mlqm.models import displaced_coefficients, swanson_coefficients, wavefunction
+from mlqm.models import displaced_coefficients, swanson_coefficients
 from mlqm.pct import _larger_root
 from mlqm.verify import PROJECTION_MODES, _low_mode_basis
 from oracles import (
@@ -470,7 +470,7 @@ class TestLowModes:
         p = np.linspace(-30.0, 30.0, 241)
         got = modes(np.sqrt(d.beta) * d.q_of_p(p))
         for n in range(PROJECTION_MODES):
-            want = wavefunction(n, params, normalize=False)(p)
+            want = params.family().wavefunction(n, params.energy(n))(p)
             scale = (want @ got[:, n]) / (want @ want)
             assert np.max(np.abs(got[:, n] - scale * want)) <= 1e-10 * np.max(np.abs(got[:, n]))
 

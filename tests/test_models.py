@@ -25,7 +25,7 @@ from mlqm import (
     swanson_transform,
     swanson_wavefunction,
 )
-from mlqm.models import displaced_coefficients, metric, swanson_coefficients, wavefunction
+from mlqm.models import displaced_coefficients, metric, swanson_coefficients
 from mlqm.verify import ode_residual
 from oracles import printed_metric, printed_wavefunction, quadrature_log_rho, quadrature_metric
 
@@ -317,7 +317,7 @@ def test_family_derivation_matches_published_closed_forms(params):
     for n in range(4):
         eps = float(levels(n))
         assert abs(family.energy_map.epsilon(params.energy(n)) - eps) <= 1e-10 * max(1.0, abs(eps))
-        psi = wavefunction(n, params, normalize=False)
+        psi = params.family().wavefunction(n, params.energy(n))
         assert ode_residual(psi, coeffs, psi.epsilon).value < 1e-8
 
 

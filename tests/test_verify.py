@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from mlqm import (
     DeformationParams,
@@ -21,7 +21,13 @@ from mlqm import (
     swanson_metric,
 )
 from mlqm.models import displaced_coefficients, swanson_coefficients, wavefunction
-from mlqm.verify import HERMITICITY_DEFECT_FLOOR, ResidualReport, _exceed_report, hermiticity_defect_report
+from mlqm.verify import (
+    HERMITICITY_DEFECT_FLOOR,
+    ResidualReport,
+    _exceed_report,
+    closed_form_ladder,
+    hermiticity_defect_report,
+)
 from oracles import _dense, adjoint_under_weight, fd_pseudo_hermiticity_residual, p_space_operator, similar
 from test_models import family_points
 
@@ -53,7 +59,7 @@ class TestResidualReport:
         assert not ResidualReport("x", 1e-3, 1e-6).passed
 
     def test_to_record_shape(self):
-        rec = ResidualReport("x", 0.5, 1.0).to_record(params={"beta": 0.1}, grid={"n": 10})
+        rec = ResidualReport("x", 0.5, 1.0, {"grid": {"n": 10}}).to_record(params={"beta": 0.1})
         assert rec == {
             "name": "x", "value": 0.5, "tolerance": 1.0, "pass": True,
             "params": {"beta": 0.1}, "grid": {"n": 10},
@@ -187,6 +193,15 @@ class TestOdeChecks:
         coeffs = params.family().coefficients()
         assert ode_residual(psi, coeffs, psi.epsilon).value < 1e-10
         assert ode_residual(psi, coeffs, psi.epsilon + 0.1).value > 1e-3
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(family_points())
+@example(SwansonParams(DeformationParams(1.0, 0.1, 0.0), m=2.0, lam=0.5))  # the Swanson CLI defaults at m = 2
+@example(SwansonParams(DeformationParams(1.0, 2.0, 0.0), lam=0.2, delta=0.2))  # exactly at beta_c = 2
+def test_closed_form_ladder_holds(params):
+    report = closed_form_ladder(params, params.family(), 8)
+    assert report.passed and report.context["grid"] == {"levels": 8}
 
 
 class TestGammaIndependence:
