@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import gc
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -348,6 +349,8 @@ def cmd_verify(cfg: RunConfig, list_only: bool) -> int:
 # --------------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser):
+    # a negative number is a flag's value, not an option; argparse's own pattern misses -1e-03, as repr writes it
+    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     for key, f in _SETTINGS.items():
         flag_type = str if f.type == str | None else f.type
         parser.add_argument(

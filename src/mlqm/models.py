@@ -5,8 +5,8 @@ eps psi with f = w^2, g = -2w(kappa p + ell) and
 h = a p^2 - 2 ell (gamma + sigma) p + c w, where w = 1 + beta p^2 and
 kappa = beta + gamma + sigma.  One GupFamily
 holds those numbers and derives everything else once: the point canonical
-transformation to a sec^2 potential on a finite box, the (A + n sqrt(beta))^2
-ladder, the metric that restores Hermiticity, and the Jacobi
+transformation to a sec^2 potential on a finite box, the beta (B + n)^2
+ladder of the wall exponent B, the metric that restores Hermiticity, and the Jacobi
 eigenfunctions.  Each params class maps itself onto the family and keeps
 its published closed-form energies and reality threshold, the oracles every
 derived quantity and solver is checked against.
@@ -176,15 +176,15 @@ def swanson_reality_margin(params: SwansonParams) -> float:
 
 @dataclass(frozen=True)
 class DerivedSpectralParams:
-    """Ladder constant A (a float, or complex past the reality threshold), sec^2 strength nu and additive offset."""
+    """Wall exponent B (a float, or complex past the reality threshold), sec^2 strength nu and additive offset."""
 
-    a_const: float | complex
+    wall_exponent: float | complex
     nu: float
     offset: float
 
     @property
     def is_real(self) -> bool:
-        return not isinstance(self.a_const, complex)
+        return not isinstance(self.wall_exponent, complex)
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +207,6 @@ class Wavefunction:
     a1: float
     a2: float
     alpha: float
-    energy: complex = np.nan
     epsilon: float = np.nan
     norm: float = 1.0
 
@@ -323,11 +322,10 @@ class GupFamily:
         return log_rho
 
     def spectral(self) -> DerivedSpectralParams:
-        """nu = (kappa (kappa - beta) + a + beta c)/beta, offset = ell^2 + kappa - beta + c - nu, and A = sqrt(beta) B.
+        """nu = (kappa (kappa - beta) + a + beta c)/beta, offset = ell^2 + kappa - beta + c - nu, wall exponent B.
 
-        B is the larger root of B^2 - B - nu/beta, the wall exponent that the q-box solve reads
-        from the potential; past the reality threshold 1 + 4 nu/beta < 0 and A is complex
-        (principal branch), so callers that need real bound states must check ``is_real``.
+        B is the larger root of B^2 - B - nu/beta, the exponent the q-box solve reads from the potential;
+        past the reality threshold 1 + 4 nu/beta < 0 and B is complex (principal branch).
         """
         d = self.deformation
         beta = d.beta
@@ -336,22 +334,23 @@ class GupFamily:
         tilt = d.gamma + self.sigma  # kappa - beta
         nu = (tilt * self.kappa + self.a + beta * self.c) / beta
         offset = self.ell**2 - nu + (tilt + self.c)
-        return DerivedSpectralParams(np.sqrt(beta) * _larger_root(1.0, -1.0, -nu / beta), nu, offset)
+        return DerivedSpectralParams(_larger_root(1.0, -1.0, -nu / beta), nu, offset)
 
     def transform(self) -> TransformedProblem:
         """Schrodinger form using the closed-form q-map."""
         return pct.transform(self.coefficients(), self.deformation)
 
     def epsilon_levels(self) -> Callable:
-        """n -> eps_n = (A + n sqrt(beta))^2 + offset: the sec^2 ladder plus the potential offset.
+        """n -> eps_n = beta (B + n)^2 + offset: the sec^2 ladder plus the potential offset.
 
-        A complex A (nu < -beta/4, fall to centre) has no real bound-state ladder and is refused.
+        The one refusal of a complex B (nu < -beta/4: past the reality threshold, or a fall to centre).
         """
         sp = self.spectral()
         if not sp.is_real:
-            raise UnsupportedRegimeError(f"nu={sp.nu} < -beta/4: no real bound-state ladder")
-        sqb = np.sqrt(self.deformation.beta)
-        return lambda n: (sp.a_const + np.asarray(n) * sqb) ** 2 + sp.offset
+            raise ComplexSpectrumError(
+                "beta is at or past the reality threshold; bound-state eigenfunctions are not real-parameter Jacobi forms"
+            )
+        return lambda n: self.deformation.beta * (sp.wall_exponent + np.asarray(n)) ** 2 + sp.offset
 
     def log_metric(self) -> Callable:
         """log eta = -(gamma/beta) * log(1 + beta p^2) - 2 log rho, the metric under which H is pseudo-Hermitian."""
@@ -371,29 +370,21 @@ class GupFamily:
         log_eta = self.log_metric()
         return lambda p: np.exp(log_eta(p))
 
-    def wavefunction(self, n: int, energy: complex) -> Wavefunction:
-        """Unnormalized eigenfunction with a1 = -ell and alpha = B - 1/2, B = A/sqrt(beta).
+    def wavefunction(self, n: int) -> Wavefunction:
+        """Unnormalized eigenfunction with a1 = -ell and alpha = B - 1/2, B the wall exponent.
 
         The canonical form rho(p) * phi_n(q(p)) has a2 = -(gamma + sigma)/(2 beta) - B/2.
-        Only defined below the reality threshold.
+        Its eps_n comes first, so past the reality threshold ``epsilon_levels`` refuses it.
         """
-        beta = self.deformation.beta
-        if beta <= 0:
-            raise DomainError("closed-form eigenfunctions require beta > 0")
-        sp = self.spectral()
-        if not sp.is_real:
-            raise ComplexSpectrumError(
-                "beta is at or past the reality threshold; bound-state eigenfunctions are not real-parameter Jacobi forms"
-            )
-        big_b = sp.a_const / np.sqrt(beta)
+        epsilon = float(self.epsilon_levels()(n))
+        beta, big_b = self.deformation.beta, self.spectral().wall_exponent
         return Wavefunction(
             n=n,
             beta=beta,
             a1=-self.ell,
             a2=-(self.deformation.gamma + self.sigma) / (2.0 * beta) - big_b / 2.0,
             alpha=big_b - 0.5,
-            energy=energy,
-            epsilon=float(self.epsilon_levels()(n)),
+            epsilon=epsilon,
         )
 
 
@@ -424,7 +415,7 @@ def energy(n: int, params) -> complex:
 def wavefunction(n: int, params) -> Wavefunction:
     """Canonical eigenfunction rho(p) * phi_n(q(p)), metric-normalized; ``GupFamily.wavefunction`` is unnormalized."""
     family = params.family()
-    wave = family.wavefunction(n, params.energy(n))
+    wave = family.wavefunction(n)
     norm2 = eta_inner(wave, wave, family.metric(), params.deformation).real
     if not np.isfinite(norm2) or norm2 <= 0:
         raise DivergenceError(f"eigenfunction has no finite positive metric norm (got {norm2})")

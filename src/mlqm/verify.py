@@ -12,7 +12,8 @@ under the measure mu is H^+ v = mu^-1 [-(f mu v)'' - (g mu v)' + h mu v].
 Expanding eta H psi = H^+ (eta psi) for every psi leaves one condition,
 (f mu eta)' + g mu eta = 0: the terms in h cancel, and the remaining
 psi-term is the derivative of that condition.  ``metric_identity_residual``
-evaluates it on the q-uniform sample of the ODE residual.
+evaluates it on the q-uniform sample of the ODE residual from log eta itself
+(``GupFamily.log_metric``), so a metric whose exponential overflows reads finite.
 
 ``battery`` is the one place that decides what ``mlqm verify`` runs, at what
 resolution, and what it skips; each report carries its own grid descriptor
@@ -141,24 +142,27 @@ def _q_uniform_samples(params: DeformationParams) -> np.ndarray:
     return params.p_of_q(q)
 
 
-def metric_identity_residual(coeffs: CoefficientSet, params: DeformationParams, eta=None) -> float:
+def metric_identity_residual(coeffs: CoefficientSet, params: DeformationParams, log_eta=None) -> float:
     """Relative residual of (f mu eta)' + g mu eta = 0, the pointwise form of eta H = H^+ eta.
 
     Returns max|(log f mu eta)' + g/f| / (max|(log f mu)'| + max|g/f|) on the
-    q-uniform sample; ``eta`` None is eta = 1, the Hermiticity of H itself.
+    q-uniform sample; ``log_eta`` None is eta = 1, the Hermiticity of H itself.
     The log-derivatives are centred differences with the step 1e-5 (1 + |p|)
-    that ``CoefficientSet`` validates its derivatives with.  An overflow or a
+    that ``CoefficientSet`` validates its derivatives with.  A NaN log eta or a
     non-positive weight reads NaN, which fails every check.
     """
     p = _q_uniform_samples(params)
     step = 1e-5 * (1.0 + np.abs(p))
 
+    def derivative(fn):
+        return (fn(p + step) - fn(p - step)) / (2.0 * step)
+
     def log_derivative(fn):
-        return (np.log(fn(p + step)) - np.log(fn(p - step))) / (2.0 * step)
+        return derivative(lambda x: np.log(fn(x)))
 
     with np.errstate(all="ignore"):
         d_f_mu = log_derivative(coeffs.f) + log_derivative(params.measure_weight)
-        d_eta = 0.0 if eta is None else log_derivative(eta)
+        d_eta = 0.0 if log_eta is None else derivative(log_eta)
         drift = np.asarray(coeffs.g(p), dtype=float) / np.asarray(coeffs.f(p), dtype=float)
         value = np.max(np.abs(d_f_mu + d_eta + drift)) / (np.max(np.abs(d_f_mu)) + np.max(np.abs(drift)))
     return float(value)
@@ -170,9 +174,9 @@ def hermiticity_defect_report(coeffs: CoefficientSet, params: DeformationParams)
     return _exceed_report("hermiticity-defect", measured, HERMITICITY_DEFECT_FLOOR, grid=_SAMPLE_GRID)
 
 
-def pseudo_hermiticity_residual(coeffs: CoefficientSet, eta, params: DeformationParams) -> ResidualReport:
-    """The identity residual of the metric eta; eta H = H^+ eta holds to 1e-6."""
-    value = metric_identity_residual(coeffs, params, eta)
+def pseudo_hermiticity_residual(coeffs: CoefficientSet, log_eta, params: DeformationParams) -> ResidualReport:
+    """The identity residual of the metric exp(log_eta); eta H = H^+ eta holds to 1e-6."""
+    value = metric_identity_residual(coeffs, params, log_eta)
     return ResidualReport("pseudo-hermiticity", value, TOLERANCES["pseudo-hermiticity"], {"grid": _SAMPLE_GRID})
 
 
@@ -271,7 +275,7 @@ def battery(params, levels: int) -> list:
         reports.append(ResidualReport("hermiticity-defect", 0.0, TOLERANCES["hermiticity-defect"], skip))
     else:
         reports.append(hermiticity_defect_report(coeffs, deformation))
-    reports.append(pseudo_hermiticity_residual(coeffs, metric, deformation))
+    reports.append(pseudo_hermiticity_residual(coeffs, family.log_metric(), deformation))
     n_states = min(levels, 4) or 4
     states = [wavefunction(k, params) for k in range(n_states)]
     reports.append(gram_matrix(states, metric, deformation)[1])
@@ -279,6 +283,5 @@ def battery(params, levels: int) -> list:
     residuals = [ode_residual(psi, coeffs, psi.epsilon) for psi in states]
     reports.append(max(residuals, key=lambda r: (not r.passed, r.value)))
     reports.append(gamma_independence(params, (0.0, deformation.beta / 2.0, deformation.beta), n_states))
-    # after the states: past beta_c they refuse with ComplexSpectrumError, before the ladder's own refusal
     reports.append(closed_form_ladder(params, family, max(levels, 4)))
     return reports

@@ -218,8 +218,8 @@ class PrintedWavefunction(Wavefunction):
         ) / w**3
 
 
-def printed_wavefunction(family, n, energy) -> PrintedWavefunction:
-    """The published form of ``family.wavefunction(n, energy)``: the power of 1+beta*p^2 carries the full -B."""
-    wave = family.wavefunction(n, energy)
+def printed_wavefunction(family, n) -> PrintedWavefunction:
+    """The published form of ``family.wavefunction(n)``: the power of 1+beta*p^2 carries the full -B."""
+    wave = family.wavefunction(n)
     big_b = wave.alpha + 0.5
     return PrintedWavefunction(**{**vars(wave), "a2": wave.a2 - big_b / 2.0})

@@ -136,11 +136,11 @@ def test_criterion_4_pseudo_hermiticity():
     budget, t0 = 30.0, time.perf_counter()
     d_params = displaced_params()
     d_coeffs = displaced_coefficients(d_params)
-    res_d = pseudo_hermiticity_residual(d_coeffs, displaced_metric(d_params), d_params.deformation).value
+    res_d = pseudo_hermiticity_residual(d_coeffs, d_params.family().log_metric(), d_params.deformation).value
 
     s_params = swanson_params()
     res_s = pseudo_hermiticity_residual(
-        swanson_coefficients(s_params), swanson_metric(s_params), s_params.deformation
+        swanson_coefficients(s_params), s_params.family().log_metric(), s_params.deformation
     ).value
 
     # non-Hermiticity (the identity residual at eta = 1): the criterion-2 Swanson

@@ -666,6 +666,36 @@ class TestConfigResolution:
         assert set(actions) == set(flags) | {"--config", "-h", "--help"} | self.OWN_FLAGS[command]
         assert {flag: actions[flag].dest for flag in flags} == flags
 
+    #: (command, flag) of every flag that takes a float: the float settings, and the sweep's range
+    FLOAT_FLAGS = [("spectrum", "--" + key) for key, f in cli._SETTINGS.items() if f.type is float]
+    FLOAT_FLAGS += [("sweep", "--from"), ("sweep", "--to")]
+
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS, ids=[flag for _, flag in FLOAT_FLAGS])
+    def test_negative_exponent_notation_is_a_value(self, capsys, command, flag):
+        # repr writes small negative floats in exponent notation; -1e-3 as its own token is the flag's value
+        argv = [command, flag, "-1e-3", "--levels", "1"]
+        if command == "sweep":
+            argv += ["--param", "lambda", "--steps", "2", "--to" if flag == "--from" else "--from", "0.1"]
+        args = cli.build_parser().parse_args(argv)
+        if command == "sweep":
+            assert (args.start if flag == "--from" else args.stop) == -1e-3
+        else:
+            assert getattr(cli._resolve_config(args), cli._SETTINGS[flag[2:]].name) == -1e-3
+        code, _, err = run(capsys, *argv)
+        if flag in ("--hbar", "--beta", "--mass", "--omega"):
+            assert code == EXIT_CONFIG and err.startswith("configuration error: ") and "got -0.001\n" in err
+        else:
+            assert (code, err) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize("spelling", [["--lambda", "-1e-3"], ["--lambda=-1e-3"], ["--lambda", "-0.001"],
+                                          ["--lambda", "-1E-03"], ["--lambda", "-.1e-2"]])
+    def test_negative_value_spellings_agree(self, spelling):
+        assert cli._resolve_config(cli.build_parser().parse_args(["spectrum", *spelling])).lam == -1e-3
+
+    def test_malformed_negative_value_is_an_option(self, capsys):
+        assert main(["spectrum", "--lambda", "-1e-3x"]) == EXIT_CONFIG
+        assert "argument --lambda: expected one argument" in capsys.readouterr().err
+
     #: one setting per field annotation, with a value other than its default
     REPRESENTATIVES = {"model": "swanson", "lambda": 0.25, "levels": 3, "output": "out.csv"}
 

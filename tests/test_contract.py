@@ -60,8 +60,8 @@ def spectrum_points(draw):
 
 def _spectrum(p: dict):
     argv = ["spectrum", "--model", p["model"], "--levels", str(p["levels"])]
-    # --key=value: argparse reads a negative number in exponent notation, -6e-08, as an option
-    argv += [f"--{key}={p[key]!r}" for key in ("hbar", "mass", "beta", "gamma", "omega", "lambda", "delta")]
+    for key in ("hbar", "mass", "beta", "gamma", "omega", "lambda", "delta"):
+        argv += [f"--{key}", repr(p[key])]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

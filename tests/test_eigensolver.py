@@ -281,9 +281,9 @@ def branch_points(draw, lo=0.6, hi=1.4):
 
 
 def closed_form_eps(params, n_levels):
-    """The n_levels lowest closed-form eps_n = (A + n sqrt(beta))^2 + offset, merged with their conjugates past beta_c."""
+    """The n_levels lowest closed-form eps_n = beta (B + n)^2 + offset, merged with their conjugates past beta_c."""
     sp = params.family().spectral()
-    eps = (sp.a_const + np.arange(n_levels) * np.sqrt(params.deformation.beta)) ** 2 + sp.offset
+    eps = params.deformation.beta * (sp.wall_exponent + np.arange(n_levels)) ** 2 + sp.offset
     if np.isrealobj(eps):
         return eps
     eps = np.concatenate([eps, np.conj(eps)])
@@ -357,7 +357,7 @@ def test_perturbed_potential_converges(params):
 def test_perturbed_potential_matches_the_fd_oracle(params):
     problem = perturbed(params)
     got = np.array(solve_q_space(problem, 4).eigenvalues)
-    wall_b = params.family().spectral().a_const / np.sqrt(params.deformation.beta)
+    wall_b = params.family().spectral().wall_exponent
     want = fd_q_box_levels(problem, wall_b, 4)
     assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
@@ -380,11 +380,11 @@ def test_wall_exponent_read_from_the_potential(params):
     beta, sp = params.deformation.beta, params.family().spectral()
     got = eigensolver._indicial_root(problem)
     if abs(1.0 + 4.0 * sp.nu / beta) <= 1e-8:
-        # at beta_c the oracle A/sqrt(beta) is the square root of a rounding-level discriminant,
+        # at beta_c the oracle B is the square root of a rounding-level discriminant,
         # 1.4-2.1e-8 off the double root B = 1/2 that the fit snaps to; nu = beta B (B - 1) is not
         assert abs(beta * got * (got - 1.0) - sp.nu) <= 1e-12 * (abs(sp.nu) + beta)
     else:
-        want = sp.a_const / np.sqrt(beta)
+        want = sp.wall_exponent
         assert abs(got - want) <= 1e-9 * abs(want)
 
 
@@ -470,7 +470,7 @@ class TestLowModes:
         p = np.linspace(-30.0, 30.0, 241)
         got = modes(np.sqrt(d.beta) * d.q_of_p(p))
         for n in range(PROJECTION_MODES):
-            want = params.family().wavefunction(n, params.energy(n))(p)
+            want = params.family().wavefunction(n)(p)
             scale = (want @ got[:, n]) / (want @ want)
             assert np.max(np.abs(got[:, n] - scale * want)) <= 1e-10 * np.max(np.abs(got[:, n]))
 

@@ -28,6 +28,7 @@ from mlqm import (
 from mlqm.models import displaced_coefficients, metric, swanson_coefficients
 from mlqm.verify import ode_residual
 from oracles import printed_metric, printed_wavefunction, quadrature_log_rho, quadrature_metric
+from test_pct import hermitian_family
 
 
 def displaced_default(beta=0.1, gamma=0.0, lam=0.5):
@@ -144,8 +145,8 @@ class TestSwansonSpectrum:
         assert not swanson_default(beta=2.1).family().spectral().is_real
 
     def test_ladder_refused_without_real_a(self):
-        # past beta_c, nu < -beta/4 (fall to centre) makes A complex; at beta = 0 there is no sec^2 box
-        with pytest.raises(UnsupportedRegimeError):
+        # past beta_c, nu < -beta/4 (fall to centre) makes B complex; at beta = 0 there is no sec^2 box
+        with pytest.raises(ComplexSpectrumError):
             swanson_default(beta=2.1).family().epsilon_levels()
         with pytest.raises(DomainError):
             swanson_default(beta=0.0).family().epsilon_levels()
@@ -253,14 +254,23 @@ class TestWavefunctions:
         with pytest.raises(ComplexSpectrumError):
             swanson_wavefunction(0, swanson_default(beta=2.1))
 
+    def test_eigenfunction_reads_no_published_energy(self, monkeypatch):
+        def published(self, n):
+            raise AssertionError("the published E_n was read")
+
+        monkeypatch.setattr(SwansonParams, "energy", published)
+        params = swanson_default(lam=0.3, delta=0.1)
+        psi = swanson_wavefunction(2, params)
+        assert ode_residual(psi, swanson_coefficients(params), psi.epsilon).value < 1e-10
+
     def test_printed_forms_do_not_satisfy_the_ode(self):
         # the published closed forms leave an O(1) residual; the canonical
         # forms above are the solutions
         params = displaced_default()
-        psi = printed_wavefunction(params.family(), 0, params.energy(0))
+        psi = printed_wavefunction(params.family(), 0)
         assert ode_residual(psi, displaced_coefficients(params), psi.epsilon).value > 0.1
         s_params = swanson_default(lam=0.3, delta=0.1)
-        phi = printed_wavefunction(s_params.family(), 0, s_params.energy(0))
+        phi = printed_wavefunction(s_params.family(), 0)
         assert ode_residual(phi, swanson_coefficients(s_params), phi.epsilon).value > 0.1
 
     def test_ground_state_has_no_nodes(self):
@@ -272,6 +282,28 @@ class TestWavefunctions:
         psi = displaced_wavefunction(1, displaced_default())
         vals = np.real(psi(np.linspace(-8, 8, 400)))
         assert np.sum(np.abs(np.diff(np.sign(vals))) > 0) == 1
+
+
+class TestOneRefusal:
+    """``epsilon_levels`` alone refuses a complex wall exponent; the eigenfunction builds eps_n first."""
+
+    @pytest.mark.parametrize("family", [swanson_default(beta=2.1).family(), hermitian_family(-0.2, 0.5)],
+                             ids=["past-beta-c", "fall-to-centre"])
+    def test_ladder_and_eigenfunction_refuse_alike(self, family):
+        with pytest.raises(ComplexSpectrumError) as ladder:
+            family.epsilon_levels()
+        with pytest.raises(ComplexSpectrumError) as state:
+            family.wavefunction(0)
+        assert type(state.value) is type(ladder.value) and str(state.value) == str(ladder.value)
+
+    def test_real_ladder_at_beta_c(self):
+        # lambda = delta = 0.2: beta_c = 2 exactly, where B = 1/2 is a double root
+        family = swanson_default(beta=2.0).family()
+        levels = family.epsilon_levels()(np.arange(4))
+        assert np.isrealobj(levels)
+        assert np.allclose(family.energy_map.energy(levels), [0.3, 1.5, 3.9, 7.5], rtol=1e-14)
+        states = [family.wavefunction(n) for n in range(4)]
+        assert [psi.epsilon for psi in states] == list(levels) and states[0].alpha == 0.0
 
 
 @st.composite
@@ -317,7 +349,7 @@ def test_family_derivation_matches_published_closed_forms(params):
     for n in range(4):
         eps = float(levels(n))
         assert abs(family.energy_map.epsilon(params.energy(n)) - eps) <= 1e-10 * max(1.0, abs(eps))
-        psi = params.family().wavefunction(n, params.energy(n))
+        psi = params.family().wavefunction(n)
         assert ode_residual(psi, coeffs, psi.epsilon).value < 1e-8
 
 

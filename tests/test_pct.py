@@ -5,6 +5,7 @@ import pytest
 
 from mlqm import (
     CoefficientSet,
+    ComplexSpectrumError,
     DeformationParams,
     DisplacedOscillatorParams,
     DomainError,
@@ -12,7 +13,6 @@ from mlqm import (
     EnergyMap,
     GupFamily,
     SwansonParams,
-    UnsupportedRegimeError,
     build_potential,
     transform,
 )
@@ -171,8 +171,8 @@ def hermitian_family(nu, beta):
 
 class TestSecantSquaredLevels:
     def test_fall_to_center_rejected(self):
-        # nu < -beta/4 makes A complex: no real bound-state ladder
-        with pytest.raises(UnsupportedRegimeError):
+        # nu < -beta/4 makes B complex: no real bound-state ladder
+        with pytest.raises(ComplexSpectrumError):
             hermitian_family(-0.2, 0.5).epsilon_levels()
 
     def test_beta_must_be_positive(self):

@@ -134,24 +134,45 @@ class TestHermiticityDefect:
 class TestPseudoHermiticity:
     def test_correct_metric_residual_is_tiny(self):
         params = displaced_default()
-        report = pseudo_hermiticity_residual(displaced_coefficients(params), displaced_metric(params),
+        report = pseudo_hermiticity_residual(displaced_coefficients(params), params.family().log_metric(),
                                              params.deformation)
         assert report.value < 1e-8 and report.passed
 
     def test_swanson_metric_residual_is_tiny(self):
         params = swanson_default()
-        report = pseudo_hermiticity_residual(swanson_coefficients(params), swanson_metric(params), params.deformation)
+        report = pseudo_hermiticity_residual(swanson_coefficients(params), params.family().log_metric(),
+                                             params.deformation)
         assert report.value < 1e-8 and report.passed
 
     @DISCRIMINATION_POINTS
     def test_wrong_metric_is_discriminated(self, params, other):
         coeffs = params.family().coefficients()
-        assert metric_identity_residual(coeffs, params.deformation, other.family().metric()) > 0.1
+        assert metric_identity_residual(coeffs, params.deformation, other.family().log_metric()) > 0.1
 
-    def test_overflowing_metric_reads_nan_and_fails(self):
+    def test_overflowing_metric_is_judged_from_its_log(self):
+        # exp(log eta) overflows to inf for both, yet the identity reads log eta itself: the right
+        # metric times e^1000 passes, and the wrong metric e^(1000 p^2) fails with a finite residual
         params = displaced_default()
-        huge = lambda p: np.exp(1e3 * np.asarray(p, dtype=float) ** 2)
-        report = pseudo_hermiticity_residual(displaced_coefficients(params), huge, params.deformation)
+        coeffs, log_eta = displaced_coefficients(params), params.family().log_metric()
+        scaled = pseudo_hermiticity_residual(coeffs, lambda p: log_eta(p) + 1e3, params.deformation)
+        assert scaled.passed
+        wrong = pseudo_hermiticity_residual(coeffs, lambda p: 1e3 * np.asarray(p, dtype=float) ** 2,
+                                            params.deformation)
+        assert np.isfinite(wrong.value) and not wrong.passed
+
+    def test_identity_is_finite_where_eta_overflows(self):
+        # at omega = 0.05 log eta reaches 1985 on the sample, so eta = exp(log eta) is inf there
+        params = DisplacedOscillatorParams(DeformationParams(1.0, 0.1, 0.0), omega=0.05, lam=0.5)
+        family, d = params.family(), params.deformation
+        with np.errstate(over="ignore"):
+            assert np.isinf(family.metric()(d.p_of_q(0.99 * d.q_half)))
+        value = metric_identity_residual(family.coefficients(), params.deformation, family.log_metric())
+        assert np.isfinite(value) and value <= 1e-6
+
+    def test_nan_log_metric_reads_nan_and_fails(self):
+        params = displaced_default()
+        nan = lambda p: np.full(np.shape(p), np.nan)
+        report = pseudo_hermiticity_residual(displaced_coefficients(params), nan, params.deformation)
         assert np.isnan(report.value) and not report.passed
 
 
@@ -162,10 +183,10 @@ def test_identity_holds_for_the_metric_and_fails_for_a_perturbed_one(params):
     # and a metric off by a factor w^1e-4 or e^(1e-4 q) does not
     d = params.deformation
     coeffs = params.family().coefficients()
-    eta = params.family().metric()
-    assert metric_identity_residual(coeffs, d, eta) <= 1e-8
-    off_power = lambda p: eta(p) * (1.0 + d.beta * np.asarray(p, dtype=float) ** 2) ** 1e-4
-    off_arctan = lambda p: eta(p) * np.exp(1e-4 * d.q_of_p(p))
+    log_eta = params.family().log_metric()
+    assert metric_identity_residual(coeffs, d, log_eta) <= 1e-8
+    off_power = lambda p: log_eta(p) + 1e-4 * np.log1p(d.beta * np.asarray(p, dtype=float) ** 2)
+    off_arctan = lambda p: log_eta(p) + 1e-4 * d.q_of_p(p)
     assert metric_identity_residual(coeffs, d, off_power) > 1e-6
     assert metric_identity_residual(coeffs, d, off_arctan) > 1e-6
 
@@ -246,4 +267,4 @@ def test_fd_residual_converges_to_the_identity():
     fd = [fd_pseudo_hermiticity_residual(coeffs, eta, params.deformation, MomentumGrid.symmetric(30.0, n))
           for n in (1200, 2400, 4800)]
     assert fd[0] > 6.0 * fd[1] > 36.0 * fd[2]
-    assert metric_identity_residual(coeffs, params.deformation, eta) < 1e-3 * fd[2]
+    assert metric_identity_residual(coeffs, params.deformation, params.family().log_metric()) < 1e-3 * fd[2]
