@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidGridError
+from .errors import InvalidGridError
 
 
 @dataclass(frozen=True)
@@ -206,57 +206,3 @@ def commutator_residual(params: DeformationParams, phi: GridFunction) -> float:
     den = np.linalg.norm(phi.values[sl])
     return float(num / den)
 
-
-@dataclass(frozen=True)
-class UncertaintyReport:
-    """Both sides of the generalized uncertainty relation for one state."""
-
-    delta_x: float
-    delta_p: float
-    lhs: float  # delta_x * delta_p
-    rhs: float  # hbar/2 * (1 + beta*delta_p^2)
-    min_length: float  # hbar*sqrt(beta)
-    mean_x: float
-    mean_p: float
-
-
-def uncertainty_check(params: DeformationParams, phi: GridFunction) -> UncertaintyReport:
-    """Evaluate <x>, <x^2>, <p>, <p^2> under the deformed measure and report.
-
-    Intended for states with finite norm under the Eq.-(4)-type weight; the
-    grid must be wide enough that phi has decayed at the edges.
-    """
-    p = phi.grid.points
-    w = params.measure_weight(p) * phi.grid.spacing
-    # trapezoid endpoint halving
-    w = w.copy()
-    w[0] *= 0.5
-    w[-1] *= 0.5
-
-    def inner(u: np.ndarray, v: np.ndarray) -> complex:
-        return complex(np.sum(w * np.conj(u) * v))
-
-    norm2 = inner(phi.values, phi.values).real
-    if not np.isfinite(norm2) or norm2 <= 0:
-        raise DivergenceError("state has no finite positive norm under the deformed measure")
-    edge = max(abs(phi.values[0]), abs(phi.values[-1]))
-    if edge > 1e-6 * np.abs(phi.values).max():
-        raise DivergenceError("state has not decayed at the grid edges; expectation values unreliable")
-
-    xphi = apply_position(params, phi)
-    xxphi = apply_position(params, xphi)
-    ex = inner(phi.values, xphi.values).real / norm2
-    ex2 = inner(phi.values, xxphi.values).real / norm2
-    ep = inner(phi.values, p * phi.values).real / norm2
-    ep2 = inner(phi.values, p**2 * phi.values).real / norm2
-    dx = float(np.sqrt(max(ex2 - ex**2, 0.0)))
-    dp = float(np.sqrt(max(ep2 - ep**2, 0.0)))
-    return UncertaintyReport(
-        delta_x=dx,
-        delta_p=dp,
-        lhs=dx * dp,
-        rhs=0.5 * params.hbar * (1.0 + params.beta * dp**2),
-        min_length=params.min_length,
-        mean_x=float(ex),
-        mean_p=float(ep),
-    )

@@ -51,8 +51,8 @@ class RunConfig:
     its default is the default, its annotation types the flag and casts a
     config-file value, and its name is the config key and, with ``-`` for
     ``_``, the flag.  Field metadata may add a ``key`` (``lam`` is spelled
-    ``lambda``), the flag's ``help``, and the ``choices`` that flags and
-    config files are both checked against.
+    ``lambda``) and the ``choices`` that flags and config files are both
+    checked against.
     """
 
     model: str = field(default="displaced", metadata={"choices": MODELS})
@@ -174,6 +174,12 @@ def _emit(header, rows, cfg: RunConfig):
     _write(text + "\n", cfg)
 
 
+def _require_level_cap(levels: int):
+    """Refuse more levels than any solve returns, ``eigensolver._MAX_LEVELS``, before one is built."""
+    if levels > eigensolver._MAX_LEVELS:
+        raise DomainError(f"need levels <= {eigensolver._MAX_LEVELS}, got {levels}")
+
+
 def _require_finite_box(cfg: RunConfig):
     """The numeric solves work on the q-box |q| < pi/(2 sqrt(beta)), which beta = 0 stretches to the whole line."""
     if not cfg.beta > 0:
@@ -248,7 +254,7 @@ def _gate(errors, what) -> int:
 # --------------------------------------------------------------------------
 
 _SWEEP_PARAMS = ("beta", "lambda", "delta", "omega")
-#: Most rows one sweep may ask for; the table is built in memory before it is written.
+#: Most rows of a sweep or a wavefunction table, which is built in memory before it is written.
 _MAX_SWEEP_STEPS = 100_000
 
 
@@ -286,6 +292,8 @@ def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, steps: int,
     if start == stop:
         raise DomainError("constant sweep (from == to) rejected")
     _load_library()
+    if not numeric:  # the numeric solve refuses its own count
+        _require_level_cap(cfg.levels)
     rows, row_errors = zip(*(_sweep_row(cfg, param, float(v), numeric) for v in np.linspace(start, stop, steps)))
     header = [param] + [f"E{n}_{part}" for n in range(cfg.levels) for part in ("re", "im")] + ["beta_c"]
     _emit(header, list(rows), cfg)
@@ -303,9 +311,11 @@ _WAVEFUNCTION_HEADER = ("p", "re_psi", "im_psi", "eta", "q")
 def cmd_wavefunction(cfg: RunConfig, n: int, samples: int) -> int:
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    if samples < 2:
-        raise DomainError(f"need samples >= 2, got {samples}")
+    if not 2 <= samples <= _MAX_SWEEP_STEPS:
+        raise DomainError(f"need 2 <= samples <= {_MAX_SWEEP_STEPS}, got {samples}")
     params = cfg.model_params()
+    if n >= eigensolver._MAX_LEVELS:
+        raise DomainError(f"need n < {eigensolver._MAX_LEVELS}, got {n}")
     psi = wavefunction(n, params)
     eta = params.family().metric()
     d = params.deformation
@@ -339,6 +349,7 @@ def cmd_verify(cfg: RunConfig, list_only: bool) -> int:
         _write("".join(name + "\n" for name in _CHECK_NAMES), cfg)
         return EXIT_OK
     params = cfg.model_params()  # first: it loads the library
+    _require_level_cap(cfg.levels)
     reports = verify.battery(params, cfg.levels)
     _write("".join(json.dumps(r.to_record(cfg.params_dict()), sort_keys=True) + "\n" for r in reports), cfg)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL
@@ -354,8 +365,7 @@ def _add_common(parser: argparse.ArgumentParser):
     for key, f in _SETTINGS.items():
         flag_type = str if f.type == str | None else f.type
         parser.add_argument(
-            "--" + key.replace("_", "-"), dest=f.name, type=flag_type,
-            choices=f.metadata.get("choices"), help=f.metadata.get("help"),
+            "--" + key.replace("_", "-"), dest=f.name, type=flag_type, choices=f.metadata.get("choices")
         )
     parser.add_argument("--config", help="JSON config file; flags override its values")
 

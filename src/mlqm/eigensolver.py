@@ -37,10 +37,6 @@ class SpectrumResult:
         return np.array([e.real for e in self.eigenvalues])
 
     @property
-    def imag_parts(self) -> np.ndarray:
-        return np.array([e.imag for e in self.eigenvalues])
-
-    @property
     def has_conjugate_pair(self) -> bool:
         return any(e.imag != 0 for e in self.eigenvalues)
 

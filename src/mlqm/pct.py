@@ -60,9 +60,6 @@ class EnergyMap:
         if self.scale == 0:
             raise ValueError("energy map must be invertible (scale != 0)")
 
-    def epsilon(self, energy):
-        return self.scale * energy + self.offset
-
     def energy(self, epsilon):
         return (epsilon - self.offset) / self.scale
 
@@ -99,11 +96,6 @@ class CoefficientSet:
             rel = np.abs(fd - an) / scale
             if not rel.max() <= 1e-6:
                 raise ValueError(f"supplied {label} disagrees with finite differences (max rel {rel.max():.2e})")
-
-    def chi(self, p):
-        """Similarity-factor integrand (f' + 2g)/(4f)."""
-        p = np.asarray(p, dtype=float)
-        return (self.df(p) + 2.0 * self.g(p)) / (4.0 * self.f(p))
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ def ode_residual(psi, coeffs: CoefficientSet, epsilon: float) -> ResidualReport:
     return ResidualReport("ode-residual", value, TOLERANCES["ode-residual"], {"grid": _SAMPLE_GRID})
 
 
-def gamma_independence(params, gamma_values, n_levels: int) -> ResidualReport:
+def gamma_independence(params, gammas, n_levels: int) -> ResidualReport:
     """Spread of numeric p-space E_n across gamma values, relative to |E_n|.
 
     The closed-form spectra contain no gamma; the p-space solver sees gamma
@@ -221,7 +221,7 @@ def gamma_independence(params, gamma_values, n_levels: int) -> ResidualReport:
     not a tautology.
     """
     energies = []
-    for gamma in gamma_values:
+    for gamma in gammas:
         deformation = dataclasses.replace(params.deformation, gamma=gamma)
         coeffs = dataclasses.replace(params, deformation=deformation).family().coefficients()
         result = solve_p_space(coeffs, deformation, n_levels)
@@ -230,12 +230,8 @@ def gamma_independence(params, gamma_values, n_levels: int) -> ResidualReport:
     spread = energies.max(axis=0) - energies.min(axis=0)
     scale = np.maximum(1.0, np.abs(energies).max(axis=0))
     value = float(np.max(spread / scale))
-    return ResidualReport(
-        name="gamma-independence",
-        value=value,
-        tolerance=TOLERANCES["gamma-independence"],
-        context={"gamma_values": list(map(float, gamma_values)), "grid": {"collocation_points": result.resolution}},
-    )
+    grid = {"collocation_points": result.resolution}
+    return ResidualReport("gamma-independence", value, TOLERANCES["gamma-independence"], {"grid": grid})
 
 
 def commutator_report(params: DeformationParams) -> ResidualReport:

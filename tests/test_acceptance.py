@@ -32,7 +32,6 @@ from mlqm import (
     swanson_metric,
     swanson_transform,
     swanson_wavefunction,
-    uncertainty_check,
 )
 from mlqm.models import displaced_coefficients, swanson_coefficients
 from mlqm.verify import hermiticity_defect_report, ode_residual, pseudo_hermiticity_residual
@@ -105,7 +104,7 @@ def test_criterion_3_reality_transition():
 
     below = branch(1.9)
     scale = max(1.0, float(np.max(np.abs(below.real_parts))))
-    im_below = float(np.max(np.abs(below.imag_parts)))
+    im_below = float(np.max(np.abs(np.imag(below.eigenvalues))))
     above = branch(2.1)
 
     lo, hi = 1.9, 2.1
@@ -244,20 +243,34 @@ def test_criterion_8_limits_and_algebra():
 
     ratio = resid(2001) / resid(4001)
 
-    # (c) GUP for the Hermitian (lam = 0) deformed ground state
-    params = displaced_params(lam=0.0)
-    psi = displaced_wavefunction(0, params)
-    grid = MomentumGrid.symmetric(30.0, 4001)
-    phi = GridFunction(grid, np.asarray(psi(grid.points), dtype=complex))
-    rep = uncertainty_check(params.deformation, phi)
-    gup_ok = rep.lhs >= rep.rhs * (1.0 - 1e-6)  # the ground state saturates the bound
-    min_len_ok = rep.delta_x >= np.sqrt(0.1)
+    # (c) GUP dx dp >= hbar/2 (1 + beta dp^2) and dx >= hbar sqrt(beta) on closed-form states n = 0, 1, 2,
+    # with x psi = i hbar ((1 + beta p^2) psi' + gamma p psi) and the library's quadrature under the measure
+    def uncertainty(params, n):
+        d, psi = params.deformation, params.family().wavefunction(n)
+
+        def x_psi(p):
+            return 1j * d.hbar * ((1.0 + d.beta * p**2) * psi.derivative(p) + d.gamma * p * psi(p))
+
+        def mean(phi, chi):  # <phi|chi>/<psi|psi>, real for the symmetric x and p
+            return eta_inner(phi, chi, None, d).real / eta_inner(psi, psi, None, d).real
+
+        dx = np.sqrt(mean(x_psi, x_psi) - mean(psi, x_psi) ** 2)
+        dp = np.sqrt(mean(psi, lambda p: p**2 * psi(p)) - mean(psi, lambda p: p * psi(p)) ** 2)
+        return dx * dp, 0.5 * d.hbar * (1.0 + d.beta * dp**2), dx, d.min_length
+
+    swanson_cli = swanson_params(beta=0.1, lam=0.5, delta=0.0)  # the CLI's Swanson defaults
+    points = (displaced_params(lam=0.0), displaced_params(), displaced_params(gamma=0.05), swanson_cli)
+    states = [uncertainty(params, n) for params in points for n in range(3)]
+    gup_ok = all(lhs >= rhs * (1.0 - 1e-6) for lhs, rhs, _, _ in states)  # ground states with <p> = 0 saturate it
+    min_len_ok = all(dx >= min_length for _, _, dx, min_length in states)
+    gap = min(lhs - rhs for lhs, rhs, _, _ in states)
+    dx0 = states[0][2]
 
     elapsed = time.perf_counter() - t0
     ok = worst_a < 1e-6 and 13.0 <= ratio <= 19.0 and gup_ok and min_len_ok and elapsed < budget
     _line(8, "limits and algebra", ok,
           f"beta->0 max err {worst_a:.1e}, convergence ratio {ratio:.2f}, "
-          f"GUP lhs-rhs {rep.lhs - rep.rhs:+.1e}, dx {rep.delta_x:.3f} >= {np.sqrt(0.1):.3f}",
+          f"GUP min lhs-rhs {gap:+.1e}, dx0 {dx0:.6f} >= {points[0].deformation.min_length:.3f}",
           elapsed, budget)
     assert worst_a < 1e-6
     assert 13.0 <= ratio <= 19.0

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from mlqm import (
     DeformationParams,
-    DivergenceError,
     GridFunction,
     InvalidGridError,
     MomentumGrid,
     apply_momentum,
     apply_position,
     commutator_residual,
-    uncertainty_check,
 )
 from mlqm.algebra import (
     differentiate,
@@ -190,29 +188,3 @@ class TestCommutator:
         resid = np.linalg.norm((xp.values - px.values - wrong_target)[4:-4])
         assert resid / np.linalg.norm(phi.values[4:-4]) > 1e-2
 
-
-class TestUncertainty:
-    def test_undeformed_gaussian_saturates_heisenberg(self):
-        d = DeformationParams()
-        _, phi = gaussian_grid(n=1601)
-        rep = uncertainty_check(d, phi)
-        assert rep.lhs == pytest.approx(0.5, rel=1e-8)
-        assert rep.rhs == pytest.approx(0.5, rel=1e-12)
-        assert rep.mean_x == pytest.approx(0.0, abs=1e-10)
-        assert rep.mean_p == pytest.approx(0.0, abs=1e-10)
-
-    def test_deformed_bound_holds(self):
-        d = DeformationParams(hbar=1.0, beta=0.2)
-        grid = MomentumGrid.symmetric(12.0, 1601)
-        phi = GridFunction.from_callable(grid, lambda p: (1.0 + 0.2 * p**2) ** (-6.0))
-        rep = uncertainty_check(d, phi)
-        # the bound holds for every state; allow the finite-difference error
-        assert rep.lhs >= rep.rhs - 1e-6
-        assert rep.delta_x >= rep.min_length
-
-    def test_undecayed_state_rejected(self):
-        d = DeformationParams()
-        grid = MomentumGrid.symmetric(3.0, 101)
-        phi = GridFunction.from_callable(grid, lambda p: np.ones_like(p))
-        with pytest.raises(DivergenceError):
-            uncertainty_check(d, phi)

@@ -217,6 +217,18 @@ class TestSweep:
         assert code == EXIT_CONFIG and out == ""
         assert err == "configuration error: need 2 <= steps <= 100000, got 1000000000\n"
 
+    def test_closed_form_sweep_refuses_more_levels_than_any_solve_returns(self, capsys, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a sweep row was computed")
+
+        monkeypatch.setattr(cli, "_sweep_row", no_rows)
+        argv = ("sweep", "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2", "--levels")
+        code, out, err = run(capsys, *argv, "1000000000")
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "configuration error: need levels <= 500, got 1000000000\n"
+        with pytest.raises(AssertionError, match="a sweep row was computed"):
+            main([*argv, "500"])
+
     def test_branch_solver_refuses_unresolvable_level_count(self, capsys, monkeypatch):
         def no_energy(*args):
             raise AssertionError("a closed-form level was computed")
@@ -359,6 +371,24 @@ class TestWavefunction:
         code, _, _ = run(capsys, "wavefunction", "--n", "-1")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "flag, refused, largest, err",
+        [
+            ("--samples", "1000000000", "100000", "need 2 <= samples <= 100000, got 1000000000"),
+            ("--n", "10000000", "499", "need n < 500, got 10000000"),
+        ],
+    )
+    def test_rejects_huge_counts_before_any_state(self, capsys, monkeypatch, flag, refused, largest, err):
+        def no_state(*args):
+            raise AssertionError("an eigenfunction was built")
+
+        monkeypatch.setattr(mlqm.GupFamily, "wavefunction", no_state)
+        code, out, stderr = run(capsys, "wavefunction", flag, refused)
+        assert code == EXIT_CONFIG and out == ""
+        assert stderr == f"configuration error: {err}\n"
+        with pytest.raises(AssertionError, match="an eigenfunction was built"):
+            main(["wavefunction", flag, largest])
+
     def test_swanson_complex_regime_is_config_error(self, capsys):
         code, _, err = run(
             capsys, "wavefunction", "--model", "swanson", "--beta", "2.5",
@@ -453,6 +483,17 @@ class TestVerify:
         defect = records[cli._CHECK_NAMES.index("hermiticity-defect")]
         assert defect["skipped"] and defect["value"] == 0.0 and defect["pass"] is True
         assert not {"measured", "floor"} & set(defect)
+
+    def test_rejects_more_levels_than_any_solve_returns(self, capsys, monkeypatch):
+        def no_battery(*args):
+            raise AssertionError("the battery ran")
+
+        monkeypatch.setattr(verify, "battery", no_battery)
+        code, out, err = run(capsys, "verify", "--levels", "1000000000")
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "configuration error: need levels <= 500, got 1000000000\n"
+        with pytest.raises(AssertionError, match="the battery ran"):
+            main(["verify", "--levels", "500"])
 
     def test_list_builds_no_model(self, capsys):
         # a mass the model refuses is no error for a list of check names

@@ -1,5 +1,7 @@
 """Random-box contract of `mlqm spectrum`: each exit code is checked against a 50-digit evaluation of the published E_n.
 
+Over the same box, exit 0 from `mlqm verify` implies exit 0 from `mlqm spectrum --levels 4`.
+
     PYTHONPATH=src python -m pytest -q tests/test_contract.py --hypothesis-show-statistics
 
 The statistics name the share of each exit code over the box.
@@ -58,8 +60,8 @@ def spectrum_points(draw):
     return p
 
 
-def _spectrum(p: dict):
-    argv = ["spectrum", "--model", p["model"], "--levels", str(p["levels"])]
+def _main(command: str, p: dict):
+    argv = [command, "--model", p["model"], "--levels", str(p["levels"])]
     for key in ("hbar", "mass", "beta", "gamma", "omega", "lambda", "delta"):
         argv += [f"--{key}", repr(p[key])]
     out, err = io.StringIO(), io.StringIO()
@@ -79,7 +81,7 @@ def _rel(got: complex, want) -> float:
 @example({"model": "swanson", "hbar": 1.0, "mass": 1.0, "beta": 2.0, "gamma": 0.0, "omega": 1.0,
           "lambda": 0.2, "delta": 0.2, "levels": 4})  # exactly at beta_c = 2
 def test_spectrum_exit_code_holds_against_50_digits(p):
-    code, out, err = _spectrum(p)
+    code, out, err = _main("spectrum", p)
     event(f"exit {code}")
     if code == EXIT_CONFIG:
         assert _PAST_BETA_C.match(err), err
@@ -102,3 +104,13 @@ def test_spectrum_exit_code_holds_against_50_digits(p):
         assert _rel(got, energies[int(level)]) > GATE
     else:
         pytest.fail(f"exit {code}: {err}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spectrum_points().map(lambda p: {**p, "levels": 4}))
+def test_verify_exit_0_implies_spectrum_exit_0(p):
+    code, _, _ = _main("verify", p)
+    event(f"verify exit {code}")
+    if code == EXIT_OK:
+        spectrum_code, _, err = _main("spectrum", p)
+        assert spectrum_code == EXIT_OK, err

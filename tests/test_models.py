@@ -89,7 +89,7 @@ class TestDisplacedSpectrum:
         eps = params.family().epsilon_levels()
         for n in range(6):
             e = displaced_energy(n, params)
-            assert coeffs.energy_map.epsilon(e) == pytest.approx(float(eps(n)), rel=1e-12)
+            assert coeffs.energy_map.scale * e + coeffs.energy_map.offset == pytest.approx(float(eps(n)), rel=1e-12)
 
     def test_epsilon_gamma_covariance(self):
         # the ladder shifts by exactly gamma through the offset; E_n is fixed
@@ -348,7 +348,8 @@ def test_family_derivation_matches_published_closed_forms(params):
     assert np.max(np.abs(problem.potential(q) - expected)) <= 1e-9 * max(1.0, abs(sp.nu))
     for n in range(4):
         eps = float(levels(n))
-        assert abs(family.energy_map.epsilon(params.energy(n)) - eps) <= 1e-10 * max(1.0, abs(eps))
+        emap = family.energy_map
+        assert abs(emap.scale * params.energy(n) + emap.offset - eps) <= 1e-10 * max(1.0, abs(eps))
         psi = params.family().wavefunction(n)
         assert ode_residual(psi, coeffs, psi.epsilon).value < 1e-8
 
