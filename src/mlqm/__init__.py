@@ -18,7 +18,7 @@ import importlib
 #: submodule -> the public names the package exports from it
 _EXPORTS = {
     "algebra": (
-        "DeformationParams", "GridFunction", "MomentumGrid", "apply_momentum", "apply_position", "commutator_residual",
+        "DeformationParams", "MomentumGrid", "commutator_residual",
     ),
     "eigensolver": (
         "SpectrumResult", "build_p_space_matrix", "solve_p_space", "solve_q_space", "solve_q_space_branch",

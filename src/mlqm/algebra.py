@@ -1,10 +1,10 @@
-"""Deformed position/momentum operators on momentum-space grids.
+"""The deformed algebra's parameters, and its commutator checked on a momentum grid.
 
 The commutator is deformed to [x, p] = i*hbar*(1 + beta*p**2).  In momentum
 representation x acts as i*hbar*[(1 + beta*p**2) d/dp + gamma*p] and p acts
-by multiplication.  Everything here works on uniformly sampled grid data;
-derivatives are 4th-order finite differences (central in the interior,
-one-sided at the edges).
+by multiplication.  The uniform momentum grid serves only the commutator
+residual and the 4th-order central-difference matrices of the pinned
+finite-difference assembly.
 """
 
 from dataclasses import dataclass
@@ -107,51 +107,9 @@ class MomentumGrid:
         return np.linspace(self.p_min, self.p_max, self.n_points)
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex samples of a wavefunction on a MomentumGrid."""
-
-    grid: MomentumGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.grid.n_points,):
-            raise InvalidGridError(
-                f"values shape {values.shape} does not match grid with {self.grid.n_points} points"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidGridError("GridFunction values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_callable(cls, grid: MomentumGrid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.points), dtype=complex))
-
-
-# 4th-order first-derivative stencils: central plus one-sided edge closures.
+# 4th-order central stencils of d/dp and d^2/dp^2 on offsets -2 ... 2.
 _D1_CENTRAL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D1_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_D1_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 _D2_CENTRAL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-
-def differentiate(values: np.ndarray, spacing: float) -> np.ndarray:
-    """4th-order first derivative of uniformly sampled data."""
-    values = np.asarray(values)
-    n = values.shape[0]
-    if n < 5:
-        raise InvalidGridError(f"need at least 5 points for the 4th-order stencil, got {n}")
-    out = np.empty_like(values)
-    c = _D1_CENTRAL
-    out[2:-2] = (
-        c[0] * values[:-4] + c[1] * values[1:-3] + c[3] * values[3:-1] + c[4] * values[4:]
-    )
-    out[0] = _D1_EDGE0 @ values[:5]
-    out[1] = _D1_EDGE1 @ values[:5]
-    out[-1] = -(_D1_EDGE0 @ values[-1:-6:-1])
-    out[-2] = -(_D1_EDGE1 @ values[-1:-6:-1])
-    return out / spacing
 
 
 def _banded(n: int, stencil: np.ndarray) -> np.ndarray:
@@ -174,35 +132,28 @@ def second_derivative_matrix(n: int, spacing: float) -> np.ndarray:
     return _banded(n, _D2_CENTRAL) / spacing**2
 
 
-def apply_position(params: DeformationParams, phi: GridFunction) -> GridFunction:
-    """Apply x = i*hbar*[(1+beta*p^2) d/dp + gamma*p] to grid samples."""
-    if phi.grid.n_points < 5:
-        raise InvalidGridError("apply_position needs n_points >= 5")
-    p = phi.grid.points
-    dphi = differentiate(phi.values, phi.grid.spacing)
-    out = 1j * params.hbar * ((1.0 + params.beta * p**2) * dphi + params.gamma * p * phi.values)
-    return GridFunction(phi.grid, out)
+def commutator_residual(params: DeformationParams, grid: MomentumGrid, phi) -> float:
+    """Discrete L2 norm of ([x,p] - i*hbar*(1+beta*p^2)) phi on the points 4 ... n-5, relative to |phi| there.
 
-
-def apply_momentum(phi: GridFunction) -> GridFunction:
-    """Apply p (multiplication by the grid coordinate)."""
-    return GridFunction(phi.grid, phi.grid.points * phi.values)
-
-
-def commutator_residual(params: DeformationParams, phi: GridFunction) -> float:
-    """Discrete L2 norm of ([x,p] - i*hbar*(1+beta*p^2)) phi, relative to |phi|.
-
-    Restricted to interior points so the one-sided edge stencils do not
-    pollute the residual; the value is pure discretization error for smooth,
-    decaying phi.
+    x = i*hbar*[(1+beta*p^2) d/dp + gamma*p] takes d/dp from the central
+    stencil, which reaches two points each side: x acts on the points
+    2 ... n-3, and x p phi - p x phi on 4 ... n-5.  The value is pure
+    discretization error for smooth, decaying phi.
     """
-    xp = apply_position(params, apply_momentum(phi))
-    px = apply_momentum(apply_position(params, phi))
-    p = phi.grid.points
-    target = 1j * params.hbar * (1.0 + params.beta * p**2) * phi.values
-    resid = xp.values - px.values - target
-    sl = slice(4, -4)
-    num = np.linalg.norm(resid[sl])
-    den = np.linalg.norm(phi.values[sl])
-    return float(num / den)
+    n = grid.n_points
+    if n < 9:
+        raise InvalidGridError(f"need n_points >= 9 for an interior past both stencils, got {n}")
+    phi = np.asarray(phi, dtype=complex)
+    p = grid.points
+    inner = p[2:-2]
+    c = _D1_CENTRAL
 
+    def position(v):  # x v on the points 2 ... n-3
+        dv = (c[0] * v[:-4] + c[1] * v[1:-3] + c[3] * v[3:-1] + c[4] * v[4:]) / grid.spacing
+        return 1j * params.hbar * ((1.0 + params.beta * inner**2) * dv + params.gamma * inner * v[2:-2])
+
+    commutator = (position(p * phi) - inner * position(phi))[2:-2]
+    target = 1j * params.hbar * (1.0 + params.beta * p**2) * phi
+    num = np.linalg.norm(commutator - target[4:-4])
+    den = np.linalg.norm(phi[4:-4])
+    return float(num / den)

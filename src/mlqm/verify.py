@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DeformationParams, GridFunction, MomentumGrid, commutator_residual
+from .algebra import DeformationParams, MomentumGrid, commutator_residual
 from .eigensolver import solve_p_space, theta_modes
 from .errors import ResolutionError
 from .inner import QUADRATURE_NODES, _fejer, eta_inner
@@ -237,7 +237,7 @@ def gamma_independence(params, gammas, n_levels: int) -> ResidualReport:
 def commutator_report(params: DeformationParams) -> ResidualReport:
     """The algebra-level commutator residual of a unit Gaussian on 4097 points of |p| <= 10."""
     grid = MomentumGrid.symmetric(10.0, 4097)
-    value = commutator_residual(params, GridFunction.from_callable(grid, lambda p: np.exp(-0.5 * p**2)))
+    value = commutator_residual(params, grid, np.exp(-0.5 * grid.points**2))
     context = {"grid": {"n_points": grid.n_points, "p_max": grid.p_max}}
     return ResidualReport("commutator-residual", value, TOLERANCES["commutator-residual"], context)
 

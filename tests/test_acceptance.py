@@ -14,7 +14,6 @@ import conftest
 from mlqm import (
     DeformationParams,
     DisplacedOscillatorParams,
-    GridFunction,
     MomentumGrid,
     SwansonParams,
     commutator_residual,
@@ -238,8 +237,7 @@ def test_criterion_8_limits_and_algebra():
 
     def resid(n):
         grid = MomentumGrid.symmetric(10.0, n)
-        phi = GridFunction.from_callable(grid, lambda p: np.exp(-0.5 * p**2))
-        return commutator_residual(d, phi)
+        return commutator_residual(d, grid, np.exp(-0.5 * grid.points**2))
 
     ratio = resid(2001) / resid(4001)
 
