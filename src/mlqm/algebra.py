@@ -133,11 +133,12 @@ def second_derivative_matrix(n: int, spacing: float) -> np.ndarray:
 
 
 def commutator_residual(params: DeformationParams, grid: MomentumGrid, phi) -> float:
-    """Discrete L2 norm of ([x,p] - i*hbar*(1+beta*p^2)) phi on the points 4 ... n-5, relative to |phi| there.
+    """L2 norm of ([x,p] - i*hbar*(1+beta*p^2)) phi relative to |i*hbar*(1+beta*p^2) phi|, on the points 4 ... n-5.
 
-    x = i*hbar*[(1+beta*p^2) d/dp + gamma*p] takes d/dp from the central
-    stencil, which reaches two points each side: x acts on the points
-    2 ... n-3, and x p phi - p x phi on 4 ... n-5.  The value is pure
+    Measured against the commutator it checks, the value does not grow with
+    hbar or beta.  x = i*hbar*[(1+beta*p^2) d/dp + gamma*p] takes d/dp from
+    the central stencil, which reaches two points each side: x acts on the
+    points 2 ... n-3, and x p phi - p x phi on 4 ... n-5.  The value is pure
     discretization error for smooth, decaying phi.
     """
     n = grid.n_points
@@ -153,7 +154,5 @@ def commutator_residual(params: DeformationParams, grid: MomentumGrid, phi) -> f
         return 1j * params.hbar * ((1.0 + params.beta * inner**2) * dv + params.gamma * inner * v[2:-2])
 
     commutator = (position(p * phi) - inner * position(phi))[2:-2]
-    target = 1j * params.hbar * (1.0 + params.beta * p**2) * phi
-    num = np.linalg.norm(commutator - target[4:-4])
-    den = np.linalg.norm(phi[4:-4])
-    return float(num / den)
+    target = (1j * params.hbar * (1.0 + params.beta * p**2) * phi)[4:-4]
+    return float(np.linalg.norm(commutator - target) / np.linalg.norm(target))

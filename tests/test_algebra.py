@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlqm import DeformationParams, InvalidGridError, MomentumGrid, commutator_residual
+from mlqm import TOLERANCES, DeformationParams, InvalidGridError, MomentumGrid, commutator_residual
+from mlqm import algebra
 from mlqm.algebra import _D1_CENTRAL, first_derivative_matrix, second_derivative_matrix
+from mlqm.verify import commutator_report
 
 
 def gaussian_grid(p_max=10.0, n=801):
@@ -106,3 +108,31 @@ class TestCommutator:
         d = DeformationParams(hbar=1.0, beta=beta, gamma=gamma)
         grid, phi = gaussian_grid(n=2001)
         assert commutator_residual(d, grid, phi) < 1e-8
+
+    def test_record_does_not_grow_with_hbar(self):
+        # relative to i*hbar*(1+beta*p^2) phi, hbar cancels; relative to |phi| it read 4.5e-7 and 1.8e-6 here
+        at_1, at_4 = (commutator_report(DeformationParams(hbar=h, beta=1000.0)).value for h in (1.0, 4.0))
+        assert at_4 == pytest.approx(at_1, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.1, 1e3, 1e6])
+    def test_record_does_not_grow_with_beta(self, beta):
+        assert commutator_report(DeformationParams(beta=beta)).value <= 1e-9
+
+    def test_record_reads_a_perturbed_stencil(self, monkeypatch):
+        # d/dp scaled by 1 + 1e-3 scales the computed commutator by the same factor
+        monkeypatch.setattr(algebra, "_D1_CENTRAL", _D1_CENTRAL * (1.0 + 1e-3))
+        assert commutator_report(DeformationParams(beta=0.1)).value == pytest.approx(1e-3, rel=1e-5)
+
+    @pytest.mark.parametrize("n,expected", [(321, 6.9e-6), (41, 2.4e-2)])
+    def test_coarse_grid_fails_the_gate(self, n, expected):
+        grid, phi = gaussian_grid(n=n)
+        value = commutator_residual(DeformationParams(beta=0.1), grid, phi)
+        assert value == pytest.approx(expected, rel=0.01)
+        assert value > TOLERANCES["commutator-residual"]
+
+    def test_needs_an_interior_past_both_stencils(self):
+        grid, phi = gaussian_grid(n=9)
+        assert np.isfinite(commutator_residual(DeformationParams(beta=0.1), grid, phi))
+        grid, phi = gaussian_grid(n=8)
+        with pytest.raises(InvalidGridError):
+            commutator_residual(DeformationParams(beta=0.1), grid, phi)
