@@ -2,9 +2,9 @@
 
 The commutator is deformed to [x, p] = i*hbar*(1 + beta*p**2).  In momentum
 representation x acts as i*hbar*[(1 + beta*p**2) d/dp + gamma*p] and p acts
-by multiplication.  The uniform momentum grid serves only the commutator
-residual and the 4th-order central-difference matrices of the pinned
-finite-difference assembly.
+by multiplication.  There are no grid operators: the uniform momentum grid
+serves only the commutator residual and the 4th-order central-difference
+matrices that ``eigensolver.build_p_space_matrix`` assembles.
 """
 
 from dataclasses import dataclass
@@ -141,9 +141,8 @@ def commutator_residual(params: DeformationParams, grid: MomentumGrid, phi) -> f
     points 2 ... n-3, and x p phi - p x phi on 4 ... n-5.  The value is pure
     discretization error for smooth, decaying phi.
     """
-    n = grid.n_points
-    if n < 9:
-        raise InvalidGridError(f"need n_points >= 9 for an interior past both stencils, got {n}")
+    if grid.n_points < 9:
+        raise InvalidGridError(f"need n_points >= 9 for an interior past both stencils, got {grid.n_points}")
     phi = np.asarray(phi, dtype=complex)
     p = grid.points
     inner = p[2:-2]
