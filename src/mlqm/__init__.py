@@ -31,7 +31,7 @@ _EXPORTS = {
     "inner": ("eta_inner",),
     "jacobi": ("jacobi_batch", "jacobi_eval"),
     "models": (
-        "DerivedSpectralParams", "DisplacedOscillatorParams", "GupFamily", "SwansonParams", "Wavefunction",
+        "DisplacedOscillatorParams", "GupFamily", "SwansonParams", "Wavefunction",
         "displaced_coefficients", "displaced_energy", "displaced_metric", "displaced_transform",
         "displaced_wavefunction", "swanson_beta_c", "swanson_coefficients", "swanson_energy",
         "swanson_metric", "swanson_reality_margin", "swanson_transform", "swanson_wavefunction",

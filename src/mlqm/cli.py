@@ -74,13 +74,9 @@ class RunConfig:
         if self.levels < 0:
             raise DomainError(f"levels must be non-negative, got {self.levels}")
 
-    @property
-    def deformation(self) -> "DeformationParams":
-        _load_library()  # every model, and so every command that computes, starts here
-        return DeformationParams(hbar=self.hbar, beta=self.beta, gamma=self.gamma)
-
     def model_params(self):
-        deformation = self.deformation  # first: it imports the model classes
+        _load_library()  # every model, and so every command that computes, starts here
+        deformation = DeformationParams(hbar=self.hbar, beta=self.beta, gamma=self.gamma)
         if self.model == "displaced":
             return DisplacedOscillatorParams(
                 deformation=deformation, mu=self.mass, omega=self.omega, lam=self.lam
@@ -218,9 +214,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     rows = []
     if cfg.levels > 0:
         q_result = eigensolver.solve_q_space(family.transform(), cfg.levels)
-        e_q = coeffs.energy_map.energy(q_result.real_parts)
-        p_result = eigensolver.solve_p_space(coeffs, cfg.deformation, cfg.levels)
-        e_p = coeffs.energy_map.energy(np.array(p_result.eigenvalues))
+        e_q = family.energy_map.energy(q_result.real_parts)
+        p_result = eigensolver.solve_p_space(coeffs, params.deformation, cfg.levels)
+        e_p = family.energy_map.energy(np.array(p_result.eigenvalues))
         for n, e in enumerate(e_closed):
             scale = max(1.0, abs(e))
             rows.append(

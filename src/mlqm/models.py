@@ -174,19 +174,6 @@ def swanson_reality_margin(params: SwansonParams) -> float:
     return (params.omega - params._t) ** 2 - 4.0 * params.lam * params.delta
 
 
-@dataclass(frozen=True)
-class DerivedSpectralParams:
-    """Wall exponent B (a float, or complex past the reality threshold), sec^2 strength nu and additive offset."""
-
-    wall_exponent: float | complex
-    nu: float
-    offset: float
-
-    @property
-    def is_real(self) -> bool:
-        return not isinstance(self.wall_exponent, complex)
-
-
 # --------------------------------------------------------------------------
 # eigenfunctions
 # --------------------------------------------------------------------------
@@ -305,7 +292,7 @@ class GupFamily:
         def h(p):
             return a * p**2 + b * p + c * (1.0 + beta * p**2)
 
-        return CoefficientSet(f=f, df=df, d2f=d2f, g=g, dg=dg, h=h, energy_map=self.energy_map)
+        return CoefficientSet(f=f, df=df, d2f=d2f, g=g, dg=dg, h=h)
 
     def log_rho(self) -> Callable:
         """log rho = -(gamma + sigma)/(2 beta) * log(1 + beta p^2) - ell * q(p), q the q-map."""
@@ -321,20 +308,26 @@ class GupFamily:
 
         return log_rho
 
-    def spectral(self) -> DerivedSpectralParams:
-        """nu = (kappa (kappa - beta) + a + beta c)/beta, offset = ell^2 + kappa - beta + c - nu, wall exponent B.
-
-        B is the larger root of B^2 - B - nu/beta, the exponent the q-box solve reads from the potential;
-        past the reality threshold 1 + 4 nu/beta < 0 and B is complex (principal branch).
-        """
+    @property
+    def nu(self) -> float:
+        """Strength nu = (kappa (kappa - beta) + a + beta c)/beta of the sec^2 potential; beta <= 0 has no ladder."""
         d = self.deformation
-        beta = d.beta
-        if beta <= 0:
+        if d.beta <= 0:
             raise DomainError("spectral ladder parameters require beta > 0")
-        tilt = d.gamma + self.sigma  # kappa - beta
-        nu = (tilt * self.kappa + self.a + beta * self.c) / beta
-        offset = self.ell**2 - nu + (tilt + self.c)
-        return DerivedSpectralParams(_larger_root(1.0, -1.0, -nu / beta), nu, offset)
+        return ((d.gamma + self.sigma) * self.kappa + self.a + d.beta * self.c) / d.beta
+
+    @property
+    def offset(self) -> float:
+        """Additive potential offset ell^2 + kappa - beta + c - nu."""
+        return self.ell**2 - self.nu + (self.deformation.gamma + self.sigma + self.c)
+
+    @property
+    def wall_exponent(self) -> float | complex:
+        """B, the larger root of B^2 - B - nu/beta: the exponent the q-box solve reads from the potential.
+
+        Past the reality threshold 1 + 4 nu/beta < 0 and B is complex (principal branch).
+        """
+        return _larger_root(1.0, -1.0, -self.nu / self.deformation.beta)
 
     def transform(self) -> TransformedProblem:
         """Schrodinger form using the closed-form q-map."""
@@ -345,12 +338,12 @@ class GupFamily:
 
         The one refusal of a complex B (nu < -beta/4: past the reality threshold, or a fall to centre).
         """
-        sp = self.spectral()
-        if not sp.is_real:
+        big_b, offset = self.wall_exponent, self.offset
+        if isinstance(big_b, complex):
             raise ComplexSpectrumError(
                 "beta is at or past the reality threshold; bound-state eigenfunctions are not real-parameter Jacobi forms"
             )
-        return lambda n: self.deformation.beta * (sp.wall_exponent + np.asarray(n)) ** 2 + sp.offset
+        return lambda n: self.deformation.beta * (big_b + np.asarray(n)) ** 2 + offset
 
     def log_metric(self) -> Callable:
         """log eta = -(gamma/beta) * log(1 + beta p^2) - 2 log rho, the metric under which H is pseudo-Hermitian."""
@@ -377,7 +370,7 @@ class GupFamily:
         Its eps_n comes first, so past the reality threshold ``epsilon_levels`` refuses it.
         """
         epsilon = float(self.epsilon_levels()(n))
-        beta, big_b = self.deformation.beta, self.spectral().wall_exponent
+        beta, big_b = self.deformation.beta, self.wall_exponent
         return Wavefunction(
             n=n,
             beta=beta,

@@ -80,7 +80,6 @@ class CoefficientSet:
     g: Callable
     dg: Callable
     h: Callable
-    energy_map: EnergyMap
 
     def __post_init__(self):
         lo, hi = _VALIDATION_RANGE

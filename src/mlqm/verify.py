@@ -223,9 +223,9 @@ def gamma_independence(params, gammas, n_levels: int) -> ResidualReport:
     energies = []
     for gamma in gammas:
         deformation = dataclasses.replace(params.deformation, gamma=gamma)
-        coeffs = dataclasses.replace(params, deformation=deformation).family().coefficients()
-        result = solve_p_space(coeffs, deformation, n_levels)
-        energies.append(coeffs.energy_map.energy(result.real_parts))
+        family = dataclasses.replace(params, deformation=deformation).family()
+        result = solve_p_space(family.coefficients(), deformation, n_levels)
+        energies.append(family.energy_map.energy(result.real_parts))
     energies = np.array(energies)  # shape (n_gamma, n_levels)
     spread = energies.max(axis=0) - energies.min(axis=0)
     scale = np.maximum(1.0, np.abs(energies).max(axis=0))

@@ -54,11 +54,11 @@ def swanson_params(beta=0.5, lam=0.2, delta=0.2):
 def test_criterion_1_displaced_spectral_agreement():
     budget, t0 = 5.0, time.perf_counter()
     params = displaced_params()
-    coeffs = displaced_coefficients(params)
+    emap = params.family().energy_map
     result = solve_q_space(displaced_transform(params), n_levels=8)
     errs = []
     for n, eps in enumerate(result.eigenvalues):
-        e_num = coeffs.energy_map.energy(eps.real)
+        e_num = emap.energy(eps.real)
         e_ref = displaced_energy(n, params)
         errs.append(abs(e_num - e_ref) / abs(e_ref))
     worst = max(errs)
@@ -75,12 +75,12 @@ def test_criterion_1_displaced_spectral_agreement():
 def test_criterion_2_swanson_spectral_agreement():
     budget, t0 = 5.0, time.perf_counter()
     params = swanson_params()
-    coeffs = swanson_coefficients(params)
+    emap = params.family().energy_map
     e0 = swanson_energy(0, params)
     result = solve_q_space(swanson_transform(params), n_levels=8)
     errs = []
     for n, eps in enumerate(result.eigenvalues):
-        e_num = coeffs.energy_map.energy(eps.real)
+        e_num = emap.energy(eps.real)
         e_ref = float(np.real(swanson_energy(n, params)))
         errs.append(abs(e_num - e_ref) / max(abs(e_ref), 1.0))
     worst = max(errs)

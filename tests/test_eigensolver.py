@@ -66,9 +66,9 @@ class TestQSpace:
         params = displaced_default()
         problem = displaced_transform(params)
         result = solve_q_space(problem, n_levels=6)
-        coeffs = displaced_coefficients(params)
+        emap = params.family().energy_map
         for n, eps in enumerate(result.eigenvalues):
-            e_num = coeffs.energy_map.energy(eps.real)
+            e_num = emap.energy(eps.real)
             e_ref = displaced_energy(n, params)
             assert abs(e_num - e_ref) / abs(e_ref) < 1e-7
         assert not result.has_conjugate_pair
@@ -76,10 +76,10 @@ class TestQSpace:
     def test_swanson_levels(self):
         params = swanson_default()
         problem = swanson_transform(params)
-        coeffs = swanson_coefficients(params)
+        emap = params.family().energy_map
         result = solve_q_space(problem, n_levels=6)
         for n, eps in enumerate(result.eigenvalues):
-            e_num = coeffs.energy_map.energy(eps.real)
+            e_num = emap.energy(eps.real)
             e_ref = float(np.real(swanson_energy(n, params)))
             assert abs(e_num - e_ref) / max(abs(e_ref), 1.0) < 1e-7
 
@@ -95,9 +95,9 @@ def closed_form_energies(params, n_levels):
 
 
 def p_space_energies(params, n_levels):
-    coeffs = params.family().coefficients()
-    result = solve_p_space(coeffs, params.deformation, n_levels)
-    return coeffs.energy_map.energy(np.array(result.eigenvalues)), result
+    family = params.family()
+    result = solve_p_space(family.coefficients(), params.deformation, n_levels)
+    return family.energy_map.energy(np.array(result.eigenvalues)), result
 
 
 class TestPSpace:
@@ -138,7 +138,7 @@ class TestPSpace:
         inside = slice(2, -2)
         rayleigh = np.sum(basis[inside] * (hmat @ basis)[inside], axis=0) / np.sum(basis[inside] ** 2, axis=0)
         e_ref = closed_form_energies(params, 3).real
-        assert np.allclose(coeffs.energy_map.energy(rayleigh), e_ref, atol=1e-5)
+        assert np.allclose(params.family().energy_map.energy(rayleigh), e_ref, atol=1e-5)
 
     def test_resolution_error_when_filter_starves(self):
         # on |p| <= 3 the box cuts every projection mode off
@@ -252,10 +252,9 @@ class TestBranchSolver:
 
     def test_complex_side_matches_closed_form(self):
         params = swanson_default(beta=2.1)
-        coeffs = swanson_coefficients(params)
         problem = swanson_transform(params)
         result = solve_q_space_branch(problem, n_levels=2)
-        e_num = coeffs.energy_map.energy(np.array(result.eigenvalues))
+        e_num = params.family().energy_map.energy(np.array(result.eigenvalues))
         e_ref = swanson_energy(0, params)
         match = min(abs(e_num - e_ref).min(), abs(e_num - np.conj(e_ref)).min())
         assert match / abs(e_ref) < 1e-2
@@ -282,8 +281,8 @@ def branch_points(draw, lo=0.6, hi=1.4):
 
 def closed_form_eps(params, n_levels):
     """The n_levels lowest closed-form eps_n = beta (B + n)^2 + offset, merged with their conjugates past beta_c."""
-    sp = params.family().spectral()
-    eps = params.deformation.beta * (sp.wall_exponent + np.arange(n_levels)) ** 2 + sp.offset
+    family = params.family()
+    eps = params.deformation.beta * (family.wall_exponent + np.arange(n_levels)) ** 2 + family.offset
     if np.isrealobj(eps):
         return eps
     eps = np.concatenate([eps, np.conj(eps)])
@@ -357,7 +356,7 @@ def test_perturbed_potential_converges(params):
 def test_perturbed_potential_matches_the_fd_oracle(params):
     problem = perturbed(params)
     got = np.array(solve_q_space(problem, 4).eigenvalues)
-    wall_b = params.family().spectral().wall_exponent
+    wall_b = params.family().wall_exponent
     want = fd_q_box_levels(problem, wall_b, 4)
     assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(want)))
 
@@ -377,14 +376,14 @@ def at_beta_c(lam, delta):
 def test_wall_exponent_read_from_the_potential(params):
     # both models, gamma >= 0, both sides of the Swanson beta_c; the closed form is only the oracle here
     problem = params.family().transform()
-    beta, sp = params.deformation.beta, params.family().spectral()
+    beta, family = params.deformation.beta, params.family()
     got = eigensolver._indicial_root(problem)
-    if abs(1.0 + 4.0 * sp.nu / beta) <= 1e-8:
+    if abs(1.0 + 4.0 * family.nu / beta) <= 1e-8:
         # at beta_c the oracle B is the square root of a rounding-level discriminant,
         # 1.4-2.1e-8 off the double root B = 1/2 that the fit snaps to; nu = beta B (B - 1) is not
-        assert abs(beta * got * (got - 1.0) - sp.nu) <= 1e-12 * (abs(sp.nu) + beta)
+        assert abs(beta * got * (got - 1.0) - family.nu) <= 1e-12 * (abs(family.nu) + beta)
     else:
-        want = sp.wall_exponent
+        want = family.wall_exponent
         assert abs(got - want) <= 1e-9 * abs(want)
 
 

@@ -85,11 +85,11 @@ class TestDisplacedSpectrum:
 
     def test_energy_map_links_epsilon_and_energy(self):
         params = displaced_default()
-        coeffs = displaced_coefficients(params)
+        emap = params.family().energy_map
         eps = params.family().epsilon_levels()
         for n in range(6):
             e = displaced_energy(n, params)
-            assert coeffs.energy_map.scale * e + coeffs.energy_map.offset == pytest.approx(float(eps(n)), rel=1e-12)
+            assert emap.scale * e + emap.offset == pytest.approx(float(eps(n)), rel=1e-12)
 
     def test_epsilon_gamma_covariance(self):
         # the ladder shifts by exactly gamma through the offset; E_n is fixed
@@ -117,11 +117,11 @@ class TestSwansonSpectrum:
 
     def test_energy_map_links_epsilon_and_energy(self):
         params = swanson_default()
-        coeffs = swanson_coefficients(params)
+        emap = params.family().energy_map
         eps_levels = params.family().epsilon_levels()
         for n in range(6):
             eps = float(eps_levels(n))
-            assert coeffs.energy_map.energy(eps) == pytest.approx(
+            assert emap.energy(eps) == pytest.approx(
                 float(np.real(swanson_energy(n, params))), rel=1e-12
             )
 
@@ -141,8 +141,8 @@ class TestSwansonSpectrum:
         assert swanson_beta_c(swanson_default(lam=0.2, delta=-0.1)) is None
 
     def test_spectral_is_real_flag(self):
-        assert swanson_default(beta=1.9).family().spectral().is_real
-        assert not swanson_default(beta=2.1).family().spectral().is_real
+        assert not isinstance(swanson_default(beta=1.9).family().wall_exponent, complex)
+        assert isinstance(swanson_default(beta=2.1).family().wall_exponent, complex)
 
     def test_ladder_refused_without_real_a(self):
         # past beta_c, nu < -beta/4 (fall to centre) makes B complex; at beta = 0 there is no sec^2 box
@@ -185,18 +185,18 @@ class TestTransforms:
 
     def test_displaced_potential_is_sec_squared_plus_offset(self):
         params = displaced_default()
-        sp = params.family().spectral()
+        family = params.family()
         problem = displaced_transform(params)
         q = np.linspace(-0.9, 0.9, 13) * problem.q_max
-        expected = sp.nu / np.cos(np.sqrt(0.1) * q) ** 2 + sp.offset
+        expected = family.nu / np.cos(np.sqrt(0.1) * q) ** 2 + family.offset
         assert np.allclose(problem.potential(q), expected, rtol=1e-10)
 
     def test_swanson_potential_is_sec_squared_plus_offset(self):
         params = swanson_default(lam=0.3, delta=0.1)
-        sp = params.family().spectral()
+        family = params.family()
         problem = swanson_transform(params)
         q = np.linspace(-0.9, 0.9, 13) * problem.q_max
-        expected = sp.nu / np.cos(np.sqrt(0.5) * q) ** 2 + sp.offset
+        expected = family.nu / np.cos(np.sqrt(0.5) * q) ** 2 + family.offset
         assert np.allclose(problem.potential(q), expected, rtol=1e-10)
 
     @pytest.mark.parametrize("params", [
@@ -338,14 +338,13 @@ def test_family_derivation_matches_published_closed_forms(params):
     # ties the published E_n to the derived nu and offset, the derived
     # potential to nu sec^2 + offset, and the eigenfunctions to the ODE
     family = params.family()
-    sp = family.spectral()
     levels = family.epsilon_levels()
     coeffs = family.coefficients()
     problem = family.transform()
     sqb = np.sqrt(params.deformation.beta)
     q = np.linspace(-0.9, 0.9, 13) * problem.q_max
-    expected = sp.nu / np.cos(sqb * q) ** 2 + sp.offset
-    assert np.max(np.abs(problem.potential(q) - expected)) <= 1e-9 * max(1.0, abs(sp.nu))
+    expected = family.nu / np.cos(sqb * q) ** 2 + family.offset
+    assert np.max(np.abs(problem.potential(q) - expected)) <= 1e-9 * max(1.0, abs(family.nu))
     for n in range(4):
         eps = float(levels(n))
         emap = family.energy_map
@@ -380,7 +379,7 @@ def test_family_ladder_gives_the_published_energies(params):
     # the family and the closed form read the same side of the reality threshold
     family = params.family()
     real = not isinstance(params.energy(0), complex)
-    assert family.spectral().is_real == real
+    assert (not isinstance(family.wall_exponent, complex)) == real
     if real:
         levels = family.epsilon_levels()
         for n in range(6):

@@ -20,7 +20,7 @@ from mlqm.pct import _snapped_sqrt
 from oracles import quadrature_log_rho, quadrature_q_map
 
 
-def quartic_coeffs(beta=0.25, energy_map=None):
+def quartic_coeffs(beta=0.25):
     """The f = (1+beta p^2)^2 family with trivial g, h."""
     return CoefficientSet(
         f=lambda p: (1.0 + beta * np.asarray(p) ** 2) ** 2,
@@ -29,7 +29,6 @@ def quartic_coeffs(beta=0.25, energy_map=None):
         g=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
         dg=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
         h=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-        energy_map=energy_map or EnergyMap(scale=1.0, offset=0.0),
     )
 
 
@@ -66,7 +65,6 @@ class TestCoefficientSet:
                 g=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
                 dg=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
                 h=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-                energy_map=EnergyMap(scale=1.0, offset=0.0),
             )
 
     def test_nonpositive_f_rejected(self):
@@ -78,7 +76,6 @@ class TestCoefficientSet:
                 g=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
                 dg=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
                 h=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
-                energy_map=EnergyMap(scale=1.0, offset=0.0),
             )
 
     @pytest.mark.parametrize("nan_fields", [("f", "df", "d2f", "g", "dg", "h"), ("df",)])
@@ -88,7 +85,7 @@ class TestCoefficientSet:
         fields = {name: nan if name in nan_fields else getattr(good, name)
                   for name in ("f", "df", "d2f", "g", "dg", "h")}
         with pytest.raises(ValueError):
-            CoefficientSet(energy_map=good.energy_map, **fields)
+            CoefficientSet(**fields)
 
 
 class TestQMap:

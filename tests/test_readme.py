@@ -24,7 +24,7 @@ def _run_tour() -> dict:
 
 def test_library_tour_claims():
     values = _run_tour()
-    assert values["osc.family().spectral().nu"] == 10.0
+    assert values["osc.family().nu"] == 10.0
     assert values["displaced_energy(0, osc)"] == 0.6506246098625197
     assert values["swanson_energy(0, sw)"] == pytest.approx(0.45, rel=1e-14)
     assert values["swanson_beta_c(sw)"] == pytest.approx(2.0, rel=1e-14)
