@@ -147,12 +147,13 @@ def metric_identity_residual(coeffs: CoefficientSet, params: DeformationParams, 
 
     Returns max|(log f mu eta)' + g/f| / (max|(log f mu)'| + max|g/f|) on the
     q-uniform sample; ``log_eta`` None is eta = 1, the Hermiticity of H itself.
-    The log-derivatives are centred differences with the step 1e-5 (1 + |p|)
-    that ``CoefficientSet`` validates its derivatives with.  A NaN log eta or a
-    non-positive weight reads NaN, which fails every check.
+    The log-derivatives are centred differences with the step
+    1e-5 min(1 + |p|, (1 + beta p^2)/sqrt(beta)): near p = 0 the coefficients
+    vary on the length 1/sqrt(beta) of the q-map, and for beta <= 9/16 the step
+    is the 1e-5 (1 + |p|) that ``CoefficientSet`` validates its derivatives with.
+    A NaN log eta or a non-positive weight reads NaN, which fails every check.
     """
     p = _q_uniform_samples(params)
-    step = 1e-5 * (1.0 + np.abs(p))
 
     def derivative(fn):
         return (fn(p + step) - fn(p - step)) / (2.0 * step)
@@ -161,6 +162,7 @@ def metric_identity_residual(coeffs: CoefficientSet, params: DeformationParams, 
         return derivative(lambda x: np.log(fn(x)))
 
     with np.errstate(all="ignore"):
+        step = 1e-5 * np.minimum(1.0 + np.abs(p), (1.0 + params.beta * p**2) / np.sqrt(params.beta))
         d_f_mu = log_derivative(coeffs.f) + log_derivative(params.measure_weight)
         d_eta = 0.0 if log_eta is None else derivative(log_eta)
         drift = np.asarray(coeffs.g(p), dtype=float) / np.asarray(coeffs.f(p), dtype=float)
@@ -196,20 +198,22 @@ def gram_matrix(states, eta, params: DeformationParams):
 
 
 def ode_residual(psi, coeffs: CoefficientSet, epsilon: float) -> ResidualReport:
-    """Max-norm residual of -f psi'' + g psi' + h psi - eps psi on a q-uniform sample.
+    """Largest |r| / (s + u max s) on a q-uniform sample, r = -f psi'' + g psi' + h psi - eps psi.
 
-    ``psi`` must expose analytic ``derivative`` and ``second_derivative``
-    (the closed-form eigenfunctions do); it is sampled uniformly in q.
+    Each point's residual is relative to the terms it balances,
+    s = |f psi''| + |g psi'| + |h psi| + |eps psi|, so the record carries
+    neither the units of eps nor the scale of psi.  The floor u max s, u the
+    unit roundoff, is for the tail: at small beta psi falls there into the
+    subnormal range, where it keeps no relative precision and |r| reaches s.
+    ``psi`` must expose analytic ``derivative`` and ``second_derivative`` (the
+    closed-form eigenfunctions do).
     """
     p = _q_uniform_samples(DeformationParams(beta=psi.beta))
     vals = psi(p)
-    resid = (
-        -coeffs.f(p) * psi.second_derivative(p)
-        + coeffs.g(p) * psi.derivative(p)
-        + coeffs.h(p) * vals
-        - epsilon * vals
-    )
-    value = float(np.max(np.abs(resid)) / np.max(np.abs(vals)))
+    terms = (-coeffs.f(p) * psi.second_derivative(p), coeffs.g(p) * psi.derivative(p), coeffs.h(p) * vals,
+             -epsilon * vals)
+    scale = sum(np.abs(term) for term in terms)
+    value = float(np.max(np.abs(sum(terms)) / (scale + np.finfo(float).eps / 2 * np.max(scale))))
     return ResidualReport("ode-residual", value, TOLERANCES["ode-residual"], {"grid": _SAMPLE_GRID})
 
 

@@ -25,6 +25,7 @@ from mlqm.verify import (
     HERMITICITY_DEFECT_FLOOR,
     ResidualReport,
     _exceed_report,
+    battery,
     closed_form_ladder,
     hermiticity_defect_report,
 )
@@ -214,6 +215,22 @@ class TestOdeChecks:
         coeffs = params.family().coefficients()
         assert ode_residual(psi, coeffs, psi.epsilon).value < 1e-10
         assert ode_residual(psi, coeffs, psi.epsilon + 0.1).value > 1e-3
+
+    def test_subnormal_tail_is_not_a_failure(self):
+        # B = 489: psi falls below 1e-308 at the outer samples, where each term keeps no relative
+        # precision; taken pointwise without the floor the residual read 7.0e-4 there
+        params = DisplacedOscillatorParams(DeformationParams(0.86, 0.00321, 0.0), mu=1.04, omega=0.713, lam=0.3)
+        psi = wavefunction(0, params)
+        assert abs(psi(psi.beta**-0.5 * 1e3)) < 1e-300
+        assert ode_residual(psi, params.family().coefficients(), psi.epsilon).value < 1e-12
+
+
+@pytest.mark.parametrize("beta", [1e4, 1e5, 1e6])
+def test_battery_passes_at_large_beta(beta):
+    # the metric identity's difference step once ignored the q-map's length 1/sqrt(beta), and the ODE
+    # residual carried the units of eps: at beta = 1e6, pseudo-hermiticity read 2.43e-5 and ode-residual 1.4e-6
+    reports = battery(displaced_default(beta=beta, lam=0.0), 4)
+    assert [r.name for r in reports if not r.passed] == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
