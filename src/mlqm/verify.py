@@ -154,6 +154,7 @@ def metric_identity_residual(coeffs: CoefficientSet, params: DeformationParams, 
     A NaN log eta or a non-positive weight reads NaN, which fails every check.
     """
     p = _q_uniform_samples(params)
+    step = 1e-5 * np.minimum(1.0 + np.abs(p), (1.0 + params.beta * p**2) / np.sqrt(params.beta))
 
     def derivative(fn):
         return (fn(p + step) - fn(p - step)) / (2.0 * step)
@@ -162,7 +163,6 @@ def metric_identity_residual(coeffs: CoefficientSet, params: DeformationParams, 
         return derivative(lambda x: np.log(fn(x)))
 
     with np.errstate(all="ignore"):
-        step = 1e-5 * np.minimum(1.0 + np.abs(p), (1.0 + params.beta * p**2) / np.sqrt(params.beta))
         d_f_mu = log_derivative(coeffs.f) + log_derivative(params.measure_weight)
         d_eta = 0.0 if log_eta is None else derivative(log_eta)
         drift = np.asarray(coeffs.g(p), dtype=float) / np.asarray(coeffs.f(p), dtype=float)
