@@ -68,12 +68,19 @@ class DeformationParams:
         return np.arctan(sqb * p) / sqb
 
     def p_of_q(self, q):
-        """The inverse map p = tan(sqrt(beta) q)/sqrt(beta); the identity at beta = 0."""
+        """The inverse map p = tan(sqrt(beta) q)/sqrt(beta); the identity at beta = 0.
+
+        Within q_half/2 of a wall it is p = sign(q)/(sqrt(beta) tan(sqrt(beta) (q_half - |q|))), in which
+        q_half - |q| is exact, so the pole sits at the box edge and p keeps its digits up to it: the
+        rounding of sqrt(beta) q inside tan would cost p a relative eps q_half/(q_half - |q|).
+        """
         q = np.asarray(q, dtype=float)
         if self.beta == 0:
             return q
         sqb = np.sqrt(self.beta)
-        return np.tan(sqb * q) / sqb
+        gap = self.q_half - np.abs(q)
+        with np.errstate(divide="ignore"):  # p is infinite at the wall itself
+            return np.where(gap < 0.5 * self.q_half, np.sign(q) / np.tan(sqb * gap), np.tan(sqb * q)) / sqb
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ from .pct import CoefficientSet, TransformedProblem, _larger_root
 #: Most levels one collocation solve returns: the dense matrix has 32 + 4 n_levels rows,
 #: so the largest solve is 2032 x 2032 and takes 3.5-4.8 s (2-core Xeon, 1-2 BLAS threads).
 _MAX_LEVELS = 500
+#: A wall or decay exponent's discriminant within this share of its scale is zero, a double root: at the
+#: reality threshold each solve misreads its discriminant by up to 7e-15 of its scale (8000 Swanson draws).
+_EXPONENT_SNAP = 1e-13
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -89,20 +92,22 @@ def _indicial_root(problem: TransformedProblem) -> float | complex:
     """
     span = problem.q_max - problem.q_min
     sqb = np.pi / span
-    # At d = 1e-4 span, a smooth part of V leaves a fit error that falls as d^3 or faster,
-    # while the rounding of q_min + d, relative to d, grows as 1/d: both sit near 1e-12
-    # of nu there.  At 1e-2 span a potential that is not pure sec^2 misfits nu by up to
-    # 5e-7, and the leftover nu z^2/(1-z^2) term stalls the collocation.  The second
-    # distance 2d makes the fit about (4 u(d) - u(2d))/3, which amplifies rounding by < 2.
-    d = np.array([1e-4, 2e-4]) * span
-    s2 = np.sin(sqb * d) ** 2
-    u = np.asarray(problem.potential(problem.q_min + d), dtype=float) * s2
+    # Each point's wall distance d is fl(q_min + d) - q_min, exact, the distance at which
+    # ``DeformationParams.p_of_q`` puts V's pole at the box edge, so only the rounding of V's
+    # own terms, which cancel to nu sec^2, is left to limit the fit: it misreads the
+    # discriminant 1 + 4 nu/beta by up to 7e-15 of its scale (8000 Swanson draws at beta_c).
+    # At d = 1e-4 span a smooth part of V leaves a fit error that falls as d^3 or faster; at
+    # 1e-2 span a potential that is not pure sec^2 misfits nu by up to 5e-7, and the leftover
+    # nu z^2/(1-z^2) term stalls the collocation.  The second distance 2d makes the fit about
+    # (4 u(d) - u(2d))/3, which amplifies rounding by < 2.
+    q = problem.q_min + np.array([1e-4, 2e-4]) * span
+    s2 = np.sin(sqb * (q - problem.q_min)) ** 2
+    u = np.asarray(problem.potential(q), dtype=float) * s2
     nu = (u[0] * s2[1] - u[1] * s2[0]) / (s2[1] - s2[0])
-    # The fit misreads the discriminant 1 + 4 nu/beta by up to 3e-12 of its scale (3000
-    # random points of both models).  At the reality threshold B is a double root and moves
-    # as the square root of that misreading, which would turn the real ladder at beta_c into
-    # conjugate pairs; within the fit's rounding of zero the root is taken as double.
-    return _larger_root(1.0, -1.0, -nu / sqb**2, 1e-11)
+    # At the reality threshold B is a double root and moves as the square root of the
+    # misreading, which would turn the real ladder at beta_c into conjugate pairs; within the
+    # snap of zero the root is taken as double.
+    return _larger_root(1.0, -1.0, -nu / sqb**2, _EXPONENT_SNAP)
 
 
 def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
@@ -170,9 +175,9 @@ def _decay_exponent(coeffs: CoefficientSet, beta: float) -> float | complex:
     g_odd = (np.asarray(coeffs.g(p), dtype=float) - np.asarray(coeffs.g(-p), dtype=float)) / (2.0 * p**3)
     h_even = (np.asarray(coeffs.h(p), dtype=float) + np.asarray(coeffs.h(-p), dtype=float)) / (2.0 * p**2)
     g3, h2 = (4.0 * g_odd[1] - g_odd[0]) / 3.0, (4.0 * h_even[1] - h_even[0]) / 3.0
-    # G3 and H2 carry about 1e-15 of the discriminant's scale; within that of zero s is a
-    # double root (the reality threshold), as for the q-box's wall exponent
-    return _larger_root(beta**2, beta**2 + g3, -h2, 1e-14)
+    # G3 and H2 misread the discriminant by up to 2e-15 of its scale; within the snap of
+    # zero s is a double root (the reality threshold), as for the q-box's wall exponent
+    return _larger_root(beta**2, beta**2 + g3, -h2, _EXPONENT_SNAP)
 
 
 @dataclass(frozen=True)

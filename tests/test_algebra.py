@@ -1,5 +1,6 @@
 """Deformed operator algebra on momentum grids."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -64,6 +65,22 @@ class TestDeformationParams:
         q = d.q_of_p(p)
         assert abs(q) < d.q_half
         assert abs(d.p_of_q(q) - p) <= 1e-12 * abs(p)
+
+    @pytest.mark.parametrize("beta", [1e-3, 0.1, 2.0, 1e4])
+    def test_q_map_keeps_its_digits_up_to_the_wall(self, beta):
+        # the reference puts the pole at the float q_half, the box edge every q-box solve and quadrature uses;
+        # tan(sqrt(beta) q) would read 9e-5 off at 1e-12 q_half from the wall
+        d = DeformationParams(beta=beta)
+        for k in range(1, 13):
+            for q in (d.q_half * (1.0 - 10.0**-k), -d.q_half * (1.0 - 10.0**-k)):
+                with mpmath.workdps(50):
+                    sqb = mpmath.sqrt(mpmath.mpf(beta))
+                    want = mpmath.sign(q) * mpmath.cot(sqb * (mpmath.mpf(d.q_half) - abs(mpmath.mpf(q)))) / sqb
+                    assert abs((d.p_of_q(q) - want) / want) <= 1e-15, (k, q)
+
+    def test_q_map_wall_is_infinite(self):
+        d = DeformationParams(beta=2.0)
+        assert d.p_of_q(d.q_half) == np.inf and d.p_of_q(-d.q_half) == -np.inf
 
 
 class TestMomentumGrid:

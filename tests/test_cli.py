@@ -108,6 +108,14 @@ class TestSpectrum:
         assert len(rows) == 4
         assert all(float(row[5]) <= 1e-10 and float(row[6]) <= 1e-10 for row in rows)
 
+    @pytest.mark.parametrize("model", ["displaced", "swanson"])
+    def test_small_beta_is_solved(self, capsys, model):
+        # the coefficients' own check refused this model (exit 2) until it allowed for its difference quotient's rounding
+        code, out, err = run(capsys, "spectrum", "--model", model, "--beta", "1e-5")
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 4 and max(float(row[col]) for row in rows for col in (5, 6)) <= 1e-6
+
     @pytest.mark.parametrize("argv", [
         ("spectrum",),
         ("spectrum", "--model", "swanson", "--lambda", "0.3", "--delta", "0.1"),
@@ -291,6 +299,20 @@ class TestSweep:
         assert (code, err) == (EXIT_OK, "")
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert len(rows) == 21 and float(rows[-1][2]) != 0.0
+
+    @pytest.mark.parametrize("lam, delta", [(0.2, 0.2), (0.3125, 0.25), (0.3, 0.1), (0.15, 0.35)])
+    def test_numeric_sweep_next_to_beta_c_exits_0(self, capsys, lam, delta):
+        # (lambda, delta) from the branch solver's test box; at 1e-11 of beta_c a wall exponent read to 1e-12
+        # of its discriminant's scale snapped to the real ladder while the closed form read pairs (exit 1)
+        beta_c = float(mlqm.swanson_beta_c(mlqm.SwansonParams(mlqm.DeformationParams(), lam=lam, delta=delta)))
+        for k in range(8, 15):
+            for side in (1.0, -1.0):
+                code, _, err = run(
+                    capsys, "sweep", "--model", "swanson", "--numeric", "--lambda", repr(lam), "--delta", repr(delta),
+                    "--param", "beta", "--from", repr(beta_c * (1.0 + side * 10.0**-k)),
+                    "--to", repr(beta_c * (1.0 + side * 0.05)), "--steps", "2",
+                )
+                assert (code, err) == (EXIT_OK, ""), (k, side)
 
     def test_nan_level_fails_the_numeric_sweep(self, capsys, monkeypatch):
         solve = mlqm.eigensolver.solve_q_space

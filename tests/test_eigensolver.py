@@ -33,7 +33,7 @@ from mlqm.verify import PROJECTION_MODES, _low_mode_basis
 from oracles import (
     _dense, band_csc, fd_p_space_levels, fd_q_box_levels, low_modes, operator_hamiltonian, p_space_operator,
 )
-from test_models import family_points
+from test_models import _log_uniform, family_points
 
 
 def displaced_default(beta=0.1, gamma=0.0, lam=0.5):
@@ -306,7 +306,7 @@ def test_q_box_levels_match_the_closed_form(params):
 # One example set per side of the Swanson beta_c. The oracle is the closed form: a dense
 # finite-difference solve of the q-box is far less accurate than the collocation it would check.
 # Within 1% of beta_c the two wall exponents nearly coincide, and B, with every level, moves as
-# the square root of the nu fit's rounding (1e-12 -> 1e-6); at beta_c itself B is taken as the
+# the square root of the nu fit's rounding (7e-15 -> 1e-7); at beta_c itself B is taken as the
 # double root (test_reality_threshold_gives_the_real_ladder).
 @pytest.mark.parametrize("lo, hi", [(0.6, 0.99), (1.01, 1.4)], ids=["below", "past"])
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -401,6 +401,29 @@ def test_reality_threshold_gives_the_real_ladder(gamma):
         got = np.array(got)
         assert np.all(got.imag == 0)
         assert np.all(np.abs(got.real - [-1.0, 3.0, 11.0, 23.0]) <= 1e-12 * 23.0)
+
+
+@st.composite
+def swanson_threshold_points(draw):
+    """(lambda, delta, hbar, m, gamma) of a Swanson model with a reality threshold; gamma as a share of beta_c."""
+    lam, delta = draw(st.floats(0.05, 0.45)), draw(st.floats(0.05, 0.45))
+    hbar, mass = draw(_log_uniform(0.2, 5.0)), draw(_log_uniform(0.2, 5.0))
+    return lam, delta, hbar, mass, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(swanson_threshold_points())
+def test_both_solves_snap_at_beta_c_and_pair_just_past_it(point):
+    # each solve reads its discriminant to about 1e-14 of its scale and takes 1e-13 of it as zero, so the
+    # float beta_c is the real ladder; at 1e-9 past it the discriminant is far outside the snap
+    lam, delta, hbar, mass, share = point
+    beta_c = swanson_beta_c(SwansonParams(DeformationParams(hbar, 1.0, 0.0), m=mass, lam=lam, delta=delta))
+    for beta, paired in ((beta_c, False), (beta_c * (1.0 + 1e-9), True)):
+        params = SwansonParams(DeformationParams(hbar, beta, share * beta_c), m=mass, lam=lam, delta=delta)
+        family = params.family()
+        q_box = solve_q_space(family.transform(), 4)
+        theta = solve_p_space(family.coefficients(), params.deformation, 4)
+        assert (q_box.has_conjugate_pair, theta.has_conjugate_pair) == (paired, paired), beta
 
 
 @pytest.mark.parametrize("hbar, mass, beta", [(2.0, 1.5, 0.1), (0.5, 3.0, 0.4), (0.3, 0.5, 6.0), (2.0, 0.5, 3.0)],
