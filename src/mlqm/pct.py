@@ -89,10 +89,14 @@ class CoefficientSet:
             raise EllipticityError("f(p) must be strictly positive on the working domain")
         step = 1e-5 * (1.0 + np.abs(p))
         for base, deriv, label in ((self.f, self.df, "f'"), (self.g, self.dg, "g'"), (self.df, self.d2f, "f''")):
-            fd = (np.asarray(base(p + step)) - np.asarray(base(p - step))) / (2 * step)
+            ahead, behind = np.asarray(base(p + step)), np.asarray(base(p - step))
+            fd = (ahead - behind) / (2 * step)
             an = np.asarray(deriv(p), dtype=float)
             scale = np.maximum(np.abs(an), 1e-3 * (np.abs(an).max() + 1e-30))
-            rel = np.abs(fd - an) / scale
+            # the quotient rounds by up to 16 ulp of the base values over the step, which at small beta
+            # swamps f' and g', far below f and g themselves
+            rounding = _ROUNDING * np.maximum(np.abs(ahead), np.abs(behind)) / step
+            rel = np.maximum(np.abs(fd - an) - rounding, 0.0) / scale
             if not rel.max() <= 1e-6:
                 raise ValueError(f"supplied {label} disagrees with finite differences (max rel {rel.max():.2e})")
 

@@ -12,10 +12,12 @@ import io
 import re
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from mlqm import DeformationParams, DisplacedOscillatorParams, SwansonParams, solve_p_space, solve_q_space
 from mlqm.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAIL, main
 from mlqm.verify import TOLERANCES
 from test_models import _log_uniform
@@ -114,3 +116,42 @@ def test_verify_exit_0_implies_spectrum_exit_0(p):
     if code == EXIT_OK:
         spectrum_code, _, err = _main("spectrum", p)
         assert spectrum_code == EXIT_OK, err
+
+
+def _units_params(p: dict, hbar: float, mass: float, beta: float, gamma: float, omega: float, lam: float):
+    deformation = DeformationParams(hbar, beta, gamma)
+    if p["model"] == "displaced":
+        return DisplacedOscillatorParams(deformation, mu=mass, omega=omega, lam=lam)
+    return SwansonParams(deformation, m=mass, omega=omega, lam=lam, delta=p["delta"])
+
+
+def _levels(params) -> np.ndarray:
+    """The 4 lowest E_n by the closed form, the q-box solve and the theta-axis solve, one row each."""
+    family = params.family()
+    q_box = solve_q_space(family.transform(), 4).eigenvalues
+    theta = solve_p_space(family.coefficients(), params.deformation, 4).eigenvalues
+    closed = [complex(params.energy(n)) for n in range(4)]
+    return np.array([closed, family.energy_map.energy(np.array(q_box)), family.energy_map.energy(np.array(theta))])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spectrum_points())
+def test_levels_obey_the_units_contract(p):
+    # Swanson: E_n(hbar, m, beta) = E_n(1, 1, hbar m beta) in units of omega; displaced, with t = beta hbar mu omega/2:
+    # E_n(hbar, mu, omega, lambda, beta) - lambda^2/(2 mu omega^2) = hbar omega E_n(1, 1, 1, 0, beta hbar mu omega).
+    # gamma keeps its share of beta, so each side is the other's family with p rescaled.  The solves read E_n
+    # off a sec^2 well of strength beta B(B - 1), of which E_n is a share of about (2n + 1)/B, so they resolve
+    # it to about 2.5e-12 |B| (400 draws of this box): past |B| = 10 their gate grows as 1e-11 |B|
+    hbar, mass, beta, gamma, omega, lam = (p[k] for k in ("hbar", "mass", "beta", "gamma", "omega", "lambda"))
+    params = _units_params(p, hbar, mass, beta, gamma, omega, lam)
+    levels = _levels(params)
+    if p["model"] == "swanson":
+        unit = _levels(_units_params(p, 1.0, 1.0, hbar * mass * beta, hbar * mass * gamma, omega, lam))
+        shifted = levels
+    else:
+        k = hbar * mass * omega
+        unit = hbar * omega * _levels(_units_params(p, 1.0, 1.0, beta * k, gamma * k, 1.0, 0.0))
+        shifted = levels - lam**2 / (2.0 * mass * omega**2)
+    rel = np.abs(shifted - unit) / np.maximum(1.0, np.abs(levels))
+    solve_gate = max(1e-10, 1e-11 * abs(params.family().wall_exponent))
+    assert rel[0].max() <= 1e-12 and rel[1:].max() <= solve_gate, rel.max(axis=1)

@@ -14,6 +14,7 @@ import pytest
 from mlqm import verify
 from mlqm.algebra import DeformationParams
 from mlqm.models import DisplacedOscillatorParams, GupFamily, SwansonParams
+from mlqm.pct import EnergyMap
 
 POINTS = {
     "displaced": DisplacedOscillatorParams(DeformationParams(1.0, 0.1, 0.0), lam=0.5),
@@ -51,11 +52,36 @@ def shifted_epsilon(original):
     return epsilon_levels
 
 
+def gamma_dropped_from_g(original):
+    """g = -2w((kappa - gamma) p + ell): the ODE of gamma = 0, while the metric and the closed forms keep gamma."""
+    def coefficients(self):
+        coeffs, beta, gamma = original(self), self.deformation.beta, self.deformation.gamma
+        return dataclasses.replace(
+            coeffs,
+            g=lambda p: coeffs.g(p) + 2.0 * gamma * p * (1.0 + beta * p**2),
+            dg=lambda p: coeffs.dg(p) + 2.0 * gamma * (1.0 + 3.0 * beta * p**2),
+        )
+    return coefficients
+
+
+def scaled_energy_map(original):
+    def energy(self, epsilon):
+        return original(dataclasses.replace(self, scale=self.scale * (1.0 + 1e-6)), epsilon)
+    return energy
+
+
 #: (fault, the GupFamily method it replaces, {point: the records that fail there})
 FAULTS = [
     (None, None, dict.fromkeys(POINTS, set())),
     (wrong_metric, "log_metric", dict.fromkeys(POINTS, {"pseudo-hermiticity", "gram-identity"})),
     (shifted_h, "coefficients", dict.fromkeys(POINTS, {"ode-residual"})),
+    # at gamma = 0 the ODE is unchanged, and only gamma-independence, which solves at gamma = beta/2 and beta, sees it
+    (gamma_dropped_from_g, "coefficients", {
+        "displaced": {"gamma-independence"},
+        "swanson": {"gamma-independence"},
+        "displaced-gamma": {"gamma-independence", "pseudo-hermiticity", "ode-residual"},
+        "swanson-gamma": {"gamma-independence", "pseudo-hermiticity", "ode-residual"},
+    }),
     # the quadrature reads 1.1e-7 at the displaced points and 5.9-7.5e-8 at the Swanson ones, against 1e-7
     (shifted_jacobi_index, "wavefunction", {
         "displaced": {"ode-residual", "gram-identity"},
@@ -64,13 +90,17 @@ FAULTS = [
         "swanson-gamma": {"ode-residual"},
     }),
     (shifted_epsilon, "epsilon_levels", dict.fromkeys(POINTS, {"ode-residual", "closed-form-ladder"})),
+    (scaled_energy_map, "energy", dict.fromkeys(POINTS, {"closed-form-ladder"})),
 ]
 
 
-@pytest.mark.parametrize("fault, method, expected", FAULTS,
-                         ids=["none", "log-eta-plus-q", "h-plus-w", "jacobi-index", "epsilon-plus-0.1"])
+@pytest.mark.parametrize("fault, method, expected", FAULTS, ids=[
+    "none", "log-eta-plus-q", "h-plus-w", "gamma-dropped-from-g", "jacobi-index", "epsilon-plus-0.1",
+    "energy-map-scale",
+])
 def test_each_fault_fails_its_records(monkeypatch, fault, method, expected):
     if fault is not None:
-        monkeypatch.setattr(GupFamily, method, fault(getattr(GupFamily, method)))
+        owner = EnergyMap if method == "energy" else GupFamily
+        monkeypatch.setattr(owner, method, fault(getattr(owner, method)))
     failed = {name: {r.name for r in verify.battery(params, 4) if not r.passed} for name, params in POINTS.items()}
     assert failed == expected

@@ -67,6 +67,14 @@ class TestCoefficientSet:
                 h=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
             )
 
+    @pytest.mark.parametrize("beta", [3e-5, 1e-7])
+    def test_small_beta_coefficients_validate(self, beta):
+        # f' and g' are about beta, far below f and g, so the difference quotient's rounding swamped them and
+        # spectrum --beta 3e-5 exited 2 with "supplied g' disagrees with finite differences"
+        for params in (DisplacedOscillatorParams(DeformationParams(1.0, beta, 0.0), lam=0.5),
+                       SwansonParams(DeformationParams(1.0, beta, 0.0), lam=0.5)):
+            params.family().coefficients()
+
     def test_nonpositive_f_rejected(self):
         with pytest.raises(EllipticityError):
             CoefficientSet(
