@@ -414,8 +414,8 @@ def swanson_threshold_points(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(swanson_threshold_points())
 def test_both_solves_snap_at_beta_c_and_pair_just_past_it(point):
-    # each solve reads its discriminant to about 1e-14 of its scale and takes 1e-13 of it as zero, so the
-    # float beta_c is the real ladder; at 1e-9 past it the discriminant is far outside the snap
+    # each solve misreads its discriminant by up to 7e-15 of its scale and takes 1e-13 of it as zero, so
+    # the float beta_c is the real ladder; at 1e-9 past it the discriminant is far outside the snap
     lam, delta, hbar, mass, share = point
     beta_c = swanson_beta_c(SwansonParams(DeformationParams(hbar, 1.0, 0.0), m=mass, lam=lam, delta=delta))
     for beta, paired in ((beta_c, False), (beta_c * (1.0 + 1e-9), True)):

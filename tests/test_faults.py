@@ -1,6 +1,6 @@
 """The fault matrix: each planted model fault must fail the verify records that can see it.
 
-One fault at a time is planted in ``GupFamily`` and ``verify.battery`` runs
+One fault at a time is planted in ``GupFamily`` or its ``EnergyMap`` and ``verify.battery`` runs
 at four points: both models' CLI defaults, the displaced model at
 gamma = 0.05, and Swanson at gamma = 0.05, lambda 0.3, delta 0.1.  Each row
 pins the exact set of records that fail, so a record that stops seeing its
@@ -70,37 +70,36 @@ def scaled_energy_map(original):
     return energy
 
 
-#: (fault, the GupFamily method it replaces, {point: the records that fail there})
+#: (fault, the class and method it replaces, {point: the records that fail there})
 FAULTS = [
-    (None, None, dict.fromkeys(POINTS, set())),
-    (wrong_metric, "log_metric", dict.fromkeys(POINTS, {"pseudo-hermiticity", "gram-identity"})),
-    (shifted_h, "coefficients", dict.fromkeys(POINTS, {"ode-residual"})),
+    (None, None, None, dict.fromkeys(POINTS, set())),
+    (wrong_metric, GupFamily, "log_metric", dict.fromkeys(POINTS, {"pseudo-hermiticity", "gram-identity"})),
+    (shifted_h, GupFamily, "coefficients", dict.fromkeys(POINTS, {"ode-residual"})),
     # at gamma = 0 the ODE is unchanged, and only gamma-independence, which solves at gamma = beta/2 and beta, sees it
-    (gamma_dropped_from_g, "coefficients", {
+    (gamma_dropped_from_g, GupFamily, "coefficients", {
         "displaced": {"gamma-independence"},
         "swanson": {"gamma-independence"},
         "displaced-gamma": {"gamma-independence", "pseudo-hermiticity", "ode-residual"},
         "swanson-gamma": {"gamma-independence", "pseudo-hermiticity", "ode-residual"},
     }),
     # the quadrature reads 1.1e-7 at the displaced points and 5.9-7.5e-8 at the Swanson ones, against 1e-7
-    (shifted_jacobi_index, "wavefunction", {
+    (shifted_jacobi_index, GupFamily, "wavefunction", {
         "displaced": {"ode-residual", "gram-identity"},
         "swanson": {"ode-residual"},
         "displaced-gamma": {"ode-residual", "gram-identity"},
         "swanson-gamma": {"ode-residual"},
     }),
-    (shifted_epsilon, "epsilon_levels", dict.fromkeys(POINTS, {"ode-residual", "closed-form-ladder"})),
-    (scaled_energy_map, "energy", dict.fromkeys(POINTS, {"closed-form-ladder"})),
+    (shifted_epsilon, GupFamily, "epsilon_levels", dict.fromkeys(POINTS, {"ode-residual", "closed-form-ladder"})),
+    (scaled_energy_map, EnergyMap, "energy", dict.fromkeys(POINTS, {"closed-form-ladder"})),
 ]
 
 
-@pytest.mark.parametrize("fault, method, expected", FAULTS, ids=[
+@pytest.mark.parametrize("fault, owner, method, expected", FAULTS, ids=[
     "none", "log-eta-plus-q", "h-plus-w", "gamma-dropped-from-g", "jacobi-index", "epsilon-plus-0.1",
     "energy-map-scale",
 ])
-def test_each_fault_fails_its_records(monkeypatch, fault, method, expected):
+def test_each_fault_fails_its_records(monkeypatch, fault, owner, method, expected):
     if fault is not None:
-        owner = EnergyMap if method == "energy" else GupFamily
         monkeypatch.setattr(owner, method, fault(getattr(owner, method)))
     failed = {name: {r.name for r in verify.battery(params, 4) if not r.passed} for name, params in POINTS.items()}
     assert failed == expected
