@@ -76,6 +76,8 @@ class RunConfig:
 
     def model_params(self):
         _load_library()  # every model, and so every command that computes, starts here
+        if self.levels > eigensolver._MAX_LEVELS:  # the most levels any solve returns, refused before any work
+            raise DomainError(f"need levels <= {eigensolver._MAX_LEVELS}, got {self.levels}")
         deformation = DeformationParams(hbar=self.hbar, beta=self.beta, gamma=self.gamma)
         if self.model == "displaced":
             return DisplacedOscillatorParams(
@@ -170,12 +172,6 @@ def _emit(header, rows, cfg: RunConfig):
     _write(text + "\n", cfg)
 
 
-def _require_level_cap(levels: int):
-    """Refuse more levels than any solve returns, ``eigensolver._MAX_LEVELS``, before one is built."""
-    if levels > eigensolver._MAX_LEVELS:
-        raise DomainError(f"need levels <= {eigensolver._MAX_LEVELS}, got {levels}")
-
-
 def _require_finite_box(cfg: RunConfig):
     """The numeric solves work on the q-box |q| < pi/(2 sqrt(beta)), which beta = 0 stretches to the whole line."""
     if not cfg.beta > 0:
@@ -194,8 +190,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     family = params.family()
     coeffs = family.coefficients()
     _require_finite_box(cfg)
-    if cfg.levels > 0:
-        eigensolver._collocation_size(cfg.levels, "q-box")  # refuses an unresolvable count before any level is built
     # E_closed and E_q are real columns, so complex levels would lose their imaginary part
     if complex(params.energy(0)).imag != 0:
         raise ComplexSpectrumError(
@@ -288,8 +282,6 @@ def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, steps: int,
     if start == stop:
         raise DomainError("constant sweep (from == to) rejected")
     _load_library()
-    if not numeric:  # the numeric solve refuses its own count
-        _require_level_cap(cfg.levels)
     rows, row_errors = zip(*(_sweep_row(cfg, param, float(v), numeric) for v in np.linspace(start, stop, steps)))
     header = [param] + [f"E{n}_{part}" for n in range(cfg.levels) for part in ("re", "im")] + ["beta_c"]
     _emit(header, list(rows), cfg)
@@ -345,7 +337,6 @@ def cmd_verify(cfg: RunConfig, list_only: bool) -> int:
         _write("".join(name + "\n" for name in _CHECK_NAMES), cfg)
         return EXIT_OK
     params = cfg.model_params()  # first: it loads the library
-    _require_level_cap(cfg.levels)
     reports = verify.battery(params, cfg.levels)
     _write("".join(json.dumps(r.to_record(cfg.params_dict()), sort_keys=True) + "\n" for r in reports), cfg)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAIL

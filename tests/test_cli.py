@@ -171,8 +171,8 @@ class TestSpectrum:
 
         monkeypatch.setattr(mlqm.DisplacedOscillatorParams, "energy", no_energy)
         code, out, err = run(capsys, "spectrum", "--levels", "1000000000")
-        assert code == EXIT_NUMERIC and out == ""
-        assert err == "numeric failure: cannot resolve 1000000000 q-box levels; need 1 <= levels <= 500\n"
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "configuration error: need levels <= 500, got 1000000000\n"
 
 
 class TestSweep:
@@ -226,30 +226,31 @@ class TestSweep:
         assert err == "configuration error: need 2 <= steps <= 100000, got 1000000000\n"
 
     def test_closed_form_sweep_refuses_more_levels_than_any_solve_returns(self, capsys, monkeypatch):
-        def no_rows(*args):
-            raise AssertionError("a sweep row was computed")
+        def no_energy(*args):
+            raise AssertionError("a closed-form level was computed")
 
-        monkeypatch.setattr(cli, "_sweep_row", no_rows)
+        monkeypatch.setattr(mlqm.DisplacedOscillatorParams, "energy", no_energy)
         argv = ("sweep", "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2", "--levels")
         code, out, err = run(capsys, *argv, "1000000000")
         assert code == EXIT_CONFIG and out == ""
         assert err == "configuration error: need levels <= 500, got 1000000000\n"
-        with pytest.raises(AssertionError, match="a sweep row was computed"):
+        with pytest.raises(AssertionError, match="a closed-form level was computed"):
             main([*argv, "500"])
 
     def test_branch_solver_refuses_unresolvable_level_count(self, capsys, monkeypatch):
         def no_energy(*args):
             raise AssertionError("a closed-form level was computed")
 
-        # the solve refuses the count before the gate builds a closed-form level
+        # the model's parameters refuse the count before a solve or the gate's closed-form level runs
         monkeypatch.setattr(mlqm.SwansonParams, "energy", no_energy)
+        monkeypatch.setattr(mlqm.eigensolver, "solve_q_space", no_energy)
         code, out, err = run(
             capsys, "sweep", "--model", "swanson", "--numeric", "--param", "beta",
             "--from", "1.5", "--to", "1.7", "--steps", "2",
             "--lambda", "0.2", "--delta", "0.2", "--levels", "800",
         )
-        assert code == EXIT_NUMERIC and out == ""
-        assert err == "numeric failure: cannot resolve 800 q-box levels; need 1 <= levels <= 500\n"
+        assert code == EXIT_CONFIG and out == ""
+        assert err == "configuration error: need levels <= 500, got 800\n"
 
     def test_numeric_sweep_matches_closed_form(self, capsys):
         code, out, _ = run(
@@ -623,6 +624,25 @@ class TestNumericFailure:
 
 
 class TestConfigResolution:
+    @pytest.mark.parametrize("levels", ["501", "1000000000"])
+    @pytest.mark.parametrize("argv", [
+        ("spectrum",),
+        ("sweep", "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2"),
+        ("sweep", "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2", "--numeric"),
+        ("verify",),
+        ("wavefunction",),
+    ], ids=["spectrum", "sweep", "sweep-numeric", "verify", "wavefunction"])
+    def test_level_cap_exits_2_before_any_work(self, capsys, monkeypatch, argv, levels):
+        # every computing command builds its model through RunConfig.model_params, which refuses the count first
+        def no_work(*args):
+            raise AssertionError("a family, closed-form level or solve was built")
+
+        monkeypatch.setattr(mlqm.DisplacedOscillatorParams, "family", no_work)
+        monkeypatch.setattr(mlqm.DisplacedOscillatorParams, "energy", no_work)
+        monkeypatch.setattr(mlqm.eigensolver, "solve_q_space", no_work)
+        code, out, err = run(capsys, *argv, "--levels", levels)
+        assert (code, out, err) == (EXIT_CONFIG, "", f"configuration error: need levels <= 500, got {levels}\n")
+
     def test_config_file_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": "displaced", "beta": 0.2, "levels": 2}))
@@ -786,7 +806,7 @@ class TestProcessExit:
             (("verify", "--list"), EXIT_OK),
             (("spectrum", "--levels", "2"), EXIT_OK),
             (("spectrum", "--beta", "0"), EXIT_CONFIG),
-            (("spectrum", "--levels", "501"), EXIT_NUMERIC),
+            (("verify", "--omega", "0.05"), EXIT_NUMERIC),  # the metric overflows and fails node doubling
         ],
         ids=["verify-list", "spectrum", "config-error", "numeric-failure"],
     )
