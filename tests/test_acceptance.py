@@ -144,9 +144,9 @@ def test_criterion_4_pseudo_hermiticity():
     # non-Hermiticity (the identity residual at eta = 1): the criterion-2 Swanson
     # point lam = delta is Hermitian by construction, so the defect check
     # uses a genuinely asymmetric coupling
-    defect_d = hermiticity_defect_report(d_coeffs, d_params.deformation).context["measured"]
+    defect_d = hermiticity_defect_report(d_coeffs, d_params.deformation, res_d).context["measured"]
     s_asym = swanson_params(lam=0.3, delta=0.1)
-    defect_s = hermiticity_defect_report(swanson_coefficients(s_asym), s_asym.deformation).context["measured"]
+    defect_s = hermiticity_defect_report(swanson_coefficients(s_asym), s_asym.deformation, res_s).context["measured"]
 
     elapsed = time.perf_counter() - t0
     ok = res_d < 1e-6 and res_s < 1e-6 and defect_d > 1e-2 and defect_s > 1e-2 and elapsed < budget

@@ -473,7 +473,7 @@ class TestVerify:
         assert code == EXIT_OK
         records = {r["name"]: r for r in map(json.loads, out.strip().split("\n"))}
         defect = records["hermiticity-defect"]
-        assert defect["floor"] == verify.HERMITICITY_DEFECT_FLOOR
+        assert defect["floor"] == verify.HERMITICITY_DEFECT_FACTOR * records["pseudo-hermiticity"]["value"]
         assert defect["measured"] > defect["floor"] and defect["value"] == 0.0
 
     def test_output_file(self, capsys, tmp_path):

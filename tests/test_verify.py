@@ -1,5 +1,7 @@
 """Verification battery internals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from mlqm import (
 )
 from mlqm.models import displaced_coefficients, swanson_coefficients, wavefunction
 from mlqm.verify import (
-    HERMITICITY_DEFECT_FLOOR,
+    HERMITICITY_DEFECT_FACTOR,
     ResidualReport,
     _exceed_report,
     battery,
@@ -68,7 +70,7 @@ class TestResidualReport:
 
     def test_nan_measurement_fails_exceed_check(self):
         # max(0, floor - nan) is 0, which would pass; the shortfall must stay NaN
-        report = _exceed_report("hermiticity-defect", float("nan"), HERMITICITY_DEFECT_FLOOR)
+        report = _exceed_report("hermiticity-defect", float("nan"), 1e-2)
         assert np.isnan(report.value) and not report.passed
 
     def test_tolerance_table_is_complete(self):
@@ -118,18 +120,44 @@ class TestHermiticityDefect:
         grid = MomentumGrid.symmetric(30.0, 900)
         h = p_space_operator(coeffs, grid)
         raw = np.linalg.norm(adjoint_under_weight(h, params.deformation, grid) - h) / np.linalg.norm(h)
-        report = hermiticity_defect_report(coeffs, params.deformation)
+        residual = metric_identity_residual(coeffs, params.deformation, params.family().log_metric())
+        report = hermiticity_defect_report(coeffs, params.deformation, residual)
         # the Frobenius defect of the discretized operator is diluted by its huge
         # high-|p| kinetic entries; the pointwise identity is not
         assert report.context["measured"] > 100.0 * raw
         assert report.context["measured"] > 0.1 and report.passed
 
     def test_nearly_hermitian_operator_is_below_the_floor(self):
-        # lambda = 1e-3 barely tilts g: the defect reads 2e-3 to 3e-3, short of the 1e-2 floor
+        # the floor is 100 times the identity's residual at the model's metric, 2.7-3.0e-11 here: lambda = 1e-3
+        # tilts g well above it (defect 2.1-3.2e-3), while at lambda = 1e-10 (defect 2.3-3.4e-10) eta = 1 meets
+        # the identity as closely as the metric does, so the record cannot discriminate them and is skipped
         for gamma in (0.0, 0.05):
-            params = displaced_default(gamma=gamma, lam=1e-3)
-            report = hermiticity_defect_report(displaced_coefficients(params), params.deformation)
-            assert 1e-4 < report.context["measured"] < HERMITICITY_DEFECT_FLOOR and not report.passed
+            for lam in (1e-3, 1e-10):
+                params = displaced_default(gamma=gamma, lam=lam)
+                coeffs = displaced_coefficients(params)
+                residual = metric_identity_residual(coeffs, params.deformation, params.family().log_metric())
+                report = hermiticity_defect_report(coeffs, params.deformation, residual)
+                assert report.passed and residual < 1e-10
+                if lam == 1e-3:
+                    assert report.context["measured"] > report.context["floor"] == HERMITICITY_DEFECT_FACTOR * residual
+                else:
+                    assert report.context["skipped"].startswith("eta = 1 meets the identity within 100 x")
+                    assert metric_identity_residual(coeffs, params.deformation) <= HERMITICITY_DEFECT_FACTOR * residual
+
+    def test_hermitian_operator_under_a_failing_metric_fails(self):
+        # g made Hermitian (kappa = beta + gamma, ell = 0) with the model's metric kept: eta = 1 meets the identity
+        # (defect ~3e-11), the kept metric fails it, and the floor reads the pseudo-hermiticity gate, 100 x 1e-6
+        params = displaced_default(lam=0.5)
+        beta = params.deformation.beta
+        coeffs = dataclasses.replace(displaced_coefficients(params), g=lambda p: -2.0 * beta * p * (1.0 + beta * p**2),
+                                     dg=lambda p: -2.0 * beta * (1.0 + 3.0 * beta * p**2))
+        residual = metric_identity_residual(coeffs, params.deformation, params.family().log_metric())
+        report = hermiticity_defect_report(coeffs, params.deformation, residual)
+        assert residual > TOLERANCES["pseudo-hermiticity"] and not report.passed
+        assert report.context["floor"] == HERMITICITY_DEFECT_FACTOR * TOLERANCES["pseudo-hermiticity"]
+        assert report.context["measured"] < 1e-9
+        nan_floor = hermiticity_defect_report(coeffs, params.deformation, float("nan"))
+        assert nan_floor.context == report.context and not nan_floor.passed
 
 
 class TestPseudoHermiticity:
@@ -231,6 +259,23 @@ def test_battery_passes_at_large_beta(beta):
     # residual carried the units of eps: at beta = 1e6, pseudo-hermiticity read 2.43e-5 and ode-residual 1.4e-6
     reports = battery(displaced_default(beta=beta, lam=0.0), 4)
     assert [r.name for r in reports if not r.passed] == []
+
+
+@pytest.mark.parametrize("beta", [1e3, 3e3, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("model", ["displaced-lambda-0", "displaced-lambda-0.5", "swanson"])
+def test_battery_passes_on_the_large_beta_table(model, beta):
+    # the hermiticity defect falls as 1/sqrt(beta) (displaced) or faster (Swanson, 5e-7 at beta = 1e6), and the
+    # absolute 1e-2 floor failed 9 of these 15 points; against 100 x the metric's residual (<= 1.0e-9) all pass
+    deformation = DeformationParams(1.0, beta, 0.0)
+    params = {
+        "displaced-lambda-0": DisplacedOscillatorParams(deformation, lam=0.0),
+        "displaced-lambda-0.5": DisplacedOscillatorParams(deformation, lam=0.5),
+        "swanson": SwansonParams(deformation, lam=0.5),
+    }[model]
+    reports = {r.name: r for r in battery(params, 4)}
+    assert [name for name, r in reports.items() if not r.passed] == []
+    if model != "displaced-lambda-0":
+        assert "skipped" not in reports["hermiticity-defect"].context
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
