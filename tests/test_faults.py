@@ -4,14 +4,16 @@ One fault at a time is planted in ``GupFamily`` or its ``EnergyMap`` and ``verif
 at four points: both models' CLI defaults, the displaced model at
 gamma = 0.05, and Swanson at gamma = 0.05, lambda 0.3, delta 0.1.  Each row
 pins the exact set of records that fail, so a record that stops seeing its
-fault, or starts failing a correct model, shows here.
+fault, or starts failing a correct model, shows here.  The numeric-layer faults,
+planted in ``eigensolver``, also pin the exit of ``spectrum --levels 4`` at the same points.
 """
 
 import dataclasses
 
 import pytest
 
-from mlqm import verify
+from mlqm import eigensolver, verify
+from mlqm.cli import EXIT_OK, EXIT_VERIFY_FAIL, main
 from mlqm.algebra import DeformationParams
 from mlqm.models import DisplacedOscillatorParams, GupFamily, SwansonParams
 from mlqm.pct import EnergyMap
@@ -64,6 +66,18 @@ def gamma_dropped_from_g(original):
     return coefficients
 
 
+def hermitian_g(original):
+    """g = -2w(beta + gamma) p, with which (f mu)' + g mu = 0: H is Hermitian, while the metric is kept."""
+    def coefficients(self):
+        coeffs, beta, gamma = original(self), self.deformation.beta, self.deformation.gamma
+        return dataclasses.replace(
+            coeffs,
+            g=lambda p: -2.0 * (beta + gamma) * p * (1.0 + beta * p**2),
+            dg=lambda p: -2.0 * (beta + gamma) * (1.0 + 3.0 * beta * p**2),
+        )
+    return coefficients
+
+
 def scaled_energy_map(original):
     def energy(self, epsilon):
         return original(dataclasses.replace(self, scale=self.scale * (1.0 + 1e-6)), epsilon)
@@ -91,15 +105,55 @@ FAULTS = [
     }),
     (shifted_epsilon, GupFamily, "epsilon_levels", dict.fromkeys(POINTS, {"ode-residual", "closed-form-ladder"})),
     (scaled_energy_map, EnergyMap, "energy", dict.fromkeys(POINTS, {"closed-form-ladder"})),
+    # eta = 1 meets the identity (defect ~3e-11) while the kept metric fails it, so the defect's floor reads the
+    # pseudo-hermiticity gate; the p-space levels move with gamma, and the states no longer solve the ODE
+    (hermitian_g, GupFamily, "coefficients", dict.fromkeys(
+        POINTS, {"hermiticity-defect", "pseudo-hermiticity", "ode-residual", "gamma-independence"})),
 ]
 
 
 @pytest.mark.parametrize("fault, owner, method, expected", FAULTS, ids=[
     "none", "log-eta-plus-q", "h-plus-w", "gamma-dropped-from-g", "jacobi-index", "epsilon-plus-0.1",
-    "energy-map-scale",
+    "energy-map-scale", "g-made-hermitian",
 ])
 def test_each_fault_fails_its_records(monkeypatch, fault, owner, method, expected):
     if fault is not None:
         monkeypatch.setattr(owner, method, fault(getattr(owner, method)))
     failed = {name: {r.name for r in verify.battery(params, 4) if not r.passed} for name, params in POINTS.items()}
     assert failed == expected
+
+
+#: `spectrum` argv of each point
+SPECTRUM_ARGV = {
+    "displaced": (),
+    "swanson": ("--model", "swanson"),
+    "displaced-gamma": ("--gamma", "0.05"),
+    "swanson-gamma": ("--model", "swanson", "--gamma", "0.05", "--lambda", "0.3", "--delta", "0.1"),
+}
+
+#: (solver function, misread added to the exponent it returns, the records that fail, spectrum's exit and column)
+NUMERIC_FAULTS = [
+    # The wall factor (1 - z^2)^(B/2) and the decay factor cos(theta)^s only precondition an exact change of
+    # variable: misread by half a unit, every level stays within 5.1e-13, and no record or gate sees the fault.
+    ("_indicial_root", 0.5, set(), (EXIT_OK, None)),
+    ("_decay_exponent", 0.5, set(), (EXIT_OK, None)),
+    # A whole unit leaves u singular at the walls: the q-box levels read 9-20 off, which only spectrum's err_q
+    # sees (verify runs no q-box solve); the theta-axis levels read 9-20 off as well, by amounts that differ
+    # across gamma, so gamma-independence sees it too
+    ("_indicial_root", 1.0, set(), (EXIT_VERIFY_FAIL, "err_q")),
+    ("_decay_exponent", 1.0, {"gamma-independence"}, (EXIT_VERIFY_FAIL, "err_p")),
+]
+
+
+@pytest.mark.parametrize("name, misread, records, spectrum", NUMERIC_FAULTS, ids=[
+    "wall-exponent-plus-0.5", "decay-exponent-plus-0.5", "wall-exponent-plus-1", "decay-exponent-plus-1",
+])
+def test_each_numeric_fault_fails_its_records_and_gate(monkeypatch, capsys, name, misread, records, spectrum):
+    original = getattr(eigensolver, name)
+    monkeypatch.setattr(eigensolver, name, lambda *args: original(*args) + misread)
+    for point, params in POINTS.items():
+        assert {r.name for r in verify.battery(params, 4) if not r.passed} == records, point
+        code = main(["spectrum", *SPECTRUM_ARGV[point]])
+        err = capsys.readouterr().err
+        column = err.split(" has ")[1].split(" = ")[0] if err else None
+        assert (code, column) == spectrum, (point, err)
