@@ -1,12 +1,4 @@
-"""Run the suite on one BLAS thread, and print the acceptance-criterion summary lines after the capture ends."""
-
-import os
-
-# The thread count changes the rounding of the dense eigensolves, and at the collocation's accuracy limit
-# that rounding decides an exit code: the worst of `spectrum --levels 100`'s levels reads 0.4-2.2e-6 off
-# against the 1e-6 gate as B moves by a few ulp or the threads change.  The pinned codes are those of one
-# thread, the setting CI runs the suite with; numpy and SciPy load BLAS after this, and subprocesses inherit it.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+"""Print the acceptance-criterion summary lines after the capture ends."""
 
 acceptance_lines = []
 
