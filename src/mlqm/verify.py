@@ -177,15 +177,17 @@ def hermiticity_defect_report(coeffs: CoefficientSet, params: DeformationParams,
 
     A residual above the pseudo-hermiticity gate, or NaN, is a wrong metric, not noise, and that record
     fails it; the floor then reads the gate, so this record judges H alone.  Where the metric passes and
-    eta = 1 reads within the floor too, the identity cannot tell the two apart, and the record is skipped.
+    eta = 1 reads within the floor too, the identity cannot tell the two apart, and the record is skipped:
+    so it is for a Hermitian H (sigma = ell = 0), whose metric is 1.
     """
     gate = TOLERANCES["pseudo-hermiticity"]
     measured = metric_identity_residual(coeffs, params)
     floor = HERMITICITY_DEFECT_FACTOR * np.fmin(residual, gate)  # fmin: a NaN residual reads as the gate
     if measured <= floor and residual <= gate:
-        skip = {"skipped": f"eta = 1 meets the identity within {HERMITICITY_DEFECT_FACTOR:g} x the residual of the "
-                           "model's metric: H is Hermitian to the identity's resolution", "grid": _SAMPLE_GRID}
-        return ResidualReport("hermiticity-defect", 0.0, TOLERANCES["hermiticity-defect"], skip)
+        reason = (f"eta = 1 meets the identity within {HERMITICITY_DEFECT_FACTOR:g} x the residual of the model's "
+                  "metric: H is Hermitian to the identity's resolution, so there is no defect to detect")
+        return ResidualReport("hermiticity-defect", 0.0, TOLERANCES["hermiticity-defect"],
+                              {"skipped": reason, "grid": _SAMPLE_GRID})
     return _exceed_report("hermiticity-defect", measured, floor, grid=_SAMPLE_GRID)
 
 
@@ -284,12 +286,7 @@ def battery(params, levels: int) -> list:
     deformation = params.deformation
     reports = [commutator_report(deformation)]
     pseudo = pseudo_hermiticity_residual(coeffs, family.log_metric(), deformation)
-    if family.sigma == 0 and family.ell == 0:
-        skip = {"skipped": "H is Hermitian (sigma = ell = 0): there is no defect to detect", "grid": _SAMPLE_GRID}
-        reports.append(ResidualReport("hermiticity-defect", 0.0, TOLERANCES["hermiticity-defect"], skip))
-    else:
-        reports.append(hermiticity_defect_report(coeffs, deformation, pseudo.value))
-    reports.append(pseudo)
+    reports += [hermiticity_defect_report(coeffs, deformation, pseudo.value), pseudo]
     n_states = min(levels, 4) or 4
     states = [wavefunction(k, params) for k in range(n_states)]
     reports.append(gram_matrix(states, metric, deformation)[1])
