@@ -24,7 +24,7 @@ _EXPORTS = {
         "SpectrumResult", "build_p_space_matrix", "solve_p_space", "solve_q_space", "solve_q_space_branch",
     ),
     "errors": (
-        "ComplexSpectrumError", "ConstraintViolatedError", "DegenerateModelError",
+        "ComplexSpectrumError", "ConfigurationError", "ConstraintViolatedError", "DegenerateModelError",
         "DivergenceError", "DomainError", "EllipticityError", "InvalidGridError", "MlqmError",
         "NonConvergenceError", "NumericError", "ResolutionError", "UnsupportedRegimeError",
     ),

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 from .errors import (
     ComplexSpectrumError,
+    ConfigurationError,
     ConstraintViolatedError,
-    DegenerateModelError,
     DomainError,
-    InvalidGridError,
     MlqmError,
     UnsupportedRegimeError,
 )
@@ -32,15 +31,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 MODELS = ("displaced", "swanson")
-
-_CONFIG_ERRORS = (
-    DomainError,
-    InvalidGridError,
-    DegenerateModelError,
-    UnsupportedRegimeError,
-    ComplexSpectrumError,
-    ConstraintViolatedError,
-)
 
 
 @dataclass(frozen=True)
@@ -404,13 +394,16 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.list)
         raise DomainError(f"unknown command {args.command!r}")
-    except _CONFIG_ERRORS as exc:
+    except ConfigurationError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
     except MlqmError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except ArithmeticError as exc:  # an OverflowError or ZeroDivisionError of the parameters' scalar arithmetic
+        sys.stderr.write(f"configuration error: a value derived from the parameters leaves double precision: {exc!r}\n")
+        return EXIT_CONFIG
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
 

@@ -5,11 +5,15 @@ class MlqmError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidGridError(MlqmError, ValueError):
+class ConfigurationError(MlqmError, ValueError):
+    """The parameters or settings are invalid or outside what the package covers; the CLI exits 2."""
+
+
+class InvalidGridError(ConfigurationError):
     """Momentum grid is malformed or too small for the requested stencil."""
 
 
-class DomainError(MlqmError, ValueError):
+class DomainError(ConfigurationError):
     """Argument outside the mathematically valid domain."""
 
 
@@ -25,19 +29,19 @@ class NonConvergenceError(MlqmError, ArithmeticError):
     """Quadrature failed its node-doubling convergence check."""
 
 
-class DegenerateModelError(MlqmError, ValueError):
+class DegenerateModelError(ConfigurationError):
     """Model parameters make the momentum-space reduction singular."""
 
 
-class UnsupportedRegimeError(MlqmError, ValueError):
+class UnsupportedRegimeError(ConfigurationError):
     """Parameters fall in a regime the closed-form machinery does not cover."""
 
 
-class ComplexSpectrumError(MlqmError, ValueError):
+class ComplexSpectrumError(ConfigurationError):
     """Requested a bound-state object past the reality-breaking threshold."""
 
 
-class ConstraintViolatedError(MlqmError, ValueError):
+class ConstraintViolatedError(ConfigurationError):
     """A precondition of a closed-form expression is violated."""
 
 

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, formats, config resolution, exit codes."""
 
 import argparse
+import builtins
 import dataclasses
 import gc
 import importlib.util
@@ -621,6 +622,49 @@ class TestNumericFailure:
         assert proc.returncode == EXIT_NUMERIC and proc.stdout == ""
         assert proc.stderr.startswith("numeric failure: inner product failed node doubling")
         assert proc.stderr.count("\n") == 1
+
+
+#: each class of mlqm.errors, and Python's arithmetic errors, against the exit code main gives it
+EXIT_BY_ERROR = {
+    "MlqmError": EXIT_NUMERIC,
+    "ConfigurationError": EXIT_CONFIG,
+    "InvalidGridError": EXIT_CONFIG,
+    "DomainError": EXIT_CONFIG,
+    "DegenerateModelError": EXIT_CONFIG,
+    "UnsupportedRegimeError": EXIT_CONFIG,
+    "ComplexSpectrumError": EXIT_CONFIG,
+    "ConstraintViolatedError": EXIT_CONFIG,
+    "EllipticityError": EXIT_NUMERIC,
+    "DivergenceError": EXIT_NUMERIC,
+    "NonConvergenceError": EXIT_NUMERIC,
+    "ResolutionError": EXIT_NUMERIC,
+    "NumericError": EXIT_NUMERIC,
+    "OverflowError": EXIT_CONFIG,
+    "ZeroDivisionError": EXIT_CONFIG,
+}
+
+
+def test_every_error_class_is_pinned():
+    classes = {name for name, value in vars(mlqm.errors).items() if isinstance(value, type)}
+    assert classes == set(EXIT_BY_ERROR) - {"OverflowError", "ZeroDivisionError"}
+
+
+@pytest.mark.parametrize("name, expected", EXIT_BY_ERROR.items(), ids=list(EXIT_BY_ERROR))
+def test_error_class_decides_the_exit_code(capsys, monkeypatch, name, expected):
+    error = getattr(mlqm.errors, name, None) or getattr(builtins, name)
+
+    def raising(cfg):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", raising)
+    code, out, err = run(capsys, "spectrum")
+    assert (code, out) == (expected, "")
+    if name in ("OverflowError", "ZeroDivisionError"):
+        line = f"a value derived from the parameters leaves double precision: {name}('the message')"
+    else:
+        line = "the message"
+    prefix = "configuration error: " if expected == EXIT_CONFIG else "numeric failure: "
+    assert err == prefix + line + "\n"
 
 
 class TestConfigResolution:
