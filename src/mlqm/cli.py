@@ -8,12 +8,15 @@ records, one per line.
 """
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import gc
 import json
+import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -68,6 +71,9 @@ class RunConfig:
         _load_library()  # every model, and so every command that computes, starts here
         if self.levels > eigensolver._MAX_LEVELS:  # the most levels any solve returns, refused before any work
             raise DomainError(f"need levels <= {eigensolver._MAX_LEVELS}, got {self.levels}")
+        for key, value in self.params_dict().items():
+            if key != "model" and not math.isfinite(value):
+                raise DomainError(f"{key} must be finite, got {value}")
         deformation = DeformationParams(hbar=self.hbar, beta=self.beta, gamma=self.gamma)
         if self.model == "displaced":
             return DisplacedOscillatorParams(
@@ -186,7 +192,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             f"beta = {cfg.beta!r} is past the reality threshold beta_c = {float(params.beta_c())!r}: the levels are "
             "complex-conjugate pairs; follow them with `sweep --numeric`"
         )
-    e_closed = [complex(params.energy(n)).real for n in range(cfg.levels)]
+    e_closed = [e.real for e in _closed_form(params, cfg.levels)]
     for n in range(1, cfg.levels):
         lower, upper = e_closed[n - 1], e_closed[n]
         # the ladder's spacing is then at the rounding of the levels themselves, so no error can be measured
@@ -218,6 +224,15 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return _gate(((row[col], row["n"], col) for row in rows for col in ("err_q", "err_p")), "level {} has {}".format)
 
 
+def _closed_form(params, levels: int) -> list:
+    """The closed-form E_0 ... E_{levels - 1} as complex numbers, refused where one leaves double precision."""
+    energies = [complex(params.energy(n)) for n in range(levels)]
+    for n, e in enumerate(energies):
+        if not cmath.isfinite(e):
+            raise UnsupportedRegimeError(f"closed-form level E_{n} = {e:g} is not finite in double precision")
+    return energies
+
+
 def _gate(errors, what) -> int:
     """Exit 1 if an (error, *key) is above the gate, after a stderr line naming the worst (NaN first) by what(*key)."""
     gate = verify.TOLERANCES["spectrum-error"]
@@ -242,18 +257,16 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> tuple:
     """One sweep row, and each numeric level's error relative to max(1, |E|) off its closed-form E."""
     local = dataclasses.replace(cfg, **{_SETTINGS[name].name: value})
     params = local.model_params()
-    errors = ()
     if numeric:
         _require_finite_box(local)
+    energies, errors = _closed_form(params, local.levels), ()
+    if numeric and local.levels > 0:
         family = params.family()
         result = eigensolver.solve_q_space(family.transform(), local.levels)
-        energies = [family.energy_map.energy(complex(e)) for e in result.eigenvalues]
         # the closed form, merged with its conjugates where the solve merged its own, in the solve's order
-        want = np.array([complex(params.energy(n)) for n in range(local.levels)])
-        want = np.array(eigensolver._lowest(want, local.levels, merge=result.has_conjugate_pair))
+        want = np.array(eigensolver._lowest(np.array(energies), local.levels, merge=result.has_conjugate_pair))
+        energies = [family.energy_map.energy(complex(e)) for e in result.eigenvalues]
         errors = np.abs(np.array(energies) - want) / np.maximum(1.0, np.abs(want))
-    else:
-        energies = [complex(params.energy(n)) for n in range(local.levels)]
     try:
         bc = params.beta_c()
     except ConstraintViolatedError:
@@ -385,14 +398,16 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         cfg = _resolve_config(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.param, args.start, args.stop, args.steps, args.numeric)
-        if args.command == "wavefunction":
-            return cmd_wavefunction(cfg, args.n, args.samples)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.list)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow and invalid-value warnings raise
+            if args.command == "spectrum":
+                return cmd_spectrum(cfg)
+            if args.command == "sweep":
+                return cmd_sweep(cfg, args.param, args.start, args.stop, args.steps, args.numeric)
+            if args.command == "wavefunction":
+                return cmd_wavefunction(cfg, args.n, args.samples)
+            if args.command == "verify":
+                return cmd_verify(cfg, args.list)
         raise DomainError(f"unknown command {args.command!r}")
     except ConfigurationError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
@@ -400,7 +415,7 @@ def main(argv=None) -> int:
     except MlqmError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
-    except ArithmeticError as exc:  # an OverflowError or ZeroDivisionError of the parameters' scalar arithmetic
+    except (ArithmeticError, RuntimeWarning) as exc:  # Python's OverflowError or ZeroDivisionError, numpy's warning
         sys.stderr.write(f"configuration error: a value derived from the parameters leaves double precision: {exc!r}\n")
         return EXIT_CONFIG
     except (OSError, ValueError) as exc:

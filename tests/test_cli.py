@@ -253,6 +253,18 @@ class TestSweep:
         assert code == EXIT_CONFIG and out == ""
         assert err == "configuration error: need levels <= 500, got 800\n"
 
+    @pytest.mark.parametrize("model, beta_c", [("displaced", ""), ("swanson", "4")])
+    def test_numeric_sweep_of_no_levels_solves_nothing(self, capsys, monkeypatch, model, beta_c):
+        # as spectrum does at --levels 0, the sweep writes its beta and beta_c columns and solves nothing
+        def no_solve(*args):
+            raise AssertionError("a q-box solve was run")
+
+        monkeypatch.setattr(mlqm.eigensolver, "solve_q_space", no_solve)
+        code, out, err = run(capsys, "sweep", "--numeric", "--model", model, "--param", "beta", "--from", "0.1",
+                             "--to", "0.2", "--steps", "2", "--levels", "0")
+        rows = f"beta,beta_c\n0.10000000000000001,{beta_c}\n0.20000000000000001,{beta_c}\n"
+        assert (code, out, err) == (EXIT_OK, rows, "")
+
     def test_numeric_sweep_matches_closed_form(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--levels", "2", "--numeric",
@@ -523,6 +535,7 @@ class TestVerify:
         # a mass the model refuses is no error for a list of check names
         listed = "".join(name + "\n" for name in cli._CHECK_NAMES)
         assert run(capsys, "verify", "--list", "--mass", "-1") == (EXIT_OK, listed, "")
+        assert run(capsys, "verify", "--list", "--delta", "inf") == (EXIT_OK, listed, "")
         assert run(capsys, "verify", "--mass", "-1")[0] == EXIT_CONFIG
 
     def test_nan_ode_residual_is_the_worst(self, monkeypatch):
@@ -766,11 +779,37 @@ class TestConfigResolution:
         assert code == EXIT_CONFIG and out == ""
         assert err.startswith("configuration error: closed-form levels E_0 = ") and "within 16 ulp" in err
 
+    @pytest.mark.parametrize("key", ["hbar", "beta", "gamma", "mass", "omega", "lambda", "delta"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command", [
+        ("spectrum",),
+        ("sweep", "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2"),
+        ("verify",),
+    ], ids=["spectrum", "sweep", "verify"])
+    def test_every_model_setting_must_be_finite(self, capsys, command, key, value):
+        if command[0] == "sweep" and key == "beta":  # a sweep row's own value replaces the swept flag
+            command = ("sweep", "--param", "lambda") + command[3:]
+        message = f"configuration error: {key} must be finite, got {float(value)}\n"
+        assert run(capsys, *command, "--model", "swanson", f"--{key}={value}") == (EXIT_CONFIG, "", message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep", "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2", "--hbar", "1e300"),
+         "closed-form level E_0 = inf+0j is not finite in double precision"),
+        (("spectrum", "--omega", "1e200"),
+         "a value derived from the parameters leaves double precision: OverflowError(34, 'Numerical result out of range')"),
+        (("sweep", "--model", "swanson", "--mass", "1e-320", "--param", "beta", "--from", "0.1", "--to", "0.2",
+          "--steps", "2"),  # beta_c's division by the mass overflows
+         "a value derived from the parameters leaves double precision: RuntimeWarning('overflow encountered in scalar divide')"),
+    ], ids=["closed-form-sweep", "parameter-arithmetic", "beta-c"])
+    def test_values_past_double_precision_exit_2(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_CONFIG, "", f"configuration error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--beta", "0"),
         ("spectrum", "--beta", "0", "--levels", "0"),
         ("sweep", "--numeric", "--param", "beta", "--from", "0", "--to", "0.2", "--steps", "3"),
-    ], ids=["spectrum", "spectrum-no-levels", "numeric-sweep"])
+        ("sweep", "--numeric", "--param", "beta", "--from", "0", "--to", "0.2", "--steps", "3", "--levels", "0"),
+    ], ids=["spectrum", "spectrum-no-levels", "numeric-sweep", "numeric-sweep-no-levels"])
     def test_numeric_solves_refuse_beta_zero(self, capsys, argv):
         # beta = 0 stretches the q-box to the whole line; the closed-form sweep still runs there
         message = "configuration error: the numeric solves need beta > 0, got beta = 0\n"
@@ -875,6 +914,18 @@ class TestProcessExit:
         with pytest.raises(SystemExit) as exc:
             cli.run()
         assert exc.value.code == EXIT_NUMERIC and calls == ["main", "freeze"]
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--omega", "1e200"),
+        ("spectrum", "--mass", "1e-320"),
+        ("wavefunction", "--hbar", "1e300", "--samples", "3"),
+    ], ids=["omega-overflow", "mass-underflow", "hbar-overflow"])
+    def test_parameters_past_double_precision_exit_2_without_a_traceback(self, argv):
+        # Python's OverflowError and ZeroDivisionError, and numpy's warnings, of the parameters' arithmetic
+        proc = python("-m", "mlqm.cli", *argv)
+        assert (proc.returncode, proc.stdout) == (EXIT_CONFIG, "")
+        assert proc.stderr.startswith("configuration error: a value derived from the parameters leaves double precision")
+        assert proc.stderr.count("\n") == 1
 
     def test_escaping_exception_prints_a_traceback_and_exits_one(self):
         probe = "import mlqm.cli as cli\ndef main():\n    raise RuntimeError('escaped main')\ncli.main = main\ncli.run()"
