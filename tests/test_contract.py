@@ -204,3 +204,53 @@ def test_levels_obey_the_units_contract(p):
     rel = np.abs(shifted - unit) / np.maximum(1.0, np.abs(levels))
     solve_gate = max(1e-10, 1e-11 * abs(params.family().wall_exponent))
     assert rel[0].max() <= 1e-12 and rel[1:].max() <= solve_gate, rel.max(axis=1)
+
+
+#: the five commands, each at --levels 2; sweep runs two beta rows, so a --beta flag is overridden there
+COMMANDS = {
+    "spectrum": ("spectrum",),
+    "sweep": ("sweep", "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2"),
+    "sweep-numeric": ("sweep", "--numeric", "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2"),
+    "wavefunction": ("wavefunction", "--samples", "3"),
+    "verify": ("verify",),
+}
+FLOAT_FLAGS = ("hbar", "beta", "gamma", "mass", "omega", "lambda", "delta")
+_PREFIX = {EXIT_CONFIG: "configuration error: ", EXIT_NUMERIC: "numeric failure: "}
+
+
+def _finite_numbers(out: str) -> bool:
+    """Every CSV cell (a blank one aside) and every JSON number of the output is finite."""
+    try:
+        parsed = [json.loads(line, parse_constant=float) for line in out.splitlines()]
+    except ValueError:  # CSV: a header, then rows of numbers
+        return all(cell == "" or np.isfinite(float(cell)) for line in out.splitlines()[1:] for cell in line.split(","))
+    numbers = [v for record in parsed for v in (record.values() if isinstance(record, dict) else [record])]
+    return all(np.isfinite(v) for v in numbers if isinstance(v, (int, float)) and not isinstance(v, bool))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(sorted(COMMANDS)),
+    model=st.sampled_from(("displaced", "swanson")),
+    flags=st.dictionaries(st.sampled_from(FLOAT_FLAGS), st.floats(), min_size=1, max_size=3),
+)
+@example(command="spectrum", model="displaced", flags={"omega": 1e200})  # omega**2 overflowed in lam_tilde
+@example(command="spectrum", model="displaced", flags={"mass": 1e-320})  # a division by the mass's product is by 0
+@example(command="sweep", model="displaced", flags={"hbar": 1e300})  # the closed-form levels were inf
+@example(command="sweep", model="swanson", flags={"omega": float("inf")})  # printed inf and nan rows
+def test_every_parameter_gets_an_exit_code(command, model, flags):
+    # a full-range double in any model setting ends in a verdict, never in a traceback: exit 0 only with finite
+    # numbers, 1 after the output it gates, 2 or 3 with one stderr line and nothing on stdout
+    argv = [*COMMANDS[command], "--model", model, "--levels", "2"] + [f"--{k}={v!r}" for k, v in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
+    if code in _PREFIX:
+        assert out == "" and err.startswith(_PREFIX[code]) and err.count("\n") == 1 and err.endswith("\n"), err
+    elif code == EXIT_VERIFY_FAIL:
+        assert out != ""
+    else:
+        assert _finite_numbers(out), out
