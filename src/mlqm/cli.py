@@ -2,18 +2,17 @@
 
 Exit codes: 0 success (all checks pass), 1 verification failure (a failed
 ``verify`` check, or a ``spectrum`` or ``sweep --numeric`` level off its
-closed form), 2 invalid configuration, 3 numeric failure.  Tabular output is
-CSV (LF endings, 17 significant digits); verification reports are JSON
-records, one per line.
+closed form), 2 invalid configuration (a ``ConfigurationError``, or parameters
+whose derived values leave double precision), 3 numeric failure (any other
+``MlqmError``).  Tabular output is CSV (LF endings, 17 significant digits);
+verification reports are JSON records, one per line.
 """
 
 import argparse
-import cmath
 import dataclasses
 import functools
 import gc
 import json
-import math
 import re
 import sys
 import warnings
@@ -72,7 +71,7 @@ class RunConfig:
         if self.levels > eigensolver._MAX_LEVELS:  # the most levels any solve returns, refused before any work
             raise DomainError(f"need levels <= {eigensolver._MAX_LEVELS}, got {self.levels}")
         for key, value in self.params_dict().items():
-            if key != "model" and not math.isfinite(value):
+            if key != "model" and not np.isfinite(value):
                 raise DomainError(f"{key} must be finite, got {value}")
         deformation = DeformationParams(hbar=self.hbar, beta=self.beta, gamma=self.gamma)
         if self.model == "displaced":
@@ -228,7 +227,7 @@ def _closed_form(params, levels: int) -> list:
     """The closed-form E_0 ... E_{levels - 1} as complex numbers, refused where one leaves double precision."""
     energies = [complex(params.energy(n)) for n in range(levels)]
     for n, e in enumerate(energies):
-        if not cmath.isfinite(e):
+        if not np.isfinite(e):
             raise UnsupportedRegimeError(f"closed-form level E_{n} = {e:g} is not finite in double precision")
     return energies
 
