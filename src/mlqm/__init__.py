@@ -23,11 +23,7 @@ _EXPORTS = {
     "eigensolver": (
         "SpectrumResult", "build_p_space_matrix", "solve_p_space", "solve_q_space", "solve_q_space_branch",
     ),
-    "errors": (
-        "ComplexSpectrumError", "ConfigurationError", "ConstraintViolatedError", "DegenerateModelError",
-        "DivergenceError", "DomainError", "EllipticityError", "InvalidGridError", "MlqmError",
-        "NonConvergenceError", "NumericError", "ResolutionError", "UnsupportedRegimeError",
-    ),
+    "errors": ("ConfigurationError", "MlqmError", "NumericError"),
     "inner": ("eta_inner",),
     "jacobi": ("jacobi_batch", "jacobi_eval"),
     "models": (

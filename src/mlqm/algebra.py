@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidGridError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,13 @@ class DeformationParams:
     def __post_init__(self):
         for name in ("hbar", "beta", "gamma"):
             if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+            raise ConfigurationError(f"hbar must be positive, got {self.hbar}")
         if self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+            raise ConfigurationError(f"beta must be non-negative, got {self.beta}")
         if self.beta == 0 and self.gamma != 0:
-            raise ValueError("gamma must be 0 when beta is 0 (measure exponent gamma/beta undefined)")
+            raise ConfigurationError("gamma must be 0 when beta is 0 (measure exponent gamma/beta undefined)")
 
     @property
     def min_length(self) -> float:
@@ -93,9 +93,9 @@ class MomentumGrid:
 
     def __post_init__(self):
         if not self.p_min < self.p_max:
-            raise InvalidGridError(f"need p_min < p_max, got [{self.p_min}, {self.p_max}]")
+            raise ConfigurationError(f"need p_min < p_max, got [{self.p_min}, {self.p_max}]")
         if self.n_points < 3:
-            raise InvalidGridError(f"need n_points >= 3, got {self.n_points}")
+            raise ConfigurationError(f"need n_points >= 3, got {self.n_points}")
 
     @classmethod
     def symmetric(cls, p_max: float, n_points: int) -> "MomentumGrid":
@@ -149,7 +149,7 @@ def commutator_residual(params: DeformationParams, grid: MomentumGrid, phi) -> f
     discretization error for smooth, decaying phi.
     """
     if grid.n_points < 9:
-        raise InvalidGridError(f"need n_points >= 9 for an interior past both stencils, got {grid.n_points}")
+        raise ConfigurationError(f"need n_points >= 9 for an interior past both stencils, got {grid.n_points}")
     phi = np.asarray(phi, dtype=complex)
     p = grid.points
     inner = p[2:-2]

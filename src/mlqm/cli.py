@@ -3,8 +3,8 @@
 Exit codes: 0 success (all checks pass), 1 verification failure (a failed
 ``verify`` check, or a ``spectrum`` or ``sweep --numeric`` level off its
 closed form), 2 invalid configuration (a ``ConfigurationError``, or parameters
-whose derived values leave double precision), 3 numeric failure (any other
-``MlqmError``).  Tabular output is CSV (LF endings, 17 significant digits);
+whose derived values leave double precision), 3 numeric failure (a
+``NumericError``, or any other ``MlqmError``).  Tabular output is CSV (LF endings, 17 significant digits);
 verification reports are JSON records, one per line.
 """
 
@@ -13,19 +13,13 @@ import dataclasses
 import functools
 import gc
 import json
+import math
 import re
 import sys
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import (
-    ComplexSpectrumError,
-    ConfigurationError,
-    ConstraintViolatedError,
-    DomainError,
-    MlqmError,
-    UnsupportedRegimeError,
-)
+from .errors import ConfigurationError, MlqmError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -62,17 +56,17 @@ class RunConfig:
     def __post_init__(self):
         for f in _SETTINGS.values():
             if "choices" in f.metadata and getattr(self, f.name) not in f.metadata["choices"]:
-                raise DomainError(f"unknown {f.name} {getattr(self, f.name)!r}")
+                raise ConfigurationError(f"unknown {f.name} {getattr(self, f.name)!r}")
         if self.levels < 0:
-            raise DomainError(f"levels must be non-negative, got {self.levels}")
+            raise ConfigurationError(f"levels must be non-negative, got {self.levels}")
 
     def model_params(self):
         _load_library()  # every model, and so every command that computes, starts here
         if self.levels > eigensolver._MAX_LEVELS:  # the most levels any solve returns, refused before any work
-            raise DomainError(f"need levels <= {eigensolver._MAX_LEVELS}, got {self.levels}")
+            raise ConfigurationError(f"need levels <= {eigensolver._MAX_LEVELS}, got {self.levels}")
         for key, value in self.params_dict().items():
             if key != "model" and not np.isfinite(value):
-                raise DomainError(f"{key} must be finite, got {value}")
+                raise ConfigurationError(f"{key} must be finite, got {value}")
         deformation = DeformationParams(hbar=self.hbar, beta=self.beta, gamma=self.gamma)
         if self.model == "displaced":
             return DisplacedOscillatorParams(
@@ -135,7 +129,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             file_cfg = json.load(fh)
         unknown = set(file_cfg) - set(_SETTINGS)
         if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
     values = {}
     for key, f in _SETTINGS.items():
@@ -144,7 +138,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         try:
             values[f.name] = _CASTS[f.type](value)
         except TypeError as exc:
-            raise DomainError(f"config key {key!r}: {exc}") from None
+            raise ConfigurationError(f"config key {key!r}: {exc}") from None
     return RunConfig(**values)
 
 
@@ -170,7 +164,7 @@ def _emit(header, rows, cfg: RunConfig):
 def _require_finite_box(cfg: RunConfig):
     """The numeric solves work on the q-box |q| < pi/(2 sqrt(beta)), which beta = 0 stretches to the whole line."""
     if not cfg.beta > 0:
-        raise DomainError(f"the numeric solves need beta > 0, got beta = {cfg.beta:g}")
+        raise ConfigurationError(f"the numeric solves need beta > 0, got beta = {cfg.beta:g}")
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +181,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     _require_finite_box(cfg)
     # E_closed and E_q are real columns, so complex levels would lose their imaginary part
     if complex(params.energy(0)).imag != 0:
-        raise ComplexSpectrumError(
+        raise ConfigurationError(
             f"beta = {cfg.beta!r} is past the reality threshold beta_c = {float(params.beta_c())!r}: the levels are "
             "complex-conjugate pairs; follow them with `sweep --numeric`"
         )
@@ -196,7 +190,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         lower, upper = e_closed[n - 1], e_closed[n]
         # the ladder's spacing is then at the rounding of the levels themselves, so no error can be measured
         if abs(upper - lower) <= 16 * np.spacing(max(abs(lower), abs(upper))):
-            raise UnsupportedRegimeError(
+            raise ConfigurationError(
                 f"closed-form levels E_{n - 1} = {_fmt(lower)} and E_{n} = {_fmt(upper)} are within 16 ulp "
                 "of each other: the ladder is not resolved in double precision"
             )
@@ -228,7 +222,7 @@ def _closed_form(params, levels: int) -> list:
     energies = [complex(params.energy(n)) for n in range(levels)]
     for n, e in enumerate(energies):
         if not np.isfinite(e):
-            raise UnsupportedRegimeError(f"closed-form level E_{n} = {e:g} is not finite in double precision")
+            raise ConfigurationError(f"closed-form level E_{n} = {e:g} is not finite in double precision")
     return energies
 
 
@@ -268,7 +262,7 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> tuple:
         errors = np.abs(np.array(energies) - want) / np.maximum(1.0, np.abs(want))
     try:
         bc = params.beta_c()
-    except ConstraintViolatedError:
+    except ConfigurationError:
         bc = None
     row = {name: value, "beta_c": bc}
     for n, e in enumerate(energies):
@@ -278,11 +272,14 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> tuple:
 
 def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, steps: int, numeric: bool) -> int:
     if param not in _SWEEP_PARAMS:
-        raise DomainError(f"sweep parameter must be one of {_SWEEP_PARAMS}, got {param!r}")
+        raise ConfigurationError(f"sweep parameter must be one of {_SWEEP_PARAMS}, got {param!r}")
     if not 2 <= steps <= _MAX_SWEEP_STEPS:
-        raise DomainError(f"need 2 <= steps <= {_MAX_SWEEP_STEPS}, got {steps}")
+        raise ConfigurationError(f"need 2 <= steps <= {_MAX_SWEEP_STEPS}, got {steps}")
     if start == stop:
-        raise DomainError("constant sweep (from == to) rejected")
+        raise ConfigurationError("constant sweep (from == to) rejected")
+    for flag, value in (("--from", start), ("--to", stop)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{flag} must be finite, got {value}")
     _load_library()
     rows, row_errors = zip(*(_sweep_row(cfg, param, float(v), numeric) for v in np.linspace(start, stop, steps)))
     header = [param] + [f"E{n}_{part}" for n in range(cfg.levels) for part in ("re", "im")] + ["beta_c"]
@@ -300,12 +297,12 @@ _WAVEFUNCTION_HEADER = ("p", "re_psi", "im_psi", "eta", "q")
 
 def cmd_wavefunction(cfg: RunConfig, n: int, samples: int) -> int:
     if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
+        raise ConfigurationError(f"need n >= 0, got {n}")
     if not 2 <= samples <= _MAX_SWEEP_STEPS:
-        raise DomainError(f"need 2 <= samples <= {_MAX_SWEEP_STEPS}, got {samples}")
+        raise ConfigurationError(f"need 2 <= samples <= {_MAX_SWEEP_STEPS}, got {samples}")
     params = cfg.model_params()
     if n >= eigensolver._MAX_LEVELS:
-        raise DomainError(f"need n < {eigensolver._MAX_LEVELS}, got {n}")
+        raise ConfigurationError(f"need n < {eigensolver._MAX_LEVELS}, got {n}")
     psi = wavefunction(n, params)
     eta = params.family().metric()
     d = params.deformation
@@ -407,7 +404,7 @@ def main(argv=None) -> int:
                 return cmd_wavefunction(cfg, args.n, args.samples)
             if args.command == "verify":
                 return cmd_verify(cfg, args.list)
-        raise DomainError(f"unknown command {args.command!r}")
+        raise ConfigurationError(f"unknown command {args.command!r}")
     except ConfigurationError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
@@ -417,7 +414,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, RuntimeWarning) as exc:  # Python's OverflowError or ZeroDivisionError, numpy's warning
         sys.stderr.write(f"configuration error: a value derived from the parameters leaves double precision: {exc!r}\n")
         return EXIT_CONFIG
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # outside input: the config file, its JSON, a value float() cannot read
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_CONFIG
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DeformationParams, MomentumGrid, first_derivative_matrix, second_derivative_matrix
-from .errors import InvalidGridError, NumericError, ResolutionError
+from .errors import ConfigurationError, NumericError
 from .pct import CoefficientSet, TransformedProblem, _larger_root
 
 #: Most levels one collocation solve returns: the dense matrix has 32 + 4 n_levels rows,
@@ -54,7 +54,7 @@ def _lowest(eigs: np.ndarray, n_levels: int, merge: bool = False) -> tuple:
 def _collocation_size(n_levels: int, what: str) -> int:
     """N = 32 + 4 n_levels collocation points for the n_levels lowest levels."""
     if not 1 <= n_levels <= _MAX_LEVELS:
-        raise ResolutionError(f"cannot resolve {n_levels} {what} levels; need 1 <= levels <= {_MAX_LEVELS}")
+        raise NumericError(f"cannot resolve {n_levels} {what} levels; need 1 <= levels <= {_MAX_LEVELS}")
     return 32 + 4 * n_levels
 
 
@@ -126,7 +126,7 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
     a collocation spectrum is spurious; only the lowest n_levels are returned.
     """
     if not (np.isfinite(problem.q_min) and np.isfinite(problem.q_max)):
-        raise InvalidGridError("solve_q_space needs a finite q-box")
+        raise ConfigurationError("solve_q_space needs a finite q-box")
     from scipy.linalg import LinAlgError, eigvals
     n = _collocation_size(n_levels, "q-box")
     t, d1, d2 = _chebyshev_gauss(n)
@@ -155,7 +155,7 @@ solve_q_space_branch = solve_q_space
 def build_p_space_matrix(coeffs: CoefficientSet, grid: MomentumGrid) -> np.ndarray:
     """-f d^2/dp^2 + g d/dp + h as the dense products of the 4th-order stencil matrices (Dirichlet closure)."""
     if not grid.is_symmetric:
-        raise InvalidGridError("p-space assembly requires a symmetric grid")
+        raise ConfigurationError("p-space assembly requires a symmetric grid")
     p, n, step = grid.points, grid.n_points, grid.spacing
     f = np.asarray(coeffs.f(p), dtype=float)
     g = np.asarray(coeffs.g(p), dtype=float)
@@ -230,7 +230,7 @@ def theta_modes(coeffs: CoefficientSet, deformation: DeformationParams, n_modes:
     """
     beta = deformation.beta
     if not beta > 0:
-        raise InvalidGridError("the theta-axis solve needs beta > 0")
+        raise ConfigurationError("the theta-axis solve needs beta > 0")
     n = _collocation_size(n_modes, "p-space")
     t, d1, d2 = _chebyshev_gauss(n)
     z, c = np.cos(t), np.sin(t)  # sin and cos of theta = pi/2 - t; c keeps its digits at the walls

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import DeformationParams
-from .errors import DomainError, NonConvergenceError
+from .errors import ConfigurationError, NumericError
 
 #: Fejer rule size on q; the integral is the 1023-node rule of twice it, checked against this 511-node one.
 QUADRATURE_NODES = 512
@@ -51,7 +51,7 @@ def eta_inner(phi, psi, eta, params: DeformationParams) -> complex:
     QUADRATURE_NODES against twice as many, guards against divergent integrands.
     """
     if params.beta <= 0:
-        raise DomainError("quadrature on q needs beta > 0")
+        raise ConfigurationError("quadrature on q needs beta > 0")
     x, w_fine = _fejer(2 * QUADRATURE_NODES)
     w_coarse = _fejer(QUADRATURE_NODES)[1]
     p = params.p_of_q(params.q_half * x)
@@ -66,7 +66,7 @@ def eta_inner(phi, psi, eta, params: DeformationParams) -> complex:
     # at round-off level) are not misread as divergence
     scale = max(abs(fine), abs(coarse), 1.0)
     if not abs(fine - coarse) <= _DIVERGENCE_THRESHOLD * scale:  # also refuses NaN
-        raise NonConvergenceError(
+        raise NumericError(
             f"inner product failed node doubling: |I(2N)-I(N)|/|I| = {abs(fine - coarse) / scale:.3e}"
         )
     return fine

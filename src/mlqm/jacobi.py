@@ -7,7 +7,7 @@ stay modest (n <= ~50) in this package, where the recurrence is stable on
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError
 
 
 def jacobi_batch(n_max: int, a: float, b: float, z):
@@ -16,9 +16,9 @@ def jacobi_batch(n_max: int, a: float, b: float, z):
     Returns an array of shape (n_max + 1,) + shape(z).
     """
     if n_max < 0:
-        raise DomainError(f"degree must be non-negative, got {n_max}")
+        raise ConfigurationError(f"degree must be non-negative, got {n_max}")
     if a <= -1 or b <= -1:
-        raise DomainError(f"need a > -1 and b > -1, got a={a}, b={b}")
+        raise ConfigurationError(f"need a > -1 and b > -1, got a={a}, b={b}")
     z = np.asarray(z, dtype=float)
     out = np.empty((n_max + 1,) + z.shape)
     out[0] = 1.0

@@ -20,14 +20,7 @@ import numpy as np
 
 from . import pct
 from .algebra import DeformationParams
-from .errors import (
-    ComplexSpectrumError,
-    ConstraintViolatedError,
-    DegenerateModelError,
-    DivergenceError,
-    DomainError,
-    UnsupportedRegimeError,
-)
+from .errors import ConfigurationError, NumericError
 from .inner import eta_inner
 from .jacobi import jacobi_eval
 from .pct import CoefficientSet, EnergyMap, TransformedProblem, _larger_root, _snapped_sqrt
@@ -44,9 +37,9 @@ class DisplacedOscillatorParams:
 
     def __post_init__(self):
         if not self.mu > 0:
-            raise DomainError(f"mu must be positive, got {self.mu}")
+            raise ConfigurationError(f"mu must be positive, got {self.mu}")
         if not self.omega > 0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
+            raise ConfigurationError(f"omega must be positive, got {self.omega}")
 
     @property
     def lam_tilde(self) -> float:
@@ -70,7 +63,7 @@ class DisplacedOscillatorParams:
     def energy(self, n: int) -> float:
         """Closed-form E_n; real for every n, beta >= 0 and lam."""
         if n < 0:
-            raise DomainError(f"level index must be non-negative, got {n}")
+            raise ConfigurationError(f"level index must be non-negative, got {n}")
         d = self.deformation
         hbar, beta = d.hbar, d.beta
         mu, omega, lam = self.mu, self.omega, self.lam
@@ -96,14 +89,14 @@ class SwansonParams:
 
     def __post_init__(self):
         if not self.m > 0:
-            raise DomainError(f"m must be positive, got {self.m}")
+            raise ConfigurationError(f"m must be positive, got {self.m}")
         if not self.omega > 0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
+            raise ConfigurationError(f"omega must be positive, got {self.omega}")
         drive = self.omega - self.lam - self.delta
         if drive == 0:
-            raise DegenerateModelError("omega - lam - delta = 0 makes the momentum-space reduction singular")
+            raise ConfigurationError("omega - lam - delta = 0 makes the momentum-space reduction singular")
         if drive < 0:
-            raise UnsupportedRegimeError(
+            raise ConfigurationError(
                 f"omega - lam - delta = {drive} < 0 flips the energy-map orientation; not supported"
             )
 
@@ -146,7 +139,7 @@ class SwansonParams:
         A ``swanson_reality_margin`` within its rounding of zero, on the scale (omega - t)^2 + 4|lam delta|, is 0.
         """
         if n < 0:
-            raise DomainError(f"level index must be non-negative, got {n}")
+            raise ConfigurationError(f"level index must be non-negative, got {n}")
         t = self._t
         root = _snapped_sqrt(swanson_reality_margin(self), (self.omega - t) ** 2 + 4.0 * abs(self.lam * self.delta))
         return t * (n * n + n + 0.5) + (n + 0.5) * root
@@ -163,7 +156,7 @@ class SwansonParams:
             return None
         head = self.omega - 2.0 * np.sqrt(prod)
         if head <= 0:
-            raise ConstraintViolatedError(
+            raise ConfigurationError(
                 f"omega - 2*sqrt(lam*delta) = {head} <= 0: reality fails for every beta"
             )
         return 2.0 * head / (self.m * self.deformation.hbar * self.omega * self.drive)
@@ -199,9 +192,9 @@ class Wavefunction:
 
     def __post_init__(self):
         if self.n < 0:
-            raise DomainError(f"level index must be non-negative, got {self.n}")
+            raise ConfigurationError(f"level index must be non-negative, got {self.n}")
         if self.beta <= 0:
-            raise DomainError("closed-form eigenfunctions require beta > 0")
+            raise ConfigurationError("closed-form eigenfunctions require beta > 0")
 
     def _z(self, p, w):
         sqb = np.sqrt(self.beta)
@@ -313,7 +306,7 @@ class GupFamily:
         """Strength nu = (kappa (kappa - beta) + a + beta c)/beta of the sec^2 potential; beta <= 0 has no ladder."""
         d = self.deformation
         if d.beta <= 0:
-            raise DomainError("spectral ladder parameters require beta > 0")
+            raise ConfigurationError("spectral ladder parameters require beta > 0")
         return ((d.gamma + self.sigma) * self.kappa + self.a + d.beta * self.c) / d.beta
 
     @property
@@ -340,7 +333,7 @@ class GupFamily:
         """
         big_b, offset = self.wall_exponent, self.offset
         if isinstance(big_b, complex):
-            raise ComplexSpectrumError(
+            raise ConfigurationError(
                 "beta is at or past the reality threshold; bound-state eigenfunctions are not real-parameter Jacobi forms"
             )
         return lambda n: self.deformation.beta * (big_b + np.asarray(n)) ** 2 + offset
@@ -349,7 +342,7 @@ class GupFamily:
         """log eta = -(gamma/beta) * log(1 + beta p^2) - 2 log rho, the metric under which H is pseudo-Hermitian."""
         d = self.deformation
         if d.beta <= 0:
-            raise DomainError("the metric requires beta > 0")
+            raise ConfigurationError("the metric requires beta > 0")
         beta, gamma, log_rho = d.beta, d.gamma, self.log_rho()
 
         def log_eta(p):
@@ -411,7 +404,7 @@ def wavefunction(n: int, params) -> Wavefunction:
     wave = family.wavefunction(n)
     norm2 = eta_inner(wave, wave, family.metric(), params.deformation).real
     if not np.isfinite(norm2) or norm2 <= 0:
-        raise DivergenceError(f"eigenfunction has no finite positive metric norm (got {norm2})")
+        raise NumericError(f"eigenfunction has no finite positive metric norm (got {norm2})")
     return dataclasses.replace(wave, norm=wave.norm / np.sqrt(norm2))
 
 

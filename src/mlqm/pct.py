@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import DeformationParams
-from .errors import DomainError, EllipticityError
+from .errors import ConfigurationError, NumericError
 
 #: Interval of the points at which CoefficientSet validates itself.
 _VALIDATION_RANGE = (-10.0, 10.0)
@@ -58,7 +58,7 @@ class EnergyMap:
 
     def __post_init__(self):
         if self.scale == 0:
-            raise ValueError("energy map must be invertible (scale != 0)")
+            raise ConfigurationError("energy map must be invertible (scale != 0)")
 
     def energy(self, epsilon):
         return (epsilon - self.offset) / self.scale
@@ -86,7 +86,7 @@ class CoefficientSet:
         p = lo + (hi - lo) * _VALIDATION_FRACTIONS
         fvals = np.asarray(self.f(p), dtype=float)
         if not np.all(fvals > 0):  # also refuses NaN
-            raise EllipticityError("f(p) must be strictly positive on the working domain")
+            raise NumericError("f(p) must be strictly positive on the working domain")
         step = 1e-5 * (1.0 + np.abs(p))
         for base, deriv, label in ((self.f, self.df, "f'"), (self.g, self.dg, "g'"), (self.df, self.d2f, "f''")):
             ahead, behind = np.asarray(base(p + step)), np.asarray(base(p - step))
@@ -98,7 +98,9 @@ class CoefficientSet:
             rounding = _ROUNDING * np.maximum(np.abs(ahead), np.abs(behind)) / step
             rel = np.maximum(np.abs(fd - an) - rounding, 0.0) / scale
             if not rel.max() <= 1e-6:
-                raise ValueError(f"supplied {label} disagrees with finite differences (max rel {rel.max():.2e})")
+                raise ConfigurationError(
+                    f"supplied {label} disagrees with finite differences (max rel {rel.max():.2e})"
+                )
 
 
 @dataclass(frozen=True)
@@ -111,13 +113,13 @@ class TransformedProblem:
 
 
 def build_potential(coeffs: CoefficientSet, deformation: DeformationParams) -> Callable:
-    """Pointwise evaluator of V(q) at p(q), the q-map of ``deformation``; raises DomainError outside |q| < q_half."""
+    """Pointwise evaluator of V(q) at p(q), the q-map of ``deformation``; refuses q outside |q| < q_half."""
     q_half = deformation.q_half
 
     def V(q):
         q = np.asarray(q, dtype=float)
         if np.any(np.abs(q) >= q_half):
-            raise DomainError(f"q outside ({-q_half}, {q_half})")
+            raise ConfigurationError(f"q outside ({-q_half}, {q_half})")
         p = np.asarray(deformation.p_of_q(q), dtype=float)
         f, df, d2f = coeffs.f(p), coeffs.df(p), coeffs.d2f(p)
         g, dg, h = coeffs.g(p), coeffs.dg(p), coeffs.h(p)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import DeformationParams, MomentumGrid, commutator_residual
 from .eigensolver import solve_p_space, theta_modes
-from .errors import ResolutionError
+from .errors import NumericError
 from .inner import QUADRATURE_NODES, _fejer, eta_inner
 from .models import wavefunction
 from .pct import CoefficientSet
@@ -123,14 +123,14 @@ def _low_mode_basis(coeffs: CoefficientSet, params: DeformationParams, grid: Mom
     """The n_modes lowest theta-axis modes at the grid points, one column each.
 
     A mode with more than _SPURIOUS_EDGE_RATIO of its measure-weighted squared
-    norm beyond the grid's |p| is cut off by the box, so ResolutionError asks
+    norm beyond the grid's |p| is cut off by the box, so NumericError asks
     for a larger box instead of returning it.
     """
     modes = theta_modes(coeffs, params, n_modes)
     inside = _tail_share(modes, params, grid.p_max) <= _SPURIOUS_EDGE_RATIO
     if not inside.all():  # a NaN share compares False, so it is refused too
         beyond = n_modes - int(np.count_nonzero(inside))
-        raise ResolutionError(
+        raise NumericError(
             f"{beyond} of the {n_modes} lowest p-space modes hold more than {_SPURIOUS_EDGE_RATIO:g} of their "
             f"norm beyond |p| = {grid.p_max:g}; enlarge the grid"
         )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlqm import TOLERANCES, DeformationParams, InvalidGridError, MomentumGrid, commutator_residual
+from mlqm import TOLERANCES, ConfigurationError, DeformationParams, MomentumGrid, commutator_residual
 from mlqm import algebra
 from mlqm.algebra import _D1_CENTRAL, first_derivative_matrix, second_derivative_matrix
 from mlqm.verify import commutator_report
@@ -46,13 +46,14 @@ class TestDeformationParams:
         ],
     )
     def test_rejects_invalid_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+        # the last key is the setting refused: hbar and beta for their sign, gamma for a nonzero value at beta 0
+        with pytest.raises(ConfigurationError, match=f"^{list(kwargs)[-1]} must be "):
             DeformationParams(**kwargs)
 
     @pytest.mark.parametrize("name", ["hbar", "beta", "gamma"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_rejects_non_finite_parameters(self, name, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got {value}$"):
             DeformationParams(**{name: value})
 
     # subnormal p would underflow sqrt(beta)*p and lose the round trip to the float format
@@ -96,7 +97,7 @@ class TestMomentumGrid:
 
     @pytest.mark.parametrize("args", [(-1.0, -2.0, 10), (0.0, 0.0, 10), (-1.0, 1.0, 2)])
     def test_rejects_bad_bounds(self, args):
-        with pytest.raises(InvalidGridError):
+        with pytest.raises(ConfigurationError, match="need p_min < p_max|need n_points >= 3"):
             MomentumGrid(*args)
 
 
@@ -151,5 +152,5 @@ class TestCommutator:
         grid, phi = gaussian_grid(n=9)
         assert np.isfinite(commutator_residual(DeformationParams(beta=0.1), grid, phi))
         grid, phi = gaussian_grid(n=8)
-        with pytest.raises(InvalidGridError):
+        with pytest.raises(ConfigurationError, match="need n_points >= 9 for an interior past both stencils, got 8"):
             commutator_residual(DeformationParams(beta=0.1), grid, phi)

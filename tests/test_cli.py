@@ -215,6 +215,16 @@ class TestSweep:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("bounds, message", [
+        (("--from", "0.1", "--to", "inf"), "--to must be finite, got inf"),
+        (("--from=-inf", "--to", "0.2"), "--from must be finite, got -inf"),
+        (("--from", "nan", "--to", "0.2"), "--from must be finite, got nan"),
+    ], ids=["to-inf", "from-minus-inf", "from-nan"])
+    def test_rejects_non_finite_bounds(self, capsys, bounds, message):
+        # the refusal names the flag: an infinite bound exited 2 on linspace's warning, a NaN one as "beta"
+        argv = ("sweep", "--param", "beta", *bounds, "--steps", "2")
+        assert run(capsys, *argv) == (EXIT_CONFIG, "", f"configuration error: {message}\n")
+
     def test_rejects_huge_step_count_before_any_work(self, capsys, monkeypatch):
         def no_rows(*args):
             raise AssertionError("a sweep row was computed")
@@ -364,6 +374,12 @@ class TestSpectrumPastThreshold:
             "configuration error: beta = 2.00000000001 is past the reality threshold beta_c = 1.9999999999999996: "
         )
 
+    def test_no_threshold_when_reality_fails_for_every_beta(self, capsys):
+        # lambda * delta > 0 and omega <= 2 sqrt(lambda * delta): the levels are never real, and no beta_c exists
+        code, out, err = run(capsys, "spectrum", "--model", "swanson", "--lambda", "-1", "--delta", "-1")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "configuration error: omega - 2*sqrt(lam*delta) = -1.0 <= 0: reality fails for every beta\n"
+
     def test_beta_c_itself_is_the_real_ladder(self, capsys):
         # beta_c = 2 exactly, where the float reality margin reads -1.1e-16, within its rounding of zero
         code, out, err = run(
@@ -443,6 +459,9 @@ class TestFormats:
             # lambda * delta < 0 has no reality threshold: a blank CSV cell, a JSON null
             (("sweep", "--model", "swanson", "--lambda", "0.2", "--delta", "-0.1", "--levels", "2",
               "--param", "beta", "--from", "0.3", "--to", "0.6", "--steps", "3"), {"beta_c"}),
+            # omega <= 2 sqrt(lambda * delta): reality fails for every beta, which spectrum refuses (exit 2)
+            (("sweep", "--model", "swanson", "--lambda", "-1", "--delta", "-1", "--levels", "2",
+              "--param", "beta", "--from", "0.1", "--to", "0.2", "--steps", "2"), {"beta_c"}),
             (("wavefunction", "--n", "1", "--samples", "9"), set()),
         ],
     )
@@ -641,16 +660,6 @@ class TestNumericFailure:
 EXIT_BY_ERROR = {
     "MlqmError": EXIT_NUMERIC,
     "ConfigurationError": EXIT_CONFIG,
-    "InvalidGridError": EXIT_CONFIG,
-    "DomainError": EXIT_CONFIG,
-    "DegenerateModelError": EXIT_CONFIG,
-    "UnsupportedRegimeError": EXIT_CONFIG,
-    "ComplexSpectrumError": EXIT_CONFIG,
-    "ConstraintViolatedError": EXIT_CONFIG,
-    "EllipticityError": EXIT_NUMERIC,
-    "DivergenceError": EXIT_NUMERIC,
-    "NonConvergenceError": EXIT_NUMERIC,
-    "ResolutionError": EXIT_NUMERIC,
     "NumericError": EXIT_NUMERIC,
     "OverflowError": EXIT_CONFIG,
     "ZeroDivisionError": EXIT_CONFIG,

@@ -8,12 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csc_array
 
 from mlqm import (
+    ConfigurationError,
     DeformationParams,
     DisplacedOscillatorParams,
-    InvalidGridError,
     MomentumGrid,
     NumericError,
-    ResolutionError,
     SwansonParams,
     build_p_space_matrix,
     displaced_energy,
@@ -86,7 +85,7 @@ class TestQSpace:
     def test_grid_validation(self):
         problem = displaced_transform(displaced_default())
         unbounded = dataclasses.replace(problem, q_max=np.inf)
-        with pytest.raises(InvalidGridError, match="solve_q_space needs a finite q-box"):
+        with pytest.raises(ConfigurationError, match="solve_q_space needs a finite q-box"):
             solve_q_space(unbounded, n_levels=2)
 
 
@@ -143,14 +142,14 @@ class TestPSpace:
     def test_resolution_error_when_filter_starves(self):
         # on |p| <= 3 the box cuts every projection mode off
         params = displaced_default()
-        with pytest.raises(ResolutionError, match=(
+        with pytest.raises(NumericError, match=(
             "8 of the 8 lowest p-space modes hold more than 0.0001 of their norm beyond |p| = 3; enlarge the grid"
         )):
             _low_mode_basis(displaced_coefficients(params), params.deformation, MomentumGrid.symmetric(3.0, 400))
 
     def test_rejects_asymmetric_grid(self):
         coeffs = displaced_coefficients(displaced_default())
-        with pytest.raises(InvalidGridError):
+        with pytest.raises(ConfigurationError, match="p-space assembly requires a symmetric grid"):
             build_p_space_matrix(coeffs, MomentumGrid(-1.0, 2.0, 64))
 
     @pytest.mark.parametrize(
@@ -462,7 +461,7 @@ class TestBranchSolverBands:
     @pytest.mark.parametrize("n_levels", [0, 501])
     def test_refuses_unresolvable_level_counts(self, n_levels):
         problem = swanson_transform(swanson_default())
-        with pytest.raises(ResolutionError, match=f"cannot resolve {n_levels} q-box levels; need 1 <= levels <= 500"):
+        with pytest.raises(NumericError, match=f"cannot resolve {n_levels} q-box levels; need 1 <= levels <= 500"):
             solve_q_space_branch(problem, n_levels=n_levels)
 
     def test_non_finite_potential_is_a_numeric_error(self):
@@ -507,7 +506,7 @@ class TestLowModes:
     @pytest.mark.parametrize("n_levels", [0, 501])
     def test_refuses_unresolvable_level_counts(self, n_levels):
         params = displaced_default()
-        with pytest.raises(ResolutionError, match=f"cannot resolve {n_levels} p-space levels; need 1 <= levels <= 500"):
+        with pytest.raises(NumericError, match=f"cannot resolve {n_levels} p-space levels; need 1 <= levels <= 500"):
             solve_p_space(displaced_coefficients(params), params.deformation, n_levels)
 
     def test_non_finite_coefficient_is_a_numeric_error(self):
@@ -519,5 +518,5 @@ class TestLowModes:
 
     def test_beta_zero_is_refused(self):
         params = DisplacedOscillatorParams(deformation=DeformationParams(1.0, 0.0, 0.0), lam=0.5)
-        with pytest.raises(InvalidGridError, match="the theta-axis solve needs beta > 0"):
+        with pytest.raises(ConfigurationError, match="the theta-axis solve needs beta > 0"):
             solve_p_space(displaced_coefficients(params), params.deformation, 2)

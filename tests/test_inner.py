@@ -6,12 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mlqm import (
-    DeformationParams,
-    DomainError,
-    NonConvergenceError,
-    eta_inner,
-)
+from mlqm import ConfigurationError, DeformationParams, NumericError, eta_inner
 from mlqm.inner import QUADRATURE_NODES, _fejer
 
 
@@ -102,17 +97,17 @@ class TestInnerProducts:
     def test_divergence_detected(self):
         d = DeformationParams(1.0, 0.5, 0.0)
         growing = lambda p: 1.0 + 0.5 * np.asarray(p, dtype=float) ** 2
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NumericError, match="inner product failed node doubling"):
             deformed_inner(growing, growing, d)
 
     def test_nan_integrand_is_nonconvergence(self):
         d = DeformationParams(1.0, 0.3, 0.0)
         nan = lambda p: np.full_like(np.asarray(p, dtype=float), np.nan)
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NumericError, match=r"inner product failed node doubling: \|I\(2N\)-I\(N\)\|/\|I\| = nan"):
             eta_inner(nan, nan, None, d)
 
     def test_q_scheme_requires_positive_beta(self):
         d = DeformationParams()
         phi = lambda p: np.exp(-np.asarray(p, dtype=float) ** 2)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="quadrature on q needs beta > 0"):
             deformed_inner(phi, phi, d)

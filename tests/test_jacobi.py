@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
-from mlqm import DomainError, jacobi_batch, jacobi_eval
+from mlqm import ConfigurationError, jacobi_batch, jacobi_eval
 
 
 def mp_jacobi(n, a, b, z):
@@ -22,7 +22,7 @@ class TestJacobiOrder:
 
     @pytest.mark.parametrize("n,a,b", [(-1, 0.0, 0.0), (2, -1.0, 0.0), (2, 0.0, -1.5)])
     def test_rejects_out_of_domain(self, n, a, b):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="degree must be non-negative|need a > -1 and b > -1"):
             jacobi_batch(n, a, b, 0.3)
 
 

@@ -6,13 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlqm import (
-    ComplexSpectrumError,
+    ConfigurationError,
     DeformationParams,
-    DegenerateModelError,
     DisplacedOscillatorParams,
-    DomainError,
     SwansonParams,
-    UnsupportedRegimeError,
     displaced_energy,
     displaced_metric,
     displaced_transform,
@@ -41,15 +38,15 @@ def swanson_default(beta=0.5, gamma=0.0, lam=0.2, delta=0.2):
 
 class TestParameterValidation:
     def test_displaced_rejects_bad_mass(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="mu must be positive, got 0.0"):
             DisplacedOscillatorParams(deformation=DeformationParams(), mu=0.0)
 
     def test_swanson_degenerate_drive(self):
-        with pytest.raises(DegenerateModelError):
+        with pytest.raises(ConfigurationError, match="= 0 makes the momentum-space reduction singular"):
             SwansonParams(deformation=DeformationParams(), lam=0.5, delta=0.5)
 
     def test_swanson_negative_drive(self):
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(ConfigurationError, match="< 0 flips the energy-map orientation; not supported"):
             SwansonParams(deformation=DeformationParams(), lam=0.8, delta=0.5)
 
     def test_reduced_coupling(self):
@@ -102,7 +99,7 @@ class TestDisplacedSpectrum:
             )
 
     def test_negative_level_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="level index must be non-negative, got -1"):
             displaced_energy(-1, displaced_default())
 
 
@@ -146,9 +143,9 @@ class TestSwansonSpectrum:
 
     def test_ladder_refused_without_real_a(self):
         # past beta_c, nu < -beta/4 (fall to centre) makes B complex; at beta = 0 there is no sec^2 box
-        with pytest.raises(ComplexSpectrumError):
+        with pytest.raises(ConfigurationError, match="beta is at or past the reality threshold"):
             swanson_default(beta=2.1).family().epsilon_levels()
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="spectral ladder parameters require beta > 0"):
             swanson_default(beta=0.0).family().epsilon_levels()
 
 
@@ -251,7 +248,7 @@ class TestWavefunctions:
                 assert np.allclose(dens, ref, rtol=1e-9)
 
     def test_swanson_rejects_complex_regime(self):
-        with pytest.raises(ComplexSpectrumError):
+        with pytest.raises(ConfigurationError, match="beta is at or past the reality threshold"):
             swanson_wavefunction(0, swanson_default(beta=2.1))
 
     def test_eigenfunction_reads_no_published_energy(self, monkeypatch):
@@ -290,9 +287,9 @@ class TestOneRefusal:
     @pytest.mark.parametrize("family", [swanson_default(beta=2.1).family(), hermitian_family(-0.2, 0.5)],
                              ids=["past-beta-c", "fall-to-centre"])
     def test_ladder_and_eigenfunction_refuse_alike(self, family):
-        with pytest.raises(ComplexSpectrumError) as ladder:
+        with pytest.raises(ConfigurationError, match="beta is at or past the reality threshold") as ladder:
             family.epsilon_levels()
-        with pytest.raises(ComplexSpectrumError) as state:
+        with pytest.raises(ConfigurationError, match="beta is at or past the reality threshold") as state:
             family.wavefunction(0)
         assert type(state.value) is type(ladder.value) and str(state.value) == str(ladder.value)
 

@@ -5,13 +5,12 @@ import pytest
 
 from mlqm import (
     CoefficientSet,
-    ComplexSpectrumError,
+    ConfigurationError,
     DeformationParams,
     DisplacedOscillatorParams,
-    DomainError,
-    EllipticityError,
     EnergyMap,
     GupFamily,
+    NumericError,
     SwansonParams,
     build_potential,
     transform,
@@ -51,13 +50,13 @@ class TestEnergyMap:
         assert np.allclose(emap.energy(emap.scale * e + emap.offset), e)
 
     def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"energy map must be invertible \(scale != 0\)"):
             EnergyMap(scale=0.0, offset=1.0)
 
 
 class TestCoefficientSet:
     def test_wrong_derivative_detected(self):
-        with pytest.raises(ValueError, match="finite differences"):
+        with pytest.raises(ConfigurationError, match="supplied f' disagrees with finite differences"):
             CoefficientSet(
                 f=lambda p: 1.0 + np.asarray(p) ** 2,
                 df=lambda p: 3.0 * np.asarray(p),  # should be 2p
@@ -76,7 +75,7 @@ class TestCoefficientSet:
             params.family().coefficients()
 
     def test_nonpositive_f_rejected(self):
-        with pytest.raises(EllipticityError):
+        with pytest.raises(NumericError, match=r"f\(p\) must be strictly positive on the working domain"):
             CoefficientSet(
                 f=lambda p: -np.ones_like(np.asarray(p, dtype=float)),
                 df=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
@@ -86,13 +85,17 @@ class TestCoefficientSet:
                 h=lambda p: np.zeros_like(np.asarray(p, dtype=float)),
             )
 
-    @pytest.mark.parametrize("nan_fields", [("f", "df", "d2f", "g", "dg", "h"), ("df",)])
-    def test_nan_coefficients_rejected(self, nan_fields):
+    @pytest.mark.parametrize("nan_fields, error, match", [
+        # a NaN f is not positive, so the ellipticity check refuses it before any derivative is compared
+        (("f", "df", "d2f", "g", "dg", "h"), NumericError, r"f\(p\) must be strictly positive"),
+        (("df",), ConfigurationError, r"supplied f' disagrees with finite differences \(max rel nan\)"),
+    ], ids=["nan_fields0", "nan_fields1"])
+    def test_nan_coefficients_rejected(self, nan_fields, error, match):
         good = quartic_coeffs()
         nan = lambda p: np.full_like(np.asarray(p, dtype=float), np.nan)
         fields = {name: nan if name in nan_fields else getattr(good, name)
                   for name in ("f", "df", "d2f", "g", "dg", "h")}
-        with pytest.raises(ValueError):
+        with pytest.raises(error, match=match):
             CoefficientSet(**fields)
 
 
@@ -152,7 +155,7 @@ class TestPotential:
         coeffs = quartic_coeffs(0.25)
         deformation = DeformationParams(1.0, 0.25, 0.0)
         V = build_potential(coeffs, deformation)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="q outside"):
             V(deformation.q_half * 1.01)
 
 
@@ -171,9 +174,9 @@ def hermitian_family(nu, beta):
 class TestSecantSquaredLevels:
     def test_fall_to_center_rejected(self):
         # nu < -beta/4 makes B complex: no real bound-state ladder
-        with pytest.raises(ComplexSpectrumError):
+        with pytest.raises(ConfigurationError, match="beta is at or past the reality threshold"):
             hermitian_family(-0.2, 0.5).epsilon_levels()
 
     def test_beta_must_be_positive(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError, match="spectral ladder parameters require beta > 0"):
             hermitian_family(1.0, 0.0).epsilon_levels()
