@@ -3,8 +3,8 @@
 Exit codes: 0 success (all checks pass), 1 verification failure (a failed
 ``verify`` check, or a ``spectrum`` or ``sweep --numeric`` level off its
 closed form), 2 invalid configuration (a ``ConfigurationError``, or parameters
-whose derived values leave double precision), 3 numeric failure (a
-``NumericError``, or any other ``MlqmError``).  Tabular output is CSV (LF endings, 17 significant digits);
+whose derived values leave double precision), 3 numeric failure (any other
+``MlqmError``).  Tabular output is CSV (LF endings, 17 significant digits);
 verification reports are JSON records, one per line.
 """
 

@@ -123,7 +123,7 @@ def _low_mode_basis(coeffs: CoefficientSet, params: DeformationParams, grid: Mom
     """The n_modes lowest theta-axis modes at the grid points, one column each.
 
     A mode with more than _SPURIOUS_EDGE_RATIO of its measure-weighted squared
-    norm beyond the grid's |p| is cut off by the box, so NumericError asks
+    norm beyond the grid's |p| is cut off by the box, so a NumericError asks
     for a larger box instead of returning it.
     """
     modes = theta_modes(coeffs, params, n_modes)
