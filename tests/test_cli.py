@@ -671,20 +671,96 @@ def test_every_error_class_is_pinned():
     assert classes == set(EXIT_BY_ERROR) - {"OverflowError", "ZeroDivisionError"}
 
 
-@pytest.mark.parametrize("name, expected", EXIT_BY_ERROR.items(), ids=list(EXIT_BY_ERROR))
-def test_error_class_decides_the_exit_code(capsys, monkeypatch, name, expected):
+def _raise_the_message(name):
     error = getattr(mlqm.errors, name, None) or getattr(builtins, name)
 
-    def raising(cfg):
+    def raise_it(monkeypatch):
         raise error("the message")
 
-    monkeypatch.setattr(cli, "cmd_spectrum", raising)
+    return raise_it
+
+
+def _zero(p):
+    return np.zeros_like(np.asarray(p, dtype=float))
+
+
+def _growing(p):
+    return 1.0 + 0.5 * np.asarray(p, dtype=float) ** 2
+
+
+def _nan_metric_norm(monkeypatch):
+    monkeypatch.setattr(mlqm.models, "eta_inner", lambda *args: complex("nan"))
+    mlqm.models.wavefunction(0, mlqm.SwansonParams(mlqm.DeformationParams(1.0, 0.5, 0.0), lam=0.2, delta=0.2))
+
+
+#: each class that mlqm.errors had before it was cut to its three, against one raise that class carried, the exit
+#: code that raise had then and the message it gives; the first six now raise ConfigurationError, the last four
+#: NumericError, and each keeps its code
+FORMER_CLASS_RAISES = {
+    "ComplexSpectrumError": (
+        EXIT_CONFIG,
+        lambda mp: mlqm.SwansonParams(mlqm.DeformationParams(1.0, 2.1, 0.0), lam=0.2, delta=0.2).family()
+        .epsilon_levels(),
+        "beta is at or past the reality threshold; bound-state eigenfunctions are not real-parameter Jacobi forms",
+    ),
+    "ConstraintViolatedError": (
+        EXIT_CONFIG,
+        lambda mp: mlqm.SwansonParams(mlqm.DeformationParams(), lam=-1.0, delta=-1.0).beta_c(),
+        "omega - 2*sqrt(lam*delta) = -1.0 <= 0: reality fails for every beta",
+    ),
+    "DegenerateModelError": (
+        EXIT_CONFIG,
+        lambda mp: mlqm.SwansonParams(mlqm.DeformationParams(), lam=0.5, delta=0.5),
+        "omega - lam - delta = 0 makes the momentum-space reduction singular",
+    ),
+    "DomainError": (EXIT_CONFIG, lambda mp: RunConfig(levels=-1), "levels must be non-negative, got -1"),
+    "InvalidGridError": (EXIT_CONFIG, lambda mp: mlqm.MomentumGrid(1.0, 0.0, 5), "need p_min < p_max, got [1.0, 0.0]"),
+    "UnsupportedRegimeError": (
+        EXIT_CONFIG,
+        lambda mp: mlqm.SwansonParams(mlqm.DeformationParams(), lam=0.8, delta=0.5),
+        "omega - lam - delta = -0.30000000000000004 < 0 flips the energy-map orientation; not supported",
+    ),
+    "EllipticityError": (
+        EXIT_NUMERIC,
+        lambda mp: mlqm.CoefficientSet(f=lambda p: _zero(p) - 1.0, df=_zero, d2f=_zero, g=_zero, dg=_zero, h=_zero),
+        "f(p) must be strictly positive on the working domain",
+    ),
+    "DivergenceError": (EXIT_NUMERIC, _nan_metric_norm, "eigenfunction has no finite positive metric norm (got nan)"),
+    "NonConvergenceError": (
+        EXIT_NUMERIC,
+        lambda mp: mlqm.eta_inner(_growing, _growing, None, mlqm.DeformationParams(1.0, 0.5, 0.0)),
+        "inner product failed node doubling: |I(2N)-I(N)|/|I| = 9.844e-01",
+    ),
+    "ResolutionError": (
+        EXIT_NUMERIC,
+        lambda mp: mlqm.solve_q_space_branch(
+            mlqm.swanson_transform(mlqm.SwansonParams(mlqm.DeformationParams(1.0, 0.5, 0.0), lam=0.2, delta=0.2)),
+            n_levels=0,
+        ),
+        "cannot resolve 0 q-box levels; need 1 <= levels <= 500",
+    ),
+}
+
+#: id -> (exit code, a raise taking the monkeypatch fixture, the line after the stderr prefix)
+EXIT_CASES = {
+    **{
+        name: (
+            expected,
+            _raise_the_message(name),
+            f"a value derived from the parameters leaves double precision: {name}('the message')"
+            if name in ("OverflowError", "ZeroDivisionError") else "the message",
+        )
+        for name, expected in EXIT_BY_ERROR.items()
+    },
+    **FORMER_CLASS_RAISES,
+}
+
+
+@pytest.mark.parametrize("expected, raise_it, line", EXIT_CASES.values(), ids=list(EXIT_CASES))
+def test_error_class_decides_the_exit_code(capsys, monkeypatch, expected, raise_it, line):
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda cfg: raise_it(monkeypatch))
     code, out, err = run(capsys, "spectrum")
     assert (code, out) == (expected, "")
-    if name in ("OverflowError", "ZeroDivisionError"):
-        line = f"a value derived from the parameters leaves double precision: {name}('the message')"
-    else:
-        line = "the message"
     prefix = "configuration error: " if expected == EXIT_CONFIG else "numeric failure: "
     assert err == prefix + line + "\n"
 
