@@ -21,8 +21,8 @@ from .algebra import DeformationParams, MomentumGrid, first_derivative_matrix, s
 from .errors import ConfigurationError, NumericError
 from .pct import CoefficientSet, TransformedProblem, _larger_root
 
-#: Most levels one collocation solve returns: the dense matrix has 32 + 4 n_levels rows,
-#: so the largest solve is 2032 x 2032 and takes 3.5-4.8 s (2-core Xeon, 1-2 BLAS threads).
+#: Most levels one collocation solve returns: the dense matrix has 16 + 2 n_levels rows,
+#: so the largest solve is 1016 x 1016 and takes 0.7-1.1 s (2-core Xeon, 1-2 BLAS threads).
 _MAX_LEVELS = 500
 #: A wall or decay exponent's discriminant within this share of its scale is zero, a double root: at the
 #: reality threshold each solve misreads its discriminant by up to 7e-15 of its scale (8000 Swanson draws).
@@ -52,10 +52,14 @@ def _lowest(eigs: np.ndarray, n_levels: int, merge: bool = False) -> tuple:
 
 
 def _collocation_size(n_levels: int, what: str) -> int:
-    """N = 32 + 4 n_levels collocation points for the n_levels lowest levels."""
+    """N = 16 + 2 n_levels collocation points for the n_levels lowest levels.
+
+    With the wall factor out, level n's u is about a degree-n polynomial and a collocation resolves
+    about 2N/pi eigenvalues (Weideman & Trefethen 1988); a larger N adds N^3 flops and N^2 rounding.
+    """
     if not 1 <= n_levels <= _MAX_LEVELS:
         raise NumericError(f"cannot resolve {n_levels} {what} levels; need 1 <= levels <= {_MAX_LEVELS}")
-    return 32 + 4 * n_levels
+    return 16 + 2 * n_levels
 
 
 def _chebyshev_gauss(n: int):
@@ -118,7 +122,7 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
 
         -beta (1-z^2) u'' + beta (2B+1) z u' + [V(q(z)) - nu z^2/(1-z^2) + B beta] u = eps u,
 
-    with coefficients smooth on [-1, 1].  It is collocated at the N = 32 + 4 n_levels
+    with coefficients smooth on [-1, 1].  It is collocated at the N = 16 + 2 n_levels
     interior Chebyshev-Gauss points with no boundary rows, since the factor already
     selects the regular solution at each wall, and SciPy's dense ``eigvals`` solves it.
     A complex B (past the reality threshold) gives a complex matrix, whose eigenvalues
@@ -222,7 +226,7 @@ def theta_modes(coeffs: CoefficientSet, deformation: DeformationParams, n_modes:
 
         -f beta c^6 u_zz + (3 f beta z c^4 + (g - 2 f F_p/F) sqrt(beta) c^3) u_z + (h + g F_p/F - f F_pp/F) u,
 
-    smooth on [-1, 1].  It is collocated at the N = 32 + 4 n_modes interior
+    smooth on [-1, 1].  It is collocated at the N = 16 + 2 n_modes interior
     Chebyshev-Gauss points with no boundary rows, and numpy's dense ``eig``
     (``eigvals`` when ``vectors`` is False) solves it.  The upper part of a
     collocation spectrum is spurious; the n_modes of smallest real part are
@@ -248,16 +252,11 @@ def theta_modes(coeffs: CoefficientSet, deformation: DeformationParams, n_modes:
     matrix = (-f * beta * c**6)[:, None] * d2 + drift[:, None] * d1
     matrix[np.diag_indices(n)] += h + g * fp - f * fpp
     try:
-        if vectors:
-            eigs, vecs = np.linalg.eig(matrix)
-        else:
-            eigs, vecs = np.linalg.eigvals(matrix), None
+        eigs, vecs = np.linalg.eig(matrix) if vectors else (np.linalg.eigvals(matrix), None)
     except np.linalg.LinAlgError as exc:  # also a NaN or inf entry
         raise NumericError(f"p-space eigensolve failed: {exc}")
     order = np.lexsort((eigs.imag, eigs.real))[:n_modes]
-    return ThetaModes(
-        eigenvalues=eigs[order], t=t, values=None if vecs is None else vecs[:, order], s=s, m=m
-    )
+    return ThetaModes(eigs[order], t, None if vecs is None else vecs[:, order], s, m)
 
 
 def solve_p_space(coeffs: CoefficientSet, deformation: DeformationParams, n_levels: int) -> SpectrumResult:

@@ -104,7 +104,7 @@ class TestPSpace:
         params = displaced_default()
         e_num, result = p_space_energies(params, 4)
         assert np.all(np.abs(e_num - closed_form_energies(params, 4)) < 1e-12)
-        assert not result.has_conjugate_pair and result.resolution == 48
+        assert not result.has_conjugate_pair and result.resolution == 24
 
     def test_operator_composition_agrees_with_ode_matrix(self):
         # two independent discretizations of the same Hamiltonian: the literal
@@ -224,7 +224,7 @@ PERTURBED_P_POINTS = [displaced_default(), swanson_default(beta=0.452755, lam=0.
 def test_perturbed_h_converges_and_matches_the_fd_oracle(params):
     coeffs = perturbed_h(params)
     got = np.array(solve_p_space(coeffs, params.deformation, 4).eigenvalues)
-    # 16 levels collocate on 96 points, twice the 48 of 4 levels
+    # 16 levels collocate on 48 points, twice the 24 of 4 levels
     doubled = np.array(solve_p_space(coeffs, params.deformation, 16).eigenvalues[:4])
     assert np.all(np.abs(got - doubled) <= 1e-10 * np.maximum(1.0, np.abs(doubled)))
     # the Swanson modes decay only as a power of p, so its box is wider
@@ -346,7 +346,7 @@ def test_perturbed_potential_converges(params):
     # a misfitted nu leaves a nu z^2/(1-z^2) term that stalls the convergence past beta_c
     problem = perturbed(params)
     got = np.array(solve_q_space(problem, 4).eigenvalues)
-    # 16 levels collocate on 96 points, twice the 48 of 4 levels
+    # 16 levels collocate on 48 points, twice the 24 of 4 levels
     doubled = np.array(solve_q_space(problem, 16).eigenvalues[:4])
     assert np.all(np.abs(got - doubled) <= 1e-10 * np.maximum(1.0, np.abs(doubled)))
 

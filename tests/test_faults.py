@@ -133,10 +133,12 @@ SPECTRUM_ARGV = {
 
 #: (solver function, misread added to the exponent it returns, the records that fail, spectrum's exit and column)
 NUMERIC_FAULTS = [
-    # The wall factor (1 - z^2)^(B/2) and the decay factor cos(theta)^s only precondition an exact change of
-    # variable: misread by half a unit, every level stays within 5.1e-13, and no record or gate sees the fault.
-    ("_indicial_root", 0.5, set(), (EXIT_OK, None)),
-    ("_decay_exponent", 0.5, set(), (EXIT_OK, None)),
+    # The wall factor (1 - z^2)^(B/2) and the decay factor cos(theta)^s precondition an exact change of
+    # variable: misread by half a unit, u is no longer the low-degree polynomial that N = 16 + 2 n resolves,
+    # and level 3 reads 4.9e-4 off at the displaced points and 0.03-0.36 at the Swanson ones, which only
+    # spectrum's gate sees: verify runs no q-box solve, and the theta-axis levels move alike at every gamma
+    ("_indicial_root", 0.5, set(), (EXIT_VERIFY_FAIL, "err_q")),
+    ("_decay_exponent", 0.5, set(), (EXIT_VERIFY_FAIL, "err_p")),
     # A whole unit leaves u singular at the walls: the q-box levels read 9-20 off, which only spectrum's err_q
     # sees (verify runs no q-box solve); the theta-axis levels read 9-20 off as well, by amounts that differ
     # across gamma, so gamma-independence sees it too
