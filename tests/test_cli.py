@@ -109,10 +109,13 @@ class TestSpectrum:
         assert len(rows) == 4
         assert all(float(row[5]) <= 1e-10 and float(row[6]) <= 1e-10 for row in rows)
 
-    @pytest.mark.parametrize("model", ["displaced", "swanson"])
-    def test_small_beta_is_solved(self, capsys, model):
-        # the coefficients' own check refused this model (exit 2) until it allowed for its difference quotient's rounding
-        code, out, err = run(capsys, "spectrum", "--model", model, "--beta", "1e-5")
+    @pytest.mark.parametrize("model, beta", [
+        ("displaced", "1e-5"), ("swanson", "1e-5"), ("displaced", "1e-6"), ("swanson", "1e-6"),
+    ], ids=["displaced", "swanson", "displaced-1e-6", "swanson-1e-6"])
+    def test_small_beta_is_solved(self, capsys, model, beta):
+        # the coefficients' own check refused this model (exit 2) until it allowed for its difference quotient's
+        # rounding; at beta = 1e-6 the wall exponent, 1e6-2e6, scales the q-box's rounding, and the levels read 1.1-2.2e-7
+        code, out, err = run(capsys, "spectrum", "--model", model, "--beta", beta)
         assert (code, err) == (EXIT_OK, "")
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert len(rows) == 4 and max(float(row[col]) for row in rows for col in (5, 6)) <= 1e-6
@@ -131,9 +134,9 @@ class TestSpectrum:
         assert run(capsys, *argv)[0] == EXIT_OK
 
     @pytest.mark.parametrize("argv, n_rows", [
-        (("--levels", "130"), 130),
-        (("--model", "swanson", "--levels", "50"), 50),
-    ], ids=["displaced-130", "swanson-50"])
+        (("--levels", "200"), 200),
+        (("--model", "swanson", "--levels", "60"), 60),
+    ], ids=["displaced-200", "swanson-60"])
     def test_levels_off_the_closed_form_exit_1_after_the_table(self, capsys, argv, n_rows):
         # the collocation loses digits at high level counts; the whole table is still written.
         # Those digits are rounding noise that shifts with the BLAS build and thread count, so
@@ -147,12 +150,15 @@ class TestSpectrum:
         assert worst > verify.TOLERANCES["spectrum-error"]
         assert err == f"verification failure: level {n} has {col} = {worst:.3g}, above the 1e-06 gate\n"
 
-    @pytest.mark.parametrize("argv", [(), ("--levels", "60")], ids=["defaults", "levels-60"])
-    def test_levels_on_the_closed_form_exit_0(self, capsys, argv):
+    @pytest.mark.parametrize("argv, bound", [
+        ((), 1e-7), (("--levels", "60"), 1e-7), (("--levels", "100"), 5e-7),
+    ], ids=["defaults", "levels-60", "levels-100"])
+    def test_levels_on_the_closed_form_exit_0(self, capsys, argv, bound):
+        # the collocation's rounding grows as N^2; 100 levels on N = 216 read 1.1-1.7e-7 on 1 or 2 BLAS threads
         code, out, err = run(capsys, "spectrum", *argv)
         assert code == EXIT_OK and err == ""
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        assert max(float(row[col]) for row in rows for col in (5, 6)) <= 1e-7
+        assert max(float(row[col]) for row in rows for col in (5, 6)) <= bound
 
     def test_nan_error_fails_the_gate(self, capsys, monkeypatch):
         solve = mlqm.eigensolver.solve_q_space
