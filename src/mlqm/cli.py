@@ -108,6 +108,12 @@ def _integral(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    if type(value) not in (int, float):  # exact types: True and "0.3" are refused
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
 def _str_or_none(value):
     if value is not None and type(value) is not str:
         raise TypeError(f"expected a string or null, got {value!r}")
@@ -115,7 +121,7 @@ def _str_or_none(value):
 
 
 #: field annotation -> cast of a setting's resolved value
-_CASTS = {str: str, float: float, int: _integral, str | None: _str_or_none}
+_CASTS = {str: str, float: _real, int: _integral, str | None: _str_or_none}
 
 
 def _fmt(x) -> str:
@@ -273,6 +279,8 @@ def _sweep_row(cfg: RunConfig, name: str, value: float, numeric: bool) -> tuple:
 def cmd_sweep(cfg: RunConfig, param: str, start: float, stop: float, steps: int, numeric: bool) -> int:
     if param not in _SWEEP_PARAMS:
         raise ConfigurationError(f"sweep parameter must be one of {_SWEEP_PARAMS}, got {param!r}")
+    if param == "delta" and cfg.model == "displaced":
+        raise ConfigurationError("the displaced model has no delta to sweep; delta is a Swanson parameter")
     if not 2 <= steps <= _MAX_SWEEP_STEPS:
         raise ConfigurationError(f"need 2 <= steps <= {_MAX_SWEEP_STEPS}, got {steps}")
     if start == stop:

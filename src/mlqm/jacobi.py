@@ -1,8 +1,9 @@
 """Jacobi polynomials P_n^(a,b) by the ascending three-term recurrence.
 
-Real (generically irrational) parameters a, b > -1 are supported; degrees
-stay modest (n <= ~50) in this package, where the recurrence is stable on
-[-1, 1].
+Real (generically irrational) parameters a, b > -1 are supported, and the
+recurrence is stable on [-1, 1].  ``wavefunction --n`` takes degrees below
+500; at the defaults n = 200 is normalized, while at n = 499 the metric
+quadrature, not the recurrence, fails its node doubling (exit 3).
 """
 
 import numpy as np

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import pct
 from .algebra import DeformationParams
@@ -262,30 +263,16 @@ class GupFamily:
         return d.beta + d.gamma + self.sigma
 
     def coefficients(self) -> CoefficientSet:
-        """Momentum-space ODE coefficients with analytic derivatives."""
+        """Momentum-space ODE coefficients: f and g as polynomials, h as a closure."""
         beta, kappa, ell = self.deformation.beta, self.kappa, self.ell
         a, c = self.a, self.c
         b = -2.0 * ell * (self.deformation.gamma + self.sigma)  # kappa - beta, without the rounding
-
-        def f(p):
-            return (1.0 + beta * p**2) ** 2
-
-        def df(p):
-            return 4.0 * beta * p * (1.0 + beta * p**2)
-
-        def d2f(p):
-            return 4.0 * beta * (1.0 + 3.0 * beta * p**2)
-
-        def g(p):
-            return -2.0 * (1.0 + beta * p**2) * (kappa * p + ell)
-
-        def dg(p):
-            return -2.0 * kappa * (1.0 + 3.0 * beta * p**2) - 4.0 * beta * ell * p
+        w = Polynomial([1.0, 0.0, beta])
 
         def h(p):
             return a * p**2 + b * p + c * (1.0 + beta * p**2)
 
-        return CoefficientSet(f=f, df=df, d2f=d2f, g=g, dg=dg, h=h)
+        return CoefficientSet(f=w**2, g=-2.0 * w * Polynomial([ell, kappa]), h=h)
 
     def log_rho(self) -> Callable:
         """log rho = -(gamma + sigma)/(2 beta) * log(1 + beta p^2) - ell * q(p), q the q-map."""

@@ -6,9 +6,9 @@ a standard Schrodinger form -d^2/dq^2 + V(q) with
 
     V = (4 g^2 + 3 f'^2 + 8 g f') / (16 f) - f''/4 - g'/2 + h
 
-evaluated at p(q).  Model builders supply analytic derivatives (validated on
-construction); the q-map is the closed form on ``DeformationParams``, exact
-for f = (1 + beta p^2)^2.  The similarity factor rho enters only the metric,
+evaluated at p(q).  f and g are polynomials, so their derivatives are exact;
+the q-map is the closed form on ``DeformationParams``, exact for
+f = (1 + beta p^2)^2.  The similarity factor rho enters only the metric,
 which the models build from their closed-form log rho.  Whether a level is
 real or half of a conjugate pair is decided by one rule, ``_snapped_sqrt``,
 which the closed forms and the numeric solves share.
@@ -18,14 +18,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .algebra import DeformationParams
 from .errors import ConfigurationError, NumericError
 
-#: Interval of the points at which CoefficientSet validates itself.
-_VALIDATION_RANGE = (-10.0, 10.0)
-#: Where in it those 100 points lie: the Weyl sequence k/phi mod 1 of the golden ratio phi, evenly spread.
-_VALIDATION_FRACTIONS = (np.arange(1, 101) * 0.6180339887498949) % 1.0
 #: The rounding of a discriminant, relative to the scale of its terms: 16 ulp.
 _ROUNDING = 16 * np.finfo(float).eps
 
@@ -66,41 +63,17 @@ class EnergyMap:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Coefficients of -f psi'' + g psi' + h psi = eps psi with analytic derivatives.
+    """Coefficients of -f psi'' + g psi' + h psi = eps psi: polynomials f and g, with exact derivatives, and any h."""
 
-    The supplied derivatives are cross-checked against centered finite
-    differences of their base functions at construction; inconsistent
-    hand-derived derivatives are a silent source of wrong potentials
-    otherwise.
-    """
-
-    f: Callable
-    df: Callable
-    d2f: Callable
-    g: Callable
-    dg: Callable
+    f: Polynomial
+    g: Polynomial
     h: Callable
 
     def __post_init__(self):
-        lo, hi = _VALIDATION_RANGE
-        p = lo + (hi - lo) * _VALIDATION_FRACTIONS
-        fvals = np.asarray(self.f(p), dtype=float)
-        if not np.all(fvals > 0):  # also refuses NaN
+        if not (isinstance(self.f, Polynomial) and isinstance(self.g, Polynomial)):
+            raise ConfigurationError("f and g must be numpy.polynomial.Polynomial objects")
+        if not np.all(self.f(np.linspace(-10.0, 10.0, 101)) > 0):  # also refuses NaN
             raise NumericError("f(p) must be strictly positive on the working domain")
-        step = 1e-5 * (1.0 + np.abs(p))
-        for base, deriv, label in ((self.f, self.df, "f'"), (self.g, self.dg, "g'"), (self.df, self.d2f, "f''")):
-            ahead, behind = np.asarray(base(p + step)), np.asarray(base(p - step))
-            fd = (ahead - behind) / (2 * step)
-            an = np.asarray(deriv(p), dtype=float)
-            scale = np.maximum(np.abs(an), 1e-3 * (np.abs(an).max() + 1e-30))
-            # the quotient rounds by up to 16 ulp of the base values over the step, which at small beta
-            # swamps f' and g', far below f and g themselves
-            rounding = _ROUNDING * np.maximum(np.abs(ahead), np.abs(behind)) / step
-            rel = np.maximum(np.abs(fd - an) - rounding, 0.0) / scale
-            if not rel.max() <= 1e-6:
-                raise ConfigurationError(
-                    f"supplied {label} disagrees with finite differences (max rel {rel.max():.2e})"
-                )
 
 
 @dataclass(frozen=True)
@@ -121,9 +94,9 @@ def build_potential(coeffs: CoefficientSet, deformation: DeformationParams) -> C
         if np.any(np.abs(q) >= q_half):
             raise ConfigurationError(f"q outside ({-q_half}, {q_half})")
         p = np.asarray(deformation.p_of_q(q), dtype=float)
-        f, df, d2f = coeffs.f(p), coeffs.df(p), coeffs.d2f(p)
-        g, dg, h = coeffs.g(p), coeffs.dg(p), coeffs.h(p)
-        return (4 * g**2 + 3 * df**2 + 8 * g * df) / (16 * f) - d2f / 4 - dg / 2 + h
+        f, f1, f2 = coeffs.f(p), coeffs.f.deriv()(p), coeffs.f.deriv(2)(p)
+        g, g1, h = coeffs.g(p), coeffs.g.deriv()(p), coeffs.h(p)
+        return (4 * g**2 + 3 * f1**2 + 8 * g * f1) / (16 * f) - f2 / 4 - g1 / 2 + h
 
     return V
 

@@ -151,7 +151,7 @@ def metric_identity_residual(coeffs: CoefficientSet, params: DeformationParams, 
     The log-derivatives are centred differences with the step
     1e-5 min(1 + |p|, (1 + beta p^2)/sqrt(beta)): near p = 0 the coefficients
     vary on the length 1/sqrt(beta) of the q-map, and for beta <= 9/16 the step
-    is the 1e-5 (1 + |p|) that ``CoefficientSet`` validates its derivatives with.
+    is 1e-5 (1 + |p|) everywhere.
     A NaN log eta or a non-positive weight reads NaN, which fails every check.
     """
     p = _q_uniform_samples(params)

@@ -33,7 +33,7 @@ def quadrature_q_map(coeffs):
 
 def quadrature_log_rho(coeffs, p):
     """log rho(p) = int_0^p chi by adaptive quadrature, chi = (f' + 2g)/(4f)."""
-    chi = lambda t: float((coeffs.df(t) + 2.0 * coeffs.g(t)) / (4.0 * coeffs.f(t)))
+    chi = lambda t: float((coeffs.f.deriv()(t) + 2.0 * coeffs.g(t)) / (4.0 * coeffs.f(t)))
     return np.vectorize(lambda x: _integral(chi, 0.0, x), otypes=[float])(p)
 
 

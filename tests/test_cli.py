@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 import mlqm
 from mlqm import cli, verify
@@ -113,7 +114,7 @@ class TestSpectrum:
         ("displaced", "1e-5"), ("swanson", "1e-5"), ("displaced", "1e-6"), ("swanson", "1e-6"),
     ], ids=["displaced", "swanson", "displaced-1e-6", "swanson-1e-6"])
     def test_small_beta_is_solved(self, capsys, model, beta):
-        # the coefficients' own check refused this model (exit 2) until it allowed for its difference quotient's
+        # a finite-difference check of the coefficients' derivatives once refused this model (exit 2) on its own
         # rounding; at beta = 1e-6 the wall exponent, 1e6-2e6, scales the q-box's rounding, and the levels read 1.1-2.2e-7
         code, out, err = run(capsys, "spectrum", "--model", model, "--beta", beta)
         assert (code, err) == (EXIT_OK, "")
@@ -214,6 +215,10 @@ class TestSweep:
             capsys, "sweep", "--param", "mass", "--from", "1", "--to", "2", "--steps", "3"
         )
         assert code == EXIT_CONFIG and "sweep parameter" in err
+        # the displaced model has no delta, and its delta sweep wrote a constant table (exit 0)
+        code, out, err = run(capsys, "sweep", "--param", "delta", "--from", "0.1", "--to", "0.2", "--steps", "3")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "configuration error: the displaced model has no delta to sweep; delta is a Swanson parameter\n"
 
     def test_rejects_constant_sweep(self, capsys):
         code, _, _ = run(
@@ -728,7 +733,7 @@ FORMER_CLASS_RAISES = {
     ),
     "EllipticityError": (
         EXIT_NUMERIC,
-        lambda mp: mlqm.CoefficientSet(f=lambda p: _zero(p) - 1.0, df=_zero, d2f=_zero, g=_zero, dg=_zero, h=_zero),
+        lambda mp: mlqm.CoefficientSet(f=Polynomial([-1.0]), g=Polynomial([0.0]), h=_zero),
         "f(p) must be strictly positive on the working domain",
     ),
     "DivergenceError": (EXIT_NUMERIC, _nan_metric_norm, "eigenfunction has no finite positive metric norm (got nan)"),
@@ -759,6 +764,12 @@ EXIT_CASES = {
         for name, expected in EXIT_BY_ERROR.items()
     },
     **FORMER_CLASS_RAISES,
+    # f and g are polynomials, whose derivatives the potential reads: a lambda ended in an AttributeError there
+    "lambda-coefficients": (
+        EXIT_CONFIG,
+        lambda mp: mlqm.CoefficientSet(f=lambda p: _zero(p) + 1.0, g=Polynomial([0.0]), h=_zero),
+        "f and g must be numpy.polynomial.Polynomial objects",
+    ),
 }
 
 
@@ -824,10 +835,14 @@ class TestConfigResolution:
         assert code == EXIT_CONFIG and "singular" in err
 
     @pytest.mark.parametrize(
-        "bad", [{"levels": 2.9}, {"levels": True}, {"levels": "800"}, {"output": 2}, {"output": ["x.csv"]}]
+        "bad", [
+            {"levels": 2.9}, {"levels": True}, {"levels": "800"}, {"output": 2}, {"output": ["x.csv"]},
+            {"beta": True}, {"lambda": "0.3"},
+        ]
     )
     def test_config_value_types_checked(self, capsys, tmp_path, bad):
-        # a fractional or boolean count is not truncated, and an integer output is not a file descriptor
+        # a fractional or boolean count is not truncated, and an integer output is not a file descriptor;
+        # a boolean or string real setting ran as beta = 1 or lambda = 0.3 (exit 0)
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(bad))
         code, out, err = run(capsys, "verify", "--list", "--config", str(cfg))

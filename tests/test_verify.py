@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from numpy.polynomial import Polynomial
 
 from mlqm import (
     DeformationParams,
@@ -154,8 +155,7 @@ class TestHermiticityDefect:
         # (defect ~3e-11), the kept metric fails it, and the floor reads the pseudo-hermiticity gate, 100 x 1e-6
         params = displaced_default(lam=0.5)
         beta = params.deformation.beta
-        coeffs = dataclasses.replace(displaced_coefficients(params), g=lambda p: -2.0 * beta * p * (1.0 + beta * p**2),
-                                     dg=lambda p: -2.0 * beta * (1.0 + 3.0 * beta * p**2))
+        coeffs = dataclasses.replace(displaced_coefficients(params), g=-2.0 * beta * Polynomial([0.0, 1.0, 0.0, beta]))
         residual = metric_identity_residual(coeffs, params.deformation, params.family().log_metric())
         report = hermiticity_defect_report(coeffs, params.deformation, residual)
         assert residual > TOLERANCES["pseudo-hermiticity"] and not report.passed
