@@ -2,8 +2,8 @@
 
 Real (generically irrational) parameters a, b > -1 are supported, and the
 recurrence is stable on [-1, 1].  ``wavefunction --n`` takes degrees below
-500; at the defaults n = 200 is normalized, while at n = 499 the metric
-quadrature, not the recurrence, fails its node doubling (exit 3).
+500; at the defaults n = 306 is normalized (exit 0), while n = 307 and
+n = 499 fail the metric quadrature's node doubling (exit 3).
 """
 
 import numpy as np
