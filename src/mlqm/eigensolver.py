@@ -21,8 +21,9 @@ from .algebra import DeformationParams, MomentumGrid, first_derivative_matrix, s
 from .errors import ConfigurationError, NumericError
 from .pct import CoefficientSet, TransformedProblem, _larger_root
 
-#: Most levels one collocation solve returns: the dense matrix has 16 + 2 n_levels rows,
-#: so the largest solve is 1016 x 1016 and takes 0.7-1.1 s (2-core Xeon, 1-2 BLAS threads).
+#: Most levels one collocation solve returns: the dense matrix has 16 + 2 n_levels rows, so the largest
+#: solve is 1016 x 1016; a q-box solve, with its left and right vectors, then takes 0.9-2.6 s, the upper
+#: end past beta_c, where the matrix is complex (2-core Xeon, 1 BLAS thread).
 _MAX_LEVELS = 500
 #: A wall or decay exponent's discriminant within this share of its scale is zero, a double root: at the
 #: reality threshold each solve misreads its discriminant by up to 7e-15 of its scale (8000 Swanson draws).
@@ -124,14 +125,19 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
 
     with coefficients smooth on [-1, 1].  It is collocated at the N = 16 + 2 n_levels
     interior Chebyshev-Gauss points with no boundary rows, since the factor already
-    selects the regular solution at each wall, and SciPy's dense ``eigvals`` solves it.
+    selects the regular solution at each wall, and SciPy's dense ``eig`` solves it with
+    left and right vectors.  The matrix is far from normal, so each of the n_levels
+    lowest eigenvalues is then read as the two-sided Rayleigh quotient y^H A x / y^H x of
+    its own vectors, which is stationary in both and recovers digits that LAPACK's
+    eigenvalue loses (Parlett 1974); where the quotient is not finite LAPACK's value stays.
+    The theta-axis solve has no quotient: numpy's ``eig`` returns no left vectors.
     A complex B (past the reality threshold) gives a complex matrix, whose eigenvalues
     are merged with their conjugates so that pairs appear as pairs.  The upper part of
     a collocation spectrum is spurious; only the lowest n_levels are returned.
     """
     if not (np.isfinite(problem.q_min) and np.isfinite(problem.q_max)):
         raise ConfigurationError("solve_q_space needs a finite q-box")
-    from scipy.linalg import LinAlgError, eigvals
+    from scipy.linalg import LinAlgError, eig
     n = _collocation_size(n_levels, "q-box")
     t, d1, d2 = _chebyshev_gauss(n)
     z, one_minus_z2 = np.cos(t), np.sin(t) ** 2  # z = cos t, so 1 - z^2 keeps its digits at the walls
@@ -144,9 +150,14 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
     matrix = -beta * one_minus_z2[:, None] * d2 + (beta * (2.0 * wall_b + 1.0) * z)[:, None] * d1
     matrix[np.diag_indices(n)] += diag
     try:
-        eigs = eigvals(matrix)
+        eigs, left, right = eig(matrix, left=True, right=True)
     except (LinAlgError, ValueError) as exc:  # ValueError: check_finite found a NaN or inf entry
         raise NumericError(f"q-box eigensolve failed: {exc}")
+    low = np.lexsort((eigs.imag, eigs.real))[:n_levels]  # lowest by (Re, Im), as ``_lowest`` picks
+    x, y = right[:, low], np.conj(left[:, low])
+    with np.errstate(all="ignore"):  # y^H x = 0 (an unresolved vector) must not warn: main turns warnings into exit 2
+        quotient = np.sum(y * (matrix @ x), axis=0) / np.sum(y * x, axis=0)
+    eigs[low] = np.where(np.isfinite(quotient), quotient, eigs[low])
     # a real wall exponent makes the operator self-adjoint in the weight (1-z^2)^(B-1/2)
     real = np.isrealobj(matrix)
     return SpectrumResult(_lowest(eigs.real if real else eigs, n_levels, merge=not real), n)

@@ -1,6 +1,7 @@
 """Numerical eigensolvers against the closed-form spectra."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -469,6 +470,31 @@ class TestBranchSolverBands:
         broken = dataclasses.replace(problem, potential=lambda q: np.where(q > 0, np.nan, problem.potential(q)))
         with pytest.raises(NumericError, match="q-box eigensolve failed: array must not contain infs or NaNs"):
             solve_q_space_branch(broken, n_levels=4)
+
+    @pytest.mark.parametrize("beta", [1.9, 2.3])
+    @pytest.mark.parametrize("quotient", ["inf", "nan"])
+    def test_quotient_that_is_not_finite_keeps_lapacks_eigenvalue(self, beta, quotient, monkeypatch):
+        # left vectors orthogonal to the right ones make y^H x exactly 0: each right vector loses its first
+        # entry and each left vector is e_0, so y^H A x / y^H x is inf, or it is nan where the left vectors
+        # are 0.  The solve must return LAPACK's own eigenvalues, and no warning may escape
+        import scipy.linalg
+
+        eig, lapack = scipy.linalg.eig, {}
+
+        def orthogonal_left(matrix, left, right):
+            w, _, vr = eig(matrix, left=left, right=right)
+            vl = np.zeros_like(vr)
+            if quotient == "inf":
+                vr[0], vl[0] = 0.0, 1.0
+            lapack["w"] = w.copy()  # the solve writes its quotients into w
+            return w, vl, vr
+
+        monkeypatch.setattr(scipy.linalg, "eig", orthogonal_left)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = solve_q_space_branch(swanson_transform(swanson_default(beta=beta)), n_levels=4)
+        real = beta < 2.0  # beta_c = 2: a real wall exponent and a real matrix below it
+        assert result.eigenvalues == eigensolver._lowest(lapack["w"].real if real else lapack["w"], 4, merge=not real)
 
 
 class TestLowModes:
