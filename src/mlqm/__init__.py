@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "errors": ("ConfigurationError", "MlqmError", "NumericError"),
     "inner": ("eta_inner",),
-    "jacobi": ("jacobi_batch", "jacobi_eval"),
+    "jacobi": ("jacobi_eval",),
     "models": (
         "DisplacedOscillatorParams", "GupFamily", "SwansonParams", "Wavefunction",
         "displaced_coefficients", "displaced_energy", "displaced_metric", "displaced_transform",

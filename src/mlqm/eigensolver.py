@@ -129,7 +129,8 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
     left and right vectors.  The matrix is far from normal, so each of the n_levels
     lowest eigenvalues is then read as the two-sided Rayleigh quotient y^H A x / y^H x of
     its own vectors, which is stationary in both and recovers digits that LAPACK's
-    eigenvalue loses (Parlett 1974); where the quotient is not finite LAPACK's value stays.
+    eigenvalue loses (Parlett 1974).  LAPACK's value stays where the quotient is not finite
+    or lies nearer another of LAPACK's eigenvalues than its own.
     The theta-axis solve has no quotient: numpy's ``eig`` returns no left vectors.
     A complex B (past the reality threshold) gives a complex matrix, whose eigenvalues
     are merged with their conjugates so that pairs appear as pairs.  The upper part of
@@ -157,7 +158,8 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
     x, y = right[:, low], np.conj(left[:, low])
     with np.errstate(all="ignore"):  # y^H x = 0 (an unresolved vector) must not warn: main turns warnings into exit 2
         quotient = np.sum(y * (matrix @ x), axis=0) / np.sum(y * x, axis=0)
-    eigs[low] = np.where(np.isfinite(quotient), quotient, eigs[low])
+        own = np.argmin(np.abs(quotient[:, None] - eigs), axis=1) == low  # nearest to its own eigenvalue
+    eigs[low] = np.where(np.isfinite(quotient) & own, quotient, eigs[low])
     # a real wall exponent makes the operator self-adjoint in the weight (1-z^2)^(B-1/2)
     real = np.isrealobj(matrix)
     return SpectrumResult(_lowest(eigs.real if real else eigs, n_levels, merge=not real), n)

@@ -1217,11 +1217,13 @@ def test_package_names_resolve_lazily():
         (("verify",), 4.0),
         (("verify", "--model", "swanson", "--beta", "0.4", "--lambda", "0.28", "--delta", "0.12"), 4.0),
         (("spectrum",), 3.0),
+        (("wavefunction", "--n", "300", "--samples", "20000"), 30.0),
     ],
-    ids=["verify", "verify-swanson", "spectrum"],
+    ids=["verify", "verify-swanson", "spectrum", "wavefunction-300"],
 )
 def test_cli_path_builds_no_dense_operator(capsys, argv, limit_mb):
-    # one dense 1200 x 1200 p-space matrix is 11.5 MB; these commands build no p-space operator at all
+    # one dense 1200 x 1200 p-space matrix is 11.5 MB; these commands build no p-space operator at all,
+    # and the Jacobi recurrence keeps two degrees, not a 301 x 20000 table of them (98.5 MB at n = 300)
     assert main(list(argv)) == EXIT_OK  # first call fills the quadrature-node cache
     tracemalloc.start()
     try:

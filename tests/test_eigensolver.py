@@ -472,11 +472,13 @@ class TestBranchSolverBands:
             solve_q_space_branch(broken, n_levels=4)
 
     @pytest.mark.parametrize("beta", [1.9, 2.3])
-    @pytest.mark.parametrize("quotient", ["inf", "nan"])
-    def test_quotient_that_is_not_finite_keeps_lapacks_eigenvalue(self, beta, quotient, monkeypatch):
+    @pytest.mark.parametrize("quotient", ["inf", "nan", "planted"])
+    def test_quotient_not_finite_or_not_nearest_keeps_lapacks_eigenvalue(self, beta, quotient, monkeypatch):
         # left vectors orthogonal to the right ones make y^H x exactly 0: each right vector loses its first
         # entry and each left vector is e_0, so y^H A x / y^H x is inf, or it is nan where the left vectors
-        # are 0.  The solve must return LAPACK's own eigenvalues, and no warning may escape
+        # are 0.  The planted left vector (conj x_1, -conj x_0, 0, ...) leaves y^H x a rounding instead of 0,
+        # and its finite quotient lands nearer another eigenvalue than its own (4.08 - 1.26i for the lowest
+        # level at beta 2.3).  The solve must return LAPACK's own eigenvalues, and no warning may escape
         import scipy.linalg
 
         eig, lapack = scipy.linalg.eig, {}
@@ -486,6 +488,8 @@ class TestBranchSolverBands:
             vl = np.zeros_like(vr)
             if quotient == "inf":
                 vr[0], vl[0] = 0.0, 1.0
+            elif quotient == "planted":
+                vl[0], vl[1] = np.conj(vr[1]), -np.conj(vr[0])
             lapack["w"] = w.copy()  # the solve writes its quotients into w
             return w, vl, vr
 

@@ -6,6 +6,8 @@ gamma = 0.05, and Swanson at gamma = 0.05, lambda 0.3, delta 0.1.  Each row
 pins the exact set of records that fail, so a record that stops seeing its
 fault, or starts failing a correct model, shows here.  The numeric-layer faults,
 planted in ``eigensolver``, also pin the exit of ``spectrum --levels 4`` at the same points.
+A gamma-blind theta-axis solve, planted in both ``eigensolver`` and ``verify``, has a test of
+its own, because the records and the exit it fails differ from point to point.
 """
 
 import dataclasses
@@ -148,7 +150,40 @@ def test_each_numeric_fault_fails_its_records_and_gate(monkeypatch, capsys, name
     monkeypatch.setattr(eigensolver, name, lambda *args: original(*args) + misread)
     for point, params in POINTS.items():
         assert {r.name for r in verify.battery(params, 4) if not r.passed} == records, point
-        code = main(["spectrum", *SPECTRUM_ARGV[point]])
-        err = capsys.readouterr().err
-        column = err.split(" has ")[1].split(" = ")[0] if err else None
-        assert (code, column) == spectrum, (point, err)
+        assert spectrum_gate(capsys, point) == spectrum, point
+
+
+def spectrum_gate(capsys, point):
+    """The exit of ``spectrum`` at the point, and the column its stderr names (None when it names none)."""
+    code = main(["spectrum", *SPECTRUM_ARGV[point]])
+    err = capsys.readouterr().err
+    return code, err.split(" has ")[1].split(" = ")[0] if err else None
+
+
+def gamma_blind(solve, params):
+    """The theta-axis solve at the point's gamma = 0 coefficients and deformation, whatever gamma it is given."""
+    blind = dataclasses.replace(params, deformation=dataclasses.replace(params.deformation, gamma=0.0))
+    coeffs = blind.family().coefficients()
+    return lambda _coeffs, _deformation, n_levels: solve(coeffs, blind.deformation, n_levels)
+
+
+#: {point: (the records that fail, spectrum's exit and column)} with a gamma-blind theta-axis solve planted.
+#: The displaced energy map carries gamma, so gamma-independence sees the displaced points, and spectrum's err_p
+#: sees the one at gamma = 0.05 (0.025 at level 0); Swanson's energy map carries no gamma, so there the fault
+#: passes every record and gate
+GAMMA_BLIND = {
+    "displaced": ({"gamma-independence"}, (EXIT_OK, None)),
+    "swanson": (set(), (EXIT_OK, None)),
+    "displaced-gamma": ({"gamma-independence"}, (EXIT_VERIFY_FAIL, "err_p")),
+    "swanson-gamma": (set(), (EXIT_OK, None)),
+}
+
+
+def test_gamma_blind_solve_is_seen_only_where_the_energy_map_carries_gamma(monkeypatch, capsys):
+    solve = eigensolver.solve_p_space
+    for point, params in POINTS.items():
+        fault = gamma_blind(solve, params)
+        monkeypatch.setattr(eigensolver, "solve_p_space", fault)
+        monkeypatch.setattr(verify, "solve_p_space", fault)
+        failed = {r.name for r in verify.battery(params, 4) if not r.passed}
+        assert (failed, spectrum_gate(capsys, point)) == GAMMA_BLIND[point], point

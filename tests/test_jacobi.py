@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
-from mlqm import ConfigurationError, jacobi_batch, jacobi_eval
+from mlqm import ConfigurationError, jacobi_eval
 
 
 def mp_jacobi(n, a, b, z):
@@ -15,15 +15,15 @@ def mp_jacobi(n, a, b, z):
 
 
 class TestJacobiOrder:
-    """The degree and parameters (n, a, b) that jacobi_batch admits."""
+    """The degree and parameters (n, a, b) that jacobi_eval admits."""
 
     def test_accepts_irrational_parameters(self):
-        jacobi_batch(3, np.sqrt(2) - 0.5, 0.25, 0.3)
+        jacobi_eval(3, np.sqrt(2) - 0.5, 0.25, 0.3)
 
     @pytest.mark.parametrize("n,a,b", [(-1, 0.0, 0.0), (2, -1.0, 0.0), (2, 0.0, -1.5)])
     def test_rejects_out_of_domain(self, n, a, b):
         with pytest.raises(ConfigurationError, match="degree must be non-negative|need a > -1 and b > -1"):
-            jacobi_batch(n, a, b, 0.3)
+            jacobi_eval(n, a, b, 0.3)
 
 
 class TestValues:
@@ -42,6 +42,16 @@ class TestValues:
         scale = np.max(np.abs(ref)) + 1.0
         assert np.max(np.abs(ours - ref)) / scale < 1e-12
 
+    @pytest.mark.parametrize("n", [300, 499])
+    @pytest.mark.parametrize("a", [1.5, 3.7, 10.0])
+    def test_against_scipy_at_wavefunction_degrees(self, n, a):
+        # the degrees that wavefunction --n reaches; rounding grows with n (5.4e-12 at n = 499, a = 3.7),
+        # so the bound is looser than test_against_scipy's 1e-12
+        z = np.linspace(-1, 1, 41)
+        ref = eval_jacobi(n, a, a, z)
+        scale = np.max(np.abs(ref)) + 1.0
+        assert np.max(np.abs(jacobi_eval(n, a, a, z) - ref)) / scale <= 1e-11
+
     @pytest.mark.parametrize("z", [-0.9, -0.3, 0.2, 0.5, 0.99])
     def test_against_mpmath_series(self, z):
         # equal symmetric parameters as used by the eigenfunctions
@@ -49,12 +59,6 @@ class TestValues:
         ours = float(jacobi_eval(n, a, a, z))
         ref = mp_jacobi(n, a, a, z)
         assert ours == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-    def test_batch_consistency(self):
-        z = np.linspace(-1, 1, 17)
-        batch = jacobi_batch(6, 1.3, 1.3, z)
-        for n in range(7):
-            assert np.array_equal(batch[n], jacobi_eval(n, 1.3, 1.3, z))
 
     def test_scalar_input(self):
         assert jacobi_eval(4, 2.0, 2.0, 0.3).shape == ()
