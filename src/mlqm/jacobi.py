@@ -2,8 +2,6 @@
 
 Real (generically irrational) parameters a, b > -1 are supported, and the recurrence is
 stable on [-1, 1]; it keeps two degrees, so memory grows with len(z), not with n len(z).
-``wavefunction --n`` takes degrees below 500; at the defaults n = 306 is normalized
-(exit 0), while n = 307 and n = 499 fail the metric quadrature's node doubling (exit 3).
 """
 
 import numpy as np

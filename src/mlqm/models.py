@@ -12,7 +12,7 @@ its published closed-form energies and reality threshold, the oracles every
 derived quantity and solver is checked against.
 """
 
-import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,8 +21,7 @@ from numpy.polynomial import Polynomial
 
 from . import pct
 from .algebra import DeformationParams
-from .errors import ConfigurationError, NumericError
-from .inner import eta_inner
+from .errors import ConfigurationError
 from .jacobi import jacobi_eval
 from .pct import CoefficientSet, EnergyMap, TransformedProblem, _larger_root, _snapped_sqrt
 
@@ -176,11 +175,10 @@ def swanson_reality_margin(params: SwansonParams) -> float:
 class Wavefunction:
     """Closed-form eigenfunction N * exp(a1*q(p)) * (1+beta*p^2)^a2 * P_n^(alpha,alpha)(z(p)).
 
-    Here q(p) is the q-map of ``DeformationParams`` and the Jacobi argument
-    is z = sqrt(beta) p/sqrt(1+beta*p^2), what the transformation pipeline
-    produces.  First and second derivatives are analytic (chain rule
-    plus the Jacobi parameter-shift derivative), as required by the
-    ODE-residual check.
+    Here q(p) is the q-map of ``DeformationParams`` and z = sqrt(beta) p/sqrt(1+beta*p^2).  The metric's weight
+    eta mu (1+beta*p^2) |psi|^2 dq is N^2 (1-z^2)^alpha P_n(z)^2 dz/sqrt(beta), so ``norm`` N = beta^(1/4)/sqrt(h_n),
+    with h_n Szego's (Orthogonal Polynomials, 4.3), makes the eta-norm 1.  First and second derivatives are
+    analytic (chain rule plus the Jacobi parameter-shift derivative), as the ODE-residual check requires.
     """
 
     n: int
@@ -189,13 +187,19 @@ class Wavefunction:
     a2: float
     alpha: float
     epsilon: float = np.nan
-    norm: float = 1.0
 
     def __post_init__(self):
         if self.n < 0:
             raise ConfigurationError(f"level index must be non-negative, got {self.n}")
         if self.beta <= 0:
             raise ConfigurationError("closed-form eigenfunctions require beta > 0")
+
+    @property
+    def norm(self) -> float:
+        """N = beta^(1/4)/sqrt(h_n), h_n = 2^(2a+1) Gamma(n+a+1)^2/((2n+2a+1) n! Gamma(n+2a+1)) at a = alpha."""
+        n, a = self.n, self.alpha
+        log_h = (2 * a + 1) * math.log(2) + 2 * math.lgamma(n + a + 1) - math.lgamma(n + 1) - math.lgamma(n + 2 * a + 1)
+        return self.beta**0.25 * math.sqrt(2 * n + 2 * a + 1) * math.exp(-0.5 * log_h)
 
     def _z(self, p, w):
         sqb = np.sqrt(self.beta)
@@ -344,7 +348,7 @@ class GupFamily:
         return lambda p: np.exp(log_eta(p))
 
     def wavefunction(self, n: int) -> Wavefunction:
-        """Unnormalized eigenfunction with a1 = -ell and alpha = B - 1/2, B the wall exponent.
+        """Metric-normalized eigenfunction with a1 = -ell and alpha = B - 1/2, B the wall exponent.
 
         The canonical form rho(p) * phi_n(q(p)) has a2 = -(gamma + sigma)/(2 beta) - B/2.
         Its eps_n comes first, so past the reality threshold ``epsilon_levels`` refuses it.
@@ -386,13 +390,8 @@ def energy(n: int, params) -> complex:
 
 
 def wavefunction(n: int, params) -> Wavefunction:
-    """Canonical eigenfunction rho(p) * phi_n(q(p)), metric-normalized; ``GupFamily.wavefunction`` is unnormalized."""
-    family = params.family()
-    wave = family.wavefunction(n)
-    norm2 = eta_inner(wave, wave, family.metric(), params.deformation).real
-    if not np.isfinite(norm2) or norm2 <= 0:
-        raise NumericError(f"eigenfunction has no finite positive metric norm (got {norm2})")
-    return dataclasses.replace(wave, norm=wave.norm / np.sqrt(norm2))
+    """Canonical eigenfunction rho(p) * phi_n(q(p)), metric-normalized; see ``GupFamily.wavefunction``."""
+    return params.family().wavefunction(n)
 
 
 def swanson_beta_c(params: SwansonParams) -> Optional[float]:

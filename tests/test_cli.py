@@ -673,16 +673,19 @@ class TestNumericFailure:
         assert code == EXIT_NUMERIC and out == ""
         assert err == "numeric failure: p-space eigensolve failed: Array must not contain infs or NaNs\n"
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", "--omega", "0.05"),
-        ("wavefunction", "--omega", "0.05", "--samples", "3"),
-        ("verify", "--model", "swanson", "--beta", "0.02", "--lambda", "0.05", "--delta", "0.45"),
+    @pytest.mark.parametrize("argv, code, line", [
+        (("verify", "--omega", "0.05"), EXIT_NUMERIC, "numeric failure: inner product failed node doubling"),
+        (("wavefunction", "--omega", "0.05", "--samples", "3"), EXIT_CONFIG,
+         "configuration error: a value derived from the parameters leaves double precision"),
+        (("verify", "--model", "swanson", "--beta", "0.02", "--lambda", "0.05", "--delta", "0.45"), EXIT_NUMERIC,
+         "numeric failure: inner product failed node doubling"),
     ], ids=["verify", "wavefunction", "verify-swanson"])
-    def test_overflowing_metric_norm_refuses_without_warnings(self, argv):
-        # the metric or the eigenfunction overflows at the outer quadrature nodes; the refusal is the one line
+    def test_overflowing_metric_norm_refuses_without_warnings(self, argv, code, line):
+        # verify's Gram quadrature overflows at the outer nodes and fails node doubling; wavefunction runs no
+        # quadrature, its norm is closed-form, and the exp of the eta column it prints overflows
         proc = python("-m", "mlqm.cli", *argv)
-        assert proc.returncode == EXIT_NUMERIC and proc.stdout == ""
-        assert proc.stderr.startswith("numeric failure: inner product failed node doubling")
+        assert proc.returncode == code and proc.stdout == ""
+        assert proc.stderr.startswith(line)
         assert proc.stderr.count("\n") == 1
 
 
@@ -718,14 +721,10 @@ def _growing(p):
     return 1.0 + 0.5 * np.asarray(p, dtype=float) ** 2
 
 
-def _nan_metric_norm(monkeypatch):
-    monkeypatch.setattr(mlqm.models, "eta_inner", lambda *args: complex("nan"))
-    mlqm.models.wavefunction(0, mlqm.SwansonParams(mlqm.DeformationParams(1.0, 0.5, 0.0), lam=0.2, delta=0.2))
-
-
 #: each class that mlqm.errors had before it was cut to its three, against one raise that class carried, the exit
-#: code that raise had then and the message it gives; the first six now raise ConfigurationError, the last four
-#: NumericError, and each keeps its code
+#: code that raise had then and the message it gives; the first six now raise ConfigurationError, the last three
+#: NumericError, and each keeps its code; DivergenceError's one raise, the quadrature norm of an eigenfunction, is
+#: gone with that quadrature
 FORMER_CLASS_RAISES = {
     "ComplexSpectrumError": (
         EXIT_CONFIG,
@@ -755,7 +754,6 @@ FORMER_CLASS_RAISES = {
         lambda mp: mlqm.CoefficientSet(f=Polynomial([-1.0]), g=Polynomial([0.0]), h=_zero),
         "f(p) must be strictly positive on the working domain",
     ),
-    "DivergenceError": (EXIT_NUMERIC, _nan_metric_norm, "eigenfunction has no finite positive metric norm (got nan)"),
     "NonConvergenceError": (
         EXIT_NUMERIC,
         lambda mp: mlqm.eta_inner(_growing, _growing, None, mlqm.DeformationParams(1.0, 0.5, 0.0)),

@@ -1,7 +1,7 @@
 """The fault matrix: each planted model fault must fail the verify records that can see it.
 
-One fault at a time is planted in ``GupFamily`` or its ``EnergyMap`` and ``verify.battery`` runs
-at four points: both models' CLI defaults, the displaced model at
+One fault at a time is planted in ``GupFamily``, its ``EnergyMap`` or the ``Wavefunction`` norm, and
+``verify.battery`` runs at four points: both models' CLI defaults, the displaced model at
 gamma = 0.05, and Swanson at gamma = 0.05, lambda 0.3, delta 0.1.  Each row
 pins the exact set of records that fail, so a record that stops seeing its
 fault, or starts failing a correct model, shows here.  The numeric-layer faults,
@@ -18,7 +18,7 @@ from numpy.polynomial import Polynomial
 from mlqm import eigensolver, verify
 from mlqm.cli import EXIT_OK, EXIT_VERIFY_FAIL, main
 from mlqm.algebra import DeformationParams
-from mlqm.models import DisplacedOscillatorParams, GupFamily, SwansonParams
+from mlqm.models import DisplacedOscillatorParams, GupFamily, SwansonParams, Wavefunction
 from mlqm.pct import EnergyMap
 
 POINTS = {
@@ -48,6 +48,10 @@ def shifted_jacobi_index(original):
         psi = original(self, n)
         return dataclasses.replace(psi, alpha=psi.alpha + 1e-6)
     return wavefunction
+
+
+def scaled_norm(original):
+    return property(lambda self: original.fget(self) * (1.0 + 1e-6))
 
 
 def shifted_epsilon(original):
@@ -91,13 +95,11 @@ FAULTS = [
         "displaced-gamma": {"gamma-independence", "pseudo-hermiticity", "ode-residual"},
         "swanson-gamma": {"gamma-independence", "pseudo-hermiticity", "ode-residual"},
     }),
-    # the quadrature reads 1.1e-7 at the displaced points and 5.9-7.5e-8 at the Swanson ones, against 1e-7
-    (shifted_jacobi_index, GupFamily, "wavefunction", {
-        "displaced": {"ode-residual", "gram-identity"},
-        "swanson": {"ode-residual"},
-        "displaced-gamma": {"ode-residual", "gram-identity"},
-        "swanson-gamma": {"ode-residual"},
-    }),
+    # the norm follows the shifted index while the envelope's a2 and the metric do not, so the Gram matrix reads
+    # 1.6-2.8e-7 against 1e-7, its diagonal too
+    (shifted_jacobi_index, GupFamily, "wavefunction", dict.fromkeys(POINTS, {"ode-residual", "gram-identity"})),
+    # the closed-form norm is the one normalization, so its error reaches the Gram diagonal (2.0e-6) and nothing else
+    (scaled_norm, Wavefunction, "norm", dict.fromkeys(POINTS, {"gram-identity"})),
     (shifted_epsilon, GupFamily, "epsilon_levels", dict.fromkeys(POINTS, {"ode-residual", "closed-form-ladder"})),
     (scaled_energy_map, EnergyMap, "energy", dict.fromkeys(POINTS, {"closed-form-ladder"})),
     # eta = 1 meets the identity (defect ~3e-11) while the kept metric fails it, so the defect's floor reads the
@@ -108,7 +110,8 @@ FAULTS = [
 
 
 @pytest.mark.parametrize("fault, owner, method, expected", FAULTS, ids=[
-    "none", "log-eta-plus-q", "h-plus-w", "gamma-dropped-from-g", "jacobi-index", "epsilon-plus-0.1",
+    "none", "log-eta-plus-q", "h-plus-w", "gamma-dropped-from-g", "jacobi-index", "norm-times-1-plus-1e-6",
+    "epsilon-plus-0.1",
     "energy-map-scale", "g-made-hermitian",
 ])
 def test_each_fault_fails_its_records(monkeypatch, fault, owner, method, expected):

@@ -1,5 +1,6 @@
 """Closed-form spectra, metrics, and eigenfunctions of the two models."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,7 @@ from mlqm import (
     swanson_transform,
     swanson_wavefunction,
 )
-from mlqm.models import displaced_coefficients, metric, swanson_coefficients
+from mlqm.models import Wavefunction, displaced_coefficients, metric, swanson_coefficients, wavefunction
 from mlqm.verify import ode_residual
 from oracles import printed_metric, printed_wavefunction, quadrature_log_rho, quadrature_metric
 from test_pct import hermitian_family
@@ -101,6 +102,10 @@ class TestDisplacedSpectrum:
     def test_negative_level_rejected(self):
         with pytest.raises(ConfigurationError, match="level index must be non-negative, got -1"):
             displaced_energy(-1, displaced_default())
+        # the eigenfunction refuses n before its closed-form norm takes lgamma of -1 + 1 = 0
+        with pytest.raises(ConfigurationError) as refusal:
+            displaced_default().family().wavefunction(-1)
+        assert str(refusal.value) == "level index must be non-negative, got -1"
 
 
 class TestSwansonSpectrum:
@@ -230,10 +235,25 @@ class TestWavefunctions:
         assert report.value < 1e-10
 
     def test_metric_normalization(self):
-        params = displaced_default()
-        psi = displaced_wavefunction(2, params)
-        norm2 = eta_inner(psi, psi, displaced_metric(params), params.deformation)
-        assert norm2.real == pytest.approx(1.0, rel=1e-10)
+        # the closed-form norm against the Fejer quadrature of the metric; they differ by at most 2.4e-13 here
+        for gamma in (0.0, 0.05):
+            for params in (displaced_default(gamma=gamma), swanson_default(gamma=gamma, lam=0.3, delta=0.1)):
+                for n in (0, 3, 100, 250):
+                    psi = wavefunction(n, params)
+                    norm2 = eta_inner(psi, psi, metric(params), params.deformation)
+                    assert abs(norm2 - 1.0) <= 1e-12, (params, n)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.5, 10.012492197250394, 19.5, 1e3])
+    def test_norm_is_szego_h_n(self, alpha):
+        # N^2 h_n/sqrt(beta) = 1 with h_n = 2^(2a+1) Gamma(n+a+1)^2 / ((2n+2a+1) n! Gamma(n+2a+1)) at 50 digits;
+        # 10.0125 and 19.5 are alpha at the displaced and Swanson CLI defaults, where wavefunction --n 499 runs
+        for n in (0, 1, 5, 100, 499):
+            norm = Wavefunction(n=n, beta=0.1, a1=0.0, a2=0.0, alpha=alpha).norm
+            with mpmath.workdps(50):
+                a, beta = mpmath.mpf(alpha), mpmath.mpf(0.1)
+                h_n = (2 ** (2 * a + 1) * mpmath.gamma(n + a + 1) ** 2
+                       / ((2 * n + 2 * a + 1) * mpmath.factorial(n) * mpmath.gamma(n + 2 * a + 1)))
+                assert abs(mpmath.mpf(norm) ** 2 * h_n / mpmath.sqrt(beta) - 1) <= 1e-11, n
 
     def test_gamma_enters_only_through_envelope(self):
         # |psi|^2 * measure weight is the gamma-invariant probability density
