@@ -43,12 +43,13 @@ def _fejer(n: int):
     return np.cos(np.pi * np.arange(1, n) / n), w[1:]
 
 
-def eta_inner(phi, psi, eta, params: DeformationParams) -> complex:
+def eta_inner(phi, psi, eta, params: DeformationParams):
     """Metric scalar product  integral of eta * conj(phi) * psi  under the deformed measure.
 
-    ``phi``/``psi`` are callables of p; ``eta`` is a positive weight
-    callable or None for the plain product.  A node-doubling check,
-    QUADRATURE_NODES against twice as many, guards against divergent integrands.
+    ``phi``/``psi`` are callables of p giving one state or k states as (nodes, k) columns; ``eta`` is a positive
+    weight callable or None for the plain product.  The product (conj(Phi).T * weights) @ Psi is then a complex
+    scalar or the k x k matrix of every pair.  A node-doubling check, QUADRATURE_NODES against twice as many,
+    guards each entry against divergent integrands; its message gives the worst entry's ratio.
     """
     if params.beta <= 0:
         raise ConfigurationError("quadrature on q needs beta > 0")
@@ -56,17 +57,15 @@ def eta_inner(phi, psi, eta, params: DeformationParams) -> complex:
     w_coarse = _fejer(QUADRATURE_NODES)[1]
     p = params.p_of_q(params.q_half * x)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads NaN, which node doubling refuses
-        vals = np.conj(phi(p)) * psi(p) * params.measure_weight(p) * (1.0 + params.beta * p**2)
+        left, right = np.conj(phi(p)), psi(p)
+        weights = params.q_half * params.measure_weight(p) * (1.0 + params.beta * p**2)
         if eta is not None:
-            vals = vals * eta(p)
-        vals = params.q_half * vals
-        coarse = complex(np.sum(w_coarse * vals[1::2]))
-        fine = complex(np.sum(w_fine * vals))
-    # floor the scale at 1 so that exactly-orthogonal pairs (both estimates
-    # at round-off level) are not misread as divergence
-    scale = max(abs(fine), abs(coarse), 1.0)
-    if not abs(fine - coarse) <= _DIVERGENCE_THRESHOLD * scale:  # also refuses NaN
-        raise NumericError(
-            f"inner product failed node doubling: |I(2N)-I(N)|/|I| = {abs(fine - coarse) / scale:.3e}"
-        )
-    return fine
+            weights = weights * eta(p)
+        coarse = (left[1::2].T * (w_coarse * weights[1::2])) @ right[1::2]
+        fine = (left.T * (w_fine * weights)) @ right
+        # floor the scale at 1 so that exactly-orthogonal pairs (both estimates
+        # at round-off level) are not misread as divergence
+        ratio = np.abs(fine - coarse) / np.maximum(np.maximum(np.abs(fine), np.abs(coarse)), 1.0)
+    if not np.all(ratio <= _DIVERGENCE_THRESHOLD):  # also refuses NaN
+        raise NumericError(f"inner product failed node doubling: |I(2N)-I(N)|/|I| = {np.max(ratio):.3e}")
+    return complex(fine) if np.ndim(fine) == 0 else fine

@@ -177,8 +177,8 @@ class Wavefunction:
 
     Here q(p) is the q-map of ``DeformationParams`` and z = sqrt(beta) p/sqrt(1+beta*p^2).  The metric's weight
     eta mu (1+beta*p^2) |psi|^2 dq is N^2 (1-z^2)^alpha P_n(z)^2 dz/sqrt(beta), so ``norm`` N = beta^(1/4)/sqrt(h_n),
-    with h_n Szego's (Orthogonal Polynomials, 4.3), makes the eta-norm 1.  First and second derivatives are
-    analytic (chain rule plus the Jacobi parameter-shift derivative), as the ODE-residual check requires.
+    with h_n Szego's (Orthogonal Polynomials, 4.3), makes the eta-norm 1.  ``jet`` gives the analytic first and
+    second derivatives with the values, as the ODE-residual check requires.
     """
 
     n: int
@@ -201,43 +201,26 @@ class Wavefunction:
         log_h = (2 * a + 1) * math.log(2) + 2 * math.lgamma(n + a + 1) - math.lgamma(n + 1) - math.lgamma(n + 2 * a + 1)
         return self.beta**0.25 * math.sqrt(2 * n + 2 * a + 1) * math.exp(-0.5 * log_h)
 
-    def _z(self, p, w):
-        sqb = np.sqrt(self.beta)
-        return sqb * p / np.sqrt(w), sqb * w ** (-1.5), -3.0 * self.beta * sqb * p * w ** (-2.5)
-
-    def _jacobi(self, z):
-        n, a = self.n, self.alpha
-        pn = jacobi_eval(n, a, a, z)
-        dpn = 0.5 * (n + 2 * a + 1) * jacobi_eval(n - 1, a + 1, a + 1, z) if n >= 1 else np.zeros_like(z)
-        d2pn = (
-            0.25 * (n + 2 * a + 1) * (n + 2 * a + 2) * jacobi_eval(n - 2, a + 2, a + 2, z)
-            if n >= 2
-            else np.zeros_like(z)
-        )
-        return pn, dpn, d2pn
-
-    def _pieces(self, p):
+    def jet(self, p):
+        """(psi, psi', psi'') at p from one pass: the chain rule through the envelope and z(p), with
+        d/dz P_n^(a,a) = (n + 2a + 1)/2 P_(n-1)^(a+1,a+1) for the Jacobi factor."""
+        n, a, beta = self.n, self.alpha, self.beta
         p = np.asarray(p, dtype=float)
-        w = 1.0 + self.beta * p**2
-        log_env = self.a1 * DeformationParams(beta=self.beta).q_of_p(p) + self.a2 * np.log(w)
-        dlog = (self.a1 + 2.0 * self.a2 * self.beta * p) / w
-        d2log = (2.0 * self.a2 * self.beta * w - (self.a1 + 2.0 * self.a2 * self.beta * p) * 2.0 * self.beta * p) / w**2
+        w = 1.0 + beta * p**2
+        log_env = self.a1 * DeformationParams(beta=beta).q_of_p(p) + self.a2 * np.log(w)
+        dlog = (self.a1 + 2.0 * self.a2 * beta * p) / w
+        d2log = (2.0 * self.a2 * beta * w - (self.a1 + 2.0 * self.a2 * beta * p) * 2.0 * beta * p) / w**2
         env = self.norm * np.exp(log_env)
-        z, dz, d2z = self._z(p, w)
-        pn, dpn, d2pn = self._jacobi(z)
-        return env, dlog, d2log, pn, dpn, d2pn, dz, d2z
+        sqb = np.sqrt(beta)
+        z, dz, d2z = sqb * p / np.sqrt(w), sqb * w ** (-1.5), -3.0 * beta * sqb * p * w ** (-2.5)
+        pn = jacobi_eval(n, a, z)
+        dpn = 0.5 * (n + 2 * a + 1) * jacobi_eval(n - 1, a + 1, z) if n >= 1 else np.zeros_like(z)
+        d2pn = 0.25 * (n + 2 * a + 1) * (n + 2 * a + 2) * jacobi_eval(n - 2, a + 2, z) if n >= 2 else np.zeros_like(z)
+        return (env * pn, env * (dlog * pn + dz * dpn),
+                env * ((dlog**2 + d2log) * pn + (2.0 * dlog * dz + d2z) * dpn + dz**2 * d2pn))
 
     def __call__(self, p):
-        env, _, _, pn, _, _, _, _ = self._pieces(p)
-        return env * pn
-
-    def derivative(self, p):
-        env, dlog, _, pn, dpn, _, dz, _ = self._pieces(p)
-        return env * (dlog * pn + dz * dpn)
-
-    def second_derivative(self, p):
-        env, dlog, d2log, pn, dpn, d2pn, dz, d2z = self._pieces(p)
-        return env * ((dlog**2 + d2log) * pn + (2.0 * dlog * dz + d2z) * dpn + dz**2 * d2pn)
+        return self.jet(p)[0]
 
 
 # --------------------------------------------------------------------------

@@ -198,15 +198,13 @@ def pseudo_hermiticity_residual(coeffs: CoefficientSet, log_eta, params: Deforma
 
 
 def gram_matrix(states, eta, params: DeformationParams):
-    """Gram matrix G[m,n] = <psi_m|psi_n>_eta and the ||G - I||_max report."""
-    k = len(states)
-    gram = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(i, k):
-            val = eta_inner(states[i], states[j], eta, params)
-            gram[i, j] = val
-            gram[j, i] = np.conj(val)
-    value = float(np.max(np.abs(gram - np.eye(k))))
+    """Gram matrix G[m,n] = <psi_m|psi_n>_eta, one ``eta_inner`` of the stacked states, and the ||G - I||_max report."""
+
+    def stacked(p):
+        return np.stack([psi(p) for psi in states], axis=1)
+
+    gram = eta_inner(stacked, stacked, eta, params)
+    value = float(np.max(np.abs(gram - np.eye(len(states)))))
     grid = {"nodes": 2 * QUADRATURE_NODES - 1, "check_nodes": QUADRATURE_NODES - 1}
     report = ResidualReport("gram-identity", value, TOLERANCES["gram-identity"], {"grid": grid})
     return gram, report
@@ -220,13 +218,12 @@ def ode_residual(psi, coeffs: CoefficientSet, epsilon: float) -> ResidualReport:
     neither the units of eps nor the scale of psi.  The floor u max s, u the
     unit roundoff, is for the tail: at small beta psi falls there into the
     subnormal range, where it keeps no relative precision and |r| reaches s.
-    ``psi`` must expose analytic ``derivative`` and ``second_derivative`` (the
-    closed-form eigenfunctions do).
+    ``psi`` must expose ``jet``, which gives psi, psi' and psi'' from one
+    evaluation (the closed-form eigenfunctions do).
     """
     p = _q_uniform_samples(DeformationParams(beta=psi.beta))
-    vals = psi(p)
-    terms = (-coeffs.f(p) * psi.second_derivative(p), coeffs.g(p) * psi.derivative(p), coeffs.h(p) * vals,
-             -epsilon * vals)
+    vals, d1, d2 = psi.jet(p)
+    terms = (-coeffs.f(p) * d2, coeffs.g(p) * d1, coeffs.h(p) * vals, -epsilon * vals)
     scale = sum(np.abs(term) for term in terms)
     value = float(np.max(np.abs(sum(terms)) / (scale + np.finfo(float).eps / 2 * np.max(scale))))
     return ResidualReport("ode-residual", value, TOLERANCES["ode-residual"], {"grid": _SAMPLE_GRID})

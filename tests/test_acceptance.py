@@ -247,7 +247,7 @@ def test_criterion_8_limits_and_algebra():
         d, psi = params.deformation, params.family().wavefunction(n)
 
         def x_psi(p):
-            return 1j * d.hbar * ((1.0 + d.beta * p**2) * psi.derivative(p) + d.gamma * p * psi(p))
+            return 1j * d.hbar * ((1.0 + d.beta * p**2) * psi.jet(p)[1] + d.gamma * p * psi(p))
 
         def mean(phi, chi):  # <phi|chi>/<psi|psi>, real for the symmetric x and p
             return eta_inner(phi, chi, None, d).real / eta_inner(psi, psi, None, d).real

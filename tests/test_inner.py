@@ -6,8 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from mlqm import ConfigurationError, DeformationParams, NumericError, eta_inner
+from mlqm import ConfigurationError, DeformationParams, DisplacedOscillatorParams, NumericError, eta_inner
 from mlqm.inner import QUADRATURE_NODES, _fejer
+from mlqm.models import wavefunction
 
 
 def deformed_inner(phi, psi, params):
@@ -93,6 +94,25 @@ class TestInnerProducts:
         phi = lambda p: sizes.append(np.size(p)) or np.exp(-0.5 * np.asarray(p, dtype=float) ** 2)
         deformed_inner(phi, phi, d)
         assert sizes == [2 * QUADRATURE_NODES - 1] * 2 == [1023, 1023]  # phi and psi, once each
+
+    def test_stacked_states_give_the_pairwise_matrix(self):
+        # four closed-form states and a complex one as (nodes, 5) columns: one matrix product against the 25
+        # scalar dot products, which differ in summation order only (6.3e-16 at worst, measured)
+        params = DisplacedOscillatorParams(DeformationParams(1.0, 0.1, 0.0), lam=0.5)
+        d, eta = params.deformation, params.family().metric()
+        states = [wavefunction(n, params) for n in range(4)] + [lambda p: np.exp(1j * p - 0.5 * p**2)]
+
+        def stacked(columns):
+            return lambda p: np.stack([column(p) for column in columns], axis=1)
+
+        gram = eta_inner(stacked(states), stacked(states), eta, d)
+        pairwise = np.array([[eta_inner(phi, psi, eta, d) for psi in states] for phi in states])
+        assert gram.shape == (5, 5) and isinstance(pairwise[0, 0], complex)
+        assert np.all(np.abs(gram - pairwise) <= 1e-15 * np.maximum(1.0, np.abs(gram)))
+        # one divergent state among four fails the whole matrix
+        divergent = stacked(states[:3] + [lambda p: 1.0 + 0.5 * p**2])
+        with pytest.raises(NumericError, match="inner product failed node doubling"):
+            eta_inner(divergent, divergent, eta, d)
 
     def test_divergence_detected(self):
         d = DeformationParams(1.0, 0.5, 0.0)

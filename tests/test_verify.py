@@ -258,6 +258,19 @@ class TestOdeChecks:
         assert ode_residual(psi, params.family().coefficients(), psi.epsilon).value < 1e-12
 
 
+@pytest.mark.parametrize("params", [displaced_default(), swanson_default()], ids=["displaced", "swanson"])
+def test_battery_evaluates_each_state_once_per_check(monkeypatch, params):
+    # the 4 states take 1, 2, 3 and 3 Jacobi recurrences per evaluation: 9 for the ODE residual's jets and
+    # 18 for the Gram matrix's stacked phi and psi; pairwise products and separate derivative calls take 72
+    import mlqm.models
+
+    calls = []
+    recurrence = mlqm.models.jacobi_eval
+    monkeypatch.setattr(mlqm.models, "jacobi_eval", lambda *args: calls.append(args) or recurrence(*args))
+    battery(params, 4)
+    assert len(calls) <= 30
+
+
 @pytest.mark.parametrize("beta", [1e4, 1e5, 1e6])
 def test_battery_passes_at_large_beta(beta):
     # the metric identity's difference step once ignored the q-map's length 1/sqrt(beta), and the ODE
