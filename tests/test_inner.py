@@ -106,9 +106,9 @@ class TestInnerProducts:
             return lambda p: np.stack([column(p) for column in columns], axis=1)
 
         gram = eta_inner(stacked(states), stacked(states), eta, d)
-        pairwise = np.array([[eta_inner(phi, psi, eta, d) for psi in states] for phi in states])
-        assert gram.shape == (5, 5) and isinstance(pairwise[0, 0], complex)
-        assert np.all(np.abs(gram - pairwise) <= 1e-15 * np.maximum(1.0, np.abs(gram)))
+        pairwise = [[eta_inner(phi, psi, eta, d) for psi in states] for phi in states]
+        assert gram.shape == (5, 5) and all(type(value) is complex for row in pairwise for value in row)
+        assert np.all(np.abs(gram - np.array(pairwise)) <= 1e-15 * np.maximum(1.0, np.abs(gram)))
         # one divergent state among four fails the whole matrix
         divergent = stacked(states[:3] + [lambda p: 1.0 + 0.5 * p**2])
         with pytest.raises(NumericError, match="inner product failed node doubling"):
