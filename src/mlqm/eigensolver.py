@@ -13,6 +13,7 @@ uses SciPy, imported at its first call: its ~0.3 s import would otherwise slow
 every CLI process.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,17 @@ def _indicial_root(problem: TransformedProblem) -> float | complex:
     return _larger_root(1.0, -1.0, -nu / sqb**2, _EXPONENT_SNAP)
 
 
+def _two_sided_quotients(matrix: np.ndarray, eigs: np.ndarray, right: np.ndarray, left: np.ndarray, low) -> None:
+    """Read each eigs[k], k in ``low``, as y^T A x / y^T x of column k of ``right`` and ``left`` (y^T A = eigs[k] y^T):
+    stationary in both, it recovers digits LAPACK loses (Parlett 1974); kept where strictly nearest eigs[k]."""
+    x, y = right[:, low], left[:, low]
+    with np.errstate(all="ignore"):  # y^T x = 0 (an unresolved vector) must not warn: main turns warnings into exit 2
+        quotient = np.sum(y * (matrix @ x), axis=0) / np.sum(y * x, axis=0)
+        dist = np.abs(quotient[:, None] - eigs)  # an inf or rounded huge quotient ties with all, a nan one is near none
+        own = np.sum(dist <= np.take_along_axis(dist, low[:, None], axis=1), axis=1) == 1
+    eigs[low] = np.where(own, quotient, eigs[low])
+
+
 def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
     """The n_levels lowest q-box levels from one Chebyshev collocation solve with the wall factor taken out.
 
@@ -128,10 +140,7 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
     selects the regular solution at each wall, and SciPy's dense ``eig`` solves it with
     left and right vectors.  The matrix is far from normal, so each of the n_levels
     lowest eigenvalues is then read as the two-sided Rayleigh quotient y^H A x / y^H x of
-    its own vectors, which is stationary in both and recovers digits that LAPACK's
-    eigenvalue loses (Parlett 1974).  LAPACK's value stays where the quotient is not finite
-    or lies nearer another of LAPACK's eigenvalues than its own.
-    The theta-axis solve has no quotient: numpy's ``eig`` returns no left vectors.
+    its own vectors (``_two_sided_quotients``).
     A complex B (past the reality threshold) gives a complex matrix, whose eigenvalues
     are merged with their conjugates so that pairs appear as pairs.  The upper part of
     a collocation spectrum is spurious; only the lowest n_levels are returned.
@@ -154,12 +163,7 @@ def solve_q_space(problem: TransformedProblem, n_levels: int) -> SpectrumResult:
         eigs, left, right = eig(matrix, left=True, right=True)
     except (LinAlgError, ValueError) as exc:  # ValueError: check_finite found a NaN or inf entry
         raise NumericError(f"q-box eigensolve failed: {exc}")
-    low = np.lexsort((eigs.imag, eigs.real))[:n_levels]  # lowest by (Re, Im), as ``_lowest`` picks
-    x, y = right[:, low], np.conj(left[:, low])
-    with np.errstate(all="ignore"):  # y^H x = 0 (an unresolved vector) must not warn: main turns warnings into exit 2
-        quotient = np.sum(y * (matrix @ x), axis=0) / np.sum(y * x, axis=0)
-        own = np.argmin(np.abs(quotient[:, None] - eigs), axis=1) == low  # nearest to its own eigenvalue
-    eigs[low] = np.where(np.isfinite(quotient) & own, quotient, eigs[low])
+    _two_sided_quotients(matrix, eigs, right, np.conj(left), np.lexsort((eigs.imag, eigs.real))[:n_levels])
     # a real wall exponent makes the operator self-adjoint in the weight (1-z^2)^(B-1/2)
     real = np.isrealobj(matrix)
     return SpectrumResult(_lowest(eigs.real if real else eigs, n_levels, merge=not real), n)
@@ -224,8 +228,7 @@ class ThetaModes:
         return (np.cos(theta) ** self.s * np.exp(self.m * theta))[:, None] * u
 
 
-def theta_modes(coeffs: CoefficientSet, deformation: DeformationParams, n_modes: int,
-                vectors: bool = True) -> ThetaModes:
+def theta_modes(coeffs: CoefficientSet, deformation: DeformationParams, n_modes: int) -> ThetaModes:
     """The n_modes lowest modes of -f psi'' + g psi' + h psi from one collocation solve on theta = arctan(sqrt(beta) p).
 
     With z = sin theta, c = cos theta and psi = F u, F = c^s e^(m theta), the
@@ -240,10 +243,10 @@ def theta_modes(coeffs: CoefficientSet, deformation: DeformationParams, n_modes:
         -f beta c^6 u_zz + (3 f beta z c^4 + (g - 2 f F_p/F) sqrt(beta) c^3) u_z + (h + g F_p/F - f F_pp/F) u,
 
     smooth on [-1, 1].  It is collocated at the N = 16 + 2 n_modes interior
-    Chebyshev-Gauss points with no boundary rows, and numpy's dense ``eig``
-    (``eigvals`` when ``vectors`` is False) solves it.  The upper part of a
-    collocation spectrum is spurious; the n_modes of smallest real part are
-    returned.  A non-finite matrix or a failed solve raises NumericError.
+    Chebyshev-Gauss points with no boundary rows; numpy's dense ``eig`` solves it, and the rows of V^-1 are
+    the left vectors of ``_two_sided_quotients`` (LAPACK's eigenvalues where ``inv`` finds V singular).  The
+    upper part of a collocation spectrum is spurious; the n_modes of smallest real part are returned.  A
+    non-finite matrix or a failed solve raises NumericError.
     """
     beta = deformation.beta
     if not beta > 0:
@@ -265,11 +268,13 @@ def theta_modes(coeffs: CoefficientSet, deformation: DeformationParams, n_modes:
     matrix = (-f * beta * c**6)[:, None] * d2 + drift[:, None] * d1
     matrix[np.diag_indices(n)] += h + g * fp - f * fpp
     try:
-        eigs, vecs = np.linalg.eig(matrix) if vectors else (np.linalg.eigvals(matrix), None)
+        eigs, vecs = np.linalg.eig(matrix)
     except np.linalg.LinAlgError as exc:  # also a NaN or inf entry
         raise NumericError(f"p-space eigensolve failed: {exc}")
     order = np.lexsort((eigs.imag, eigs.real))[:n_modes]
-    return ThetaModes(eigs[order], t, None if vecs is None else vecs[:, order], s, m)
+    with contextlib.suppress(np.linalg.LinAlgError):  # V singular: LAPACK's eigenvalues stay
+        _two_sided_quotients(matrix, eigs, vecs, np.linalg.inv(vecs).T, order)
+    return ThetaModes(eigs[order], t, vecs[:, order], s, m)
 
 
 def solve_p_space(coeffs: CoefficientSet, deformation: DeformationParams, n_levels: int) -> SpectrumResult:
@@ -279,5 +284,5 @@ def solve_p_space(coeffs: CoefficientSet, deformation: DeformationParams, n_leve
     matrix, whose eigenvalues are merged with their conjugates so that pairs
     appear as pairs.
     """
-    modes = theta_modes(coeffs, deformation, n_levels, vectors=False)
+    modes = theta_modes(coeffs, deformation, n_levels)
     return SpectrumResult(_lowest(modes.eigenvalues, n_levels, merge=isinstance(modes.s, complex)), len(modes.t))

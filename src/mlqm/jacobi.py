@@ -22,8 +22,7 @@ def jacobi_eval(n: int, a: float, z):
     for k in range(2, n + 1):
         c = 2.0 * k + a + a
         a_k = 2.0 * k * (k + a + a) * (c - 2.0)
-        # a^2 - b^2 of P_n^(a,b) at b = a: (x + a^2) - a^2 is not x, and every value keeps its rounding
-        b_k = (c - 1.0) * (c * (c - 2.0) * z + a * a - a * a)
+        b_k = (c - 1.0) * c * (c - 2.0) * z
         c_k = 2.0 * (k + a - 1.0) * (k + a - 1.0) * c
         prev, cur = cur, (b_k * cur - c_k * prev) / a_k
     return cur

@@ -26,6 +26,7 @@ from mlqm import (
     swanson_transform,
 )
 from mlqm import eigensolver
+from mlqm.cli import main
 from mlqm.eigensolver import theta_modes
 from mlqm.models import displaced_coefficients, swanson_coefficients
 from mlqm.pct import _larger_root
@@ -471,34 +472,83 @@ class TestBranchSolverBands:
         with pytest.raises(NumericError, match="q-box eigensolve failed: array must not contain infs or NaNs"):
             solve_q_space_branch(broken, n_levels=4)
 
+    @pytest.mark.parametrize("solve", ["q-box", "theta"])
     @pytest.mark.parametrize("beta", [1.9, 2.3])
     @pytest.mark.parametrize("quotient", ["inf", "nan", "planted"])
-    def test_quotient_not_finite_or_not_nearest_keeps_lapacks_eigenvalue(self, beta, quotient, monkeypatch):
-        # left vectors orthogonal to the right ones make y^H x exactly 0: each right vector loses its first
-        # entry and each left vector is e_0, so y^H A x / y^H x is inf, or it is nan where the left vectors
-        # are 0.  The planted left vector (conj x_1, -conj x_0, 0, ...) leaves y^H x a rounding instead of 0,
-        # and its finite quotient lands nearer another eigenvalue than its own (4.08 - 1.26i for the lowest
-        # level at beta 2.3).  The solve must return LAPACK's own eigenvalues, and no warning may escape
+    def test_quotient_not_finite_or_not_nearest_keeps_lapacks_eigenvalue(self, beta, quotient, solve, monkeypatch):
+        # left vectors orthogonal to the right ones make y^T x exactly 0: each right vector loses its first
+        # entry and each left vector is e_0, so y^T A x / y^T x is inf, or it is nan where the left vectors
+        # are 0.  The planted left vector (x_1, -x_0, 0, ...) leaves y^T x a rounding or 0: a finite quotient
+        # lands nearer another eigenvalue than its own (4.08 - 1.26i for the lowest q-box level at beta 2.3),
+        # or so far out (4.9e18 on the theta axis) that its distances to all of them round alike.  The q-box
+        # plants them as SciPy's left vectors, which it conjugates; the theta axis as the rows of V^-1, which
+        # it takes from ``numpy.linalg.inv``.  Each solve must return LAPACK's own eigenvalues, and no warning
+        # may escape
         import scipy.linalg
 
-        eig, lapack = scipy.linalg.eig, {}
+        lapack = {}
 
-        def orthogonal_left(matrix, left, right):
-            w, _, vr = eig(matrix, left=left, right=right)
-            vl = np.zeros_like(vr)
+        def plant(w, vr):
+            # lowest first: the lowest level's own index is then 0, which argmin picks from a row of ties
+            order = np.lexsort((w.imag, w.real))
+            w, vr, vl = w[order], vr[:, order], np.zeros_like(vr)
             if quotient == "inf":
                 vr[0], vl[0] = 0.0, 1.0
             elif quotient == "planted":
-                vl[0], vl[1] = np.conj(vr[1]), -np.conj(vr[0])
-            lapack["w"] = w.copy()  # the solve writes its quotients into w
-            return w, vl, vr
+                vl[0], vl[1] = vr[1], -vr[0]
+            lapack["w"], lapack["vl"] = w.copy(), vl  # the solve writes its quotients into w
+            return w, vr, vl
 
-        monkeypatch.setattr(scipy.linalg, "eig", orthogonal_left)
+        if solve == "q-box":
+            scipy_eig = scipy.linalg.eig
+
+            def orthogonal_left(matrix, left, right):
+                w, _, vr = scipy_eig(matrix, left=left, right=right)
+                w, vr, vl = plant(w, vr)
+                return w, np.conj(vl), vr
+
+            monkeypatch.setattr(scipy.linalg, "eig", orthogonal_left)
+        else:
+            numpy_eig = np.linalg.eig
+
+            def planted_right(matrix):
+                w, vr, _ = plant(*numpy_eig(matrix))
+                return w, vr
+
+            monkeypatch.setattr(np.linalg, "eig", planted_right)
+            monkeypatch.setattr(np.linalg, "inv", lambda vr: lapack["vl"].T)
+        params = swanson_default(beta=beta)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = solve_q_space_branch(swanson_transform(swanson_default(beta=beta)), n_levels=4)
-        real = beta < 2.0  # beta_c = 2: a real wall exponent and a real matrix below it
-        assert result.eigenvalues == eigensolver._lowest(lapack["w"].real if real else lapack["w"], 4, merge=not real)
+            if solve == "q-box":
+                result = solve_q_space_branch(swanson_transform(params), n_levels=4)
+            else:
+                result = solve_p_space(swanson_coefficients(params), params.deformation, 4)
+        real = beta < 2.0  # beta_c = 2: a real exponent and a real matrix below it
+        w = lapack["w"].real if real else lapack["w"]
+        assert result.eigenvalues == eigensolver._lowest(w, 4, merge=not real)
+
+    def test_singular_right_vectors_keep_lapacks_eigenvalues(self, capsys, monkeypatch):
+        # where ``inv`` finds V singular (near an exceptional point) the theta axis has no left vectors: its
+        # levels are LAPACK's own eigenvalues, with no warning, and spectrum still passes its gate
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        numpy_eig, lapack = np.linalg.eig, {}
+
+        def spy(matrix):
+            w, vr = numpy_eig(matrix)
+            lapack["w"] = w.copy()
+            return w, vr
+
+        monkeypatch.setattr(np.linalg, "eig", spy)
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        params = swanson_default(lam=0.3, delta=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = solve_p_space(swanson_coefficients(params), params.deformation, 4)
+        assert result.eigenvalues == eigensolver._lowest(lapack["w"], 4)
+        assert main(["spectrum", "--levels", "4"]) == 0 and capsys.readouterr().err == ""
 
 
 class TestLowModes:
